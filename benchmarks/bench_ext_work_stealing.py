@@ -14,8 +14,8 @@ import numpy as np
 from _common import bench_config, bench_seed, bench_tasks, bench_trials, emit
 from repro import rng as rng_mod
 from repro.extensions.rescheduling import WorkStealingPolicy
-from repro.filters.chain import make_filter_chain
-from repro.heuristics.registry import make_heuristic
+from repro.filters.chain import build_filter_chain
+from repro.heuristics.registry import build_heuristic
 from repro.sim.engine import run_trial
 from repro.sim.system import build_trial_system
 
@@ -34,17 +34,17 @@ def run_comparison() -> dict[str, float]:
         system = build_trial_system(config.with_seed(seed))
 
         def rand():
-            return make_heuristic("Random", rng_mod.stream(seed, "ws-bench"))
+            return build_heuristic("Random", rng_mod.stream(seed, "ws-bench"))
 
-        base = run_trial(system, rand(), make_filter_chain("rob", config.filters))
+        base = run_trial(system, rand(), build_filter_chain("rob", config.filters))
         policy = WorkStealingPolicy()
         stolen = run_trial(
-            system, rand(), make_filter_chain("rob", config.filters), hooks=policy
+            system, rand(), build_filter_chain("rob", config.filters), hooks=policy
         )
         ll = run_trial(
             system,
-            make_heuristic("LL"),
-            make_filter_chain("en+rob", config.filters),
+            build_heuristic("LL"),
+            build_filter_chain("en+rob", config.filters),
         )
         misses["Random/rob"].append(base.missed)
         misses["Random/rob + steal"].append(stolen.missed)

@@ -12,8 +12,8 @@ from __future__ import annotations
 from _common import bench_config, bench_seed, bench_tasks, bench_trials, emit
 from repro import rng as rng_mod
 from repro.extensions.baselines import make_extended_heuristic
-from repro.filters.chain import make_filter_chain
-from repro.heuristics.registry import make_heuristic
+from repro.filters.chain import build_filter_chain
+from repro.heuristics.registry import build_heuristic
 from repro.sim.engine import run_trial
 from repro.sim.system import build_trial_system
 
@@ -25,7 +25,7 @@ VARIANT = "en+rob"
 
 def _make(name: str, seed: int):
     if name in ("SQ", "MECT", "LL", "Random"):
-        return make_heuristic(name, rng_mod.stream(seed, "heuristic", name))
+        return build_heuristic(name, rng_mod.stream(seed, "heuristic", name))
     return make_extended_heuristic(name)
 
 
@@ -38,7 +38,7 @@ def run_comparison() -> dict[str, float]:
         system = build_trial_system(config.with_seed(seed))
         for name in ALL:
             result = run_trial(
-                system, _make(name, seed), make_filter_chain(VARIANT, config.filters)
+                system, _make(name, seed), build_filter_chain(VARIANT, config.filters)
             )
             misses[name].append(result.missed)
     rows = {name: float(np.median(vals)) for name, vals in misses.items()}

@@ -30,21 +30,15 @@ The facade groups five things:
   mode) and :func:`budget_sweep` (the energy-tightness sweep).  All
   accept the observability collectors (:class:`MetricsRegistry`,
   :class:`SpanProfile`, :class:`TimelineSet`, event sinks) and the
-  results-neutral :class:`PerfConfig` performance knobs.
+  :class:`PerfConfig` performance knobs.
 * **Inspecting results** — :class:`TrialResult`,
   :class:`EnsembleResult` and :class:`PartialEnsembleResult`.
 * **The value types underneath** — :class:`PMF` and
   :class:`SimulationConfig`, for scripts that construct custom
   workloads or distributions.
 
-Deprecated entry points (kept as warning shims for one release):
-``make_heuristic`` / ``make_filter_chain`` (use :func:`build_heuristic`
-/ :func:`build_filter_chain` or the registries),
-``repro.experiments.runner.run_trial_variant`` (build a
-:class:`TrialPlan`), ``repro.sim.mapper.build_candidates`` (use
-:func:`repro.sim.mapper.build_candidate_set`) and
-``repro.obs.hooks.run_observed_trial`` (use
-:func:`repro.obs.hooks.observe_trial`).
+The pre-facade entry points are gone; ``docs/api.md`` lists each
+removed name with its replacement.
 """
 
 from __future__ import annotations
@@ -70,13 +64,8 @@ from repro.faults import (
     SheddingConfig,
 )
 from repro.filters.chain import VARIANTS as FILTER_VARIANTS
-from repro.filters.chain import (
-    FilterChain,
-    build_filter_chain,
-    canonical_variant,
-    make_filter_chain,
-)
-from repro.heuristics.registry import HEURISTICS, build_heuristic, make_heuristic
+from repro.filters.chain import FilterChain, build_filter_chain, canonical_variant
+from repro.heuristics.registry import HEURISTICS, build_heuristic
 from repro.registry import (
     ADMISSION_PLUGINS,
     FILTER_PLUGINS,
@@ -138,8 +127,6 @@ __all__ = [
     "build_heuristic",
     "build_filter_chain",
     "canonical_variant",
-    "make_heuristic",
-    "make_filter_chain",
     "FilterChain",
     "SimulationConfig",
     "build_trial_system",

@@ -355,8 +355,8 @@ def _perf_parent() -> argparse.ArgumentParser:
         choices=BACKEND_CHOICES,
         default=None,
         help="kernel backend for the stochastic hot path: numpy (reference, "
-        "default), numba/cext (compiled, opt-in; warns and falls back when "
-        "unavailable) or auto (fastest available); env override: "
+        "default), cext (compiled C, opt-in; warns and falls back when "
+        "unavailable) or auto (cext when available); env override: "
         "REPRO_PERF_BACKEND",
     )
     return parent

@@ -33,7 +33,6 @@ from repro.experiments.runner import (
     PartialEnsembleResult,
     VariantSpec,
     run_ensemble,
-    run_trial_variant,
 )
 from repro.experiments.figures import (
     FIGURES,
@@ -56,7 +55,6 @@ __all__ = [
     "PartialEnsembleResult",
     "VariantSpec",
     "run_ensemble",
-    "run_trial_variant",
     "FaultPlan",
     "parse_fault_plan",
     "CheckpointWriter",

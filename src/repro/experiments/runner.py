@@ -32,7 +32,6 @@ Metrics describe the run; they never steer it.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Sequence
@@ -70,7 +69,6 @@ __all__ = [
     "EnsembleResult",
     "PartialEnsembleResult",
     "policy_for",
-    "run_trial_variant",
     "run_ensemble",
 ]
 
@@ -107,18 +105,17 @@ def policy_for(system: TrialSystem, spec: VariantSpec):
 class TrialPlan:
     """One fully-specified trial run: system, policy spec, and ride-alongs.
 
-    ``TrialPlan`` is the single entry point behind what used to be three
-    near-duplicate call shapes (``run_trial`` on a bare engine,
-    ``observe_trial`` for the observed path, ``run_trial_variant``
-    choosing between them): build a plan, then :meth:`run` it.  The plan
-    picks the observed path exactly when an observability collector
-    (``metrics`` / ``sinks`` / ``profile`` / ``timeline``) is attached;
-    the simulated decisions — and therefore the result — are bitwise
-    identical either way.
+    ``TrialPlan`` is the single entry point over the two call shapes
+    (``run_trial`` on a bare engine, ``observe_trial`` for the observed
+    path): build a plan, then :meth:`run` it.  The plan picks the
+    observed path exactly when an observability collector (``metrics``
+    / ``sinks`` / ``profile`` / ``timeline``) is attached; the simulated
+    decisions — and therefore the result — are bitwise identical either
+    way.
 
-    ``perf`` selects the hot-path performance knobs (:mod:`repro.perf`),
-    results-neutral; ``None`` means everything on.  ``shared`` carries
-    the warm cross-spec caches of the trial
+    ``perf`` selects the hot-path performance knobs (:mod:`repro.perf`);
+    ``None`` means the defaults (kernel cache on, numpy backend).
+    ``shared`` carries the warm cross-spec caches of the trial
     (:class:`~repro.perf.TrialCache`); reuse one handle for every spec
     run against the same ``system``.  ``faults`` / ``fault_policy`` /
     ``shedding`` thread the in-simulation fault layer
@@ -199,50 +196,6 @@ class TrialPlan:
         return result
 
 
-def run_trial_variant(
-    system: TrialSystem,
-    spec: VariantSpec,
-    *,
-    keep_outcomes: bool = False,
-    metrics: MetricsRegistry | None = None,
-    sinks: Sequence[EventSink] = (),
-    profile: SpanRecorder | None = None,
-    timeline: TimelineRecorder | None = None,
-    perf: PerfConfig | None = None,
-    shared: TrialCache | None = None,
-    faults: FaultSchedule | None = None,
-    fault_policy: FaultPolicy | None = None,
-    shedding: SheddingConfig | None = None,
-) -> TrialResult:
-    """Deprecated shim for :class:`TrialPlan`.
-
-    .. deprecated::
-        Build a :class:`TrialPlan` and call :meth:`TrialPlan.run`
-        instead.  This wrapper forwards verbatim and stays bitwise
-        identical; it only adds a :class:`DeprecationWarning`.
-    """
-    warnings.warn(
-        "repro.experiments.runner.run_trial_variant is deprecated; "
-        "build a TrialPlan and call .run() instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return TrialPlan(
-        system=system,
-        spec=spec,
-        keep_outcomes=keep_outcomes,
-        metrics=metrics,
-        sinks=sinks,
-        profile=profile,
-        timeline=timeline,
-        perf=perf,
-        shared=shared,
-        faults=faults,
-        fault_policy=fault_policy,
-        shedding=shedding,
-    ).run()
-
-
 #: What one trial sends back to the parent: per-spec results, then the
 #: serialized metrics registry, span stream and timeline streams (each
 #: ``None``/empty when its collection was off or the trial was restored
@@ -298,9 +251,9 @@ def _run_one_trial(
     )
     if recorder is not None:
         with recorder.span("trial.build_system"):
-            system = build_trial_system(config.with_seed(seed), perf=perf)
+            system = build_trial_system(config.with_seed(seed))
     else:
-        system = build_trial_system(config.with_seed(seed), perf=perf)
+        system = build_trial_system(config.with_seed(seed))
     registry = MetricsRegistry() if collect_metrics else None
     timelines: list[dict[str, Any]] | None = [] if timeline_dt is not None else None
     shared = TrialCache(perf)

@@ -9,7 +9,6 @@ composes as ``"en+prune"`` in the CLI and in scenario files.
 
 from __future__ import annotations
 
-import warnings
 from typing import Iterable, Sequence
 
 from repro.config import FilterConfig
@@ -24,7 +23,6 @@ __all__ = [
     "VARIANTS",
     "build_filter_chain",
     "canonical_variant",
-    "make_filter_chain",
 ]
 
 #: The four filtering variants, in the order the paper's figures use.
@@ -114,19 +112,3 @@ def build_filter_chain(variant: str, config: FilterConfig | None = None) -> Filt
         raise UnknownPluginError(
             "filter", f"{exc.name} (in variant {variant!r})", FILTER_PLUGINS.names()
         ) from None
-
-
-def make_filter_chain(variant: str, config: FilterConfig | None = None) -> FilterChain:
-    """Deprecated pre-registry constructor; use :func:`build_filter_chain`.
-
-    Kept (one release) for scripts written against the hand-wired
-    constructor; the registry path builds the identical chain, so
-    results are bitwise unchanged.
-    """
-    warnings.warn(
-        "repro.filters.chain.make_filter_chain is deprecated; use "
-        "build_filter_chain (or repro.registry.FILTER_PLUGINS)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return build_filter_chain(variant, config)

@@ -17,8 +17,7 @@ inspectable without touching the engine's hot path:
   that merges across worker processes;
 * :mod:`repro.obs.hooks` — the :class:`~repro.obs.hooks.ObservingHooks`
   adapter that plugs into the engine's ``EngineHooks`` protocol, plus
-  :func:`~repro.obs.hooks.observe_trial` (formerly
-  ``run_observed_trial``, kept as a deprecated alias);
+  :func:`~repro.obs.hooks.observe_trial`;
 * :mod:`repro.obs.manifest` — run manifests (config digest, seeds,
   version, git SHA, per-trial result digests) so any saved figure is
   reproducible from the manifest sitting next to it;
@@ -64,7 +63,6 @@ from repro.obs.hooks import (
     TimedFilterChain,
     TimedHeuristic,
     observe_trial,
-    run_observed_trial,
 )
 from repro.obs.manifest import (
     RunManifest,
@@ -116,7 +114,6 @@ __all__ = [
     "TimedFilterChain",
     "TimedHeuristic",
     "observe_trial",
-    "run_observed_trial",
     "RunManifest",
     "build_manifest",
     "config_digest",

@@ -237,52 +237,36 @@ class KernelCache:
 class PerfConfig:
     """Knobs of the hot-path performance layer.
 
-    Every knob except ``backend`` is *results-neutral*: the engine
-    produces bitwise identical
-    :class:`~repro.sim.results.TrialResult`s (and therefore identical
-    manifest digests) for any combination, enforced by
-    ``tests/perf/test_parity.py``.  The knobs only trade memory for
-    speed.  ``backend`` is the one documented exception: compiled
-    backends agree with the numpy reference to ≤1e-12 (see
+    ``kernel_cache`` is *results-neutral*: the engine produces bitwise
+    identical :class:`~repro.sim.results.TrialResult`s (and therefore
+    identical manifest digests) with it on or off, enforced by
+    ``tests/perf/test_parity.py``; it only trades memory for speed.
+    ``backend`` is the one documented exception: compiled backends
+    agree with the numpy reference to ≤1e-12 (see
     :mod:`repro.perf.kernels`), which is why it defaults to
     ``"numpy"`` and digests are always defined by the numpy path.
 
     Attributes
     ----------
     kernel_cache:
-        Intern convolution/truncation kernels for the run (one private
-        cache per engine unless ``warm_cache`` shares it; nothing ever
-        leaks across trials).
-    batch_mapper:
-        Use the vectorized :class:`~repro.sim.mapper.CandidateBuilder`
-        instead of the reference per-core loop.
+        Intern truncation kernels for the run: one private cache per
+        engine, or the trial's shared one when a
+        :class:`~repro.perf.trial_cache.TrialCache` is passed (nothing
+        ever leaks across trials).  Off is the reference path the parity
+        tests compare against.
     max_entries:
         Kernel-cache capacity (LRU past it).
-    warm_cache:
-        Share one kernel cache and one ``CandidateBuilder`` type-table
-        cache across every spec of a trial (via
-        :class:`~repro.perf.trial_cache.TrialCache`): all 16 specs run
-        against the same :class:`~repro.sim.system.TrialSystem`, so the
-        interned truncation tails seeded by the first spec are hits for
-        the rest.  Scope is one trial in one worker — trials never share.
-    batch_table:
-        Build the per-trial
-        :class:`~repro.workload.pmf_table.ExecutionTimeTable` through
-        one vectorized gamma-CDF pass instead of a per-cell scipy loop.
     backend:
         Which kernel implementation executes the stochastic hot path:
-        ``"numpy"`` (the reference, default), ``"numba"`` / ``"cext"``
-        (compiled, opt-in, warn-and-fall-back when unavailable) or
-        ``"auto"`` (fastest available, silent fallback).  The default
+        ``"numpy"`` (the reference, default), ``"cext"`` (compiled C,
+        opt-in, warn-and-fall-back when unavailable) or ``"auto"``
+        (cext when it loads, else numpy, silently).  The default
         honours the ``REPRO_PERF_BACKEND`` environment override so
         deployments can opt in without touching call sites.
     """
 
     kernel_cache: bool = True
-    batch_mapper: bool = True
     max_entries: int = 65536
-    warm_cache: bool = True
-    batch_table: bool = True
     backend: str = field(default_factory=default_backend_name)
 
     def __post_init__(self) -> None:
@@ -296,14 +280,8 @@ class PerfConfig:
 
     @staticmethod
     def disabled() -> "PerfConfig":
-        """The reference configuration: no cache, no batch paths, numpy."""
-        return PerfConfig(
-            kernel_cache=False,
-            batch_mapper=False,
-            warm_cache=False,
-            batch_table=False,
-            backend="numpy",
-        )
+        """The reference configuration: no kernel cache, numpy backend."""
+        return PerfConfig(kernel_cache=False, backend="numpy")
 
     def make_cache(self) -> KernelCache | None:
         """Build the engine's kernel cache (``None`` when disabled)."""

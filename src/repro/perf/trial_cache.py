@@ -42,36 +42,29 @@ class TrialCache:
     Parameters
     ----------
     perf:
-        The trial's performance knobs; ``None`` means defaults.  With
-        ``warm_cache=False`` (or the relevant base knob off) the handle
-        degrades to inert — engines fall back to their private state —
-        so the runner can always create one unconditionally.
+        The trial's performance knobs; ``None`` means defaults.  The
+        shared kernel cache exists when ``perf.kernel_cache`` is on; the
+        builder type tables are always shared.
     """
 
     __slots__ = ("perf", "kernel", "_tables_for", "_tables")
 
     def __init__(self, perf: PerfConfig | None = None) -> None:
         self.perf = perf if perf is not None else PerfConfig()
-        #: The shared kernel cache (``None`` when sharing or the kernel
-        #: cache itself is disabled).
-        self.kernel: KernelCache | None = (
-            self.perf.make_cache() if self.perf.warm_cache else None
-        )
+        #: The shared kernel cache (``None`` when the kernel cache is off).
+        self.kernel: KernelCache | None = self.perf.make_cache()
         self._tables_for: Any = None
-        self._tables: dict | None = None
+        self._tables: dict = {}
 
-    def mapper_tables(self, table: "ExecutionTimeTable") -> dict | None:
+    def mapper_tables(self, table: "ExecutionTimeTable") -> dict:
         """The shared ``CandidateBuilder`` type-table dict for ``table``.
 
         Entries are read-only arrays derived from ``table`` alone, so
-        sharing the dict across the trial's builders is exact.  Returns
-        ``None`` (private tables) when sharing is off, and resets if
-        asked about a *different* table — a misuse guard; the runner
+        sharing the dict across the trial's builders is exact.  Resets
+        if asked about a *different* table — a misuse guard; the runner
         only ever pairs one system with one ``TrialCache``.
         """
-        if not (self.perf.warm_cache and self.perf.batch_mapper):
-            return None
-        if self._tables is None or self._tables_for is not table:
+        if self._tables_for is not table:
             self._tables_for = table
             self._tables = {}
         return self._tables

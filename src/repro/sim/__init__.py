@@ -18,7 +18,7 @@ Entry points:
 
 from repro.sim.system import TrialSystem, build_trial_system
 from repro.sim.state import CoreState, QueuedTask, RollingEnergyBudget, RunningTask
-from repro.sim.mapper import CandidateBuilder, build_candidate_set, build_candidates
+from repro.sim.mapper import CandidateBuilder
 from repro.sim.results import TaskOutcome, TrialResult
 from repro.sim.engine import Engine, EngineHooks, run_trial
 from repro.sim.metrics import TraceCollector, WindowAccumulator, WindowStats
@@ -31,8 +31,6 @@ __all__ = [
     "RunningTask",
     "RollingEnergyBudget",
     "CandidateBuilder",
-    "build_candidate_set",
-    "build_candidates",
     "TaskOutcome",
     "TrialResult",
     "Engine",

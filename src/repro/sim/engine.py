@@ -33,6 +33,7 @@ computed, and on-time completions after that instant do not count
 from __future__ import annotations
 
 import heapq
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Protocol
 
@@ -50,10 +51,10 @@ from repro.faults import (
     make_admission,
 )
 from repro.filters.chain import FilterChain
-from repro.heuristics.base import Heuristic, MappingContext
+from repro.heuristics.base import Assignment, Heuristic, MappingContext
 from repro.perf.kernel_cache import CacheStats, PerfConfig
 from repro.perf.trial_cache import TrialCache
-from repro.sim.mapper import CandidateBuilder, build_candidate_set
+from repro.sim.mapper import CandidateBuilder
 from repro.sim.metrics import TraceCollector
 from repro.sim.results import TaskOutcome, TrialResult
 from repro.sim.state import CoreState, QueuedTask, RollingEnergyBudget, RunningTask
@@ -110,12 +111,29 @@ class Tracer(Protocol):
     Anything with a ``span(name)`` context manager fits — in practice
     the observability layer's span recorder, but the engine deliberately
     knows only this shape so that package stays un-imported here.  With
-    ``tracer=None`` (the default) the event loop takes the bare branch
-    and allocates nothing per event.
+    ``tracer=None`` (the default) the engine uses a shared null tracer
+    whose ``span()`` hands back one no-op context manager, so an
+    untraced event allocates nothing extra.
     """
 
     def span(self, name: str) -> object:
         """Return a context manager timing one named region."""
+
+
+class _NullTracer:
+    """The ``tracer=None`` stand-in: every span is one shared no-op."""
+
+    __slots__ = ()
+    _SPAN = nullcontext()
+
+    def span(self, name: str) -> nullcontext:
+        return self._SPAN
+
+
+_NULL_TRACER = _NullTracer()
+
+#: What :meth:`Engine._map` returns when its ``veto`` rejected the choice.
+_VETOED = object()
 
 
 @dataclass
@@ -140,18 +158,22 @@ class Engine:
     hooks:
         Optional :class:`EngineHooks` for extensions.
     tracer:
-        Optional :class:`Tracer` timing each event handler as a span.
+        Optional :class:`Tracer` timing each event handler as a span
+        (``engine.arrival``, ``engine.completion``, ``engine.fault``,
+        and ``engine.score`` around scoring).  ``None`` means a shared
+        null tracer; the event loop is the same either way.
     perf:
         Hot-path performance knobs (:class:`~repro.perf.PerfConfig`);
-        defaults to everything on.  Strictly results-neutral — see
-        :mod:`repro.perf`.  Deliberately *not* part of
+        defaults to the kernel cache on and the numpy backend.  The
+        cache is strictly results-neutral — see :mod:`repro.perf`.
+        Deliberately *not* part of
         :class:`~repro.config.SimulationConfig`, so manifest/config
         digests are independent of how fast the run was computed.
     shared:
         Optional :class:`~repro.perf.TrialCache` carrying warm state
         from earlier specs of the same trial (kernel cache + builder
-        type tables).  When given and its sharing knobs are on, the
-        engine *reuses* that cache instead of building a private one;
+        type tables).  When given, the engine *reuses* its kernel cache
+        (if both configs enable one) instead of building a private one;
         ``kernel_cache_stats`` still reports this run's own activity
         (counters are snapshotted at run start).  ``perf`` defaults to
         the handle's config when both are supplied by the runner.
@@ -228,7 +250,7 @@ class Engine:
         self.filter_chain = filter_chain
         self.collector = collector
         self.hooks = hooks
-        self.tracer = tracer
+        self.tracer = tracer if tracer is not None else _NULL_TRACER
         if perf is None:
             perf = shared.perf if shared is not None else PerfConfig()
         self.perf = perf
@@ -249,16 +271,11 @@ class Engine:
         # backends are cached per process); installed into stoch.ops for
         # exactly the duration of run()/serve(), like the kernel cache.
         self._kernel_backend = self.perf.make_backend()
-        type_tables = shared.mapper_tables(system.table) if shared is not None else None
-        self._builder = (
-            CandidateBuilder(
-                self.cores,
-                system.table,
-                type_tables=type_tables,
-                backend=self._kernel_backend,
-            )
-            if self.perf.batch_mapper
-            else None
+        self._builder = CandidateBuilder(
+            self.cores,
+            system.table,
+            type_tables=shared.mapper_tables(system.table) if shared is not None else None,
+            backend=self._kernel_backend,
         )
         self.ledger = (
             EnergyLedger(cluster, system.config.energy.idle_power_mode)
@@ -454,9 +471,13 @@ class Engine:
             self._on_shed(self, task, cause, False)
 
     def _handle_arrival(self, task: Task, t_now: float) -> None:
-        if self.rolling_budget is not None:
-            self.energy_estimate = self.rolling_budget.advance(t_now)
+        """An arrival passes admission, is mapped, and meets the rho floor."""
+        veto = None
         if self._shedder is not None:
+            if self.rolling_budget is not None:
+                # Admission reads the allowance at t_now; the advance in
+                # _map to the same instant is then a no-op.
+                self.energy_estimate = self.rolling_budget.advance(t_now)
             action, cause = self._shedder.admit(
                 task.task_id, self.avg_queue_depth, self._budget_frac()
             )
@@ -469,6 +490,40 @@ class Engine:
             if action == "shed":
                 self._shed(task, t_now, cause)
                 return
+            veto = self._shedder.below_prob_floor
+        placed = self._map(task, t_now, veto)
+        if placed is _VETOED:
+            # Probabilistic pruning: the best surviving assignment is
+            # still too unlikely to finish on time to be worth its
+            # energy.  Recorded as a shed, not a discard.
+            self._shed(task, t_now, SHED_MIN_PROB)
+        elif placed is None:
+            if self._track_outcomes:
+                self._outcomes[task.task_id] = None
+            if self.hooks is not None:
+                self.hooks.on_discarded(self, task)
+        elif self.hooks is not None:
+            self.hooks.on_mapped(self, task, placed.core_id, placed.pstate)
+
+    def _map(
+        self, task: Task, t_now: float, veto: Callable[[float], bool] | None = None
+    ) -> Assignment | object | None:
+        """The mapping step: place ``task`` at ``t_now`` or report why not.
+
+        Arrivals and re-mapped orphans both come through here: advance
+        the rolling budget, score every (core, P-state) candidate, mask
+        out down capacity, filter, select, commit.  An orphan is scored
+        against its *original* deadline at the current time, its
+        re-map's EEC is charged to the energy estimate (re-execution
+        costs real joules), and it keeps its luck quantile, so the
+        re-run is deterministic.
+
+        Returns the committed :class:`Assignment`, ``None`` when no
+        candidate survives, or ``_VETOED`` when ``veto`` rejects the
+        chosen candidate's on-time probability (nothing is committed).
+        """
+        if self.rolling_budget is not None:
+            self.energy_estimate = self.rolling_budget.advance(t_now)
         if self._tasks_left_override is None:
             tasks_left = self.system.num_tasks - task.task_id - 1
         else:
@@ -480,40 +535,17 @@ class Engine:
             tasks_left=tasks_left,
             avg_queue_depth=self.avg_queue_depth,
         )
-        if self._builder is not None:
-            cands = self._builder.build(task, t_now)
-        else:
-            cands = build_candidate_set(task, self.cores, self.system.table, t_now)
+        cands = self._builder.build(task, t_now)
         if self._availability is not None:
             np.logical_and(cands.mask, self._availability.mask, out=cands.mask)
         self.filter_chain.apply(cands, ctx)
         index = self.heuristic.select(cands, ctx)
-
-        if (
-            index is not None
-            and self._shedder is not None
-            and self._shedder.below_prob_floor(float(cands.prob_on_time[index]))
-        ):
-            # Probabilistic pruning: the best surviving assignment is
-            # still too unlikely to finish on time to be worth its
-            # energy.  Recorded as a shed, not a discard.
+        if index is None or (veto is not None and veto(float(cands.prob_on_time[index]))):
             if self.collector is not None:
                 self.collector.record_mapping(
                     t_now, ctx.avg_queue_depth, self.energy_estimate, -1, cands.num_feasible
                 )
-            self._shed(task, t_now, SHED_MIN_PROB)
-            return
-
-        if index is None:
-            if self._track_outcomes:
-                self._outcomes[task.task_id] = None
-            if self.collector is not None:
-                self.collector.record_mapping(
-                    t_now, ctx.avg_queue_depth, self.energy_estimate, -1, cands.num_feasible
-                )
-            if self.hooks is not None:
-                self.hooks.on_discarded(self, task)
-            return
+            return None if index is None else _VETOED
 
         assignment = cands.assignment(index)
         eec = float(cands.eec[index])
@@ -545,8 +577,7 @@ class Engine:
                 cands.num_feasible,
                 chosen_prob=float(cands.prob_on_time[index]),
             )
-        if self.hooks is not None:
-            self.hooks.on_mapped(self, task, assignment.core_id, assignment.pstate)
+        return assignment
 
     def _handle_completion(self, payload: tuple[int, int], t_now: float) -> bool:
         core_id, epoch = payload
@@ -617,7 +648,7 @@ class Engine:
         orphans.sort(key=lambda pair: pair[0].task_id)
         for task, core_id in orphans:
             stats.orphaned += 1
-            if policy.remap and self._remap_orphan(task, t_now):
+            if policy.remap and self._map(task, t_now) is not None:
                 stats.remapped += 1
                 if self._on_orphaned is not None:
                     self._on_orphaned(self, task, core_id, "remapped")
@@ -627,74 +658,6 @@ class Engine:
                     self._outcomes[task.task_id] = None
                 if self._on_orphaned is not None:
                     self._on_orphaned(self, task, core_id, "lost")
-
-    def _remap_orphan(self, task: Task, t_now: float) -> bool:
-        """Map a displaced task as if it arrived now; True on success.
-
-        The orphan goes through the same candidate/filter/select path
-        as a fresh arrival — ``prob_on_time`` is evaluated against its
-        *original* deadline at the current time, and the re-map's EEC
-        is charged to the energy estimate (re-execution costs real
-        joules).  It keeps its original luck quantile, so the re-run is
-        deterministic.
-        """
-        if self.rolling_budget is not None:
-            self.energy_estimate = self.rolling_budget.advance(t_now)
-        if self._tasks_left_override is None:
-            tasks_left = self.system.num_tasks - task.task_id - 1
-        else:
-            tasks_left = self._tasks_left_override
-        ctx = MappingContext(
-            t_now=t_now,
-            task=task,
-            energy_estimate=self.energy_estimate,
-            tasks_left=tasks_left,
-            avg_queue_depth=self.avg_queue_depth,
-        )
-        if self._builder is not None:
-            cands = self._builder.build(task, t_now)
-        else:
-            cands = build_candidate_set(task, self.cores, self.system.table, t_now)
-        np.logical_and(cands.mask, self._availability.mask, out=cands.mask)
-        self.filter_chain.apply(cands, ctx)
-        index = self.heuristic.select(cands, ctx)
-        if index is None:
-            if self.collector is not None:
-                self.collector.record_mapping(
-                    t_now, ctx.avg_queue_depth, self.energy_estimate, -1, cands.num_feasible
-                )
-            return False
-        assignment = cands.assignment(index)
-        eec = float(cands.eec[index])
-        if self.rolling_budget is not None:
-            self.energy_estimate = self.rolling_budget.draw(eec)
-        else:
-            self.energy_estimate -= eec
-        core = self.cores[assignment.core_id]
-        exec_pmf = self.system.table.pmf(task.type_id, core.node_index, assignment.pstate)
-        entry = QueuedTask(task=task, pstate=assignment.pstate, exec_pmf=exec_pmf)
-        if self._track_outcomes:
-            self._outcomes[task.task_id] = _PendingOutcome(
-                core_id=assignment.core_id,
-                pstate=assignment.pstate,
-                start=float("nan"),
-                completion=float("nan"),
-            )
-        self._in_system += 1
-        if core.running is None:
-            self._start_task(core, entry, t_now)
-        else:
-            core.enqueue(entry)
-        if self.collector is not None:
-            self.collector.record_mapping(
-                t_now,
-                ctx.avg_queue_depth,
-                self.energy_estimate,
-                assignment.pstate,
-                cands.num_feasible,
-                chosen_prob=float(cands.prob_on_time[index]),
-            )
-        return True
 
     # ------------------------------------------------------------------
     # Main loop
@@ -723,8 +686,6 @@ class Engine:
         try:
             end_time = self._event_loop(iter(self.system.workload.tasks))
             self.ledger.close(end_time)
-            if self.tracer is None:
-                return self._score(end_time)
             with self.tracer.span("engine.score"):
                 return self._score(end_time)
         finally:
@@ -782,31 +743,6 @@ class Engine:
         if transitions:
             self._fault_next = 1
             self._push(transitions[0].time, _FAULT, transitions[0])
-        if tracer is None:
-            # Bare loop: with no tracer, per-event cost is the handler alone.
-            while self._heap:
-                time, kind, _seq, payload = heapq.heappop(self._heap)
-                self._now = time
-                if kind == _COMPLETION:
-                    if self._handle_completion(payload, time):
-                        end_time = max(end_time, time)
-                elif kind == _FAULT:
-                    if self._fault_next < len(transitions):
-                        nxt_tr = transitions[self._fault_next]
-                        self._fault_next += 1
-                        self._push(nxt_tr.time, _FAULT, nxt_tr)
-                    self._handle_fault(payload, time)
-                elif kind == _ARRIVAL:
-                    end_time = max(end_time, time)
-                    nxt = next(arrivals, None)
-                    if nxt is not None:
-                        self._push(nxt.arrival, _ARRIVAL, nxt)
-                    self._handle_arrival(payload, time)
-                else:  # _REARRIVAL: a deferred task retries, no stream pull
-                    end_time = max(end_time, time)
-                    self._handle_arrival(payload, time)
-            return end_time
-
         while self._heap:
             time, kind, _seq, payload = heapq.heappop(self._heap)
             self._now = time
@@ -828,7 +764,7 @@ class Engine:
                     self._push(nxt.arrival, _ARRIVAL, nxt)
                 with tracer.span("engine.arrival"):
                     self._handle_arrival(payload, time)
-            else:  # _REARRIVAL
+            else:  # _REARRIVAL: a deferred task retries, no stream pull
                 end_time = max(end_time, time)
                 with tracer.span("engine.arrival"):
                     self._handle_arrival(payload, time)

@@ -11,83 +11,30 @@ of Section V-A quantities over all candidates in candidate order
 * ``rho`` (on-time probability) is one padded-matrix pass per core
   against the core's ready-time CDF.
 
-Two implementations produce bitwise-identical candidate sets:
-
-* :func:`build_candidate_set` — the reference per-core loop, kept as the
-  ground truth for the perf-layer parity tests and as the fallback when
-  the performance layer is disabled;
-* :class:`CandidateBuilder` — the batch path the engine uses by default.
-  It precomputes the per-candidate coordinate arrays once per trial,
-  shares a single degenerate ready pmf across all idle cores, and
-  deduplicates the per-core probability rows by ``(node, ready pmf)`` —
-  every idle core of a node yields the same row, so a mostly-idle
-  cluster computes a handful of rows instead of one per core.  The
-  arithmetic expressions are identical to the reference loop's, so the
-  results match bit for bit (``tests/perf/test_parity.py``).
+:class:`CandidateBuilder` is the engine's one implementation.  It
+precomputes the per-candidate coordinate arrays once per trial, shares a
+single degenerate ready pmf across all idle cores, and deduplicates the
+per-core probability rows by ``(node, ready pmf)`` — every idle core of
+a node yields the same row, so a mostly-idle cluster computes a handful
+of rows instead of one per core.  Its arithmetic expressions are those
+of a plain per-core loop (``tests/reference_mapper.py``, the parity
+oracle), so the results match that loop bit for bit
+(``tests/perf/test_parity.py``).
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Sequence
 
 import numpy as np
 
 from repro.heuristics.base import CandidateSet
-from repro.robustness.completion import prob_on_time_all_pstates
 from repro.sim.state import CoreState
 from repro.stoch.pmf import PMF
 from repro.workload.pmf_table import ExecutionTimeTable
 from repro.workload.task import Task
 
-__all__ = ["CandidateBuilder", "build_candidate_set", "build_candidates"]
-
-
-def build_candidate_set(
-    task: Task,
-    cores: Sequence[CoreState],
-    table: ExecutionTimeTable,
-    t_now: float,
-) -> CandidateSet:
-    """Assemble the :class:`~repro.heuristics.base.CandidateSet` for ``task``.
-
-    Reference implementation: one pass over every core.  The engine's
-    default is the equivalent (and faster) :class:`CandidateBuilder`.
-    """
-    cluster = table.cluster
-    C = cluster.num_cores
-    P = cluster.num_pstates
-    core_node = cluster.core_node_index
-
-    eet_np = table.eet[task.type_id]  # (N, P)
-    eec_np = table.eec[task.type_id]  # (N, P)
-    eet = eet_np[core_node]  # (C, P)
-    eec = eec_np[core_node]
-
-    ready_means = np.empty(C)
-    prob = np.empty((C, P))
-    queue_len = np.empty(C, dtype=np.int64)
-    for c in range(C):
-        core = cores[c]
-        ready = core.ready_pmf(t_now)
-        ready_means[c] = ready.mean()
-        pad = table.padded(task.type_id, core.node_index)
-        prob[c] = prob_on_time_all_pstates(ready, pad.times, pad.probs, task.deadline)
-        queue_len[c] = core.assigned_count
-
-    ect = ready_means[:, None] + eet
-
-    core_ids = np.repeat(np.arange(C), P)
-    pstates = np.tile(np.arange(P), C)
-    return CandidateSet(
-        core_ids=core_ids,
-        pstates=pstates,
-        queue_len=np.repeat(queue_len, P),
-        eet=eet.ravel(),
-        eec=eec.ravel(),
-        ect=ect.ravel(),
-        prob_on_time=prob.ravel(),
-    )
+__all__ = ["CandidateBuilder"]
 
 
 class CandidateBuilder:
@@ -98,8 +45,8 @@ class CandidateBuilder:
     every arrival — are built once.  Per arrival it shares one
     degenerate ready pmf across all idle cores and computes one
     probability row per *distinct* ``(node, ready pmf)`` pair instead of
-    one per core.  Output is bitwise identical to
-    :func:`build_candidate_set`.
+    one per core.  Output is bitwise identical to the per-core
+    reference loop the parity tests hold it to.
     """
 
     __slots__ = (
@@ -129,6 +76,8 @@ class CandidateBuilder:
         cluster = table.cluster
         if len(self._cores) != cluster.num_cores:
             raise ValueError("core list does not match the table's cluster")
+        if any(core.dt != table.grid.dt for core in self._cores):
+            raise ValueError("every core must use the table's grid step")
         self._num_cores = cluster.num_cores
         self._num_pstates = cluster.num_pstates
         self._num_nodes = cluster.num_nodes
@@ -202,7 +151,7 @@ class CandidateBuilder:
                 times_stack[n, :, length:] = pad.times[:, -1:]
                 probs_stack[n, :, :length] = pad.probs
             # int64 mirror of ``widths`` for compiled score_rows calls
-            # (ctypes / numba take an array, not a Python tuple).
+            # (ctypes takes an array, not a Python tuple).
             widths_arr = np.array(widths, dtype=np.int64)
             for arr in (eet, eet_flat, eec_flat, times_stack, probs_stack, widths_arr):
                 arr.setflags(write=False)
@@ -212,7 +161,6 @@ class CandidateBuilder:
 
     def build(self, task: Task, t_now: float) -> CandidateSet:
         """Assemble the candidate set for one arrival at ``t_now``."""
-        table = self._table
         cores = self._cores
         C = self._num_cores
         P = self._num_pstates
@@ -252,29 +200,22 @@ class CandidateBuilder:
         sizes_l: list[int] = []
         cdfs: list[np.ndarray] = []
         node_blocks: list[tuple[int, int, int]] = []  # (node, row lo, row hi)
-        fallback: list[tuple[int, PMF, int]] = []
         for node, node_core_ids in self._node_cores:
             row_lo = len(starts_l)
             idle_slot = -1
             for c in node_core_ids:
                 core = cores[c]
                 if core.running is None:
-                    if core.dt == dt:
-                        if idle_delta is None:
-                            idle_delta = PMF.delta(t_now, dt)
-                            idle_mean = idle_delta.mean()
-                        ready = idle_delta
-                        means[c] = idle_mean
-                        if idle_slot < 0:
-                            idle_slot = len(starts_l)
-                            starts_l.append(ready.start)
-                            sizes_l.append(ready.probs.size)
-                            cdfs.append(ready.cdf)
-                        slots[c] = idle_slot
-                    else:  # pragma: no cover - engines build homogeneous grids
-                        ready = PMF.delta(t_now, core.dt)
-                        means[c] = ready.mean()
-                        fallback.append((c, ready, node))
+                    if idle_delta is None:
+                        idle_delta = PMF.delta(t_now, dt)
+                        idle_mean = idle_delta.mean()
+                    means[c] = idle_mean
+                    if idle_slot < 0:
+                        idle_slot = len(starts_l)
+                        starts_l.append(idle_delta.start)
+                        sizes_l.append(idle_delta.probs.size)
+                        cdfs.append(idle_delta.cdf)
+                    slots[c] = idle_slot
                     qlens[c] = len(core.queue)
                 else:
                     ready = core.ready_pmf(t_now)
@@ -284,17 +225,13 @@ class CandidateBuilder:
                     means[c] = (
                         float(ready.start + ready.dt * m1) if m1 is not None else ready.mean()
                     )
-                    if ready.dt == dt:
-                        slots[c] = len(starts_l)
-                        starts_l.append(ready.start)
-                        sizes_l.append(ready.probs.size)
-                        cdfs.append(ready.cdf)
-                    else:  # pragma: no cover - engines build homogeneous grids
-                        fallback.append((c, ready, node))
+                    slots[c] = len(starts_l)
+                    starts_l.append(ready.start)
+                    sizes_l.append(ready.probs.size)
+                    cdfs.append(ready.cdf)
                     qlens[c] = len(core.queue) + 1
-            row_hi = len(starts_l)
-            if row_hi > row_lo:
-                node_blocks.append((node, row_lo, row_hi))
+            # Every core owns or shares a row, so no node's block is empty.
+            node_blocks.append((node, row_lo, len(starts_l)))
         ready_means = np.array(means)
         queue_len = np.array(qlens, dtype=np.int64)
 
@@ -305,7 +242,7 @@ class CandidateBuilder:
         # expressions, on the same values, as prob_on_time_all_pstates
         # evaluates one core at a time.
         u = len(starts_l)
-        if u and be is not None:
+        if be is not None:
             starts = np.array(starts_l)
             sizes = np.array(sizes_l, dtype=np.int64)
             # Compiled pass: one score_rows call replaces the offset
@@ -336,7 +273,7 @@ class CandidateBuilder:
                 dt,
             )
             prob = np.take(rows, slots, axis=0)  # (C, P) scatter by slot
-        elif u:
+        else:
             starts = np.array(starts_l)
             sizes = np.array(sizes_l, dtype=np.int64)
             # floor((a - start) / dt + 1e-9) in-place on a writable
@@ -389,11 +326,6 @@ class CandidateBuilder:
                     out=rows[row_lo:row_hi],
                 )
             prob = np.take(rows, slots, axis=0)  # (C, P) scatter by slot
-        else:  # pragma: no cover - engines build homogeneous grids
-            prob = np.empty((C, P))
-        for c, ready, node in fallback:  # pragma: no cover - hetero grids only
-            pad = table.padded(type_id, node)
-            prob[c] = prob_on_time_all_pstates(ready, pad.times, pad.probs, deadline)
 
         ect = ready_means[:, None] + eet
 
@@ -407,23 +339,3 @@ class CandidateBuilder:
             prob_on_time=prob.ravel(),
         )
 
-
-def build_candidates(
-    task: Task,
-    cores: Sequence[CoreState],
-    table: ExecutionTimeTable,
-    t_now: float,
-) -> CandidateSet:
-    """Deprecated alias of :func:`build_candidate_set`.
-
-    This was an internal entrypoint (see ``docs/architecture.md``); use
-    :func:`build_candidate_set` or, for whole-trial runs, the
-    :mod:`repro.api` facade.
-    """
-    warnings.warn(
-        "repro.sim.mapper.build_candidates is deprecated; use "
-        "build_candidate_set (or the repro.api facade for whole trials)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return build_candidate_set(task, cores, table, t_now)

@@ -17,15 +17,15 @@ needs:
   matrices, letting one NumPy pass score all P-states of a core.
 
 Construction cost matters: the table is rebuilt per trial per worker,
-and at paper scale it holds T*N*P = 4,000 discretized gammas.  The
-default ``batch=True`` path evaluates every cell through one vectorized
+and at paper scale it holds T*N*P = 4,000 discretized gammas.  Every
+cell is evaluated through one vectorized
 :func:`~repro.stoch.distributions.discretized_gamma_batch` call (a
-single scipy CDF round trip instead of 4,000) and defers the padded
-matrices to first :meth:`padded` access — the mapper only ever asks for
-the task types that actually arrive.  Both are results-neutral: the
-batch constructor is bitwise identical per cell, and padding is a pure
-function of the cell's pmfs whenever it runs.  ``batch=False`` keeps
-the reference per-cell loop for the perf-layer ablations.
+single scipy CDF round trip instead of 4,000), bitwise identical per
+cell to :func:`~repro.stoch.distributions.discretized_gamma`, and the
+padded matrices are deferred to first :meth:`padded` access — the mapper
+only ever asks for the task types that actually arrive.  Padding is a
+pure function of the cell's pmfs whenever it runs, so laziness is
+results-neutral.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.cluster.cluster import ClusterSpec
 from repro.config import GridConfig
-from repro.stoch.distributions import discretized_gamma, discretized_gamma_batch
+from repro.stoch.distributions import discretized_gamma_batch
 from repro.stoch.pmf import PMF
 from repro.workload.etc_matrix import ETCMatrix
 
@@ -64,8 +64,6 @@ class ExecutionTimeTable:
         cluster: ClusterSpec,
         grid: GridConfig,
         exec_cv: float,
-        *,
-        batch: bool = True,
     ) -> None:
         if exec_cv <= 0.0:
             raise ValueError("exec_cv must be positive")
@@ -81,37 +79,16 @@ class ExecutionTimeTable:
         power = cluster.power_table()  # (N, P)
         eff = cluster.efficiency_vector()  # (N,)
 
-        eet = np.empty((T, N, P))
-        if batch:
-            # One vectorized discretization pass over all T*N*P cells.
-            # The broadcast product's element (t, n, pi) is the same
-            # two-scalar multiply the reference loop evaluates.
-            means = (etc.means[:, :, None] * mult[None, :, :]).ravel()
-            flat = discretized_gamma_batch(
-                means, exec_cv, grid.dt, tail_sigmas=grid.tail_sigmas
-            )
-            pmfs = [
-                [flat[(t * N + n) * P : (t * N + n) * P + P] for n in range(N)]
-                for t in range(T)
-            ]
-            eet_flat = eet.reshape(-1)
-            for i, pmf in enumerate(flat):
-                eet_flat[i] = pmf.mean()
-        else:
-            pmfs = []
-            for t in range(T):
-                row_pmfs: list[list[PMF]] = []
-                for n in range(N):
-                    cell: list[PMF] = []
-                    for pi in range(P):
-                        mean = float(etc.means[t, n] * mult[n, pi])
-                        pmf = discretized_gamma(
-                            mean, exec_cv, grid.dt, tail_sigmas=grid.tail_sigmas
-                        )
-                        cell.append(pmf)
-                        eet[t, n, pi] = pmf.mean()
-                    row_pmfs.append(cell)
-                pmfs.append(row_pmfs)
+        # One vectorized discretization pass over all T*N*P cells.  The
+        # broadcast product's element (t, n, pi) is the same two-scalar
+        # multiply a per-cell loop would evaluate.
+        means = (etc.means[:, :, None] * mult[None, :, :]).ravel()
+        flat = discretized_gamma_batch(means, exec_cv, grid.dt, tail_sigmas=grid.tail_sigmas)
+        pmfs = [
+            [flat[(t * N + n) * P : (t * N + n) * P + P] for n in range(N)]
+            for t in range(T)
+        ]
+        eet = np.array([pmf.mean() for pmf in flat]).reshape(T, N, P)
 
         self._pmfs = pmfs
         # Padded matrices are built lazily per (type, node) on first

@@ -252,16 +252,3 @@ class TestTimedFilterChain:
         assert counts["filters.chain"] == system.num_tasks
         assert counts["filter.en"] == counts["filters.chain"]
         assert counts["filter.rob"] == counts["filters.chain"]
-
-
-class TestDeprecatedAlias:
-    def test_run_observed_trial_warns_and_matches(self):
-        from repro.obs.hooks import run_observed_trial
-
-        system = build_trial_system(micro_config(seed=6))
-        expected = observe_trial(system, LightestLoad(), build_filter_chain("en+rob"))
-        with pytest.warns(DeprecationWarning, match="observe_trial"):
-            result = run_observed_trial(
-                system, LightestLoad(), build_filter_chain("en+rob")
-            )
-        assert result == expected

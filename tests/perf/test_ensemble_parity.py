@@ -1,21 +1,25 @@
 """Ensemble-level results-neutrality of the full optimization stack.
 
 PR-level acceptance: with every ensemble optimization engaged at once —
-batched table construction, the warm cross-spec :class:`TrialCache`,
-the vectorized mapper, the kernel cache, chunked dispatch and the
-single-copy result frames — every ``TrialResult`` and the run's
-manifest digests are bitwise identical to the fully-disabled reference
-path, at any ``n_jobs`` and chunk size.
+the warm cross-spec :class:`TrialCache`, the kernel cache, chunked
+dispatch and the single-copy result frames — every ``TrialResult`` and
+the run's manifest digests are bitwise identical to the reference path
+(``PerfConfig.disabled()``), at any ``n_jobs`` and chunk size.  Sharing
+one ``TrialCache`` across a trial's specs is pinned separately against
+running every spec with ``shared=None``.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.experiments.runner import VariantSpec, run_ensemble
+from repro import build_trial_system
+from repro import rng as rng_mod
+from repro.experiments.runner import TrialPlan, VariantSpec, run_ensemble
 from repro.obs.manifest import build_manifest
 from repro.perf.kernel_cache import PerfConfig
 from repro.perf.kernels import available_backends
+from repro.perf.trial_cache import TrialCache
 from tests.conftest import micro_config
 
 SPECS = (VariantSpec("LL", "en+rob"), VariantSpec("MECT", "none"), VariantSpec("SQ", "en+rob"))
@@ -74,10 +78,37 @@ def test_compiled_backend_ensemble_parity(reference, backend, n_jobs, assert_tri
 
 def test_each_knob_alone_matches_reference(reference):
     for perf in (
-        PerfConfig(warm_cache=False, batch_table=False),  # PR-4 baseline
-        PerfConfig(batch_table=False),  # + warm cross-spec cache
-        PerfConfig(warm_cache=False),  # + batched table build
+        PerfConfig(kernel_cache=False),  # cache off, backend from the default
+        PerfConfig(max_entries=4),  # a shared cache churning under eviction
+        PerfConfig(backend="numpy"),  # backend knob explicit, still bitwise
     ):
         partial = run(perf)
         for spec in SPECS:
             assert partial.results[spec] == reference.results[spec]
+
+
+def _run_specs(perf, shared_factory):
+    """Every spec of every trial through ``TrialPlan``, in ensemble order."""
+    config = micro_config(seed=31)
+    results = {spec: [] for spec in SPECS}
+    for trial in range(TRIALS):
+        system = build_trial_system(config.with_seed(rng_mod.spawn_trial_seed(17, trial)))
+        shared = shared_factory(perf)
+        for spec in SPECS:
+            results[spec].append(
+                TrialPlan(
+                    system=system, spec=spec, keep_outcomes=True, perf=perf, shared=shared
+                ).run()
+            )
+    return results
+
+
+@pytest.mark.parametrize(
+    "perf", [PerfConfig(), PerfConfig.disabled()], ids=["cache-on", "cache-off"]
+)
+def test_shared_trial_cache_matches_unshared(reference, perf):
+    """One ``TrialCache`` across a trial's specs changes no bit of any result."""
+    unshared = _run_specs(perf, lambda perf: None)
+    shared = _run_specs(perf, TrialCache)
+    for spec in SPECS:
+        assert shared[spec] == unshared[spec] == list(reference.results[spec])

@@ -35,7 +35,7 @@ def reference():
 @pytest.mark.parametrize("max_entries", (1, 4, 32))
 def test_tiny_cache_is_results_neutral(reference, max_entries):
     perf = PerfConfig(max_entries=max_entries)
-    system = build_trial_system(micro_config(seed=23), perf=perf)
+    system = build_trial_system(micro_config(seed=23))
     result = TrialPlan(system=system, spec=SPEC, keep_outcomes=True, perf=perf).run()
     assert result == reference
     assert trial_digest(result) == trial_digest(reference)
@@ -43,7 +43,7 @@ def test_tiny_cache_is_results_neutral(reference, max_entries):
 
 def test_evictions_happen_and_observer_counts_match():
     perf = PerfConfig(max_entries=4)
-    system = build_trial_system(micro_config(seed=23), perf=perf)
+    system = build_trial_system(micro_config(seed=23))
     metrics = MetricsRegistry()
     TrialPlan(
         system=system, spec=SPEC, keep_outcomes=True, perf=perf, metrics=metrics
@@ -59,7 +59,7 @@ def test_evictions_happen_and_observer_counts_match():
 def test_shared_tiny_cache_attributes_evictions_per_spec():
     """Per-spec eviction deltas of a shared churning cache sum to the total."""
     perf = PerfConfig(max_entries=4)
-    system = build_trial_system(micro_config(seed=23), perf=perf)
+    system = build_trial_system(micro_config(seed=23))
     shared = TrialCache(perf)
     metrics = MetricsRegistry()
     specs = (SPEC, VariantSpec("MECT", "none"))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -86,12 +88,14 @@ class TestInternedKernel:
 class TestPerfConfig:
     def test_defaults_enable_everything(self):
         perf = PerfConfig()
-        assert perf.kernel_cache and perf.batch_mapper
+        assert perf.kernel_cache
         assert isinstance(perf.make_cache(), KernelCache)
+        # One reference switch, the eviction capacity and the backend.
+        assert [f.name for f in fields(PerfConfig)] == ["kernel_cache", "max_entries", "backend"]
 
     def test_disabled_is_the_reference(self):
         perf = PerfConfig.disabled()
-        assert not perf.kernel_cache and not perf.batch_mapper
+        assert not perf.kernel_cache and perf.backend == "numpy"
         assert perf.make_cache() is None
 
     def test_rejects_nonpositive_capacity(self):

@@ -1,10 +1,12 @@
 """Results-neutrality of the performance layer.
 
-The acceptance contract of :mod:`repro.perf`: every knob combination
-produces bitwise-identical trial results — same scalar fields, same
+The acceptance contract of :mod:`repro.perf`: the kernel cache on or
+off produces bitwise-identical trial results — same scalar fields, same
 per-task outcomes, same manifest digests — across all four heuristics
-and with the filters on or off.  Speed is allowed to vary; results are
-not.
+and with the filters on or off, and the engine's one candidate builder
+reproduces the per-core reference loop (``tests/reference_mapper.py``)
+bit for bit at every arrival, including under outages.  Speed is
+allowed to vary; results are not.
 
 The ``backend`` knob is the one deliberate exception: the numpy
 backend (the default) stays bitwise, while compiled backends are held
@@ -19,12 +21,16 @@ import pytest
 
 from repro import build_trial_system
 from repro.experiments.runner import TrialPlan, VariantSpec
+from repro.faults import FaultEvent, FaultPolicy, FaultSchedule
+from repro.heuristics.registry import build_heuristic
 from repro.obs.manifest import trial_digest
 from repro.perf.kernel_cache import PerfConfig
 from repro.perf.kernels import available_backends
-from repro.sim.mapper import CandidateBuilder, build_candidate_set
+from repro.sim.engine import Engine
+from repro.sim.mapper import CandidateBuilder
 from repro.sim.state import CoreState, QueuedTask, RunningTask
 from tests.conftest import micro_config
+from tests.reference_mapper import build_candidate_set
 
 HEURISTICS = ("SQ", "MECT", "LL", "Random")
 VARIANTS = ("none", "en+rob")
@@ -48,9 +54,7 @@ def test_perf_knobs_are_results_neutral(system, heuristic, variant):
 
     reference = run(PerfConfig.disabled())
     for perf in (
-        PerfConfig(),  # everything on
-        PerfConfig(batch_mapper=False),  # cache only
-        PerfConfig(kernel_cache=False),  # batch mapper only
+        PerfConfig(),  # kernel cache on
         PerfConfig(backend="numpy"),  # backend knob explicit, still bitwise
     ):
         result = run(perf)
@@ -120,6 +124,57 @@ class TestBuilderMatchesReference:
             got = builder.build(task, task.arrival)
             ref = build_candidate_set(task, cores, system.table, task.arrival)
             self._assert_equal(got, ref)
+
+    def test_every_mapping_of_a_faulted_run(self, system):
+        """Per mapping step of a run with an outage: the engine's masked
+        candidates equal the oracle's arrays with the down node masked out.
+
+        Covers arrivals and re-mapped orphans on live engine state
+        (interrupted and drained cores included); the expected
+        availability mask comes from the schedule, not from the engine.
+        """
+        tasks = system.workload.tasks
+        start = tasks[len(tasks) // 3].arrival
+        stop = tasks[2 * len(tasks) // 3].arrival
+        down_node = 0
+        core_node = system.cluster.core_node_index
+        table = system.table
+
+        class OracleCheck:
+            """Filter-chain stand-in that checks the candidates it receives."""
+
+            label = "none"
+
+            def __init__(self) -> None:
+                self.engine: Engine | None = None
+                self.checked = 0
+                self.during_outage = 0
+
+            def apply(self, cands, ctx):
+                ref = build_candidate_set(ctx.task, self.engine.cores, table, ctx.t_now)
+                for name in TestBuilderMatchesReference.ARRAYS:
+                    assert np.array_equal(getattr(cands, name), getattr(ref, name)), name
+                expected = ref.mask.copy()
+                if start <= ctx.t_now < stop:
+                    expected &= core_node[ref.core_ids] != down_node
+                    self.during_outage += 1
+                assert np.array_equal(cands.mask, expected)
+                self.checked += 1
+
+        check = OracleCheck()
+        engine = Engine(
+            system,
+            build_heuristic("LL"),
+            check,
+            faults=FaultSchedule((FaultEvent("node_outage", down_node, start, stop - start),)),
+            fault_policy=FaultPolicy(running="resume", remap=True),
+        )
+        check.engine = engine
+        engine.run()
+        assert engine.fault_stats.outages == 1
+        assert engine.fault_stats.remapped > 0
+        assert check.during_outage > 0
+        assert check.checked == len(tasks) + engine.fault_stats.orphaned
 
     @pytest.mark.skipif(not COMPILED_BACKENDS, reason="no compiled backend available")
     @pytest.mark.parametrize("backend", COMPILED_BACKENDS)

@@ -1,4 +1,4 @@
-"""Tests for candidate-set construction (repro.sim.mapper)."""
+"""Tests for candidate-set construction (repro.sim.mapper.CandidateBuilder)."""
 
 from __future__ import annotations
 
@@ -6,8 +6,13 @@ import numpy as np
 import pytest
 
 from repro.robustness.completion import prob_on_time
-from repro.sim.mapper import build_candidate_set
+from repro.sim.mapper import CandidateBuilder
 from repro.sim.state import CoreState, QueuedTask, RunningTask
+
+
+def build(task, cores, table, t_now):
+    """One arrival's candidate set from the engine's builder over ``cores``."""
+    return CandidateBuilder(cores, table).build(task, t_now)
 
 
 @pytest.fixture()
@@ -23,7 +28,7 @@ def cores(tiny_system):
 class TestBuildCandidates:
     def test_shape_and_ordering(self, tiny_system, cores):
         task = tiny_system.workload.tasks[0]
-        cands = build_candidate_set(task, cores, tiny_system.table, t_now=task.arrival)
+        cands = build(task, cores, tiny_system.table, t_now=task.arrival)
         C = tiny_system.cluster.num_cores
         P = tiny_system.cluster.num_pstates
         assert len(cands) == C * P
@@ -33,7 +38,7 @@ class TestBuildCandidates:
 
     def test_eet_eec_from_tables(self, tiny_system, cores):
         task = tiny_system.workload.tasks[0]
-        cands = build_candidate_set(task, cores, tiny_system.table, t_now=task.arrival)
+        cands = build(task, cores, tiny_system.table, t_now=task.arrival)
         node0 = cores[0].node_index
         assert cands.eet[0] == pytest.approx(tiny_system.table.eet[task.type_id, node0, 0])
         assert cands.eec[1] == pytest.approx(tiny_system.table.eec[task.type_id, node0, 1])
@@ -41,7 +46,7 @@ class TestBuildCandidates:
     def test_ect_on_idle_cores_is_arrival_plus_eet(self, tiny_system, cores):
         task = tiny_system.workload.tasks[0]
         t = task.arrival
-        cands = build_candidate_set(task, cores, tiny_system.table, t_now=t)
+        cands = build(task, cores, tiny_system.table, t_now=t)
         assert np.allclose(cands.ect, t + cands.eet)
 
     def test_queue_len_reflects_occupancy(self, tiny_system, cores):
@@ -52,7 +57,7 @@ class TestBuildCandidates:
             RunningTask(task, 0, pmf, start_time=t, completion_time=t + 100)
         )
         cores[0].enqueue(QueuedTask(task, 0, pmf))
-        cands = build_candidate_set(task, cores, tiny_system.table, t_now=t)
+        cands = build(task, cores, tiny_system.table, t_now=t)
         P = tiny_system.cluster.num_pstates
         assert np.all(cands.queue_len[:P] == 2)
         assert np.all(cands.queue_len[P:] == 0)
@@ -60,7 +65,7 @@ class TestBuildCandidates:
     def test_prob_matches_scalar_reference(self, tiny_system, cores):
         task = tiny_system.workload.tasks[3]
         t = task.arrival
-        cands = build_candidate_set(task, cores, tiny_system.table, t_now=t)
+        cands = build(task, cores, tiny_system.table, t_now=t)
         P = tiny_system.cluster.num_pstates
         for cid in (0, len(cores) - 1):
             ready = cores[cid].ready_pmf(t)
@@ -74,14 +79,14 @@ class TestBuildCandidates:
 
     def test_probabilities_are_probabilities(self, tiny_system, cores):
         task = tiny_system.workload.tasks[0]
-        cands = build_candidate_set(task, cores, tiny_system.table, t_now=task.arrival)
+        cands = build(task, cores, tiny_system.table, t_now=task.arrival)
         assert np.all(cands.prob_on_time >= 0.0)
         assert np.all(cands.prob_on_time <= 1.0 + 1e-12)
 
     def test_deeper_pstate_never_more_robust_on_same_core(self, tiny_system, cores):
         # Slower execution cannot raise the on-time probability.
         task = tiny_system.workload.tasks[0]
-        cands = build_candidate_set(task, cores, tiny_system.table, t_now=task.arrival)
+        cands = build(task, cores, tiny_system.table, t_now=task.arrival)
         P = tiny_system.cluster.num_pstates
         probs = cands.prob_on_time.reshape(-1, P)
         assert np.all(np.diff(probs, axis=1) <= 1e-6)
@@ -103,21 +108,8 @@ class TestBuildCandidates:
         cores[twins[0]].set_running(
             RunningTask(task, 0, pmf, start_time=t, completion_time=t + 1)
         )
-        cands = build_candidate_set(task, cores, tiny_system.table, t_now=t)
+        cands = build(task, cores, tiny_system.table, t_now=t)
         P = cluster.num_pstates
         busy = cands.prob_on_time[twins[0] * P]
         idle = cands.prob_on_time[twins[1] * P]
         assert busy <= idle + 1e-9
-
-
-class TestDeprecatedAlias:
-    def test_build_candidates_warns_and_matches(self, tiny_system, cores):
-        from repro.sim.mapper import build_candidates
-
-        task = tiny_system.workload.tasks[0]
-        expected = build_candidate_set(task, cores, tiny_system.table, t_now=task.arrival)
-        with pytest.warns(DeprecationWarning, match="build_candidate_set"):
-            cands = build_candidates(task, cores, tiny_system.table, t_now=task.arrival)
-        assert np.array_equal(cands.prob_on_time, expected.prob_on_time)
-        assert np.array_equal(cands.ect, expected.ect)
-        assert np.array_equal(cands.eec, expected.eec)

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from repro.cluster.generator import generate_cluster
-from repro.config import ClusterConfig, GridConfig
+from repro.config import ClusterConfig, GridConfig, SimulationConfig
+from repro.sim.system import build_trial_system
+from repro.stoch.distributions import discretized_gamma
 from repro.workload.etc_matrix import ETCMatrix
 from repro.workload.pmf_table import ExecutionTimeTable
 
@@ -32,6 +34,39 @@ class TestConstruction:
         etc = ETCMatrix(np.ones((2, 2)) * 100)
         with pytest.raises(ValueError):
             ExecutionTimeTable(etc, cluster, GridConfig(), exec_cv=0.0)
+
+
+class TestBatchConstruction:
+    """The one vectorized build equals a per-cell discretization, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda table: table, id="unit-table"),
+            pytest.param(
+                lambda _: build_trial_system(SimulationConfig(seed=7)).table,
+                id="paper-scale-table",
+            ),
+        ],
+    )
+    def test_every_cell_matches_discretized_gamma(self, table, make):
+        table = make(table)
+        grid = table.grid
+        mult = table.cluster.exec_multiplier_table()
+        T, N, P = table.eet.shape
+        for t in range(T):
+            for n in range(N):
+                for pi in range(P):
+                    ref = discretized_gamma(
+                        float(table.etc.means[t, n] * mult[n, pi]),
+                        table.exec_cv,
+                        grid.dt,
+                        tail_sigmas=grid.tail_sigmas,
+                    )
+                    got = table.pmf(t, n, pi)
+                    assert got.start == ref.start and got.dt == ref.dt, (t, n, pi)
+                    assert np.array_equal(got.probs, ref.probs), (t, n, pi)
+                    assert table.eet[t, n, pi] == ref.mean(), (t, n, pi)
 
 
 class TestPMFs:
