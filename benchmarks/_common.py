@@ -7,8 +7,9 @@ Scale knobs (environment variables):
 ``REPRO_SEED``    ensemble base seed (default 0)
 
 Every bench prints its table and also writes it under ``results/`` so the
-rows survive pytest's output capture; ``scripts/run_full_grid.py``
-regenerates everything at full paper scale.
+rows survive pytest's output capture; ``repro grid --trials 50 --out
+results/full_grid.json`` regenerates everything at full paper scale and
+``repro report results/full_grid.json`` re-renders it.
 
 The full 16-variant grid ensemble is computed once per pytest session and
 shared by the figure benches (fig2-5 are row-subsets of it, fig6 and the

@@ -44,7 +44,7 @@ removed name with its replacement.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.config import SimulationConfig
 from repro.experiments.runner import (
@@ -248,6 +248,7 @@ def run_service(
     *,
     system: TrialSystem | None = None,
     timeline: TimelineRecorder | None = None,
+    stop: Callable[[], bool] | None = None,
     telemetry: Telemetry = NULL_TELEMETRY,
     perf: PerfConfig | None = None,
 ) -> ServiceResult:
@@ -260,7 +261,9 @@ def run_service(
     ``ServiceConfig(traffic="replay")`` for the finite batch-equivalent
     run).  ``system`` reuses a prebuilt :class:`TrialSystem` exactly as
     in :func:`run_trial`; ``timeline`` attaches a (optionally
-    ring-buffered) :class:`TimelineRecorder`.
+    ring-buffered) :class:`TimelineRecorder`.  ``stop`` is the
+    graceful-shutdown probe: once it returns true the arrival stream is
+    cut, committed work drains and the result is marked truncated.
 
     Replay mode's :attr:`ServiceResult.trial_result` is bitwise
     identical to what :func:`run_trial` returns for the same scenario.
@@ -281,6 +284,7 @@ def run_service(
         scenario.spec,
         service,
         timeline=timeline,
+        stop=stop,
         telemetry=telemetry,
         perf=perf,
     )

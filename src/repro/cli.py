@@ -12,7 +12,7 @@ Installed as the ``repro`` console script::
                 --slo 'on_time_prob<0.9:3'  # live scrape + SLO health
     repro monitor windows.jsonl --follow    # terminal dashboard
     repro figure fig5 --trials 10       # one of the paper's figures
-    repro grid --trials 50 -o grid.json # the full 16-variant evaluation
+    repro grid --trials 50 --out grid.json  # the full 16-variant evaluation
     repro sweep --multipliers 0.7 1.0 1.3  # budget-tightness sweep
     repro report grid.json --svg-dir figs/   # re-render saved results
     repro compare grid.json LL/none LL/en+rob # paired significance test
@@ -31,13 +31,12 @@ into https://ui.perfetto.dev to browse the spans interactively.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import pathlib
 import signal
 import sys
-from dataclasses import replace
 from typing import Any, Sequence
 
-from repro import SimulationConfig, build_trial_system
 from repro.analysis.boxplot import ascii_boxplot_group
 from repro.analysis.profile_report import metrics_tables, profile_table, timeline_table
 from repro.analysis.svg import save_boxplot_svg, save_timeline_svg
@@ -49,11 +48,11 @@ from repro.experiments.report import best_variant_table, figure_table, summary_t
 from repro.experiments.runner import (
     EnsembleResult,
     PartialEnsembleResult,
-    TrialPlan,
     VariantSpec,
     run_ensemble,
 )
-from repro.faults import FaultPolicy, FaultSchedule, SheddingConfig
+from repro.api import run_scenario
+from repro.faults import FaultSchedule, SheddingConfig
 from repro.filters.chain import VARIANTS, canonical_variant
 from repro.heuristics.registry import HEURISTICS
 from repro.registry import (
@@ -63,7 +62,7 @@ from repro.registry import (
     describe_plugins,
     plugin_table,
 )
-from repro.scenario import Scenario, ScenarioError
+from repro.scenario import FaultSettings, Scenario, ScenarioError
 from repro.io.faults_io import load_faults, save_faults
 from repro.io.profile_io import (
     load_profile_events,
@@ -81,17 +80,9 @@ from repro.obs.spans import SpanProfile, SpanRecorder
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry, parse_rule
 from repro.obs.timeline import TIMELINE_FORMAT, TimelineRecorder, TimelineSet
 from repro.perf import BACKEND_CHOICES, PerfConfig
-from repro.service import TRAFFIC_MODELS, ServiceConfig, ServiceResult, serve_system
-from repro.service import write_windows_jsonl
+from repro.service import TRAFFIC_MODELS, ServiceConfig, ServiceResult, write_windows_jsonl
 
 __all__ = ["main", "build_parser"]
-
-
-def _config(args: argparse.Namespace) -> SimulationConfig:
-    config = SimulationConfig(seed=args.seed)
-    if args.tasks != config.workload.num_tasks:
-        config = replace(config, workload=config.workload.with_num_tasks(args.tasks))
-    return config
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -232,55 +223,57 @@ def _add_faults(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _resolve_faults(
-    args: argparse.Namespace,
-    cluster_nodes: int,
-    cluster_cores: int,
-    *,
-    default_horizon: float | None = None,
-) -> tuple[FaultSchedule | None, FaultPolicy | None, SheddingConfig | None]:
-    """Turn the fault/shedding flags into engine inputs (or Nones)."""
+#: ``repro serve`` flags named like :class:`ServiceConfig` fields (the
+#: fault layer comes from the ``--fault-*`` / ``--shed-*`` flags instead).
+_SERVICE_FLAGS = tuple(
+    f.name
+    for f in dataclasses.fields(ServiceConfig)
+    if f.name not in ("faults", "fault_policy", "shedding")
+)
+
+
+def _fault_settings(args: argparse.Namespace) -> FaultSettings | None:
+    """The scenario ``[faults]`` the fault flags describe (``None``: no faults).
+
+    ``--faults FILE`` becomes explicit ``events``; ``--fault-mtbf``
+    becomes the generator, its horizon defaulting to ``serve``'s
+    ``--horizon``.
+    """
     if args.faults and args.fault_mtbf is not None:
-        raise SystemExit("pass either --faults FILE or --fault-mtbf, not both")
-    schedule: FaultSchedule | None = None
+        raise ValueError("pass either --faults FILE or --fault-mtbf, not both")
+    policy = {"running": args.fault_running, "remap": not args.no_remap}
     if args.faults:
-        schedule = load_faults(args.faults)
-    elif args.fault_mtbf is not None:
-        if args.fault_mttr is None:
-            raise SystemExit("generating a schedule needs --fault-mttr too")
-        horizon = args.fault_horizon if args.fault_horizon is not None else default_horizon
-        if horizon is None:
-            raise SystemExit("generating a schedule needs --fault-horizon (or --horizon)")
-        targets = args.fault_targets
-        if targets is None:
-            targets = cluster_cores if args.fault_scope == "core" else cluster_nodes
-        try:
-            schedule = FaultSchedule.generate(
-                num_targets=targets,
-                horizon=horizon,
-                mtbf=args.fault_mtbf,
-                mttr=args.fault_mttr,
-                seed=args.seed,
-                scope=args.fault_scope,
-                pstate_floor=args.fault_pstate_floor,
-            )
-        except ValueError as exc:
-            raise SystemExit(f"fault schedule: {exc}")
-    if args.faults_out:
-        if schedule is None:
-            raise SystemExit("--faults-out needs a schedule (--faults or --fault-mtbf)")
-        save_faults(schedule, args.faults_out)
-        print(f"wrote {args.faults_out} ({len(schedule.events)} fault events)")
-    policy = None
-    if schedule is not None:
-        policy = FaultPolicy(running=args.fault_running, remap=not args.no_remap)
-    shedding = None
-    if (
-        args.shed_queue_depth is not None
-        or args.shed_budget_frac is not None
-        or args.shed_min_prob is not None
-    ):
-        try:
+        return FaultSettings(events=load_faults(args.faults).events, **policy)
+    if args.fault_mtbf is None:
+        return None
+    horizon = args.fault_horizon
+    if horizon is None:
+        horizon = getattr(args, "horizon", None)
+    return FaultSettings(
+        mtbf=args.fault_mtbf,
+        mttr=args.fault_mttr,
+        horizon=horizon,
+        num_targets=args.fault_targets,
+        scope=args.fault_scope,
+        pstate_floor=args.fault_pstate_floor,
+        **policy,
+    )
+
+
+def _flag_scenario(
+    args: argparse.Namespace,
+) -> tuple[Scenario, FaultSchedule | None]:
+    """The :class:`Scenario` a ``trial`` or ``serve`` command line describes.
+
+    Also returns its resolved fault schedule: resolving up front makes
+    bad flags or a malformed ``--faults`` file exit with one line before
+    anything runs, and ``--faults-out`` saves the schedule the run uses.
+    """
+    serve = args.command == "serve"
+    thresholds = (args.shed_queue_depth, args.shed_budget_frac, args.shed_min_prob)
+    try:
+        shedding = None
+        if any(value is not None for value in thresholds):
             shedding = SheddingConfig(
                 queue_depth=args.shed_queue_depth,
                 budget_frac=args.shed_budget_frac,
@@ -288,9 +281,36 @@ def _resolve_faults(
                 defer=args.shed_defer,
                 max_defers=args.shed_max_defers,
             )
-        except ValueError as exc:
-            raise SystemExit(f"shedding: {exc}")
-    return schedule, policy, shedding
+        service = None
+        if serve:
+            service = ServiceConfig(**{name: getattr(args, name) for name in _SERVICE_FLAGS})
+        scenario = Scenario(
+            args.heuristic,
+            args.filters,
+            seed=args.seed,
+            num_tasks=args.tasks,
+            mode="service" if serve else "trial",
+            service=service,
+            faults=_fault_settings(args),
+            shedding=shedding,
+        )
+        schedule, _ = scenario.resolved_faults()
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"repro {args.command}: {exc}")
+    if args.faults_out:
+        if schedule is None:
+            raise SystemExit("--faults-out needs a schedule (--faults or --fault-mtbf)")
+        save_faults(schedule, args.faults_out)
+        print(f"wrote {args.faults_out} ({len(schedule.events)} fault events)")
+    return scenario, schedule
+
+
+def _run(args: argparse.Namespace, scenario: Scenario, **options: Any) -> Any:
+    """Run a scenario the way ``repro run`` does; bad input exits with one line."""
+    try:
+        return run_scenario(scenario, **options)
+    except ValueError as exc:
+        raise SystemExit(f"repro {args.command}: {exc}")
 
 
 def _print_fault_totals(totals: dict[str, int]) -> None:
@@ -336,6 +356,70 @@ def _obs_parent() -> argparse.ArgumentParser:
         help="simulated seconds between timeline samples (default: 60)",
     )
     return parent
+
+
+class _Outputs:
+    """The collectors the observability flags ask for, and their write-out.
+
+    Ensemble commands hand ``profile`` / ``timelines`` to the runner,
+    which merges one stream per trial into them.  A single run
+    (``label`` given: ``trial``, ``serve``) records into ``recorder`` /
+    ``timeline`` instead, folded in by :meth:`write`.  Used as a context
+    manager, it closes the trace sink when the run ends, even on error.
+    """
+
+    def __init__(
+        self,
+        args: argparse.Namespace,
+        *,
+        label: str | None = None,
+        timeline_cap: int | None = None,
+    ) -> None:
+        self.args = args
+        trace_out = getattr(args, "trace_out", None)
+        profile_out = getattr(args, "profile_out", None)
+        self.trace = JsonlSink(trace_out) if trace_out else None
+        self.sinks = (self.trace,) if self.trace is not None else ()
+        self.metrics = MetricsRegistry() if getattr(args, "metrics_out", None) else None
+        self.profile = SpanProfile() if profile_out else None
+        self.timelines = TimelineSet(args.timeline_dt) if args.timeline_out else None
+        self.recorder = self.timeline = None
+        if label is not None:
+            if profile_out:
+                self.recorder = SpanRecorder(stream=0, label=f"trial:{label}")
+            if args.timeline_out:
+                self.timeline = TimelineRecorder(
+                    args.timeline_dt, stream=0, label=label, capacity=timeline_cap
+                )
+
+    def __enter__(self) -> "_Outputs":
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        if self.trace is not None:
+            self.trace.close()
+
+    def write(self) -> None:
+        """Save every requested output and print one line per file."""
+        args = self.args
+        if self.trace is not None:
+            print(f"wrote {args.trace_out} ({self.trace.count} events)")
+        if self.metrics is not None:
+            save_json(self.metrics.to_dict(), args.metrics_out)
+            print(f"wrote {args.metrics_out}")
+        if self.profile is not None:
+            if self.recorder is not None:
+                self.profile.add_stream(self.recorder)
+            save_profile(self.profile, args.profile_out)
+            print(f"wrote {args.profile_out} ({len(self.profile)} spans)")
+        if self.timelines is not None:
+            if self.timeline is not None:
+                self.timelines.add(self.timeline)
+                count = f"{len(self.timeline)} samples"
+            else:
+                count = f"{len(self.timelines)} timelines"
+            save_timeline(self.timelines, args.timeline_out)
+            print(f"wrote {args.timeline_out} ({count})")
 
 
 def _perf_parent() -> argparse.ArgumentParser:
@@ -415,7 +499,8 @@ def _traffic_name(value: str) -> str:
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
     """Print Section VI subscription/budget diagnostics."""
-    print(calibration_summary(_config(args)))
+    config = Scenario(seed=args.seed, num_tasks=args.tasks).resolved_config()
+    print(calibration_summary(config))
     return 0
 
 
@@ -435,63 +520,26 @@ def _print_trial_result(result: Any) -> None:
 
 def cmd_trial(args: argparse.Namespace) -> int:
     """Run a single trial of one (heuristic, filters) policy."""
-    system = build_trial_system(_config(args))
-    spec = VariantSpec(args.heuristic, args.filters)
-    faults, fault_policy, shedding = _resolve_faults(
-        args, system.cluster.num_nodes, system.cluster.num_cores
-    )
-    metrics = MetricsRegistry() if args.metrics_out else None
-    trace_sink = JsonlSink(args.trace_out) if args.trace_out else None
-    sinks = (trace_sink,) if trace_sink is not None else ()
-    recorder = (
-        SpanRecorder(stream=0, label=f"trial:{spec.label}")
-        if args.profile_out
-        else None
-    )
-    timeline = (
-        TimelineRecorder(args.timeline_dt, stream=0, label=spec.label)
-        if args.timeline_out
-        else None
-    )
-    try:
-        result = TrialPlan(
-            system=system,
-            spec=spec,
-            keep_outcomes=False,
-            metrics=metrics,
-            sinks=sinks,
-            profile=recorder,
-            timeline=timeline,
+    scenario, schedule = _flag_scenario(args)
+    with _Outputs(args, label=scenario.label) as out:
+        result = _run(
+            args,
+            scenario,
+            metrics=out.metrics,
+            sinks=out.sinks,
+            profile=out.recorder,
+            timeline=out.timeline,
             perf=_resolve_perf(args),
-            faults=faults,
-            fault_policy=fault_policy,
-            shedding=shedding,
-        ).run()
-    finally:
-        if trace_sink is not None:
-            trace_sink.close()
-    if faults is not None:
+        )
+    if schedule is not None:
+        faults = scenario.faults
         print(
-            f"fault schedule: {len(faults.events)} events "
-            f"(policy: running {fault_policy.running}, "
-            f"remap {'on' if fault_policy.remap else 'off'})"
+            f"fault schedule: {len(schedule.events)} events "
+            f"(policy: running {faults.running}, "
+            f"remap {'on' if faults.remap else 'off'})"
         )
     _print_trial_result(result)
-    if trace_sink is not None:
-        print(f"wrote {args.trace_out} ({trace_sink.count} events)")
-    if metrics is not None:
-        save_json(metrics.to_dict(), args.metrics_out)
-        print(f"wrote {args.metrics_out}")
-    if recorder is not None:
-        profile = SpanProfile()
-        profile.add_stream(recorder)
-        save_profile(profile, args.profile_out)
-        print(f"wrote {args.profile_out} ({len(recorder)} spans)")
-    if timeline is not None:
-        timeline_set = TimelineSet(args.timeline_dt)
-        timeline_set.add(timeline)
-        save_timeline(timeline_set, args.timeline_out)
-        print(f"wrote {args.timeline_out} ({len(timeline)} samples)")
+    out.write()
     return 0
 
 
@@ -607,40 +655,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
     (``--windows-out`` then ends with a truncation trailer) and the
     process exits 0.
     """
-    system = build_trial_system(_config(args))
-    spec = VariantSpec(args.heuristic, args.filters)
-    faults, fault_policy, shedding = _resolve_faults(
-        args,
-        system.cluster.num_nodes,
-        system.cluster.num_cores,
-        default_horizon=args.horizon,
-    )
-    try:
-        service = ServiceConfig(
-            traffic=args.traffic,
-            rate_mult=args.rate_mult,
-            swing=args.swing,
-            phase_length=args.phase_length,
-            window=args.window,
-            horizon=args.horizon,
-            task_limit=args.task_limit,
-            budget_rate_mult=args.budget_rate_mult,
-            budget_cap_windows=args.budget_cap_windows,
-            budget_cap=args.budget_cap,
-            planning_tasks=args.planning_tasks,
-            faults=faults,
-            fault_policy=fault_policy,
-            shedding=shedding,
-        )
-    except ValueError as exc:
-        raise SystemExit(f"repro serve: {exc}")
-    timeline = (
-        TimelineRecorder(
-            args.timeline_dt, stream=0, label=spec.label, capacity=args.timeline_cap
-        )
-        if args.timeline_out
-        else None
-    )
+    scenario, _ = _flag_scenario(args)
+    out = _Outputs(args, label=scenario.label, timeline_cap=args.timeline_cap)
     telemetry, server = _resolve_telemetry(args)
     stop_requested = False
 
@@ -653,11 +669,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
         for sig in (signal.SIGINT, signal.SIGTERM)
     }
     try:
-        result = serve_system(
-            system,
-            spec,
-            service,
-            timeline=timeline,
+        result = _run(
+            args,
+            scenario,
+            timeline=out.timeline,
             stop=lambda: stop_requested,
             telemetry=telemetry,
             perf=_resolve_perf(args),
@@ -679,11 +694,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         for exporter in telemetry.exporters:
             exporter.export()
         print(f"wrote {args.telemetry_out}")
-    if timeline is not None:
-        timeline_set = TimelineSet(args.timeline_dt)
-        timeline_set.add(timeline)
-        save_timeline(timeline_set, args.timeline_out)
-        print(f"wrote {args.timeline_out} ({len(timeline)} samples)")
+    out.write()
     if server is not None:
         if args.telemetry_linger > 0.0:
             # Leave the endpoint scrapeable after the simulation ends so
@@ -807,45 +818,28 @@ def _report_partial(ensemble: EnsembleResult) -> None:
 
 def _run_ensemble_command(specs: list[VariantSpec], args: argparse.Namespace) -> int:
     """Shared figure/grid body: run, render, save results + manifest + metrics."""
-    metrics = MetricsRegistry() if args.metrics_out else None
-    profile = SpanProfile() if args.profile_out else None
-    timeline = TimelineSet(args.timeline_dt) if args.timeline_out else None
+    config = Scenario(seed=args.seed, num_tasks=args.tasks).resolved_config()
     # Ensemble-level traces carry the executor's recovery events
     # (retries, quarantines, checkpoints); per-task events stay in the
     # workers and are summarized by --metrics-out instead.
-    trace_sink = JsonlSink(args.trace_out) if args.trace_out else None
-    try:
+    with _Outputs(args) as out:
         ensemble = run_ensemble(
-            specs, _config(args), args.trials, base_seed=args.seed,
-            n_jobs=args.jobs, metrics=metrics,
+            specs, config, args.trials, base_seed=args.seed,
+            n_jobs=args.jobs, metrics=out.metrics,
             checkpoint=args.checkpoint, resume=args.resume,
             trial_timeout=args.trial_timeout, max_retries=args.max_retries,
-            profile=profile, timeline=timeline,
-            sinks=(trace_sink,) if trace_sink is not None else (),
+            profile=out.profile, timeline=out.timelines, sinks=out.sinks,
             perf=_resolve_perf(args),
         )
-    finally:
-        if trace_sink is not None:
-            trace_sink.close()
     _report_partial(ensemble)
     _print_ensemble(ensemble, args.tasks, args.svg_dir)
     if args.out:
         save_json(ensemble_to_dict(ensemble), args.out)
         print(f"wrote {args.out}")
         manifest_path = pathlib.Path(args.out).with_suffix(".manifest.json")
-        save_manifest(build_manifest(ensemble, _config(args)), manifest_path)
+        save_manifest(build_manifest(ensemble, config), manifest_path)
         print(f"wrote {manifest_path}")
-    if trace_sink is not None:
-        print(f"wrote {args.trace_out} ({trace_sink.count} events)")
-    if metrics is not None:
-        save_json(metrics.to_dict(), args.metrics_out)
-        print(f"wrote {args.metrics_out}")
-    if profile is not None:
-        save_profile(profile, args.profile_out)
-        print(f"wrote {args.profile_out} ({len(profile)} spans)")
-    if timeline is not None:
-        save_timeline(timeline, args.timeline_out)
-        print(f"wrote {args.timeline_out} ({len(timeline)} timelines)")
+    out.write()
     return 0
 
 
@@ -946,44 +940,25 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     from repro.experiments.sweep import budget_sweep
 
     specs = tuple(_parse_spec(s) for s in args.specs)
-    metrics = MetricsRegistry() if args.metrics_out else None
-    profile = SpanProfile() if args.profile_out else None
-    timeline = TimelineSet(args.timeline_dt) if args.timeline_out else None
-    trace_sink = JsonlSink(args.trace_out) if args.trace_out else None
-    try:
+    config = Scenario(seed=args.seed, num_tasks=args.tasks).resolved_config()
+    with _Outputs(args) as out:
         sweep = budget_sweep(
-            args.multipliers, specs, _config(args), args.trials, base_seed=args.seed,
+            args.multipliers, specs, config, args.trials, base_seed=args.seed,
             n_jobs=args.jobs,
             checkpoint=args.checkpoint, resume=args.resume,
             trial_timeout=args.trial_timeout, max_retries=args.max_retries,
-            metrics=metrics, profile=profile, timeline=timeline,
-            sinks=(trace_sink,) if trace_sink is not None else (),
-            perf=_resolve_perf(args),
+            metrics=out.metrics, profile=out.profile, timeline=out.timelines,
+            sinks=out.sinks, perf=_resolve_perf(args),
         )
-    finally:
-        if trace_sink is not None:
-            trace_sink.close()
     for point in sweep.points:
         _report_partial(point.ensemble)
     print(sweep.table(num_tasks=args.tasks))
-    if trace_sink is not None:
-        print(f"wrote {args.trace_out} ({trace_sink.count} events)")
-    if metrics is not None:
-        save_json(metrics.to_dict(), args.metrics_out)
-        print(f"wrote {args.metrics_out}")
-    if profile is not None:
-        save_profile(profile, args.profile_out)
-        print(f"wrote {args.profile_out} ({len(profile)} spans)")
-    if timeline is not None:
-        save_timeline(timeline, args.timeline_out)
-        print(f"wrote {args.timeline_out} ({len(timeline)} timelines)")
+    out.write()
     return 0
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     """Run a scenario file end to end, printing the mode's summary."""
-    from repro.api import run_scenario
-
     try:
         scenario = Scenario.from_file(args.scenario)
     except (OSError, ScenarioError) as exc:
@@ -991,10 +966,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     shown = scenario.name or pathlib.Path(args.scenario).stem
     print(f"scenario {shown}: {scenario.label}, mode {scenario.mode} "
           f"(digest {scenario.digest()[:12]})")
-    try:
-        result = run_scenario(scenario)
-    except ValueError as exc:
-        raise SystemExit(f"repro run: {exc}")
+    result = _run(args, scenario)
     if scenario.mode == "trial":
         _print_trial_result(result)
     elif scenario.mode == "ensemble":

@@ -59,7 +59,6 @@ from repro.obs.spans import SpanProfile, SpanRecorder
 from repro.obs.timeline import TimelineRecorder, TimelineSet
 from repro.perf.kernel_cache import PerfConfig
 from repro.perf.trial_cache import TrialCache
-from repro.sim.engine import run_trial
 from repro.sim.results import TrialResult
 from repro.sim.system import TrialSystem, build_trial_system
 
@@ -105,13 +104,11 @@ def policy_for(system: TrialSystem, spec: VariantSpec):
 class TrialPlan:
     """One fully-specified trial run: system, policy spec, and ride-alongs.
 
-    ``TrialPlan`` is the single entry point over the two call shapes
-    (``run_trial`` on a bare engine, ``observe_trial`` for the observed
-    path): build a plan, then :meth:`run` it.  The plan picks the
-    observed path exactly when an observability collector (``metrics``
-    / ``sinks`` / ``profile`` / ``timeline``) is attached; the simulated
-    decisions — and therefore the result — are bitwise identical either
-    way.
+    Build a plan, then :meth:`run` it: one
+    :func:`~repro.obs.hooks.observe_trial` call, which attaches only the
+    observability collectors (``metrics`` / ``sinks`` / ``profile`` /
+    ``timeline``) that are set.  The simulated decisions — and therefore
+    the result — are bitwise identical with or without them.
 
     ``perf`` selects the hot-path performance knobs (:mod:`repro.perf`);
     ``None`` means the defaults (kernel cache on, numpy backend).
@@ -152,45 +149,23 @@ class TrialPlan:
             system = scenario.build_system()
         return cls(system=system, spec=scenario.spec, **options)
 
-    @property
-    def observed(self) -> bool:
-        """Whether :meth:`run` takes the observed (instrumented) path."""
-        return (
-            self.metrics is not None
-            or bool(self.sinks)
-            or self.profile is not None
-            or self.timeline is not None
-        )
-
     def run(self) -> TrialResult:
         """Execute the plan and return its trial result."""
         heuristic, chain = policy_for(self.system, self.spec)
-        if self.observed:
-            result = observe_trial(
-                self.system,
-                heuristic,
-                chain,
-                sinks=self.sinks,
-                metrics=self.metrics,
-                profile=self.profile,
-                timeline=self.timeline,
-                perf=self.perf,
-                shared=self.shared,
-                faults=self.faults,
-                fault_policy=self.fault_policy,
-                shedding=self.shedding,
-            )
-        else:
-            result = run_trial(
-                self.system,
-                heuristic,
-                chain,
-                perf=self.perf,
-                shared=self.shared,
-                faults=self.faults,
-                fault_policy=self.fault_policy,
-                shedding=self.shedding,
-            )
+        result = observe_trial(
+            self.system,
+            heuristic,
+            chain,
+            sinks=self.sinks,
+            metrics=self.metrics,
+            profile=self.profile,
+            timeline=self.timeline,
+            perf=self.perf,
+            shared=self.shared,
+            faults=self.faults,
+            fault_policy=self.fault_policy,
+            shedding=self.shedding,
+        )
         if not self.keep_outcomes:
             result = replace(result, outcomes=())
         return result

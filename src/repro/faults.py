@@ -258,22 +258,33 @@ class FaultSchedule:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "FaultSchedule":
-        """Rebuild from :meth:`to_dict` output (strict about the tag)."""
-        if data.get("format") != FAULTS_FORMAT:
+        """Rebuild from :meth:`to_dict` output (strict about the tag).
+
+        Raises :class:`ValueError` for anything malformed, naming the
+        missing key of an incomplete event.
+        """
+        if not isinstance(data, dict) or data.get("format") != FAULTS_FORMAT:
+            found = data.get("format") if isinstance(data, dict) else type(data).__name__
             raise ValueError(
-                f"not a fault schedule: format {data.get('format')!r} != {FAULTS_FORMAT!r}"
+                f"not a fault schedule: format {found!r} != {FAULTS_FORMAT!r}"
             )
-        events = tuple(
-            FaultEvent(
-                kind=e["kind"],
-                target=e["target"],
-                start=e["start"],
-                duration=e["duration"],
-                pstate_floor=e.get("pstate_floor", 0),
-            )
-            for e in data.get("events", ())
-        )
-        return cls(events)
+        events = []
+        for index, e in enumerate(data.get("events", ())):
+            try:
+                events.append(
+                    FaultEvent(
+                        kind=e["kind"],
+                        target=e["target"],
+                        start=e["start"],
+                        duration=e["duration"],
+                        pstate_floor=e.get("pstate_floor", 0),
+                    )
+                )
+            except KeyError as exc:
+                raise ValueError(f"fault event {index} has no {exc.args[0]!r} key") from None
+            except TypeError as exc:
+                raise ValueError(f"fault event {index} is malformed: {exc}") from None
+        return cls(tuple(events))
 
 
 @dataclass(frozen=True)

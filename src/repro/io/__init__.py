@@ -5,7 +5,8 @@ documents, so full-scale runs (minutes of CPU) can be archived, diffed and
 re-reported without re-simulation:
 
 * :mod:`repro.io.results_io` — :class:`~repro.sim.results.TrialResult`
-  and ensemble dumps (the format ``scripts/run_full_grid.py`` writes);
+  and ensemble dumps (the format ``repro grid --out`` writes and
+  ``repro report`` re-renders);
 * :mod:`repro.io.workload_io` — task streams (arrivals, types, deadlines,
   priorities) for replaying identical workloads across studies;
 * :mod:`repro.io.cluster_io` — sampled cluster specs, pinning the exact

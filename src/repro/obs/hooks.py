@@ -1,9 +1,9 @@
 """Adapting the engine's ``EngineHooks`` protocol to event sinks.
 
-:class:`ObservingHooks` is the only place event objects are constructed:
-``run_trial`` with ``hooks=None`` (the default) touches none of this
-module, so the engine hot path stays allocation-free when observability
-is off.
+:class:`ObservingHooks` is the only place event objects are constructed,
+and :func:`observe_trial` attaches it only when a sink, metrics registry
+or timeline listens, so the engine hot path stays allocation-free when
+observability is off.
 
 :func:`observe_trial` wraps one :class:`repro.sim.engine.Engine` run
 with the trial-lifecycle events (``TrialStarted``, ``EnergyExhausted``,
@@ -303,8 +303,11 @@ def observe_trial(
     fault_policy: FaultPolicy | None = None,
     shedding: SheddingConfig | None = None,
 ) -> TrialResult:
-    """Run one trial with observability attached.
+    """Run one trial, with whatever observability is attached.
 
+    The one trial driver behind :class:`repro.experiments.runner.TrialPlan`.
+    With no ``sinks``, ``metrics`` or ``timeline`` the engine runs
+    without hooks, so an unobserved trial allocates no events.
     Identical simulation semantics to :func:`repro.sim.engine.run_trial`
     — hooks observe, they never steer, decision timing wraps the
     heuristic without touching its choices, and span/timeline recording
@@ -331,7 +334,11 @@ def observe_trial(
     counters.  Left at ``None``, the run is bitwise identical to a
     fault-free trial.
     """
-    hooks = ObservingHooks(sinks, metrics=metrics, timeline=timeline)
+    hooks = (
+        ObservingHooks(sinks, metrics=metrics, timeline=timeline)
+        if sinks or metrics is not None or timeline is not None
+        else None
+    )
     engine_heuristic: Heuristic = heuristic
     if metrics is not None or profile is not None:
         engine_heuristic = TimedHeuristic(heuristic, metrics, recorder=profile)
@@ -342,7 +349,8 @@ def observe_trial(
     if metrics is not None:
         previous_observer = set_op_observer(_StochObserver(metrics))
     try:
-        hooks.trial_started(system, heuristic, filter_chain)
+        if hooks is not None:
+            hooks.trial_started(system, heuristic, filter_chain)
         engine = Engine(
             system,
             engine_heuristic,
@@ -360,7 +368,8 @@ def observe_trial(
                 result = engine.run()
         else:
             result = engine.run()
-        hooks.trial_finished(result)
+        if hooks is not None:
+            hooks.trial_finished(result)
         stats = engine.kernel_cache_stats()
         if metrics is not None and stats is not None:
             label = f"{heuristic.name}/{filter_chain.label}"

@@ -64,7 +64,7 @@ from repro.faults import FaultEvent, FaultPolicy, FaultSchedule, SheddingConfig
 from repro.filters.chain import canonical_variant
 from repro.registry import HEURISTIC_PLUGINS, UnknownPluginError
 from repro.service import ServiceConfig
-from repro.sim.system import TrialSystem, build_trial_system
+from repro.sim.system import TrialSystem, build_trial_system, trial_cluster
 
 __all__ = [
     "SCENARIO_FORMAT",
@@ -219,8 +219,14 @@ class FaultSettings:
     start, duration) or set the renewal-process trio ``mtbf`` / ``mttr``
     / ``horizon`` and a schedule is drawn per run via
     :meth:`repro.faults.FaultSchedule.generate` — deterministic given
-    ``seed`` (default: the scenario's resolved master seed).
-    ``running`` / ``remap`` become the :class:`~repro.faults.FaultPolicy`.
+    ``seed`` (default: the scenario's resolved master seed).  The
+    generator faults every node (every core of the trial's cluster for
+    ``scope = "core"``) unless ``num_targets`` says otherwise, and a
+    ``"slowdown"`` caps the P-states below ``pstate_floor`` (default 1:
+    the fastest P-state is lost).  ``running`` / ``remap`` become the
+    :class:`~repro.faults.FaultPolicy`.  This is the only place a run's
+    mtbf/mttr/horizon become a schedule; ``repro trial`` and ``repro
+    serve`` build one from their ``--fault-*`` flags.
     """
 
     mtbf: float | None = None
@@ -228,7 +234,7 @@ class FaultSettings:
     horizon: float | None = None
     num_targets: int | None = None
     scope: str = "node"
-    pstate_floor: int = 0
+    pstate_floor: int = 1
     seed: int | None = None
     running: str = "lost"
     remap: bool = True
@@ -247,9 +253,13 @@ class FaultSettings:
             raise ValueError(
                 f"running policy must be 'lost' or 'resume', got {self.running!r}"
             )
-        trio = (self.mtbf, self.mttr, self.horizon)
-        if any(v is not None for v in trio) and not all(v is not None for v in trio):
-            raise ValueError("fault generation needs all of mtbf, mttr and horizon")
+        trio = {"mtbf": self.mtbf, "mttr": self.mttr, "horizon": self.horizon}
+        missing = [name for name, value in trio.items() if value is None]
+        if 0 < len(missing) < 3:
+            raise ValueError(
+                "fault generation needs all of mtbf, mttr and horizon; "
+                f"missing {', '.join(missing)}"
+            )
         if self.mtbf is not None and self.events:
             raise ValueError(
                 "give either explicit fault events or the mtbf/mttr/horizon "
@@ -272,11 +282,13 @@ class FaultSettings:
         policy = FaultPolicy(running=self.running, remap=self.remap)
         if self.events:
             return FaultSchedule(self.events), policy
-        num_targets = (
-            self.num_targets
-            if self.num_targets is not None
-            else config.cluster.num_nodes
-        )
+        num_targets = self.num_targets
+        if num_targets is None:
+            num_targets = (
+                trial_cluster(config).num_cores
+                if self.scope == "core"
+                else config.cluster.num_nodes
+            )
         schedule = FaultSchedule.generate(
             num_targets=num_targets,
             horizon=self.horizon,  # type: ignore[arg-type]

@@ -428,125 +428,87 @@ def serve_system(
         service.phase_length if service.phase_length is not None else 5.0 * window
     )
     seed = system.config.seed
-    heuristic, chain = policy_for(system, spec)
-    stop_state = {"truncated": False}
-    fault_layer = service.faults is not None or service.shedding is not None
-    on_close = telemetry.on_window if telemetry.enabled else None
-
-    if service.traffic == "replay":
-        if telemetry.enabled:
-            telemetry.configure(window=window)
-        ledger = EnergyLedger(system.cluster, system.config.energy.idle_power_mode)
-        acc = WindowAccumulator(
-            window, energy_at=ledger.cumulative_energy_at, on_close=on_close
+    idle_mode = system.config.energy.idle_power_mode
+    replay = service.traffic == "replay"
+    # What differs between the regimes: replay keeps the batch ledger,
+    # budget, planning horizon and luck so it can be scored; generative
+    # traffic streams with bounded memory against a rolling allowance.
+    if replay:
+        ledger: EnergyLedger | StreamingEnergyMeter = EnergyLedger(system.cluster, idle_mode)
+        energy_at = ledger.cumulative_energy_at
+        budget = accrual = planning = luck = None
+        tasks = replay_tasks(system.workload.tasks)
+    else:
+        ledger = StreamingEnergyMeter(system.cluster, idle_mode)
+        energy_at = ledger.consumed_at
+        accrual = service.budget_rate_mult * mean_rate * system.t_avg * system.p_avg
+        cap = (
+            service.budget_cap
+            if service.budget_cap is not None
+            else service.budget_cap_windows * window * accrual
         )
-        hooks = _ServiceHooks(acc, timeline, telemetry)
-        engine = Engine(
-            system,
-            heuristic,
-            chain,
-            hooks=hooks,
-            ledger=ledger,
-            perf=perf,
-            faults=service.faults,
-            fault_policy=service.fault_policy,
-            shedding=service.shedding,
+        budget = RollingEnergyBudget(rate=accrual, cap=cap)
+        planning = (
+            service.planning_tasks
+            if service.planning_tasks is not None
+            else max(1, round(mean_rate * window))
         )
-        trial: TrialResult | None = None
-        if service.task_limit is None and service.horizon is None:
-            if stop is None:
-                # Full replay: score exactly as the batch path does.  The
-                # parity test pins this result bitwise against run_trial.
-                trial = engine.run()
-                makespan = trial.makespan
-            else:
-                # Stop-guarded full replay: drain the stoppable stream,
-                # and score only if the whole workload was offered — a
-                # truncated replay saw a different stream than the batch
-                # run and must not claim batch equivalence.
-                tasks = _stoppable(
-                    replay_tasks(system.workload.tasks), stop, stop_state
-                )
-                makespan = engine.serve(tasks)
-                if not stop_state["truncated"]:
-                    trial = engine.score(makespan)
-        else:
-            # Bounded replay drains unscored (scoring assumes the
-            # whole workload was offered).
-            tasks = _bound(replay_tasks(system.workload.tasks), service)
-            if stop is not None:
-                tasks = _stoppable(tasks, stop, stop_state)
-            makespan = engine.serve(tasks)
-        windows = tuple(acc.flush(makespan))
-        return ServiceResult(
-            label=spec.label,
-            seed=seed,
-            traffic=service.traffic,
-            window=window,
-            windows=windows,
-            makespan=makespan,
-            total_energy=ledger.total_energy(),
-            trial_result=trial,
-            truncated=stop_state["truncated"],
-            fault_totals=engine.fault_stats.to_dict() if fault_layer else None,
+        luck = _LuckSource(seed)
+        factory = TaskFactory.for_table(system.config.workload, system.table)
+        tasks = factory.stream(
+            _arrival_stream(system, service, mean_rate, phase_length),
+            rng_mod.stream(seed, "service", "types"),
         )
-
-    meter = StreamingEnergyMeter(system.cluster, system.config.energy.idle_power_mode)
-    accrual = service.budget_rate_mult * mean_rate * system.t_avg * system.p_avg
-    cap = (
-        service.budget_cap
-        if service.budget_cap is not None
-        else service.budget_cap_windows * window * accrual
-    )
-    budget = RollingEnergyBudget(rate=accrual, cap=cap)
-    planning = (
-        service.planning_tasks
-        if service.planning_tasks is not None
-        else max(1, round(mean_rate * window))
-    )
     if telemetry.enabled:
         telemetry.configure(window=window, budget_rate=accrual)
     acc = WindowAccumulator(
-        window, energy_at=meter.consumed_at, budget=budget, on_close=on_close
+        window,
+        energy_at=energy_at,
+        budget=budget,
+        on_close=telemetry.on_window if telemetry.enabled else None,
     )
-    hooks = _ServiceHooks(acc, timeline, telemetry)
+    heuristic, chain = policy_for(system, spec)
     engine = Engine(
         system,
         heuristic,
         chain,
-        hooks=hooks,
-        ledger=meter,
+        hooks=_ServiceHooks(acc, timeline, telemetry),
+        ledger=ledger,
         rolling_budget=budget,
         tasks_left=planning,
-        luck=_LuckSource(seed),
-        track_outcomes=False,
+        luck=luck,
+        track_outcomes=replay,
         perf=perf,
         faults=service.faults,
         fault_policy=service.fault_policy,
         shedding=service.shedding,
     )
-    factory = TaskFactory.for_table(system.config.workload, system.table)
-    tasks = _bound(
-        factory.stream(
-            _arrival_stream(system, service, mean_rate, phase_length),
-            rng_mod.stream(seed, "service", "types"),
-        ),
-        service,
-    )
+    stop_state = {"truncated": False}
+    tasks = _bound(tasks, service)
     if stop is not None:
         tasks = _stoppable(tasks, stop, stop_state)
     makespan = engine.serve(tasks)
-    windows = tuple(acc.flush(makespan))
+    # Only a replay that offered the whole workload is batch-equivalent:
+    # a bounded or truncated stream must not claim the batch score.  The
+    # parity test pins the scored result bitwise against run_trial.
+    unbounded = service.task_limit is None and service.horizon is None
+    trial = (
+        engine.score(makespan)
+        if replay and unbounded and not stop_state["truncated"]
+        else None
+    )
+    fault_layer = service.faults is not None or service.shedding is not None
     return ServiceResult(
         label=spec.label,
         seed=seed,
         traffic=service.traffic,
         window=window,
-        windows=windows,
+        windows=tuple(acc.flush(makespan)),
         makespan=makespan,
-        total_energy=meter.total_energy(),
-        budget_drawn=budget.drawn,
-        budget_deficit=budget.deficit,
+        total_energy=ledger.total_energy(),
+        budget_drawn=budget.drawn if budget is not None else 0.0,
+        budget_deficit=budget.deficit if budget is not None else 0.0,
+        trial_result=trial,
         truncated=stop_state["truncated"],
         fault_totals=engine.fault_stats.to_dict() if fault_layer else None,
         budget_rate=accrual,

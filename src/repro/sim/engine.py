@@ -666,31 +666,10 @@ class Engine:
     def run(self) -> TrialResult:
         """Execute the trial to completion and score it.
 
-        The engine's kernel cache (when enabled) is installed into
-        :mod:`repro.stoch.ops` for exactly the duration of this call, so
-        nothing is shared across trials and the module global is always
-        restored — even on an exception.
+        Exactly :meth:`serve` over the workload's own tasks followed by
+        :meth:`score`.
         """
-        if not self._track_outcomes:
-            raise RuntimeError("run() needs outcome tracking; use serve()")
-        if self._ran:
-            raise RuntimeError("an Engine instance runs exactly once")
-        self._ran = True
-
-        if self._kernel_cache is not None:
-            # Baseline for per-run stat attribution; all zeros for a
-            # private cache, the previous specs' totals for a shared one.
-            self._cache_base = self._kernel_cache.stats()
-        previous_cache = set_kernel_cache(self._kernel_cache)
-        previous_backend = set_kernel_backend(self._kernel_backend)
-        try:
-            end_time = self._event_loop(iter(self.system.workload.tasks))
-            self.ledger.close(end_time)
-            with self.tracer.span("engine.score"):
-                return self._score(end_time)
-        finally:
-            set_kernel_backend(previous_backend)
-            set_kernel_cache(previous_cache)
+        return self.score(self.serve(self.system.workload.tasks))
 
     def serve(self, arrivals: Iterable[Task]) -> float:
         """Drive the engine from an arrival stream; return the end time.
@@ -699,14 +678,20 @@ class Engine:
         ``arrivals`` (which may be unbounded — bound it with a horizon or
         task limit before passing it in), committed work drains after the
         stream ends, and no :class:`TrialResult` is scored — windowed
-        accounting happens in hooks.  A finite stream replaying the
-        workload's own tasks traverses exactly the event trajectory of
-        :meth:`run`.
+        accounting happens in hooks; :meth:`score` does that for a full
+        replay of the workload.
+
+        The engine's kernel cache and backend are installed into
+        :mod:`repro.stoch.ops` for exactly the duration of this call, so
+        nothing is shared across trials and the module globals are
+        always restored — even on an exception.
         """
         if self._ran:
             raise RuntimeError("an Engine instance runs exactly once")
         self._ran = True
         if self._kernel_cache is not None:
+            # Baseline for per-run stat attribution; all zeros for a
+            # private cache, the previous specs' totals for a shared one.
             self._cache_base = self._kernel_cache.stats()
         previous_cache = set_kernel_cache(self._kernel_cache)
         previous_backend = set_kernel_backend(self._kernel_backend)
@@ -776,14 +761,14 @@ class Engine:
         Only valid after the engine drained a stream that offered every
         workload task (a complete, untruncated replay): scoring walks
         ``system.workload.tasks`` and treats anything unseen as missed.
-        Such a replay traverses exactly the trajectory of :meth:`run`,
-        so the result matches the batch score bit for bit.
+        Timed as the ``engine.score`` span.
         """
         if not self._track_outcomes:
             raise RuntimeError("score() needs outcome tracking")
         if not self._ran:
             raise RuntimeError("score() comes after serve()")
-        return self._score(end_time)
+        with self.tracer.span("engine.score"):
+            return self._score(end_time)
 
     def _score(self, end_time: float) -> TrialResult:
         system = self.system

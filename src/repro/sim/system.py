@@ -23,7 +23,7 @@ from repro.workload.etc_matrix import ETCMatrix
 from repro.workload.pmf_table import ExecutionTimeTable
 from repro.workload.workload import Workload, build_workload
 
-__all__ = ["TrialSystem", "build_trial_system"]
+__all__ = ["TrialSystem", "build_trial_system", "trial_cluster"]
 
 
 @dataclass(frozen=True)
@@ -68,6 +68,11 @@ class TrialSystem:
         return self.workload.t_avg
 
 
+def trial_cluster(config: SimulationConfig) -> ClusterSpec:
+    """The cluster a trial of ``config`` runs on (its "cluster" sub-stream)."""
+    return generate_cluster(config.cluster, rng_mod.stream(config.seed, "cluster"))
+
+
 def build_trial_system(config: SimulationConfig) -> TrialSystem:
     """Generate the full environment from ``config.seed``.
 
@@ -76,7 +81,7 @@ def build_trial_system(config: SimulationConfig) -> TrialSystem:
     workload draw.
     """
     seed = config.seed
-    cluster = generate_cluster(config.cluster, rng_mod.stream(seed, "cluster"))
+    cluster = trial_cluster(config)
     etc = ETCMatrix(
         cvb_etc_matrix(
             config.workload.num_task_types,

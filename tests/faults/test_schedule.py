@@ -166,6 +166,21 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="format"):
             FaultSchedule.from_dict({"format": "repro.faults/999", "events": []})
 
+    @pytest.mark.parametrize(
+        "data, match",
+        [
+            ([], "format"),
+            (
+                {"format": FAULTS_FORMAT, "events": [{"kind": "node_outage", "target": 0, "duration": 5.0}]},
+                "'start'",
+            ),
+            ({"format": FAULTS_FORMAT, "events": [["node_outage", 0, 1.0, 5.0]]}, "event 0"),
+        ],
+    )
+    def test_malformed_documents_raise_value_error(self, data, match):
+        with pytest.raises(ValueError, match=match):
+            FaultSchedule.from_dict(data)
+
     def test_file_round_trip(self, tmp_path):
         schedule = FaultSchedule.generate(
             num_targets=3, horizon=5e3, mtbf=800.0, mttr=100.0, seed=9

@@ -64,16 +64,14 @@ class TestTrialPlanShim:
             warnings.simplefilter("error", DeprecationWarning)
             TrialPlan(system=tiny_system, spec=SPEC).run()
 
-    def test_observed_property(self, tiny_system):
+    def test_metrics_run_matches_plain_run(self, tiny_system):
         from repro.obs.sinks import MetricsRegistry
 
         plain = TrialPlan(system=tiny_system, spec=SPEC)
-        assert not plain.observed
         observed = TrialPlan(
             system=tiny_system, spec=SPEC, metrics=MetricsRegistry()
         )
-        assert observed.observed
-        # The observed path is results-neutral.
+        # Attaching observability is results-neutral.
         assert observed.run() == plain.run()
 
 

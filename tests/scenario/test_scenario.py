@@ -8,7 +8,8 @@ import tomllib
 import pytest
 
 from repro.config import LambdaMode, SimulationConfig
-from repro.faults import FaultEvent, SheddingConfig
+from repro.api import run_scenario
+from repro.faults import FaultEvent, FaultSchedule, SheddingConfig
 from repro.scenario import (
     MODES,
     SCENARIO_FORMAT,
@@ -119,6 +120,38 @@ class TestFaultSettings:
         a, _ = pinned.resolve(tiny_config(seed=42))
         b, _ = pinned.resolve(tiny_config(seed=43))
         assert a.events == b.events
+
+    def test_core_scope_counts_the_trial_clusters_cores(self):
+        scenario = Scenario(
+            seed=5,
+            num_tasks=60,
+            faults=FaultSettings(
+                mtbf=20000.0, mttr=2000.0, horizon=20000.0, scope="core"
+            ),
+        )
+        schedule, _ = scenario.resolved_faults()
+        cluster = scenario.build_system().cluster
+        assert schedule == FaultSchedule.generate(
+            num_targets=cluster.num_cores,
+            horizon=20000.0,
+            mtbf=20000.0,
+            mttr=2000.0,
+            seed=5,
+            scope="core",
+        )
+        assert max(e.target for e in schedule.events) >= cluster.num_nodes
+
+    def test_slowdowns_cap_the_fastest_pstate_by_default(self):
+        assert FaultSettings().pstate_floor == 1
+        slow = FaultSettings(
+            mtbf=3000.0, mttr=3000.0, horizon=20000.0, scope="slowdown"
+        )
+        scenario = Scenario(seed=7, num_tasks=200, faults=slow)
+        schedule, _ = scenario.resolved_faults()
+        assert schedule.events
+        assert all(e.pstate_floor == 1 for e in schedule.events)
+        clean = run_scenario(Scenario(seed=7, num_tasks=200))
+        assert run_scenario(scenario) != clean
 
 
 class TestResolvedService:

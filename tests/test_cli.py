@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import pathlib
 
 import pytest
 
@@ -12,6 +14,7 @@ from repro.io.results_io import ensemble_to_dict, save_json
 from tests.conftest import tiny_config
 
 TINY = ["--tasks", "60", "--seed", "123"]
+REPO = pathlib.Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
@@ -537,3 +540,154 @@ class TestMonitorCommand:
         path.write_text("")
         with pytest.raises(SystemExit, match="--slo"):
             main(["monitor", str(path), "--slo", "nonsense"])
+
+
+class TestRunPathPins:
+    """What ``trial`` / ``serve`` produce, pinned against the library calls."""
+
+    def test_core_scope_faults_cover_every_core(self, capsys, tmp_path):
+        from repro import SimulationConfig, build_trial_system
+        from repro.faults import FaultSchedule
+        from repro.io.faults_io import load_faults
+
+        path = tmp_path / "schedule.json"
+        code = main(
+            [
+                "trial", "--tasks", "60", "--seed", "5",
+                "--fault-scope", "core", "--fault-mtbf", "20000",
+                "--fault-mttr", "2000", "--fault-horizon", "20000",
+                "--shed-queue-depth", "6",
+                "--faults-out", str(path),
+            ]
+        )
+        assert code == 0
+        assert f"wrote {path}" in capsys.readouterr().out
+        system = build_trial_system(SimulationConfig(seed=5))
+        expected = FaultSchedule.generate(
+            num_targets=system.cluster.num_cores,
+            horizon=20000.0,
+            mtbf=20000.0,
+            mttr=2000.0,
+            seed=5,
+            scope="core",
+        )
+        saved = load_faults(path)
+        assert saved == expected
+        assert max(e.target for e in saved.events) >= system.cluster.num_nodes
+
+    def test_poisson_serve_windows_match_serve_system(self, capsys, tmp_path):
+        from repro import SimulationConfig, build_trial_system
+        from repro.faults import FaultPolicy, FaultSchedule, SheddingConfig
+        from repro.service import ServiceConfig, serve_system, write_windows_jsonl
+
+        cli_out = tmp_path / "cli.jsonl"
+        code = main(
+            [
+                "serve", "--tasks", "60", "--seed", "5",
+                "--traffic", "poisson", "--rate-mult", "4", "--task-limit", "150",
+                "--fault-mtbf", "4000", "--fault-mttr", "1500",
+                "--fault-horizon", "20000", "--fault-running", "resume",
+                "--shed-queue-depth", "2", "--shed-defer", "60",
+                "--windows-out", str(cli_out),
+            ]
+        )
+        assert code == 0
+        capsys.readouterr()
+        config = SimulationConfig(seed=5)
+        workload = config.workload.with_num_tasks(60)
+        system = build_trial_system(dataclasses.replace(config, workload=workload))
+        service = ServiceConfig(
+            traffic="poisson",
+            rate_mult=4.0,
+            task_limit=150,
+            faults=FaultSchedule.generate(
+                num_targets=system.cluster.num_nodes,
+                horizon=20000.0,
+                mtbf=4000.0,
+                mttr=1500.0,
+                seed=5,
+                scope="node",
+            ),
+            fault_policy=FaultPolicy(running="resume"),
+            shedding=SheddingConfig(queue_depth=2.0, defer=60.0),
+        )
+        result = serve_system(system, VariantSpec("LL", "en+rob"), service)
+        lib_out = tmp_path / "lib.jsonl"
+        write_windows_jsonl(result, lib_out)
+        assert result.totals.lost > 0 and result.totals.deferred > 0
+        assert cli_out.read_bytes() == lib_out.read_bytes()
+
+    def test_trial_trace_matches_run_trial(self, capsys, tmp_path):
+        from repro import api
+
+        cli_trace = tmp_path / "cli.jsonl"
+        code = main(
+            [
+                "trial", "-H", "MECT", "-F", "en+rob", "--tasks", "60",
+                "--seed", "5", "--trace-out", str(cli_trace),
+            ]
+        )
+        assert code == 0
+        capsys.readouterr()
+        lib_trace = tmp_path / "lib.jsonl"
+        sink = api.JsonlSink(lib_trace)
+        try:
+            api.run_trial(
+                api.Scenario("MECT", "en+rob", seed=5, num_tasks=60), sinks=(sink,)
+            )
+        finally:
+            sink.close()
+        assert cli_trace.read_bytes() == lib_trace.read_bytes()
+        assert cli_trace.read_bytes().count(b"\n") > 60
+
+
+class TestFaultFileErrors:
+    """A malformed ``--faults FILE`` exits 1 with one line, no traceback."""
+
+    @pytest.mark.parametrize(
+        "content, match",
+        [
+            (None, "No such file"),
+            ("{not json", "Expecting property name"),
+            (
+                '{"format": "repro.faults/1", "events": '
+                '[{"kind": "node_outage", "target": 0, "duration": 5.0}]}',
+                "'start'",
+            ),
+        ],
+        ids=["missing", "not-json", "no-start"],
+    )
+    @pytest.mark.parametrize("command", ["trial", "serve"])
+    def test_bad_faults_file_exits_with_one_line(self, tmp_path, command, content, match):
+        path = tmp_path / "faults.json"
+        if content is not None:
+            path.write_text(content)
+        argv = [command, *TINY, "--faults", str(path)]
+        if command == "serve":
+            argv += ["--traffic", "replay"]
+        with pytest.raises(SystemExit, match=match) as info:
+            main(argv)
+        message = info.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert message.startswith(f"repro {command}: ")
+
+
+class TestDegradedServiceExample:
+    def test_serve_flags_and_scenario_file_print_the_same_summary(self, capsys):
+        assert main(
+            [
+                "serve", "--tasks", "200", "--seed", "7",
+                "--traffic", "poisson", "--rate-mult", "1.5", "--task-limit", "600",
+                "--fault-mtbf", "6000", "--fault-mttr", "2000",
+                "--fault-horizon", "40000", "--fault-scope", "node",
+                "--fault-running", "resume",
+                "--shed-queue-depth", "4", "--shed-defer", "60",
+            ]
+        ) == 0
+        flags = capsys.readouterr().out
+        scenario = REPO / "examples" / "scenarios" / "degraded_service.toml"
+        assert main(["run", "--scenario", str(scenario)]) == 0
+        header, summary = capsys.readouterr().out.split("\n", 1)
+        assert header.startswith("scenario degraded-service: LL/en+rob, mode service")
+        assert "outages" in summary and "deferred" in summary
+        assert summary == flags

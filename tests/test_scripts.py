@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -10,32 +11,26 @@ import sys
 REPO = pathlib.Path(__file__).resolve().parents[1]
 
 
-class TestRunFullGrid:
+class TestGridCommand:
     def test_tiny_grid_run(self, tmp_path):
         out = tmp_path / "grid.json"
         proc = subprocess.run(
             [
-                sys.executable,
-                str(REPO / "scripts" / "run_full_grid.py"),
-                "--trials",
-                "1",
-                "--tasks",
-                "60",
-                "--seed",
-                "5",
-                "--out",
-                str(out),
+                sys.executable, "-m", "repro", "grid",
+                "--trials", "1", "--tasks", "60", "--seed", "5",
+                "--out", str(out),
             ],
             capture_output=True,
             text=True,
             timeout=600,
+            env={**os.environ, "PYTHONPATH": str(REPO / "src")},
         )
         assert proc.returncode == 0, proc.stderr
-        assert out.exists()
         data = json.loads(out.read_text())
-        assert data["trials"] == 1
-        assert len(data["misses"]) == 16
-        assert "LL/en+rob" in data["misses"]
+        assert data["num_trials"] == 1
+        labels = [f"{s['heuristic']}/{s['variant']}" for s in data["specs"]]
+        assert len(labels) == 16
+        assert "LL/en+rob" in labels
         # The printed report must include every figure's heuristic.
         for token in ("SQ", "MECT", "LL", "Random", "Filtering summary"):
             assert token in proc.stdout
@@ -157,7 +152,7 @@ class TestTraceCheck:
                 "--profile-out", str(prof),
             ],
             capture_output=True, text=True, timeout=600,
-            env={**__import__("os").environ, "PYTHONPATH": str(REPO / "src")},
+            env={**os.environ, "PYTHONPATH": str(REPO / "src")},
         )
         assert proc.returncode == 0, proc.stderr
         check = self.run_check(prof)
@@ -321,7 +316,7 @@ class TestServiceCheck:
                 "--windows-out", str(out),
             ],
             capture_output=True, text=True, timeout=600,
-            env={**__import__("os").environ, "PYTHONPATH": str(REPO / "src")},
+            env={**os.environ, "PYTHONPATH": str(REPO / "src")},
         )
         assert proc.returncode == 0, proc.stderr
         check = self.run_check(out)
@@ -471,7 +466,7 @@ class TestFaultsCheck:
                 "--windows-out", str(out),
             ],
             capture_output=True, text=True, timeout=600,
-            env={**__import__("os").environ, "PYTHONPATH": str(REPO / "src")},
+            env={**os.environ, "PYTHONPATH": str(REPO / "src")},
         )
         assert proc.returncode == 0, proc.stderr
         check = self.run_check("--expect-faults", out)
@@ -584,7 +579,7 @@ class TestTelemetryCheck:
                 "--slo", "on_time_prob<0.9:3",
             ],
             capture_output=True, text=True, timeout=600,
-            env={**__import__("os").environ, "PYTHONPATH": str(REPO / "src")},
+            env={**os.environ, "PYTHONPATH": str(REPO / "src")},
         )
         assert proc.returncode == 0, proc.stderr
         check = self.run_check(out)
