@@ -33,7 +33,7 @@ def run_comparison() -> dict[str, float]:
         system = build_trial_system(config.with_seed(seed))
         for thresh in THRESHOLDS:
             label = "no cancel" if thresh is None else f"cancel<{thresh}"
-            hooks = None if thresh is None else AbandonHopelessPolicy(thresh)
+            hooks = () if thresh is None else (AbandonHopelessPolicy(thresh),)
             result = run_trial(
                 system,
                 # Same stream key for every threshold: all variants see
@@ -43,8 +43,8 @@ def run_comparison() -> dict[str, float]:
                 hooks=hooks,
             )
             misses.setdefault(label, []).append(result.missed)
-            if hooks is not None:
-                cancelled[label] = cancelled.get(label, 0) + len(hooks.cancelled)
+            for policy in hooks:
+                cancelled[label] = cancelled.get(label, 0) + len(policy.cancelled)
 
     rows = {name: float(np.median(vals)) for name, vals in misses.items()}
     lines = [

@@ -39,7 +39,7 @@ def run_comparison() -> dict[str, float]:
         base = run_trial(system, rand(), build_filter_chain("rob", config.filters))
         policy = WorkStealingPolicy()
         stolen = run_trial(
-            system, rand(), build_filter_chain("rob", config.filters), hooks=policy
+            system, rand(), build_filter_chain("rob", config.filters), hooks=(policy,)
         )
         ll = run_trial(
             system,

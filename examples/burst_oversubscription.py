@@ -41,7 +41,7 @@ def main() -> None:
         collector = TraceCollector()
         heuristic = MinimumExpectedCompletionTime()
         result = run_trial(
-            system, heuristic, build_filter_chain(variant), collector=collector
+            system, heuristic, build_filter_chain(variant), hooks=(collector,)
         )
         traces = collector.as_arrays()
         print(f"=== MECT/{variant} ===")

@@ -49,19 +49,19 @@ def main() -> None:
         ]
     )
     runs = {
-        "LL (priority-blind)": (LightestLoad(), build_filter_chain("en+rob"), None),
-        "LL-prio": (PriorityLightestLoad(), prio_chain, None),
+        "LL (priority-blind)": (LightestLoad(), build_filter_chain("en+rob"), ()),
+        "LL-prio": (PriorityLightestLoad(), prio_chain, ()),
         "LL-prio + cancel": (
             PriorityLightestLoad(),
             prio_chain,
-            AbandonHopelessPolicy(0.05),
+            (AbandonHopelessPolicy(0.05),),
         ),
     }
     print(f"{'policy':>22} {'missed':>7} {'weighted miss':>14} {'cancelled':>10}")
     for label, (heuristic, chain, hooks) in runs.items():
         result = run_trial(system, heuristic, chain, hooks=hooks)
         wm = weighted_missed(result, system.workload)
-        cancelled = len(hooks.cancelled) if hooks is not None else 0
+        cancelled = sum(len(policy.cancelled) for policy in hooks)
         print(f"{label:>22} {result.missed:7d} {100 * wm:13.1f}% {cancelled:10d}")
     print(
         "\nPriority-weighted missed work counts a 4x task as four 1x tasks; "

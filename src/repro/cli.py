@@ -35,7 +35,8 @@ import dataclasses
 import pathlib
 import signal
 import sys
-from typing import Any, Sequence
+from contextlib import contextmanager
+from typing import Any, Iterator, Sequence
 
 from repro.analysis.boxplot import ascii_boxplot_group
 from repro.analysis.profile_report import metrics_tables, profile_table, timeline_table
@@ -271,7 +272,7 @@ def _flag_scenario(
     """
     serve = args.command == "serve"
     thresholds = (args.shed_queue_depth, args.shed_budget_frac, args.shed_min_prob)
-    try:
+    with _bad_input(args):
         shedding = None
         if any(value is not None for value in thresholds):
             shedding = SheddingConfig(
@@ -295,8 +296,6 @@ def _flag_scenario(
             shedding=shedding,
         )
         schedule, _ = scenario.resolved_faults()
-    except (OSError, ValueError) as exc:
-        raise SystemExit(f"repro {args.command}: {exc}")
     if args.faults_out:
         if schedule is None:
             raise SystemExit("--faults-out needs a schedule (--faults or --fault-mtbf)")
@@ -305,12 +304,20 @@ def _flag_scenario(
     return scenario, schedule
 
 
-def _run(args: argparse.Namespace, scenario: Scenario, **options: Any) -> Any:
-    """Run a scenario the way ``repro run`` does; bad input exits with one line."""
+@contextmanager
+def _bad_input(args: argparse.Namespace, path: Any = None) -> Iterator[None]:
+    """The one place bad input exits 1 with a ``repro <cmd>: ...`` line.
+
+    Catches ``OSError``/``ValueError``; ``path`` (the file being read)
+    prefixes a reason that does not already name it.
+    """
     try:
-        return run_scenario(scenario, **options)
-    except ValueError as exc:
-        raise SystemExit(f"repro {args.command}: {exc}")
+        yield
+    except (OSError, ValueError) as exc:
+        reason = str(exc)
+        if path is not None and str(path) not in reason:
+            reason = f"{path}: {reason}"
+        raise SystemExit(f"repro {args.command}: {reason}") from None
 
 
 def _print_fault_totals(totals: dict[str, int]) -> None:
@@ -521,9 +528,8 @@ def _print_trial_result(result: Any) -> None:
 def cmd_trial(args: argparse.Namespace) -> int:
     """Run a single trial of one (heuristic, filters) policy."""
     scenario, schedule = _flag_scenario(args)
-    with _Outputs(args, label=scenario.label) as out:
-        result = _run(
-            args,
+    with _Outputs(args, label=scenario.label) as out, _bad_input(args):
+        result = run_scenario(
             scenario,
             metrics=out.metrics,
             sinks=out.sinks,
@@ -669,14 +675,14 @@ def cmd_serve(args: argparse.Namespace) -> int:
         for sig in (signal.SIGINT, signal.SIGTERM)
     }
     try:
-        result = _run(
-            args,
-            scenario,
-            timeline=out.timeline,
-            stop=lambda: stop_requested,
-            telemetry=telemetry,
-            perf=_resolve_perf(args),
-        )
+        with _bad_input(args):
+            result = run_scenario(
+                scenario,
+                timeline=out.timeline,
+                stop=lambda: stop_requested,
+                telemetry=telemetry,
+                perf=_resolve_perf(args),
+            )
     except BaseException:
         if server is not None:
             server.stop()
@@ -871,7 +877,7 @@ def _render_companion(data: Any) -> str:
     if isinstance(data, list) or (isinstance(data, dict) and "traceEvents" in data):
         events = data if isinstance(data, list) else data["traceEvents"]
         return profile_table([e for e in events if isinstance(e, dict)])
-    raise SystemExit(
+    raise ValueError(
         "unrecognized companion document (expected repro.metrics/1, "
         "repro.timeline/1, or Chrome traceEvents JSON)"
     )
@@ -879,11 +885,12 @@ def _render_companion(data: Any) -> str:
 
 def cmd_inspect_manifest(args: argparse.Namespace) -> int:
     """Render a run manifest; optionally verify saved results/trace."""
-    manifest = load_manifest(args.manifest)
+    with _bad_input(args, args.manifest):
+        manifest = load_manifest(args.manifest)
     print(manifest.summary())
     code = 0
     if args.results:
-        ensemble = ensemble_from_dict(load_json(args.results))
+        ensemble = _load_ensemble(args, args.results)
         problems = verify_ensemble(manifest, ensemble)
         if problems:
             for problem in problems:
@@ -892,7 +899,8 @@ def cmd_inspect_manifest(args: argparse.Namespace) -> int:
         else:
             print(f"results match: {args.results} is the run this manifest describes")
     if args.trace:
-        events = load_trace(args.trace)
+        with _bad_input(args, args.trace):
+            events = load_trace(args.trace)
         print()
         print(trace_summary_table(events))
     if args.metrics is not None:
@@ -901,22 +909,22 @@ def cmd_inspect_manifest(args: argparse.Namespace) -> int:
             if args.metrics == ""
             else pathlib.Path(args.metrics)
         )
-        if not companion.exists():
-            print(f"no companion file at {companion}")
-            code = 1
-        else:
-            print()
-            print(f"# {companion.name}")
-            print(_render_companion(load_json(companion)))
+        with _bad_input(args, companion):
+            rendered = _render_companion(load_json(companion))
+        print()
+        print(f"# {companion.name}")
+        print(rendered)
     return code
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
     """Render a top-spans table from a saved Chrome trace profile."""
-    events = load_profile_events(args.profile)
+    with _bad_input(args, args.profile):
+        events = load_profile_events(args.profile)
     print(profile_table(events, limit=args.limit))
     if args.timeline:
-        timeline = load_timeline(args.timeline)
+        with _bad_input(args, args.timeline):
+            timeline = load_timeline(args.timeline)
         print()
         print(timeline_table(timeline))
         if args.svg_dir:
@@ -927,9 +935,15 @@ def cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
+def _load_ensemble(args: argparse.Namespace, path: str) -> EnsembleResult:
+    """Read a saved ``repro.ensemble/1`` document; bad files exit with one line."""
+    with _bad_input(args, path):
+        return ensemble_from_dict(load_json(path))
+
+
 def cmd_report(args: argparse.Namespace) -> int:
     """Re-render tables from a saved ensemble JSON."""
-    ensemble = ensemble_from_dict(load_json(args.results))
+    ensemble = _load_ensemble(args, args.results)
     tasks = next(iter(ensemble.results.values()))[0].num_tasks
     _print_ensemble(ensemble, tasks, args.svg_dir)
     return 0
@@ -959,14 +973,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     """Run a scenario file end to end, printing the mode's summary."""
-    try:
+    with _bad_input(args):
         scenario = Scenario.from_file(args.scenario)
-    except (OSError, ScenarioError) as exc:
-        raise SystemExit(f"repro run: {exc}")
     shown = scenario.name or pathlib.Path(args.scenario).stem
     print(f"scenario {shown}: {scenario.label}, mode {scenario.mode} "
           f"(digest {scenario.digest()[:12]})")
-    result = _run(args, scenario)
+    with _bad_input(args):
+        result = run_scenario(scenario)
     if scenario.mode == "trial":
         _print_trial_result(result)
     elif scenario.mode == "ensemble":
@@ -1043,7 +1056,7 @@ def cmd_scenarios(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     """Paired significance test between two saved specs."""
-    ensemble = ensemble_from_dict(load_json(args.results))
+    ensemble = _load_ensemble(args, args.results)
     comparison = compare_variants(ensemble, _parse_spec(args.a), _parse_spec(args.b))
     print(comparison)
     verdict = "significant" if comparison.significant(args.alpha) else "not significant"

@@ -12,7 +12,7 @@ abandoned, freeing core time and energy for tasks that can still count.
 from __future__ import annotations
 
 from repro.robustness.completion import prob_on_time
-from repro.sim.engine import Engine
+from repro.sim.engine import Engine, EngineHooks
 from repro.stoch.ops import convolve
 from repro.stoch.pmf import PMF
 from repro.workload.task import Task
@@ -20,8 +20,8 @@ from repro.workload.task import Task
 __all__ = ["AbandonHopelessPolicy"]
 
 
-class AbandonHopelessPolicy:
-    """Engine hooks implementation that drops hopeless queued tasks.
+class AbandonHopelessPolicy(EngineHooks):
+    """Engine subscriber that drops hopeless queued tasks.
 
     Parameters
     ----------
@@ -41,14 +41,6 @@ class AbandonHopelessPolicy:
             raise ValueError("min_prob must be a probability")
         self.min_prob = float(min_prob)
         self.cancelled: list[int] = []
-
-    # -- EngineHooks interface ------------------------------------------------
-
-    def on_mapped(self, engine: Engine, task: Task, core_id: int, pstate: int) -> None:
-        """No action on mapping."""
-
-    def on_discarded(self, engine: Engine, task: Task) -> None:
-        """No action on discards."""
 
     def on_completion(self, engine: Engine, core_id: int, task: Task, t_now: float) -> None:
         """Re-evaluate the completing core's queue and abandon lost causes.

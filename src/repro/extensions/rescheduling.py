@@ -16,15 +16,15 @@ energy estimate by the EEC delta).
 from __future__ import annotations
 
 from repro.robustness.completion import prob_on_time
-from repro.sim.engine import Engine
+from repro.sim.engine import Engine, EngineHooks
 from repro.stoch.pmf import PMF
 from repro.workload.task import Task
 
 __all__ = ["WorkStealingPolicy"]
 
 
-class WorkStealingPolicy:
-    """Engine hooks implementation: idle cores steal backlogged work.
+class WorkStealingPolicy(EngineHooks):
+    """Engine subscriber: idle cores steal backlogged work.
 
     Parameters
     ----------
@@ -44,14 +44,6 @@ class WorkStealingPolicy:
             raise ValueError("min_gain must be a probability delta in [0, 1]")
         self.min_gain = float(min_gain)
         self.steals: list[tuple[int, int, int]] = []
-
-    # -- EngineHooks interface ------------------------------------------------
-
-    def on_mapped(self, engine: Engine, task: Task, core_id: int, pstate: int) -> None:
-        """No action on mapping."""
-
-    def on_discarded(self, engine: Engine, task: Task) -> None:
-        """No action on discards."""
 
     def on_completion(self, engine: Engine, core_id: int, task: Task, t_now: float) -> None:
         """Steal for the just-freed core when it would otherwise idle."""

@@ -150,7 +150,7 @@ def ensemble_to_dict(ensemble: EnsembleResult) -> dict[str, Any]:
 
 def ensemble_from_dict(data: dict[str, Any]) -> EnsembleResult:
     """Rebuild an ensemble from :func:`ensemble_to_dict` output."""
-    if data.get("format") != _ENSEMBLE_FORMAT:
+    if not isinstance(data, dict) or data.get("format") != _ENSEMBLE_FORMAT:
         raise ValueError(f"not a {_ENSEMBLE_FORMAT} document")
     specs = tuple(
         VariantSpec(heuristic=s["heuristic"], variant=s["variant"]) for s in data["specs"]

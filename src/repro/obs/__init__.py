@@ -16,7 +16,7 @@ inspectable without touching the engine's hot path:
   :class:`~repro.obs.sinks.MetricsRegistry` of counters and histograms
   that merges across worker processes;
 * :mod:`repro.obs.hooks` — the :class:`~repro.obs.hooks.ObservingHooks`
-  adapter that plugs into the engine's ``EngineHooks`` protocol, plus
+  subscriber that turns the engine's ``EngineHooks`` callbacks into events, plus
   :func:`~repro.obs.hooks.observe_trial`;
 * :mod:`repro.obs.manifest` — run manifests (config digest, seeds,
   version, git SHA, per-trial result digests) so any saved figure is
@@ -26,7 +26,7 @@ inspectable without touching the engine's hot path:
   Chrome trace-event JSON (Perfetto-loadable);
 * :mod:`repro.obs.timeline` — system-state snapshots (queue depth,
   busy cores, energy estimate, completions/discards) sampled on a
-  uniform simulated-time grid;
+  uniform simulated-time grid by another ``EngineHooks`` subscriber;
 * :mod:`repro.obs.telemetry` — live service instruments (counters,
   EWMA rates, P² streaming quantiles), SLO alert rules and online
   steady-state estimates, inert by default (:data:`NULL_TELEMETRY`);

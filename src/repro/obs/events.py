@@ -317,8 +317,11 @@ def event_from_dict(data: dict[str, Any]) -> Event:
     """Rebuild an event from :func:`event_to_dict` output.
 
     Unknown keys are rejected (they indicate a schema drift the reader
-    should not silently swallow); unknown kinds raise ``ValueError``.
+    should not silently swallow); unknown kinds and non-objects raise
+    ``ValueError``.
     """
+    if not isinstance(data, dict):
+        raise ValueError(f"not an event object ({type(data).__name__})")
     kind = data.get("kind")
     cls = EVENT_KINDS.get(kind)  # type: ignore[arg-type]
     if cls is None:

@@ -1,13 +1,13 @@
-"""Adapting the engine's ``EngineHooks`` protocol to event sinks.
+"""Adapting the engine's ``EngineHooks`` subscriber channel to event sinks.
 
 :class:`ObservingHooks` is the only place event objects are constructed,
-and :func:`observe_trial` attaches it only when a sink, metrics registry
-or timeline listens, so the engine hot path stays allocation-free when
-observability is off.
+and :func:`observe_trial` subscribes it only when a sink or metrics
+registry listens (and a timeline recorder only when one is given), so
+the engine hot path stays allocation-free when observability is off.
 
 :func:`observe_trial` wraps one :class:`repro.sim.engine.Engine` run
 with the trial-lifecycle events (``TrialStarted``, ``EnergyExhausted``,
-``TrialFinished``) that the per-event hook protocol cannot see, and
+``TrialFinished``) that the per-event subscriber callbacks cannot see, and
 optionally times every heuristic decision via :class:`TimedHeuristic`,
 every filter evaluation via :class:`TimedFilterChain`, every pmf
 operation via the :mod:`repro.stoch.ops` observer, and the engine's own
@@ -49,7 +49,7 @@ from repro.obs.spans import SpanRecorder
 from repro.obs.timeline import TimelineRecorder
 from repro.perf.kernel_cache import PerfConfig
 from repro.perf.trial_cache import TrialCache
-from repro.sim.engine import Engine
+from repro.sim.engine import Engine, EngineHooks
 from repro.sim.results import TrialResult
 from repro.sim.system import TrialSystem
 from repro.stoch.ops import set_op_observer
@@ -63,8 +63,8 @@ __all__ = [
 ]
 
 
-class ObservingHooks:
-    """``EngineHooks`` implementation that fans events out to sinks.
+class ObservingHooks(EngineHooks):
+    """``EngineHooks`` subscriber that fans events out to sinks.
 
     Parameters
     ----------
@@ -74,9 +74,6 @@ class ObservingHooks:
     metrics:
         Optional registry; when given, mapping/discard/completion
         counters and the queue-depth histogram are updated per event.
-    timeline:
-        Optional :class:`~repro.obs.timeline.TimelineRecorder`; when
-        given, system-state snapshots are sampled on its sim-time grid.
     """
 
     def __init__(
@@ -84,17 +81,15 @@ class ObservingHooks:
         sinks: Sequence[EventSink] = (),
         *,
         metrics: MetricsRegistry | None = None,
-        timeline: TimelineRecorder | None = None,
     ) -> None:
         self.sinks = tuple(sinks)
         self.metrics = metrics
-        self.timeline = timeline
 
     def _emit(self, event: Event) -> None:
         for sink in self.sinks:
             sink.emit(event)
 
-    # -- EngineHooks protocol -------------------------------------------
+    # -- EngineHooks -------------------------------------------------------
 
     def on_mapped(self, engine: "Engine", task: Task, core_id: int, pstate: int) -> None:
         depth = engine.avg_queue_depth
@@ -112,16 +107,12 @@ class ObservingHooks:
         if self.metrics is not None:
             self.metrics.inc("tasks_mapped")
             self.metrics.observe("queue_depth", depth, DEPTH_EDGES)
-        if self.timeline is not None:
-            self.timeline.on_mapped(engine)
 
     def on_discarded(self, engine: "Engine", task: Task) -> None:
         event = TaskDiscarded(t=engine.now, task_id=task.task_id, type_id=task.type_id)
         self._emit(event)
         if self.metrics is not None:
             self.metrics.inc(f"tasks_discarded.{event.cause}")
-        if self.timeline is not None:
-            self.timeline.on_discarded(engine)
 
     def on_completion(self, engine: "Engine", core_id: int, task: Task, t_now: float) -> None:
         self._emit(
@@ -131,8 +122,6 @@ class ObservingHooks:
         )
         if self.metrics is not None:
             self.metrics.inc("tasks_completed")
-        if self.timeline is not None:
-            self.timeline.on_completion(engine)
 
     # -- fault-layer hooks (only called when faults/shedding are active) --
 
@@ -306,8 +295,9 @@ def observe_trial(
     """Run one trial, with whatever observability is attached.
 
     The one trial driver behind :class:`repro.experiments.runner.TrialPlan`.
-    With no ``sinks``, ``metrics`` or ``timeline`` the engine runs
-    without hooks, so an unobserved trial allocates no events.
+    The engine's subscribers are the :class:`ObservingHooks` adapter (if
+    ``sinks`` or ``metrics`` listen) and then ``timeline``, so an
+    unobserved trial runs without subscribers and allocates no events.
     Identical simulation semantics to :func:`repro.sim.engine.run_trial`
     — hooks observe, they never steer, decision timing wraps the
     heuristic without touching its choices, and span/timeline recording
@@ -329,16 +319,13 @@ def observe_trial(
 
     ``faults``/``fault_policy``/``shedding`` thread the in-simulation
     fault layer (see :mod:`repro.faults`) through to the engine; the
-    attached hooks then also emit ``FaultInjected``/``TaskOrphaned``/
+    adapter then also emits ``FaultInjected``/``TaskOrphaned``/
     ``TaskShed`` events and the matching ``faults.*``/``tasks_*``
     counters.  Left at ``None``, the run is bitwise identical to a
     fault-free trial.
     """
-    hooks = (
-        ObservingHooks(sinks, metrics=metrics, timeline=timeline)
-        if sinks or metrics is not None or timeline is not None
-        else None
-    )
+    adapter = ObservingHooks(sinks, metrics=metrics) if sinks or metrics is not None else None
+    hooks = tuple(hook for hook in (adapter, timeline) if hook is not None)
     engine_heuristic: Heuristic = heuristic
     if metrics is not None or profile is not None:
         engine_heuristic = TimedHeuristic(heuristic, metrics, recorder=profile)
@@ -349,8 +336,8 @@ def observe_trial(
     if metrics is not None:
         previous_observer = set_op_observer(_StochObserver(metrics))
     try:
-        if hooks is not None:
-            hooks.trial_started(system, heuristic, filter_chain)
+        if adapter is not None:
+            adapter.trial_started(system, heuristic, filter_chain)
         engine = Engine(
             system,
             engine_heuristic,
@@ -368,8 +355,8 @@ def observe_trial(
                 result = engine.run()
         else:
             result = engine.run()
-        if hooks is not None:
-            hooks.trial_finished(result)
+        if adapter is not None:
+            adapter.trial_finished(result)
         stats = engine.kernel_cache_stats()
         if metrics is not None and stats is not None:
             label = f"{heuristic.name}/{filter_chain.label}"

@@ -153,7 +153,7 @@ class RunManifest:
     @staticmethod
     def from_dict(data: dict[str, Any]) -> "RunManifest":
         """Rebuild from :meth:`to_dict` output."""
-        if data.get("format") != _FORMAT:
+        if not isinstance(data, dict) or data.get("format") != _FORMAT:
             raise ValueError(f"not a {_FORMAT} document")
         return RunManifest(
             config_digest=str(data["config_digest"]),

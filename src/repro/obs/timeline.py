@@ -15,18 +15,18 @@ trial it describes — and the number of samples is bounded by
 ``makespan / dt`` regardless of event density.
 
 Like every other observability surface, timelines observe and never
-steer: the engine does not know this module exists (the
-:class:`~repro.obs.hooks.ObservingHooks` adapter drives the recorder).
+steer: the engine does not know this module exists; the recorder is an
+:class:`~repro.sim.engine.EngineHooks` subscriber like any other.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Iterable
+from typing import Any, Iterable
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sim.engine import Engine
+from repro.sim.engine import Engine, EngineHooks
+from repro.workload.task import Task
 
 __all__ = ["TimelineSample", "TimelineRecorder", "TimelineSet", "TIMELINE_FORMAT"]
 
@@ -57,7 +57,7 @@ class TimelineSample:
         return sum(self.node_depth)
 
 
-class TimelineRecorder:
+class TimelineRecorder(EngineHooks):
     """Samples engine state every ``dt`` simulated seconds of one trial.
 
     ``stream``/``label`` identify the trial (and spec) the way span
@@ -91,23 +91,23 @@ class TimelineRecorder:
         self._completed = 0
         self._discarded = 0
 
-    # -- callbacks driven by ObservingHooks -----------------------------
+    # -- EngineHooks ------------------------------------------------------
 
-    def on_mapped(self, engine: "Engine") -> None:
+    def on_mapped(self, engine: Engine, task: Task, core_id: int, pstate: int) -> None:
         """A task was mapped; sample any ticks the sim just crossed."""
         self._sample_up_to(engine)
 
-    def on_discarded(self, engine: "Engine") -> None:
+    def on_discarded(self, engine: Engine, task: Task) -> None:
         """A task was discarded; bump the cumulative count and sample."""
         self._discarded += 1
         self._sample_up_to(engine)
 
-    def on_completion(self, engine: "Engine") -> None:
+    def on_completion(self, engine: Engine, core_id: int, task: Task, t_now: float) -> None:
         """A task completed; bump the cumulative count and sample."""
         self._completed += 1
         self._sample_up_to(engine)
 
-    def _sample_up_to(self, engine: "Engine") -> None:
+    def _sample_up_to(self, engine: Engine) -> None:
         now = engine.now
         if self._next_t > now:
             return
@@ -194,7 +194,7 @@ class TimelineSet:
     @staticmethod
     def from_dict(data: dict[str, Any]) -> "TimelineSet":
         """Rebuild from :meth:`to_dict` output."""
-        if data.get("format") != TIMELINE_FORMAT:
+        if not isinstance(data, dict) or data.get("format") != TIMELINE_FORMAT:
             raise ValueError(f"not a {TIMELINE_FORMAT} document")
         out = TimelineSet(float(data["dt"]))
         for stream in data["streams"]:

@@ -44,7 +44,7 @@ from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.obs.timeline import TimelineRecorder
 from repro.perf.kernel_cache import PerfConfig
 from repro.registry import TRAFFIC_PLUGINS, TrafficContext
-from repro.sim.engine import Engine
+from repro.sim.engine import Engine, EngineHooks
 from repro.sim.metrics import WindowAccumulator, WindowStats
 from repro.sim.results import TrialResult
 from repro.sim.state import RollingEnergyBudget
@@ -283,8 +283,8 @@ class _LuckSource:
         return float(values[offset])
 
 
-class _ServiceHooks:
-    """EngineHooks adapter feeding the window accumulator (and timeline).
+class _ServiceHooks(EngineHooks):
+    """EngineHooks subscriber feeding the window accumulator.
 
     The telemetry hub rides along: every feed is guarded by the hub's
     class-level ``enabled`` flag, so with :data:`NULL_TELEMETRY` the
@@ -293,29 +293,19 @@ class _ServiceHooks:
     parity tests pin.
     """
 
-    __slots__ = ("acc", "timeline", "tele")
+    __slots__ = ("acc", "tele")
 
-    def __init__(
-        self,
-        acc: WindowAccumulator,
-        timeline: TimelineRecorder | None = None,
-        telemetry: Telemetry = NULL_TELEMETRY,
-    ) -> None:
+    def __init__(self, acc: WindowAccumulator, telemetry: Telemetry = NULL_TELEMETRY) -> None:
         self.acc = acc
-        self.timeline = timeline
         self.tele = telemetry
 
     def on_mapped(self, engine: Engine, task: Task, core_id: int, pstate: int) -> None:
         self.acc.on_mapped(engine.now, engine.in_system)
-        if self.timeline is not None:
-            self.timeline.on_mapped(engine)
         if self.tele.enabled:
             self.tele.on_mapped(engine.now, engine.avg_queue_depth)
 
     def on_discarded(self, engine: Engine, task: Task) -> None:
         self.acc.on_discarded(engine.now, engine.in_system)
-        if self.timeline is not None:
-            self.timeline.on_discarded(engine)
         if self.tele.enabled:
             self.tele.on_discarded(engine.now)
 
@@ -324,8 +314,6 @@ class _ServiceHooks:
     ) -> None:
         late = t_now > task.deadline + _LATE_TOL
         self.acc.on_completion(t_now, late, engine.in_system)
-        if self.timeline is not None:
-            self.timeline.on_completion(engine)
         if self.tele.enabled:
             self.tele.on_completion(t_now, t_now - task.arrival, not late)
 
@@ -472,7 +460,7 @@ def serve_system(
         system,
         heuristic,
         chain,
-        hooks=_ServiceHooks(acc, timeline, telemetry),
+        hooks=tuple(h for h in (_ServiceHooks(acc, telemetry), timeline) if h is not None),
         ledger=ledger,
         rolling_budget=budget,
         tasks_left=planning,

@@ -35,7 +35,7 @@ from __future__ import annotations
 import heapq
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Protocol
+from typing import Callable, Iterable, Iterator, Protocol, Sequence
 
 import numpy as np
 
@@ -55,7 +55,6 @@ from repro.heuristics.base import Assignment, Heuristic, MappingContext
 from repro.perf.kernel_cache import CacheStats, PerfConfig
 from repro.perf.trial_cache import TrialCache
 from repro.sim.mapper import CandidateBuilder
-from repro.sim.metrics import TraceCollector
 from repro.sim.results import TaskOutcome, TrialResult
 from repro.sim.state import CoreState, QueuedTask, RollingEnergyBudget, RunningTask
 from repro.sim.system import TrialSystem
@@ -76,13 +75,22 @@ _ARRIVAL = 2
 _REARRIVAL = 3
 
 
-class EngineHooks(Protocol):
-    """Extension points invoked by the engine (all optional semantics).
+class EngineHooks:
+    """Base class of the engine's subscribers: every callback is a no-op.
+
+    ``Engine(hooks=...)`` takes a sequence of these and calls each
+    callback on every subscriber, in subscription order.  Subclasses
+    override only the callbacks they need.  While a callback runs, the
+    engine's ``now``, ``energy_estimate`` and the latest mapping
+    decision (``decision_queue_depth``, ``decision_feasible``,
+    ``decision_rho``, ``decision``) are readable on it.
 
     Implementations may mutate queues through the engine's public
     cancellation API; they must not touch running tasks (the model
     executes committed tasks to completion, Section III-B).
     """
+
+    __slots__ = ()
 
     def on_mapped(self, engine: "Engine", task: Task, core_id: int, pstate: int) -> None:
         """Called after a successful mapping."""
@@ -93,16 +101,19 @@ class EngineHooks(Protocol):
     def on_completion(self, engine: "Engine", core_id: int, task: Task, t_now: float) -> None:
         """Called after a task finishes and before the next one starts."""
 
-    # Fault-layer callbacks are *optional*: the engine resolves them
-    # with getattr at construction, so hook implementations written
-    # before the fault model keep working unchanged.
-    #
-    #   on_fault(engine, transition: FaultTransition)
-    #   on_orphaned(engine, task, core_id, disposition)
-    #       disposition: "remapped" (displaced, re-placed), "lost"
-    #       (displaced, no surviving placement), "killed" (running task
-    #       terminated under the "lost" policy)
-    #   on_shed(engine, task, cause, deferred: bool)
+    def on_fault(self, engine: "Engine", transition: FaultTransition) -> None:
+        """Called after a fault transition is folded into cluster state."""
+
+    def on_orphaned(self, engine: "Engine", task: Task, core_id: int, disposition: str) -> None:
+        """Called for each task an outage hit on ``core_id``.
+
+        ``disposition`` is ``"remapped"`` (displaced, re-placed),
+        ``"lost"`` (displaced, no surviving placement) or ``"killed"``
+        (running task terminated under the ``"lost"`` policy).
+        """
+
+    def on_shed(self, engine: "Engine", task: Task, cause: str, deferred: bool) -> None:
+        """Called when admission defers (``deferred``) or sheds an arrival."""
 
 
 class Tracer(Protocol):
@@ -153,10 +164,11 @@ class Engine:
         The generated trial environment (shareable across variants).
     heuristic, filter_chain:
         The policy under test.
-    collector:
-        Optional :class:`~repro.sim.metrics.TraceCollector`.
     hooks:
-        Optional :class:`EngineHooks` for extensions.
+        :class:`EngineHooks` subscribers, called in order on every
+        mapping, discard, completion, fault, orphan and shed.  Mapping
+        traces, observability adapters, timelines and the Section VIII
+        extensions all attach here.
     tracer:
         Optional :class:`Tracer` timing each event handler as a span
         (``engine.arrival``, ``engine.completion``, ``engine.fault``,
@@ -231,8 +243,7 @@ class Engine:
         heuristic: Heuristic,
         filter_chain: FilterChain,
         *,
-        collector: TraceCollector | None = None,
-        hooks: EngineHooks | None = None,
+        hooks: Sequence[EngineHooks] = (),
         tracer: Tracer | None = None,
         perf: PerfConfig | None = None,
         shared: TrialCache | None = None,
@@ -248,8 +259,7 @@ class Engine:
         self.system = system
         self.heuristic = heuristic
         self.filter_chain = filter_chain
-        self.collector = collector
-        self.hooks = hooks
+        self.hooks = tuple(hooks)
         self.tracer = tracer if tracer is not None else _NULL_TRACER
         if perf is None:
             perf = shared.perf if shared is not None else PerfConfig()
@@ -292,7 +302,7 @@ class Engine:
         self._in_system = 0
 
         self.fault_stats = FaultStats()
-        self._fault_policy = fault_policy if fault_policy is not None else FaultPolicy()
+        self.fault_policy = fault_policy if fault_policy is not None else FaultPolicy()
         if faults is not None and faults.events:
             self._fault_transitions: tuple[FaultTransition, ...] = faults.transitions(
                 cluster
@@ -309,11 +319,12 @@ class Engine:
             if shedding is not None and shedding.enabled
             else None
         )
-        # Optional fault-layer hooks, resolved once so pre-fault hook
-        # implementations (which lack these methods) keep working.
-        self._on_fault = getattr(hooks, "on_fault", None)
-        self._on_orphaned = getattr(hooks, "on_orphaned", None)
-        self._on_shed = getattr(hooks, "on_shed", None)
+        # The latest mapping decision, set by _map (rho 0.0 when nothing
+        # was chosen, decision None when nothing was committed).
+        self.decision_queue_depth = 0.0
+        self.decision_feasible = 0
+        self.decision_rho = 0.0
+        self.decision: Assignment | None = None
 
         # Heap payloads: the arriving Task, a completing (core id,
         # epoch) pair, or a FaultTransition.  ``seq`` is unique, so
@@ -467,8 +478,8 @@ class Engine:
         self.fault_stats.shed += 1
         if self._track_outcomes:
             self._outcomes[task.task_id] = None
-        if self._on_shed is not None:
-            self._on_shed(self, task, cause, False)
+        for hook in self.hooks:
+            hook.on_shed(self, task, cause, False)
 
     def _handle_arrival(self, task: Task, t_now: float) -> None:
         """An arrival passes admission, is mapped, and meets the rho floor."""
@@ -484,8 +495,8 @@ class Engine:
             if action == "defer":
                 self.fault_stats.deferred += 1
                 self._push(t_now + self._shedder.config.defer, _REARRIVAL, task)
-                if self._on_shed is not None:
-                    self._on_shed(self, task, cause, True)
+                for hook in self.hooks:
+                    hook.on_shed(self, task, cause, True)
                 return
             if action == "shed":
                 self._shed(task, t_now, cause)
@@ -500,10 +511,11 @@ class Engine:
         elif placed is None:
             if self._track_outcomes:
                 self._outcomes[task.task_id] = None
-            if self.hooks is not None:
-                self.hooks.on_discarded(self, task)
-        elif self.hooks is not None:
-            self.hooks.on_mapped(self, task, placed.core_id, placed.pstate)
+            for hook in self.hooks:
+                hook.on_discarded(self, task)
+        else:
+            for hook in self.hooks:
+                hook.on_mapped(self, task, placed.core_id, placed.pstate)
 
     def _map(
         self, task: Task, t_now: float, veto: Callable[[float], bool] | None = None
@@ -540,14 +552,14 @@ class Engine:
             np.logical_and(cands.mask, self._availability.mask, out=cands.mask)
         self.filter_chain.apply(cands, ctx)
         index = self.heuristic.select(cands, ctx)
-        if index is None or (veto is not None and veto(float(cands.prob_on_time[index]))):
-            if self.collector is not None:
-                self.collector.record_mapping(
-                    t_now, ctx.avg_queue_depth, self.energy_estimate, -1, cands.num_feasible
-                )
+        self.decision_queue_depth = ctx.avg_queue_depth
+        self.decision_feasible = cands.num_feasible
+        self.decision = None
+        self.decision_rho = 0.0 if index is None else float(cands.prob_on_time[index])
+        if index is None or (veto is not None and veto(self.decision_rho)):
             return None if index is None else _VETOED
 
-        assignment = cands.assignment(index)
+        assignment = self.decision = cands.assignment(index)
         eec = float(cands.eec[index])
         if self.rolling_budget is not None:
             self.energy_estimate = self.rolling_budget.draw(eec)
@@ -568,15 +580,6 @@ class Engine:
             self._start_task(core, entry, t_now)
         else:
             core.enqueue(entry)
-        if self.collector is not None:
-            self.collector.record_mapping(
-                t_now,
-                ctx.avg_queue_depth,
-                self.energy_estimate,
-                assignment.pstate,
-                cands.num_feasible,
-                chosen_prob=float(cands.prob_on_time[index]),
-            )
         return assignment
 
     def _handle_completion(self, payload: tuple[int, int], t_now: float) -> bool:
@@ -590,8 +593,8 @@ class Engine:
         assert running is not None, "completion event for an idle core"
         core.clear_running()
         self._in_system -= 1
-        if self.hooks is not None:
-            self.hooks.on_completion(self, core_id, running.task, t_now)
+        for hook in self.hooks:
+            hook.on_completion(self, core_id, running.task, t_now)
         if core.running is not None:
             return True  # a hook (e.g. work stealing) already started new work
         nxt = core.pop_next()
@@ -610,19 +613,19 @@ class Engine:
             # needs; down cores were drained when they failed.
             if transition.is_outage:
                 stats.recoveries += 1
-            if self._on_fault is not None:
-                self._on_fault(self, transition)
+            for hook in self.hooks:
+                hook.on_fault(self, transition)
             return
         if not transition.is_outage:
             # Slowdown: committed work keeps its P-state (assignments
             # are final, Section III-B); only future mappings are capped.
             stats.slowdowns += 1
-            if self._on_fault is not None:
-                self._on_fault(self, transition)
+            for hook in self.hooks:
+                hook.on_fault(self, transition)
             return
 
         stats.outages += 1
-        policy = self._fault_policy
+        policy = self.fault_policy
         orphans: list[tuple[Task, int]] = []
         for core_id in transition.core_ids:
             core = self.cores[core_id]
@@ -636,13 +639,13 @@ class Engine:
                     stats.lost += 1
                     if self._track_outcomes:
                         self._outcomes[running.task.task_id] = None
-                    if self._on_orphaned is not None:
-                        self._on_orphaned(self, running.task, core_id, "killed")
+                    for hook in self.hooks:
+                        hook.on_orphaned(self, running.task, core_id, "killed")
             for entry in core.drain_queue():
                 self._in_system -= 1
                 orphans.append((entry.task, core_id))
-        if self._on_fault is not None:
-            self._on_fault(self, transition)
+        for hook in self.hooks:
+            hook.on_fault(self, transition)
         # Re-map displaced work in task order through the normal stack
         # against the surviving cluster; failures become losses.
         orphans.sort(key=lambda pair: pair[0].task_id)
@@ -650,14 +653,14 @@ class Engine:
             stats.orphaned += 1
             if policy.remap and self._map(task, t_now) is not None:
                 stats.remapped += 1
-                if self._on_orphaned is not None:
-                    self._on_orphaned(self, task, core_id, "remapped")
+                for hook in self.hooks:
+                    hook.on_orphaned(self, task, core_id, "remapped")
             else:
                 stats.lost += 1
                 if self._track_outcomes:
                     self._outcomes[task.task_id] = None
-                if self._on_orphaned is not None:
-                    self._on_orphaned(self, task, core_id, "lost")
+                for hook in self.hooks:
+                    hook.on_orphaned(self, task, core_id, "lost")
 
     # ------------------------------------------------------------------
     # Main loop
@@ -835,8 +838,7 @@ def run_trial(
     heuristic: Heuristic,
     filter_chain: FilterChain,
     *,
-    collector: TraceCollector | None = None,
-    hooks: EngineHooks | None = None,
+    hooks: Sequence[EngineHooks] = (),
     tracer: Tracer | None = None,
     perf: PerfConfig | None = None,
     shared: TrialCache | None = None,
@@ -849,7 +851,6 @@ def run_trial(
         system,
         heuristic,
         filter_chain,
-        collector=collector,
         hooks=hooks,
         tracer=tracer,
         perf=perf,

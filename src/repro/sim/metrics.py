@@ -1,14 +1,15 @@
 """Optional time-series traces and windowed metrics of a running trial.
 
-The engine emits samples into a :class:`TraceCollector` when one is
-supplied; the default (no collector) keeps the hot path allocation-free.
-Traces feed the examples and the diagnostic analysis in
-:mod:`repro.analysis`, not the headline results.
+:class:`TraceCollector` is an :class:`~repro.sim.engine.EngineHooks`
+subscriber: pass it in ``Engine(hooks=...)`` / ``run_trial(hooks=...)``
+and it samples every mapping decision; an engine with no subscribers
+keeps the hot path allocation-free.  Traces feed the examples and the
+diagnostic analysis in :mod:`repro.analysis`, not the headline results.
 
 The collector stores *columnar* per-mapping samples for NumPy analysis.
 For typed per-event records (JSONL traces, counters/histograms, run
-manifests) use :mod:`repro.obs`, which attaches through the engine's
-``EngineHooks`` protocol instead.
+manifests) use :mod:`repro.obs`, whose adapter subscribes through the
+same ``hooks`` sequence.
 
 Continuous-service mode cannot keep per-task state, so it aggregates
 into fixed-length time windows instead: :class:`WindowStats` is the
@@ -26,6 +27,10 @@ from typing import Any, Callable, Iterable, Mapping
 
 import numpy as np
 
+from repro.faults import SHED_MIN_PROB
+from repro.sim.engine import Engine, EngineHooks
+from repro.workload.task import Task
+
 __all__ = [
     "TraceCollector",
     "WindowStats",
@@ -35,8 +40,14 @@ __all__ = [
 
 
 @dataclass
-class TraceCollector:
-    """Accumulates per-event samples of system state.
+class TraceCollector(EngineHooks):
+    """Accumulates one sample of system state per mapping decision.
+
+    A decision is every pass through the engine's mapping step: an
+    arrival mapped, discarded or vetoed by the ``min_prob`` shedding
+    floor, and an outage's orphan re-mapped or lost for want of a
+    surviving placement.  Orphans lost without a re-map attempt, killed
+    tasks and admission sheds or deferrals are not decisions.
 
     Attributes
     ----------
@@ -65,22 +76,32 @@ class TraceCollector:
     chosen_probs: list[float] = field(default_factory=list)
     feasible_counts: list[int] = field(default_factory=list)
 
-    def record_mapping(
-        self,
-        t_now: float,
-        queue_depth: float,
-        energy_estimate: float,
-        chosen_pstate: int,
-        feasible: int,
-        chosen_prob: float = 0.0,
-    ) -> None:
-        """Store one mapping event's snapshot."""
-        self.arrival_times.append(t_now)
-        self.queue_depths.append(queue_depth)
-        self.energy_estimates.append(energy_estimate)
-        self.chosen_pstates.append(chosen_pstate)
-        self.chosen_probs.append(chosen_prob)
-        self.feasible_counts.append(feasible)
+    def _record(self, engine: Engine, pstate: int = -1, prob: float = 0.0) -> None:
+        """Store the engine's latest mapping decision (``-1``/``0.0``: none)."""
+        self.arrival_times.append(engine.now)
+        self.queue_depths.append(engine.decision_queue_depth)
+        self.energy_estimates.append(engine.energy_estimate)
+        self.chosen_pstates.append(pstate)
+        self.chosen_probs.append(prob)
+        self.feasible_counts.append(engine.decision_feasible)
+
+    # -- EngineHooks ------------------------------------------------------
+
+    def on_mapped(self, engine: Engine, task: Task, core_id: int, pstate: int) -> None:
+        self._record(engine, pstate, engine.decision_rho)
+
+    def on_discarded(self, engine: Engine, task: Task) -> None:
+        self._record(engine)
+
+    def on_shed(self, engine: Engine, task: Task, cause: str, deferred: bool) -> None:
+        if cause == SHED_MIN_PROB and not deferred:
+            self._record(engine)
+
+    def on_orphaned(self, engine: Engine, task: Task, core_id: int, disposition: str) -> None:
+        if disposition == "remapped":
+            self._record(engine, engine.decision.pstate, engine.decision_rho)
+        elif disposition == "lost" and engine.fault_policy.remap:
+            self._record(engine)
 
     def predicted_on_time(self) -> float:
         """Expected on-time completions as predicted at mapping time.

@@ -35,7 +35,7 @@ class TestCancellationBehavior:
             system,
             MinimumExpectedCompletionTime(),
             build_filter_chain("none"),
-            hooks=policy,
+            hooks=(policy,),
         )
         return baseline, cancelled, policy
 

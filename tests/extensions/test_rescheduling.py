@@ -30,7 +30,7 @@ class TestWorkStealing:
 
         baseline = run_trial(system, random_h(), build_filter_chain("rob"))
         policy = WorkStealingPolicy(min_gain=0.02)
-        stealing = run_trial(system, random_h(), build_filter_chain("rob"), hooks=policy)
+        stealing = run_trial(system, random_h(), build_filter_chain("rob"), hooks=(policy,))
         return baseline, stealing, system, policy
 
     def test_steals_happen_under_imbalance(self, runs):

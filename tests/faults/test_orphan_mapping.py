@@ -26,7 +26,7 @@ from repro.faults import (
 from repro.filters.chain import build_filter_chain
 from repro.heuristics.registry import build_heuristic
 from repro.registry import ADMISSION_PLUGINS, register_admission
-from repro.sim.engine import Engine
+from repro.sim.engine import Engine, EngineHooks
 from tests.conftest import tiny_config
 
 OUTAGE_AT = 600.0
@@ -71,19 +71,10 @@ class _SpyAdmission(AdmissionController):
         return super().below_prob_floor(prob)
 
 
-class _Recorder:
+class _Recorder(EngineHooks):
     def __init__(self) -> None:
         self.orphaned: dict[int, str] = {}
         self.shed: list[tuple[int, str, bool, float]] = []
-
-    def on_mapped(self, engine, task, core_id, pstate):
-        pass
-
-    def on_discarded(self, engine, task):
-        pass
-
-    def on_completion(self, engine, core_id, task, t_now):
-        pass
 
     def on_orphaned(self, engine, task, core_id, disposition):
         self.orphaned[task.task_id] = disposition
@@ -115,7 +106,7 @@ def run():
             system,
             heuristic,
             build_filter_chain("none", system.config.filters),
-            hooks=hooks,
+            hooks=(hooks,),
             faults=FaultSchedule((FaultEvent("node_outage", 0, OUTAGE_AT, 3000.0),)),
             fault_policy=FaultPolicy(running="resume", remap=True),
             shedding=SheddingConfig(policy=SPY_POLICY, **SHEDDING),

@@ -41,7 +41,7 @@ def run_with_collector(seed: int, spec: VariantSpec):
         spec.heuristic, rng_mod.stream(seed, "rho-val", spec.label)
     )
     result = run_trial(
-        system, heuristic, build_filter_chain(spec.variant), collector=collector
+        system, heuristic, build_filter_chain(spec.variant), hooks=(collector,)
     )
     on_time_actual = sum(1 for o in result.outcomes if o.on_time())
     return collector.predicted_on_time(), on_time_actual, result

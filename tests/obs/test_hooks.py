@@ -61,8 +61,8 @@ class TestOptIn:
 
     def test_run_trial_defaults_to_no_hooks(self):
         signature = inspect.signature(run_trial)
-        assert signature.parameters["hooks"].default is None
-        assert signature.parameters["collector"].default is None
+        assert signature.parameters["hooks"].default == ()
+        assert "collector" not in signature.parameters
 
 
 class TestEventStream:
@@ -148,7 +148,7 @@ class TestObservationIsInert:
     def test_hooks_without_sinks_or_metrics_are_harmless(self):
         system = build_trial_system(micro_config(seed=2))
         result = run_trial(
-            system, LightestLoad(), build_filter_chain("none"), hooks=ObservingHooks()
+            system, LightestLoad(), build_filter_chain("none"), hooks=(ObservingHooks(),)
         )
         assert result.num_tasks == system.num_tasks
 

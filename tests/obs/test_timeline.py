@@ -49,13 +49,13 @@ class TestTimelineRecorder:
         rec = TimelineRecorder(10.0)
         engine = _FakeEngine()
         engine.now = 0.0
-        rec.on_mapped(engine)  # crosses tick 0
+        rec.on_mapped(engine, None, 0, 0)  # crosses tick 0
         assert [s.t for s in rec.samples] == [0.0]
         engine.now = 35.0
-        rec.on_completion(engine)  # crosses ticks 10, 20, 30
+        rec.on_completion(engine, 0, None, engine.now)  # crosses ticks 10, 20, 30
         assert [s.t for s in rec.samples] == [0.0, 10.0, 20.0, 30.0]
         engine.now = 36.0
-        rec.on_mapped(engine)  # no new tick crossed
+        rec.on_mapped(engine, None, 0, 0)  # no new tick crossed
         assert len(rec) == 4
 
     def test_samples_read_engine_state(self):
@@ -68,7 +68,7 @@ class TestTimelineRecorder:
         ]
         engine.energy_estimate = 42.5
         engine.now = 1.0
-        rec.on_mapped(engine)
+        rec.on_mapped(engine, None, 0, 0)
         last = rec.samples[-1]
         assert last.node_depth == (2, 1)
         assert last.in_system == 3
@@ -79,10 +79,10 @@ class TestTimelineRecorder:
         rec = TimelineRecorder(1.0)
         engine = _FakeEngine()
         engine.now = 1.0
-        rec.on_completion(engine)
-        rec.on_discarded(engine)
+        rec.on_completion(engine, 0, None, engine.now)
+        rec.on_discarded(engine, None)
         engine.now = 3.0
-        rec.on_completion(engine)
+        rec.on_completion(engine, 0, None, engine.now)
         last = rec.samples[-1]
         assert last.completed == 2
         assert last.discarded == 1
@@ -92,7 +92,7 @@ class TestTimelineRecorder:
         engine = _FakeEngine(num_nodes=2)
         engine.cores = [_FakeCore(1, assigned=1, running=True)]
         engine.now = 12.0
-        rec.on_mapped(engine)
+        rec.on_mapped(engine, None, 0, 0)
         data = rec.to_dict()
         assert data["stream"] == 3 and data["label"] == "trial3:SQ/none"
         assert data["dt"] == 5.0 and data["num_nodes"] == 2
@@ -110,7 +110,7 @@ class TestTimelineRecorder:
         engine = _FakeEngine()
         for tick in range(1, 50):
             engine.now = float(tick)
-            rec.on_mapped(engine)
+            rec.on_mapped(engine, None, 0, 0)
         # Newest 5 samples survive; older ones were evicted.
         assert len(rec) == 5
         assert [s.t for s in rec.samples] == [45.0, 46.0, 47.0, 48.0, 49.0]
@@ -124,7 +124,7 @@ class TestTimelineRecorder:
         rec = TimelineRecorder(1.0, capacity=2)
         engine = _FakeEngine()
         engine.now = 3.0
-        rec.on_mapped(engine)
+        rec.on_mapped(engine, None, 0, 0)
         data = rec.to_dict()
         assert data["t"] == [2.0, 3.0]
 
@@ -157,7 +157,7 @@ class TestTimelineSet:
         rec = TimelineRecorder(2.0, stream=1, label="t")
         engine = _FakeEngine()
         engine.now = 4.0
-        rec.on_mapped(engine)
+        rec.on_mapped(engine, None, 0, 0)
         tls.add(rec)
         data = tls.to_dict()
         assert data["format"] == TIMELINE_FORMAT

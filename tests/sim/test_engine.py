@@ -11,7 +11,7 @@ from repro.filters.chain import build_filter_chain
 from repro.heuristics.lightest_load import LightestLoad
 from repro.heuristics.mect import MinimumExpectedCompletionTime
 from repro.heuristics.shortest_queue import ShortestQueue
-from repro.sim.engine import Engine, run_trial
+from repro.sim.engine import Engine, EngineHooks, run_trial
 from repro.sim.metrics import TraceCollector
 from repro import build_trial_system
 from tests.conftest import tiny_config
@@ -144,7 +144,7 @@ class TestEnergySemantics:
             tiny_system,
             MinimumExpectedCompletionTime(),
             build_filter_chain("none"),
-            collector=collector,
+            hooks=(collector,),
         )
         est = collector.energy_estimates
         assert all(b <= a + 1e-9 for a, b in zip(est, est[1:]))
@@ -167,21 +167,21 @@ class TestDeterminism:
 class TestCollector:
     def test_one_record_per_arrival(self, tiny_system):
         collector = TraceCollector()
-        run_trial(tiny_system, ShortestQueue(), build_filter_chain("none"), collector=collector)
+        run_trial(tiny_system, ShortestQueue(), build_filter_chain("none"), hooks=(collector,))
         assert len(collector.arrival_times) == tiny_system.num_tasks
         assert len(collector.chosen_pstates) == tiny_system.num_tasks
 
     def test_pstate_histogram_totals(self, tiny_system):
         collector = TraceCollector()
         result = run_trial(
-            tiny_system, ShortestQueue(), build_filter_chain("none"), collector=collector
+            tiny_system, ShortestQueue(), build_filter_chain("none"), hooks=(collector,)
         )
         hist = collector.pstate_histogram(tiny_system.cluster.num_pstates)
         assert hist.sum() == tiny_system.num_tasks - result.discarded
 
     def test_as_arrays(self, tiny_system):
         collector = TraceCollector()
-        run_trial(tiny_system, ShortestQueue(), build_filter_chain("none"), collector=collector)
+        run_trial(tiny_system, ShortestQueue(), build_filter_chain("none"), hooks=(collector,))
         arrays = collector.as_arrays()
         assert set(arrays) == {
             "arrival_times",
@@ -194,7 +194,7 @@ class TestCollector:
         assert arrays["arrival_times"].shape == (tiny_system.num_tasks,)
 
 
-class _CountingHooks:
+class _CountingHooks(EngineHooks):
     def __init__(self):
         self.mapped = 0
         self.discarded = 0
@@ -214,7 +214,7 @@ class TestHooks:
     def test_hook_counts_cover_workload(self, tiny_system):
         hooks = _CountingHooks()
         result = run_trial(
-            tiny_system, LightestLoad(), build_filter_chain("en+rob"), hooks=hooks
+            tiny_system, LightestLoad(), build_filter_chain("en+rob"), hooks=(hooks,)
         )
         assert hooks.mapped + hooks.discarded == tiny_system.num_tasks
         assert hooks.completed == hooks.mapped

@@ -13,13 +13,13 @@ from repro.config import IdlePowerMode
 from repro.filters.chain import build_filter_chain
 from repro.heuristics.lightest_load import LightestLoad
 from repro.heuristics.mect import MinimumExpectedCompletionTime
-from repro.sim.engine import run_trial
+from repro.sim.engine import EngineHooks, run_trial
 from repro.workload.task import Task
 from tests.conftest import micro_config as tiny
 
 
-class RecordingHooks:
-    """EngineHooks implementation that logs every hook call in order."""
+class RecordingHooks(EngineHooks):
+    """EngineHooks subscriber that logs every mapping-path call in order."""
 
     def __init__(self):
         self.events = []
@@ -202,7 +202,9 @@ class TestEventOrderingTieBreaks:
         system, done, j = self._tie_system()
         t_c = done.completion
         hooks = RecordingHooks()
-        run_trial(system, MinimumExpectedCompletionTime(), build_filter_chain("none"), hooks=hooks)
+        run_trial(
+            system, MinimumExpectedCompletionTime(), build_filter_chain("none"), hooks=(hooks,)
+        )
         idx_completed = hooks.events.index(("completed", t_c, done.task_id, done.core_id))
         (idx_mapped,) = [
             i
@@ -227,7 +229,9 @@ class TestEventOrderingTieBreaks:
                     )
 
         hooks = FreedCoreProbe()
-        run_trial(system, MinimumExpectedCompletionTime(), build_filter_chain("none"), hooks=hooks)
+        run_trial(
+            system, MinimumExpectedCompletionTime(), build_filter_chain("none"), hooks=(hooks,)
+        )
         # By the time the simultaneous arrival maps, the completed task
         # no longer occupies its core: the mapper saw the freed core.
         assert hooks.freed_core_running != done.task_id
@@ -238,7 +242,7 @@ class TestEventOrderingTieBreaks:
         for _ in range(2):
             hooks = RecordingHooks()
             run_trial(
-                system, MinimumExpectedCompletionTime(), build_filter_chain("none"), hooks=hooks
+                system, MinimumExpectedCompletionTime(), build_filter_chain("none"), hooks=(hooks,)
             )
             runs.append(hooks.events)
         assert runs[0] == runs[1]
@@ -251,7 +255,7 @@ class TestEmptyFeasibleSetDiscard:
         cfg = tiny(energy={"budget_mult": 1e-6})
         system = build_trial_system(cfg)
         hooks = RecordingHooks()
-        result = run_trial(system, LightestLoad(), build_filter_chain("en"), hooks=hooks)
+        result = run_trial(system, LightestLoad(), build_filter_chain("en"), hooks=(hooks,))
         assert result.discarded == result.num_tasks
         assert {kind for kind, *_ in hooks.events} == {"discarded"}
         # One hook call per task, in arrival order.

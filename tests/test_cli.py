@@ -672,6 +672,61 @@ class TestFaultFileErrors:
         assert message.startswith(f"repro {command}: ")
 
 
+class TestInputFileErrors:
+    """A missing, non-JSON or wrong-format input file exits 1 with one line."""
+
+    BAD = {
+        "missing": None,
+        "not-json": "{not json",
+        "list": "[1, 2]",
+        "empty-object": "{}",
+    }
+    # Command lines reading FILE; a Chrome profile may be a bare JSON
+    # array, so the list document is valid input where one is accepted.
+    COMMANDS = {
+        "report": (["report", "FILE"], ()),
+        "compare": (["compare", "FILE", "LL/none", "LL/en+rob"], ()),
+        "inspect-manifest": (["inspect-manifest", "FILE"], ()),
+        "inspect-manifest-results": (["inspect-manifest", "MANIFEST", "--results", "FILE"], ()),
+        "inspect-manifest-trace": (["inspect-manifest", "MANIFEST", "--trace", "FILE"], ()),
+        "inspect-manifest-metrics": (
+            ["inspect-manifest", "MANIFEST", "--metrics", "FILE"], ("list",)
+        ),
+        "profile-timeline": (["profile", "PROFILE", "--timeline", "FILE"], ()),
+        "profile": (["profile", "FILE"], ("list",)),
+    }
+
+    @pytest.fixture
+    def valid(self, tmp_path):
+        from repro.obs.manifest import RunManifest, save_manifest
+
+        manifest = RunManifest("0" * 64, 1, 1, "0", None, ("LL/none",), {"LL/none": ("0" * 64,)})
+        profile = tmp_path / "profile.json"
+        profile.write_text('{"traceEvents": []}')
+        return {
+            "MANIFEST": str(save_manifest(manifest, tmp_path / "run.manifest.json")),
+            "PROFILE": str(profile),
+        }
+
+    @pytest.mark.parametrize("content", list(BAD), ids=list(BAD))
+    @pytest.mark.parametrize("case", list(COMMANDS), ids=list(COMMANDS))
+    def test_bad_file_exits_with_one_line(self, tmp_path, capsys, valid, case, content):
+        argv, accepts = self.COMMANDS[case]
+        path = tmp_path / "bad.json"
+        if self.BAD[content] is not None:
+            path.write_text(self.BAD[content])
+        argv = [{**valid, "FILE": str(path)}.get(arg, arg) for arg in argv]
+        if content in accepts:
+            assert main(argv) == 0
+            return
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        message = info.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert message.startswith(f"repro {argv[0]}: ")
+        assert str(path) in message
+
+
 class TestDegradedServiceExample:
     def test_serve_flags_and_scenario_file_print_the_same_summary(self, capsys):
         assert main(

@@ -33,7 +33,7 @@ class TestCleanTrialsValidate:
             tiny_system,
             MinimumExpectedCompletionTime(),
             build_filter_chain("none"),
-            hooks=hooks,
+            hooks=(hooks,),
         )
         result = engine.run()
         validate_trial(tiny_system, result, engine)
@@ -44,7 +44,7 @@ class TestCleanTrialsValidate:
             tiny_system,
             MinimumExpectedCompletionTime(),
             build_filter_chain("rob"),
-            hooks=hooks,
+            hooks=(hooks,),
         )
         result = engine.run()
         validate_trial(tiny_system, result, engine)
