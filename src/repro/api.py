@@ -272,8 +272,7 @@ def run_service(
     quantiles, SLO rules, online steady-state detection); the inert
     default keeps the run bitwise identical to an untelemetered one.
 
-    ``perf`` selects the hot-path performance knobs
-    (:class:`PerfConfig`, including the compiled kernel ``backend``).
+    ``perf`` selects the hot-path performance knobs (:class:`PerfConfig`).
     """
     if service is None:
         service = ServiceConfig(traffic="replay")

@@ -80,7 +80,6 @@ from repro.obs.sinks import JsonlSink, MetricsRegistry
 from repro.obs.spans import SpanProfile, SpanRecorder
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry, parse_rule
 from repro.obs.timeline import TIMELINE_FORMAT, TimelineRecorder, TimelineSet
-from repro.perf import BACKEND_CHOICES, PerfConfig
 from repro.service import TRAFFIC_MODELS, ServiceConfig, ServiceResult, write_windows_jsonl
 
 __all__ = ["main", "build_parser"]
@@ -429,38 +428,6 @@ class _Outputs:
             print(f"wrote {args.timeline_out} ({count})")
 
 
-def _perf_parent() -> argparse.ArgumentParser:
-    """One argparse parent carrying the performance flags.
-
-    Every engine-running subcommand (trial / serve / figure / grid /
-    sweep) inherits ``--perf-backend`` with the same semantics: pick the
-    kernel implementation for the stochastic hot path.  Left unset, the
-    engine default applies — which itself honours the
-    ``REPRO_PERF_BACKEND`` environment override — so the flag only needs
-    typing when overriding per invocation.
-    """
-    parent = argparse.ArgumentParser(add_help=False)
-    group = parent.add_argument_group("performance")
-    group.add_argument(
-        "--perf-backend",
-        choices=BACKEND_CHOICES,
-        default=None,
-        help="kernel backend for the stochastic hot path: numpy (reference, "
-        "default), cext (compiled C, opt-in; warns and falls back when "
-        "unavailable) or auto (cext when available); env override: "
-        "REPRO_PERF_BACKEND",
-    )
-    return parent
-
-
-def _resolve_perf(args: argparse.Namespace) -> PerfConfig | None:
-    """The PerfConfig a subcommand's flags select (``None`` = engine default)."""
-    backend = getattr(args, "perf_backend", None)
-    if backend is None:
-        return None
-    return PerfConfig(backend=backend)
-
-
 def _parse_spec(label: str) -> VariantSpec:
     try:
         heuristic, variant = label.split("/", 1)
@@ -535,7 +502,6 @@ def cmd_trial(args: argparse.Namespace) -> int:
             sinks=out.sinks,
             profile=out.recorder,
             timeline=out.timeline,
-            perf=_resolve_perf(args),
         )
     if schedule is not None:
         faults = scenario.faults
@@ -681,7 +647,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 timeline=out.timeline,
                 stop=lambda: stop_requested,
                 telemetry=telemetry,
-                perf=_resolve_perf(args),
             )
     except BaseException:
         if server is not None:
@@ -745,17 +710,19 @@ def cmd_monitor(args: argparse.Namespace) -> int:
     rows: list[dict[str, Any]] = []
     trailer: dict[str, Any] | None = None
     offset = 0
-    rendered_at = -1
+    skipped = 0
+    rendered: tuple[int, int] | None = None
     while True:
         try:
-            new_rows, new_trailer, offset = read_window_rows(
+            new_rows, new_trailer, offset, new_skipped = read_window_rows(
                 args.source, offset=offset
             )
         except OSError as exc:
             raise SystemExit(f"repro monitor: cannot read {args.source}: {exc}")
         rows.extend(new_rows)
+        skipped += new_skipped
         trailer = new_trailer or trailer
-        if len(rows) != rendered_at or not args.follow:
+        if (len(rows), skipped) != rendered or not args.follow:
             if args.follow and sys.stdout.isatty():
                 print("\x1b[2J\x1b[H", end="")
             print(
@@ -765,10 +732,11 @@ def cmd_monitor(args: argparse.Namespace) -> int:
                     tail=args.tail,
                     budget_rate=args.budget_rate,
                     trailer=trailer,
+                    skipped=skipped,
                 ),
                 end="",
             )
-            rendered_at = len(rows)
+            rendered = (len(rows), skipped)
         if not args.follow or trailer is not None:
             return 0
         try:
@@ -835,7 +803,6 @@ def _run_ensemble_command(specs: list[VariantSpec], args: argparse.Namespace) ->
             checkpoint=args.checkpoint, resume=args.resume,
             trial_timeout=args.trial_timeout, max_retries=args.max_retries,
             profile=out.profile, timeline=out.timelines, sinks=out.sinks,
-            perf=_resolve_perf(args),
         )
     _report_partial(ensemble)
     _print_ensemble(ensemble, args.tasks, args.svg_dir)
@@ -962,7 +929,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             checkpoint=args.checkpoint, resume=args.resume,
             trial_timeout=args.trial_timeout, max_retries=args.max_retries,
             metrics=out.metrics, profile=out.profile, timeline=out.timelines,
-            sinks=out.sinks, perf=_resolve_perf(args),
+            sinks=out.sinks,
         )
     for point in sweep.points:
         _report_partial(point.ensemble)
@@ -1077,23 +1044,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     obs = _obs_parent()
-    perf = _perf_parent()
 
     p = sub.add_parser("calibrate", help="print subscription/budget diagnostics")
     _add_common(p)
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser(
-        "trial", help="run a single trial of one policy", parents=[obs, perf]
+        "trial", help="run a single trial of one policy", parents=[obs]
     )
     _add_common(p)
     _add_policy(p)
     _add_faults(p)
     p.set_defaults(func=cmd_trial)
 
-    p = sub.add_parser(
-        "serve", help="run the engine as a continuous service", parents=[perf]
-    )
+    p = sub.add_parser("serve", help="run the engine as a continuous service")
     _add_common(p)
     _add_policy(p)
     p.add_argument(
@@ -1280,7 +1244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_monitor)
 
     p = sub.add_parser(
-        "figure", help="rerun one of the paper's figures", parents=[obs, perf]
+        "figure", help="rerun one of the paper's figures", parents=[obs]
     )
     _add_common(p)
     p.add_argument("figure", choices=sorted(FIGURES))
@@ -1292,7 +1256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_figure)
 
     p = sub.add_parser(
-        "grid", help="run the full 16-variant evaluation", parents=[obs, perf]
+        "grid", help="run the full 16-variant evaluation", parents=[obs]
     )
     _add_common(p)
     p.add_argument("--trials", type=int, default=50)
@@ -1333,7 +1297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser(
-        "sweep", help="sweep the energy-budget multiplier", parents=[obs, perf]
+        "sweep", help="sweep the energy-budget multiplier", parents=[obs]
     )
     _add_common(p)
     p.add_argument(

@@ -111,7 +111,7 @@ class TrialPlan:
     the result — are bitwise identical with or without them.
 
     ``perf`` selects the hot-path performance knobs (:mod:`repro.perf`);
-    ``None`` means the defaults (kernel cache on, numpy backend).
+    ``None`` means the defaults (kernel cache on).
     ``shared`` carries the warm cross-spec caches of the trial
     (:class:`~repro.perf.TrialCache`); reuse one handle for every spec
     run against the same ``system``.  ``faults`` / ``fault_policy`` /

@@ -6,8 +6,8 @@ a terminal dashboard:
 
 * :func:`read_window_rows` — incremental, tail-tolerant JSONL reader:
   resumes from a byte offset, ignores the in-progress last line until
-  its newline lands, and separates the truncation trailer from window
-  rows.
+  its newline lands, separates the truncation trailer from window rows
+  and counts the complete lines it could not parse.
 * :func:`evaluate_rules` — replay the SLO rule streak machine
   (:class:`~repro.obs.telemetry.AlertRule`) over the rows, yielding the
   same firing states a live :class:`~repro.obs.telemetry.Telemetry`
@@ -44,38 +44,42 @@ MIN_STEADY_WINDOWS = 10
 
 def read_window_rows(
     path: str | Path, *, offset: int = 0
-) -> tuple[list[dict[str, Any]], dict[str, Any] | None, int]:
+) -> tuple[list[dict[str, Any]], dict[str, Any] | None, int, int]:
     """Read complete window rows from ``path`` starting at byte ``offset``.
 
-    Returns ``(rows, trailer, new_offset)``.  Only newline-terminated
-    lines are consumed (a writer mid-line leaves ``new_offset`` at the
-    last complete row), so a follow loop can poll a growing file safely.
-    Unparseable or foreign lines are skipped; the
-    ``repro.window_trailer/...`` row comes back separately.
+    Returns ``(rows, trailer, new_offset, skipped)``.  Only
+    newline-terminated lines are consumed (a writer mid-line leaves
+    ``new_offset`` at the last complete row), so a follow loop can poll
+    a growing file safely.  The ``repro.window_trailer/...`` row comes
+    back separately and JSON objects of another format are ignored;
+    ``skipped`` counts the lines that are not JSON objects at all.
     """
     rows: list[dict[str, Any]] = []
     trailer: dict[str, Any] | None = None
+    skipped = 0
     with open(path, "rb") as fh:
         fh.seek(offset)
         data = fh.read()
     end = data.rfind(b"\n")
     if end < 0:
-        return rows, trailer, offset
+        return rows, trailer, offset, skipped
     for line in data[: end + 1].splitlines():
         if not line.strip():
             continue
         try:
             row = json.loads(line)
         except ValueError:
+            skipped += 1
             continue
         if not isinstance(row, dict):
+            skipped += 1
             continue
         fmt = str(row.get("format", ""))
         if fmt.startswith("repro.window_trailer/"):
             trailer = row
         elif fmt.startswith("repro.window/"):
             rows.append(row)
-    return rows, trailer, offset + end + 1
+    return rows, trailer, offset + end + 1, skipped
 
 
 def evaluate_rules(
@@ -118,13 +122,20 @@ def render_monitor(
     tail: int = 10,
     budget_rate: float | None = None,
     trailer: Mapping[str, Any] | None = None,
+    skipped: int = 0,
 ) -> str:
-    """Render the dashboard text over the window rows seen so far."""
+    """Render the dashboard text over the window rows seen so far.
+
+    ``skipped`` is the number of unparseable lines the reader dropped;
+    a non-zero count is reported so a damaged file never reads as a
+    clean one.
+    """
     from repro.sim.metrics import derived_window_metrics
 
     lines: list[str] = []
+    notice = f"{skipped} unparseable rows skipped\n" if skipped else ""
     if not rows:
-        return "no windows yet\n"
+        return "no windows yet\n" + notice
     derived = [derived_window_metrics(row, budget_rate=budget_rate) for row in rows]
     label = rows[-1].get("label", "?")
     traffic = rows[-1].get("traffic", "?")
@@ -174,7 +185,7 @@ def render_monitor(
                 f"  [{mark:>6}] {state.rule.spec}  last={value}  "
                 f"breached {state.breached_windows}/{len(rows)} windows"
             )
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n" + notice
 
 
 def scrape(url: str, *, timeout: float = 5.0) -> str:

@@ -35,17 +35,11 @@ alongside the existing per-operation counts.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Tuple
 
 import numpy as np
 
-from repro.perf.kernels import (
-    BACKEND_CHOICES,
-    KernelBackend,
-    default_backend_name,
-    resolve_backend,
-)
 from repro.stoch.pmf import PMF
 
 __all__ = ["CacheStats", "InternedKernel", "KernelCache", "PerfConfig"]
@@ -241,10 +235,6 @@ class PerfConfig:
     identical :class:`~repro.sim.results.TrialResult`s (and therefore
     identical manifest digests) with it on or off, enforced by
     ``tests/perf/test_parity.py``; it only trades memory for speed.
-    ``backend`` is the one documented exception: compiled backends
-    agree with the numpy reference to ≤1e-12 (see
-    :mod:`repro.perf.kernels`), which is why it defaults to
-    ``"numpy"`` and digests are always defined by the numpy path.
 
     Attributes
     ----------
@@ -256,43 +246,20 @@ class PerfConfig:
         tests compare against.
     max_entries:
         Kernel-cache capacity (LRU past it).
-    backend:
-        Which kernel implementation executes the stochastic hot path:
-        ``"numpy"`` (the reference, default), ``"cext"`` (compiled C,
-        opt-in, warn-and-fall-back when unavailable) or ``"auto"``
-        (cext when it loads, else numpy, silently).  The default
-        honours the ``REPRO_PERF_BACKEND`` environment override so
-        deployments can opt in without touching call sites.
     """
 
     kernel_cache: bool = True
     max_entries: int = 65536
-    backend: str = field(default_factory=default_backend_name)
 
     def __post_init__(self) -> None:
         if self.max_entries < 1:
             raise ValueError("max_entries must be positive")
-        if self.backend not in BACKEND_CHOICES:
-            raise ValueError(
-                f"unknown kernel backend {self.backend!r}; "
-                f"choose from {BACKEND_CHOICES}"
-            )
 
     @staticmethod
     def disabled() -> "PerfConfig":
-        """The reference configuration: no kernel cache, numpy backend."""
-        return PerfConfig(kernel_cache=False, backend="numpy")
+        """The reference configuration: no kernel cache."""
+        return PerfConfig(kernel_cache=False)
 
     def make_cache(self) -> KernelCache | None:
         """Build the engine's kernel cache (``None`` when disabled)."""
         return KernelCache(self.max_entries) if self.kernel_cache else None
-
-    def make_backend(self) -> KernelBackend | None:
-        """Resolve the configured kernel backend (``None`` = numpy path).
-
-        Warns and falls back to the reference path when an explicitly
-        requested compiled backend cannot be loaded; ``"auto"`` probes
-        silently.  Resolution is cached per process, so this is cheap
-        to call once per engine.
-        """
-        return resolve_backend(self.backend)

@@ -406,8 +406,7 @@ def serve_system(
     and keeps results bitwise identical to a run without it.
 
     ``perf`` selects the hot-path performance knobs
-    (:class:`~repro.perf.PerfConfig`, including the compiled kernel
-    ``backend``); ``None`` means the engine default.
+    (:class:`~repro.perf.PerfConfig`); ``None`` means the engine default.
     """
     eq_rate = system.workload.rates.eq
     mean_rate = service.rate_mult * eq_rate

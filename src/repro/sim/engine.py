@@ -58,7 +58,7 @@ from repro.sim.mapper import CandidateBuilder
 from repro.sim.results import TaskOutcome, TrialResult
 from repro.sim.state import CoreState, QueuedTask, RollingEnergyBudget, RunningTask
 from repro.sim.system import TrialSystem
-from repro.stoch.ops import set_kernel_backend, set_kernel_cache
+from repro.stoch.ops import set_kernel_cache
 from repro.workload.task import Task
 
 __all__ = ["Engine", "EngineHooks", "Tracer", "run_trial"]
@@ -176,8 +176,8 @@ class Engine:
         null tracer; the event loop is the same either way.
     perf:
         Hot-path performance knobs (:class:`~repro.perf.PerfConfig`);
-        defaults to the kernel cache on and the numpy backend.  The
-        cache is strictly results-neutral — see :mod:`repro.perf`.
+        defaults to the kernel cache on.  The cache is strictly
+        results-neutral — see :mod:`repro.perf`.
         Deliberately *not* part of
         :class:`~repro.config.SimulationConfig`, so manifest/config
         digests are independent of how fast the run was computed.
@@ -277,15 +277,10 @@ class Engine:
         else:
             self._kernel_cache = self.perf.make_cache()
         self._cache_base: CacheStats | None = None
-        # Resolved once per engine (cheap after the first: loaded
-        # backends are cached per process); installed into stoch.ops for
-        # exactly the duration of run()/serve(), like the kernel cache.
-        self._kernel_backend = self.perf.make_backend()
         self._builder = CandidateBuilder(
             self.cores,
             system.table,
             type_tables=shared.mapper_tables(system.table) if shared is not None else None,
-            backend=self._kernel_backend,
         )
         self.ledger = (
             EnergyLedger(cluster, system.config.energy.idle_power_mode)
@@ -684,10 +679,10 @@ class Engine:
         accounting happens in hooks; :meth:`score` does that for a full
         replay of the workload.
 
-        The engine's kernel cache and backend are installed into
+        The engine's kernel cache is installed into
         :mod:`repro.stoch.ops` for exactly the duration of this call, so
-        nothing is shared across trials and the module globals are
-        always restored — even on an exception.
+        nothing is shared across trials and the module global is always
+        restored — even on an exception.
         """
         if self._ran:
             raise RuntimeError("an Engine instance runs exactly once")
@@ -697,13 +692,11 @@ class Engine:
             # private cache, the previous specs' totals for a shared one.
             self._cache_base = self._kernel_cache.stats()
         previous_cache = set_kernel_cache(self._kernel_cache)
-        previous_backend = set_kernel_backend(self._kernel_backend)
         try:
             end_time = self._event_loop(iter(arrivals))
             self.ledger.close(end_time)
             return end_time
         finally:
-            set_kernel_backend(previous_backend)
             set_kernel_cache(previous_cache)
 
     def _event_loop(self, arrivals: Iterator[Task]) -> float:

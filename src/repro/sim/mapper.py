@@ -60,7 +60,6 @@ class CandidateBuilder:
         "_dt",
         "_node_cores",
         "_by_type",
-        "_backend",
     )
 
     def __init__(
@@ -69,7 +68,6 @@ class CandidateBuilder:
         table: ExecutionTimeTable,
         *,
         type_tables: dict | None = None,
-        backend=None,
     ) -> None:
         self._cores = list(cores)
         self._table = table
@@ -106,12 +104,6 @@ class CandidateBuilder:
         self._by_type: dict[
             int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
         ] = type_tables if type_tables is not None else {}
-        # Optional compiled kernel set (repro.perf.KernelBackend): when
-        # set, the probability rows come from one compiled score_rows
-        # call instead of the batched numpy passes.  Same inputs, same
-        # index arithmetic; only the row reductions accumulate
-        # sequentially (the documented compiled-backend tolerance).
-        self._backend = backend
 
     def _type_tables(
         self, type_id: int
@@ -122,7 +114,6 @@ class CandidateBuilder:
         np.ndarray,
         np.ndarray,
         tuple[int, ...],
-        np.ndarray,
     ]:
         cached = self._by_type.get(type_id)
         if cached is None:
@@ -150,12 +141,9 @@ class CandidateBuilder:
                 times_stack[n, :, :length] = pad.times
                 times_stack[n, :, length:] = pad.times[:, -1:]
                 probs_stack[n, :, :length] = pad.probs
-            # int64 mirror of ``widths`` for compiled score_rows calls
-            # (ctypes takes an array, not a Python tuple).
-            widths_arr = np.array(widths, dtype=np.int64)
-            for arr in (eet, eet_flat, eec_flat, times_stack, probs_stack, widths_arr):
+            for arr in (eet, eet_flat, eec_flat, times_stack, probs_stack):
                 arr.setflags(write=False)
-            cached = (eet, eet_flat, eec_flat, times_stack, probs_stack, widths, widths_arr)
+            cached = (eet, eet_flat, eec_flat, times_stack, probs_stack, widths)
             self._by_type[type_id] = cached
         return cached
 
@@ -168,19 +156,15 @@ class CandidateBuilder:
         deadline = task.deadline
         type_id = task.type_id
 
-        eet, eet_flat, eec_flat, times_stack, probs_stack, widths, widths_arr = (
-            self._type_tables(type_id)
+        eet, eet_flat, eec_flat, times_stack, probs_stack, widths = self._type_tables(
+            type_id
         )
-        be = self._backend
 
-        if be is None:
-            # ``deadline - time`` for every (node, P-state, impulse), once
-            # per arrival — the same elementwise expression the reference
-            # evaluates per node (elementwise ufuncs are exact per element
-            # regardless of batching).  The compiled path evaluates it
-            # inside score_rows instead, so skip the (N, P, width)
-            # allocation there.
-            a_stack = deadline - times_stack  # (N, P, width)
+        # ``deadline - time`` for every (node, P-state, impulse), once
+        # per arrival — the same elementwise expression the reference
+        # evaluates per node (elementwise ufuncs are exact per element
+        # regardless of batching).
+        a_stack = deadline - times_stack  # (N, P, width)
 
         # One pass over the cores, grouped by node, collects per
         # *distinct* (node, ready pmf) pair the quantities the batched
@@ -242,90 +226,58 @@ class CandidateBuilder:
         # expressions, on the same values, as prob_on_time_all_pstates
         # evaluates one core at a time.
         u = len(starts_l)
-        if be is not None:
-            starts = np.array(starts_l)
-            sizes = np.array(sizes_l, dtype=np.int64)
-            # Compiled pass: one score_rows call replaces the offset
-            # grid, gather and einsum below.  The CDFs concatenate
-            # without sentinels — the kernel's ``k >= 0`` branch covers
-            # the query-before-start case directly — and each row
-            # reduces over its node's native pad width, exactly like
-            # the reference terms.
-            offsets = np.empty(u, dtype=np.int64)
-            acc = 0
-            for i, size in enumerate(sizes_l):
-                offsets[i] = acc
-                acc += size
-            cdf_flat = np.concatenate(cdfs) if u > 1 else cdfs[0]
-            row_node = np.empty(u, dtype=np.int64)
-            for node, row_lo, row_hi in node_blocks:
-                row_node[row_lo:row_hi] = node
-            rows = be.score_rows(
-                times_stack,
-                probs_stack,
-                widths_arr,
-                starts,
-                sizes,
-                offsets,
-                row_node,
-                cdf_flat,
-                deadline,
-                dt,
+        starts = np.array(starts_l)
+        sizes = np.array(sizes_l, dtype=np.int64)
+        # floor((a - start) / dt + 1e-9) in-place on a writable
+        # stack of each distinct pmf's node rows: the same
+        # elementwise chain as the expression form, without the
+        # intermediate temporaries.
+        work = np.empty((u, a_stack.shape[1], a_stack.shape[2]))
+        for node, row_lo, row_hi in node_blocks:
+            work[row_lo:row_hi] = a_stack[node]
+        np.subtract(work, starts[:, None, None], out=work)
+        np.divide(work, dt, out=work)
+        np.add(work, 1e-9, out=work)
+        np.floor(work, out=work)
+        ks_all = work.astype(np.int64)
+        np.minimum(ks_all, (sizes - 1)[:, None, None], out=ks_all)
+        np.maximum(ks_all, -1, out=ks_all)
+        # One flat gather over all distinct CDFs, with an exact-0.0
+        # sentinel ahead of each block: entry ``j`` of pmf ``i``
+        # lives at ``offsets[i] + j`` and the clamped ``j == -1``
+        # (query before the pmf's start) lands on the sentinel — the
+        # same per-element values the reference's ``np.where`` form
+        # produces, without materializing the mask.
+        offsets_l: list[int] = []
+        acc = 1
+        for size in sizes_l:
+            offsets_l.append(acc)
+            acc += size + 1
+        flat_cdf = np.zeros(acc - 1)
+        for i, cdf in enumerate(cdfs):
+            off = offsets_l[i]
+            flat_cdf[off : off + cdf.size] = cdf
+        np.add(ks_all, np.array(offsets_l, dtype=np.int64)[:, None, None], out=ks_all)
+        fr_all = np.take(flat_cdf, ks_all)
+        # One sum-of-products per node over its contiguous row
+        # block: einsum's u axis is an outer loop over independent
+        # (p, l) reductions, so each row is bitwise the per-slice
+        # two-operand reduction, and broadcasting the node's shared
+        # probability matrix avoids a gather copy.  Sliced to the
+        # node's native pad width: the reduction must run over
+        # exactly the reference's terms, because extra zero-probability
+        # columns — while value-neutral term by term — change the
+        # inner loop's accumulator blocking and therefore rounding.
+        rows = np.empty((u, P))
+        for node, row_lo, row_hi in node_blocks:
+            w = widths[node]
+            np.einsum(
+                "pl,upl->up",
+                probs_stack[node, :, :w],
+                fr_all[row_lo:row_hi, :, :w],
+                out=rows[row_lo:row_hi],
             )
-            prob = np.take(rows, slots, axis=0)  # (C, P) scatter by slot
-        else:
-            starts = np.array(starts_l)
-            sizes = np.array(sizes_l, dtype=np.int64)
-            # floor((a - start) / dt + 1e-9) in-place on a writable
-            # stack of each distinct pmf's node rows: the same
-            # elementwise chain as the expression form, without the
-            # intermediate temporaries.
-            work = np.empty((u, a_stack.shape[1], a_stack.shape[2]))
-            for node, row_lo, row_hi in node_blocks:
-                work[row_lo:row_hi] = a_stack[node]
-            np.subtract(work, starts[:, None, None], out=work)
-            np.divide(work, dt, out=work)
-            np.add(work, 1e-9, out=work)
-            np.floor(work, out=work)
-            ks_all = work.astype(np.int64)
-            np.minimum(ks_all, (sizes - 1)[:, None, None], out=ks_all)
-            np.maximum(ks_all, -1, out=ks_all)
-            # One flat gather over all distinct CDFs, with an exact-0.0
-            # sentinel ahead of each block: entry ``j`` of pmf ``i``
-            # lives at ``offsets[i] + j`` and the clamped ``j == -1``
-            # (query before the pmf's start) lands on the sentinel — the
-            # same per-element values the reference's ``np.where`` form
-            # produces, without materializing the mask.
-            offsets_l: list[int] = []
-            acc = 1
-            for size in sizes_l:
-                offsets_l.append(acc)
-                acc += size + 1
-            flat_cdf = np.zeros(acc - 1)
-            for i, cdf in enumerate(cdfs):
-                off = offsets_l[i]
-                flat_cdf[off : off + cdf.size] = cdf
-            np.add(ks_all, np.array(offsets_l, dtype=np.int64)[:, None, None], out=ks_all)
-            fr_all = np.take(flat_cdf, ks_all)
-            # One sum-of-products per node over its contiguous row
-            # block: einsum's u axis is an outer loop over independent
-            # (p, l) reductions, so each row is bitwise the per-slice
-            # two-operand reduction, and broadcasting the node's shared
-            # probability matrix avoids a gather copy.  Sliced to the
-            # node's native pad width: the reduction must run over
-            # exactly the reference's terms, because extra zero-probability
-            # columns — while value-neutral term by term — change the
-            # inner loop's accumulator blocking and therefore rounding.
-            rows = np.empty((u, P))
-            for node, row_lo, row_hi in node_blocks:
-                w = widths[node]
-                np.einsum(
-                    "pl,upl->up",
-                    probs_stack[node, :, :w],
-                    fr_all[row_lo:row_hi, :, :w],
-                    out=rows[row_lo:row_hi],
-                )
-            prob = np.take(rows, slots, axis=0)  # (C, P) scatter by slot
+        prob = np.take(rows, slots, axis=0)  # (C, P) scatter by slot
 
         ect = ready_means[:, None] + eet
 

@@ -28,7 +28,6 @@ from repro.stoch.pmf import _RTOL, _TRIM_EPS, PMF
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.perf.kernel_cache import KernelCache
-    from repro.perf.kernels import KernelBackend
 
 __all__ = [
     "convolve",
@@ -39,7 +38,6 @@ __all__ = [
     "expectation_of_sum",
     "set_op_observer",
     "set_kernel_cache",
-    "set_kernel_backend",
 ]
 
 #: Optional instrumentation callback ``(op: str, grid_size: int)``.
@@ -83,27 +81,6 @@ def set_kernel_cache(cache: "KernelCache | None") -> "KernelCache | None":
     return previous
 
 
-#: Optional compiled kernel set (:class:`repro.perf.KernelBackend`).
-#: Installed by the engine for the duration of one run, exactly like the
-#: kernel cache above; ``None`` (the default) runs the reference numpy
-#: expressions.  Compiled results agree with the reference to the
-#: tolerance documented in :mod:`repro.perf.kernels` — digests and
-#: manifests are always defined by the numpy path.
-_kernel_backend: "KernelBackend | None" = None
-
-
-def set_kernel_backend(backend: "KernelBackend | None") -> "KernelBackend | None":
-    """Install (or clear, with ``None``) the module-wide kernel backend.
-
-    Returns the previously-installed backend so callers can restore it —
-    the same nesting protocol as :func:`set_kernel_cache`.
-    """
-    global _kernel_backend
-    previous = _kernel_backend
-    _kernel_backend = backend
-    return previous
-
-
 def _check_same_grid(a: PMF, b: PMF) -> None:
     if not a.same_grid(b):
         raise ValueError(f"grid mismatch: dt={a.dt} vs dt={b.dt}")
@@ -124,12 +101,6 @@ def convolve(a: PMF, b: PMF) -> PMF:
         return shift(b, a.start)
     if len(b) == 1:
         return shift(a, b.start)
-    be = _kernel_backend
-    if be is not None:
-        probs, lo = be.conv_full(a.probs, b.probs)
-        if _op_observer is not None:
-            _op_observer("convolve", a.probs.size + b.probs.size - 1)
-        return PMF._intern(a.start + b.start + lo * a.dt, a.dt, probs)
     if _kernel_cache is not None:
         # Convolution results repeat far too rarely to be worth interning
         # (queue convolutions incorporate an ever-changing accumulator),
@@ -156,23 +127,6 @@ def convolve_many(pmfs: Sequence[PMF]) -> PMF:
     if not pmfs:
         raise ValueError("convolve_many requires at least one pmf")
     ordered = sorted(pmfs, key=len)
-    if _kernel_backend is not None and len(ordered) > 2:
-        # Pairwise tree: combine similar-sized neighbours level by
-        # level.  Total work drops from O(sum_i n_i * N) for the
-        # sequential fold (the accumulator keeps its full width) to
-        # roughly O(N log k), and intermediates stay short.  The
-        # contraction order differs from the fold, which is exactly the
-        # documented compiled-backend tolerance (≤1e-12); the numpy
-        # reference path below is untouched.
-        level = ordered
-        while len(level) > 1:
-            nxt_level = [
-                convolve(level[i], level[i + 1]) for i in range(0, len(level) - 1, 2)
-            ]
-            if len(level) % 2:
-                nxt_level.append(level[-1])
-            level = sorted(nxt_level, key=len)
-        return level[0]
     acc = ordered[0]
     for nxt in ordered[1:]:
         acc = convolve(acc, nxt)
@@ -264,12 +218,6 @@ def _truncate_tail(
     Returns ``None`` when the surviving tail carries no mass (the caller
     substitutes the degenerate "completes now" pmf).
     """
-    be = _kernel_backend
-    if be is not None:
-        arr = be.trunc_tail(pmf.probs, k)
-        if arr is None:
-            return None
-        return PMF._intern(pmf.start + k * pmf.dt, pmf.dt, arr)
     tail = pmf.probs[k:]
     total = float(tail.sum())
     if total <= 0.0:
@@ -339,9 +287,6 @@ def prob_sum_at_most(ready: PMF, exec_pmf: PMF, deadline: float) -> float:
     # Index into ready's grid: floor((query_i - ready.start)/dt).
     n = exec_pmf.probs.size
     base = (deadline - exec_pmf.start - ready.start) / ready.dt
-    be = _kernel_backend
-    if be is not None:
-        return float(be.prob_sum(exec_pmf.probs, base, ready.cdf))
     ks = np.floor(base + 1e-9 - np.arange(n)).astype(np.int64)
     # minimum+maximum instead of np.clip: exact on integers, cheaper.
     np.minimum(ks, ready.probs.size - 1, out=ks)
@@ -354,18 +299,4 @@ def prob_sum_at_most(ready: PMF, exec_pmf: PMF, deadline: float) -> float:
 
 def expectation_of_sum(pmfs: Iterable[PMF]) -> float:
     """``E[sum_i X_i]`` — linearity of expectation, no convolution needed."""
-    be = _kernel_backend
-    if be is None:
-        return float(sum(p.mean() for p in pmfs))
-    total = 0.0
-    for p in pmfs:
-        m1 = object.__getattribute__(p, "_m1")
-        if m1 is None:
-            # Deliberately NOT cached onto the pmf: the compiled
-            # sequential sum can differ from numpy's pairwise dot in the
-            # last ulp, and these pmfs (table rows, shared fixtures)
-            # outlive the backend's installation scope.  A later numpy
-            # run must still see its own bitwise moments.
-            m1 = be.moment1(p.probs)
-        total += p.start + p.dt * float(m1)
-    return float(total)
+    return float(sum(p.mean() for p in pmfs))

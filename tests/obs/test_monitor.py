@@ -55,21 +55,22 @@ class TestReadWindowRows:
     def test_reads_rows_and_offset(self, tmp_path):
         path = tmp_path / "w.jsonl"
         write_jsonl(path, [row(0), row(1)])
-        rows, trailer, offset = read_window_rows(path)
+        rows, trailer, offset, skipped = read_window_rows(path)
         assert [r["index"] for r in rows] == [0, 1]
+        assert skipped == 0
         assert trailer is None
         assert offset == path.stat().st_size
 
     def test_partial_last_line_is_left_for_later(self, tmp_path):
         path = tmp_path / "w.jsonl"
         write_jsonl(path, [row(0)], partial_tail='{"format": "repro.win')
-        rows, _, offset = read_window_rows(path)
+        rows, _, offset, _ = read_window_rows(path)
         assert len(rows) == 1
         assert offset < path.stat().st_size
         # The writer finishes the line: a follow-up read picks it up.
         with open(path, "ab") as fh:
             fh.write(b'dow/1", "index": 1}\n')
-        more, _, offset2 = read_window_rows(path, offset=offset)
+        more, _, offset2, _ = read_window_rows(path, offset=offset)
         assert [r["index"] for r in more] == [1]
         assert offset2 == path.stat().st_size
 
@@ -82,7 +83,7 @@ class TestReadWindowRows:
             "makespan": 10.0,
         }
         write_jsonl(path, [row(0), trailer_row])
-        rows, trailer, _ = read_window_rows(path)
+        rows, trailer, _, _ = read_window_rows(path)
         assert len(rows) == 1
         assert trailer["truncated"] is True
 
@@ -92,13 +93,27 @@ class TestReadWindowRows:
             json.dumps(row(0)) + "\nnot json\n" + json.dumps({"format": "other/1"})
             + "\n[1, 2]\n"
         )
-        rows, trailer, _ = read_window_rows(path)
+        rows, trailer, _, _ = read_window_rows(path)
         assert len(rows) == 1 and trailer is None
+
+    def test_unparseable_rows_are_counted_and_reported(self, tmp_path):
+        path = tmp_path / "w.jsonl"
+        path.write_text(
+            json.dumps(row(0)) + "\n{not json\n" + json.dumps({"format": "other/1"})
+            + "\n[1, 2]\n"
+        )
+        rows, _, _, skipped = read_window_rows(path)
+        assert len(rows) == 1
+        # A foreign-format object is a well-formed row of something else
+        # and is not counted; the non-JSON and the list line are.
+        assert skipped == 2
+        assert "2 unparseable rows skipped" in render_monitor(rows, skipped=skipped)
+        assert "unparseable" not in render_monitor(rows)
 
     def test_empty_file_yields_nothing(self, tmp_path):
         path = tmp_path / "w.jsonl"
         path.write_text("")
-        assert read_window_rows(path) == ([], None, 0)
+        assert read_window_rows(path) == ([], None, 0, 0)
 
 
 class TestEvaluateRules:

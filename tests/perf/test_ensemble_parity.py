@@ -18,13 +18,11 @@ from repro import rng as rng_mod
 from repro.experiments.runner import TrialPlan, VariantSpec, run_ensemble
 from repro.obs.manifest import build_manifest
 from repro.perf.kernel_cache import PerfConfig
-from repro.perf.kernels import available_backends
 from repro.perf.trial_cache import TrialCache
 from tests.conftest import micro_config
 
 SPECS = (VariantSpec("LL", "en+rob"), VariantSpec("MECT", "none"), VariantSpec("SQ", "en+rob"))
 TRIALS = 4
-COMPILED_BACKENDS = tuple(n for n in available_backends() if n != "numpy")
 
 
 def run(perf, *, n_jobs=1, chunk_size=None):
@@ -61,26 +59,10 @@ def test_all_optimizations_bitwise_match_reference(reference, n_jobs, chunk_size
     )
 
 
-@pytest.mark.skipif(not COMPILED_BACKENDS, reason="no compiled backend available")
-@pytest.mark.parametrize("backend", COMPILED_BACKENDS)
-@pytest.mark.parametrize("n_jobs", [1, 2], ids=["serial", "parallel"])
-def test_compiled_backend_ensemble_parity(reference, backend, n_jobs, assert_trial_close):
-    """Every trial of every spec stays within the kernel contract,
-    including across worker processes (each resolves its own backend)."""
-    compiled = run(PerfConfig(backend=backend), n_jobs=n_jobs)
-    for spec in SPECS:
-        got_trials = compiled.results[spec]
-        ref_trials = reference.results[spec]
-        assert len(got_trials) == len(ref_trials)
-        for got, ref in zip(got_trials, ref_trials):
-            assert_trial_close(got, ref)
-
-
 def test_each_knob_alone_matches_reference(reference):
     for perf in (
-        PerfConfig(kernel_cache=False),  # cache off, backend from the default
+        PerfConfig(kernel_cache=False),  # cache off
         PerfConfig(max_entries=4),  # a shared cache churning under eviction
-        PerfConfig(backend="numpy"),  # backend knob explicit, still bitwise
     ):
         partial = run(perf)
         for spec in SPECS:

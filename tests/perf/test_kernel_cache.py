@@ -9,9 +9,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro import build_trial_system
+from repro.experiments.runner import TrialPlan, VariantSpec
+from repro.filters.chain import build_filter_chain
+from repro.heuristics.registry import build_heuristic
 from repro.perf.kernel_cache import CacheStats, InternedKernel, KernelCache, PerfConfig
+from repro.sim.engine import Engine, EngineHooks
+from repro.stoch import ops as ops_mod
 from repro.stoch.ops import set_kernel_cache, truncate_below
 from repro.stoch.pmf import PMF
+from tests.conftest import micro_config
 
 
 def _kernel(value: float = 1.0) -> InternedKernel:
@@ -90,17 +97,41 @@ class TestPerfConfig:
         perf = PerfConfig()
         assert perf.kernel_cache
         assert isinstance(perf.make_cache(), KernelCache)
-        # One reference switch, the eviction capacity and the backend.
-        assert [f.name for f in fields(PerfConfig)] == ["kernel_cache", "max_entries", "backend"]
+        # One reference switch and the eviction capacity.
+        assert [f.name for f in fields(PerfConfig)] == ["kernel_cache", "max_entries"]
 
     def test_disabled_is_the_reference(self):
         perf = PerfConfig.disabled()
-        assert not perf.kernel_cache and perf.backend == "numpy"
+        assert not perf.kernel_cache
         assert perf.make_cache() is None
 
     def test_rejects_nonpositive_capacity(self):
         with pytest.raises(ValueError):
             PerfConfig(max_entries=0)
+
+
+def test_engine_restores_kernel_cache_after_run():
+    """The engine installs its cache for exactly one run, even one that raises."""
+    system = build_trial_system(micro_config(seed=5))
+    assert ops_mod._kernel_cache is None
+    TrialPlan(system=system, spec=VariantSpec("SQ", "none")).run()
+    assert ops_mod._kernel_cache is None
+
+    class Boom(RuntimeError):
+        pass
+
+    class RaiseOnMapped(EngineHooks):
+        def on_mapped(self, engine, task, core_id, pstate):
+            assert engine._kernel_cache is not None
+            assert ops_mod._kernel_cache is engine._kernel_cache
+            raise Boom
+
+    engine = Engine(
+        system, build_heuristic("SQ"), build_filter_chain("none"), hooks=(RaiseOnMapped(),)
+    )
+    with pytest.raises(Boom):
+        engine.run()
+    assert ops_mod._kernel_cache is None
 
 
 @st.composite

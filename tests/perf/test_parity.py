@@ -7,11 +7,6 @@ and with the filters on or off, and the engine's one candidate builder
 reproduces the per-core reference loop (``tests/reference_mapper.py``)
 bit for bit at every arrival, including under outages.  Speed is
 allowed to vary; results are not.
-
-The ``backend`` knob is the one deliberate exception: the numpy
-backend (the default) stays bitwise, while compiled backends are held
-to the kernel contract — discrete fields exact, floats within 1e-12.
-Canonical digests are always defined by the numpy path.
 """
 
 from __future__ import annotations
@@ -25,7 +20,6 @@ from repro.faults import FaultEvent, FaultPolicy, FaultSchedule
 from repro.heuristics.registry import build_heuristic
 from repro.obs.manifest import trial_digest
 from repro.perf.kernel_cache import PerfConfig
-from repro.perf.kernels import available_backends
 from repro.sim.engine import Engine
 from repro.sim.mapper import CandidateBuilder
 from repro.sim.state import CoreState, QueuedTask, RunningTask
@@ -34,7 +28,6 @@ from tests.reference_mapper import build_candidate_set
 
 HEURISTICS = ("SQ", "MECT", "LL", "Random")
 VARIANTS = ("none", "en+rob")
-COMPILED_BACKENDS = tuple(n for n in available_backends() if n != "numpy")
 
 
 @pytest.fixture(scope="module")
@@ -44,7 +37,7 @@ def system():
 
 @pytest.mark.parametrize("variant", VARIANTS)
 @pytest.mark.parametrize("heuristic", HEURISTICS)
-def test_perf_knobs_are_results_neutral(system, heuristic, variant):
+def test_perf_knobs_are_results_neutral(system, heuristic, variant, monkeypatch):
     spec = VariantSpec(heuristic, variant)
 
     def run(perf):
@@ -52,30 +45,16 @@ def test_perf_knobs_are_results_neutral(system, heuristic, variant):
             system=system, spec=spec, keep_outcomes=True, perf=perf
         ).run()
 
-    reference = run(PerfConfig.disabled())
-    for perf in (
-        PerfConfig(),  # kernel cache on
-        PerfConfig(backend="numpy"),  # backend knob explicit, still bitwise
-    ):
-        result = run(perf)
+    def check(result):
         assert result == reference  # full dataclass equality incl. outcomes
         assert trial_digest(result) == trial_digest(reference)
 
-
-@pytest.mark.skipif(not COMPILED_BACKENDS, reason="no compiled backend available")
-@pytest.mark.parametrize("backend", COMPILED_BACKENDS)
-@pytest.mark.parametrize("variant", VARIANTS)
-@pytest.mark.parametrize("heuristic", HEURISTICS)
-def test_compiled_backend_parity(system, heuristic, variant, backend, assert_trial_close):
-    """Compiled backends reproduce every trial within the kernel contract."""
-    spec = VariantSpec(heuristic, variant)
-
-    def run(perf):
-        return TrialPlan(system=system, spec=spec, keep_outcomes=True, perf=perf).run()
-
     reference = run(PerfConfig.disabled())
-    compiled = run(PerfConfig(backend=backend))
-    assert_trial_close(compiled, reference)
+    check(run(PerfConfig()))  # kernel cache on
+    # The retired kernel-backend variable selects nothing: numpy is the
+    # only kernel path, so a deployment that still sets it is unaffected.
+    monkeypatch.setenv("REPRO_PERF_BACKEND", "cext")
+    check(run(PerfConfig()))
 
 
 def _fresh_cores(system):
@@ -175,43 +154,3 @@ class TestBuilderMatchesReference:
         assert engine.fault_stats.remapped > 0
         assert check.during_outage > 0
         assert check.checked == len(tasks) + engine.fault_stats.orphaned
-
-    @pytest.mark.skipif(not COMPILED_BACKENDS, reason="no compiled backend available")
-    @pytest.mark.parametrize("backend", COMPILED_BACKENDS)
-    def test_compiled_score_rows_within_tolerance(self, system, backend):
-        """Decision inputs from the compiled batch kernel: discrete
-        arrays bitwise, probability rows within the ≤1e-12 contract.
-
-        This is the load-bearing half of backend parity — the candidate
-        arrays are what every heuristic argmin and filter threshold
-        reads, so pinning them here localizes any trial-level
-        trajectory divergence to exact-tie reordering.
-        """
-        from repro.perf.kernels import resolve_backend
-
-        cores = _fresh_cores(system)
-        probe = system.workload.tasks[0]
-        t0 = probe.arrival
-        pmf = system.table.pmf(probe.type_id, cores[0].node_index, 0)
-        cores[0].set_running(
-            RunningTask(probe, 0, pmf, start_time=t0, completion_time=t0 + 200.0)
-        )
-        cores[0].enqueue(QueuedTask(probe, 0, pmf))
-        compiled = CandidateBuilder(
-            cores, system.table, backend=resolve_backend(backend)
-        )
-        reference = CandidateBuilder(cores, system.table)
-        for task in system.workload.tasks[1:6]:
-            got = compiled.build(task, task.arrival)
-            ref = reference.build(task, task.arrival)
-            for name in ("core_ids", "pstates", "queue_len"):
-                assert np.array_equal(getattr(got, name), getattr(ref, name)), name
-            for name in ("eet", "eec", "ect", "prob_on_time"):
-                np.testing.assert_allclose(
-                    getattr(got, name),
-                    getattr(ref, name),
-                    rtol=1e-12,
-                    atol=1e-15,
-                    err_msg=name,
-                )
-            assert np.array_equal(got.mask, ref.mask)

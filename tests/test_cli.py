@@ -44,6 +44,13 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["figure", "fig9"])
 
+    def test_retired_kernel_flag_is_rejected(self):
+        # numpy is the only kernel path; scripts still passing the old
+        # flag fail loudly instead of silently running something else.
+        with pytest.raises(SystemExit) as exc:
+            main(["trial", "--perf-backend", "numpy"])
+        assert exc.value.code == 2
+
 
 class TestCommands:
     def test_calibrate(self, capsys):
@@ -534,6 +541,12 @@ class TestMonitorCommand:
     def test_missing_file_exits(self):
         with pytest.raises(SystemExit, match="cannot read"):
             main(["monitor", "/nonexistent/windows.jsonl"])
+
+    def test_reports_unparseable_rows(self, capsys, tmp_path):
+        path = tmp_path / "w.jsonl"
+        path.write_text("{not json\n[1, 2]\n")
+        assert main(["monitor", str(path)]) == 0
+        assert "2 unparseable rows skipped" in capsys.readouterr().out
 
     def test_bad_rule_exits(self, tmp_path):
         path = tmp_path / "w.jsonl"
