@@ -15,7 +15,7 @@ from repro.extensions.batch_mode import run_batch_trial
 from repro.filters.chain import build_filter_chain
 from repro.heuristics.registry import build_heuristic
 from repro import rng as rng_mod
-from repro.sim.engine import run_trial
+from repro.sim.engine import Engine
 from repro.sim.system import build_trial_system
 
 
@@ -33,10 +33,10 @@ def run_comparison() -> dict[str, float]:
         system = build_trial_system(config.with_seed(seed))
         chain = build_filter_chain("en+rob", config.filters)
         misses["MECT/en+rob (immediate)"].append(
-            run_trial(system, build_heuristic("MECT"), chain).missed
+            Engine(system, build_heuristic("MECT"), chain).run().missed
         )
         misses["LL/en+rob (immediate)"].append(
-            run_trial(system, build_heuristic("LL"), chain).missed
+            Engine(system, build_heuristic("LL"), chain).run().missed
         )
         misses["Min-Min/en+rob (batch)"].append(
             run_batch_trial(system, "min-min", build_filter_chain("en+rob", config.filters)).missed

@@ -17,7 +17,7 @@ from repro import rng as rng_mod
 from repro.extensions.cancellation import AbandonHopelessPolicy
 from repro.filters.chain import build_filter_chain
 from repro.heuristics.registry import build_heuristic
-from repro.sim.engine import run_trial
+from repro.sim.engine import Engine
 from repro.sim.system import build_trial_system
 
 THRESHOLDS = (None, 0.02, 0.10, 0.25)
@@ -34,14 +34,14 @@ def run_comparison() -> dict[str, float]:
         for thresh in THRESHOLDS:
             label = "no cancel" if thresh is None else f"cancel<{thresh}"
             hooks = () if thresh is None else (AbandonHopelessPolicy(thresh),)
-            result = run_trial(
+            result = Engine(
                 system,
                 # Same stream key for every threshold: all variants see
                 # identical random assignment draws (paired comparison).
                 build_heuristic("Random", rng_mod.stream(seed, "cancel-bench")),
                 build_filter_chain("none", config.filters),
                 hooks=hooks,
-            )
+            ).run()
             misses.setdefault(label, []).append(result.missed)
             for policy in hooks:
                 cancelled[label] = cancelled.get(label, 0) + len(policy.cancelled)

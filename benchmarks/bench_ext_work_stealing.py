@@ -16,7 +16,7 @@ from repro import rng as rng_mod
 from repro.extensions.rescheduling import WorkStealingPolicy
 from repro.filters.chain import build_filter_chain
 from repro.heuristics.registry import build_heuristic
-from repro.sim.engine import run_trial
+from repro.sim.engine import Engine
 from repro.sim.system import build_trial_system
 
 
@@ -36,16 +36,16 @@ def run_comparison() -> dict[str, float]:
         def rand():
             return build_heuristic("Random", rng_mod.stream(seed, "ws-bench"))
 
-        base = run_trial(system, rand(), build_filter_chain("rob", config.filters))
+        base = Engine(system, rand(), build_filter_chain("rob", config.filters)).run()
         policy = WorkStealingPolicy()
-        stolen = run_trial(
+        stolen = Engine(
             system, rand(), build_filter_chain("rob", config.filters), hooks=(policy,)
-        )
-        ll = run_trial(
+        ).run()
+        ll = Engine(
             system,
             build_heuristic("LL"),
             build_filter_chain("en+rob", config.filters),
-        )
+        ).run()
         misses["Random/rob"].append(base.missed)
         misses["Random/rob + steal"].append(stolen.missed)
         misses["LL/en+rob"].append(ll.missed)

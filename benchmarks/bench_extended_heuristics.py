@@ -14,7 +14,7 @@ from repro import rng as rng_mod
 from repro.extensions.baselines import make_extended_heuristic
 from repro.filters.chain import build_filter_chain
 from repro.heuristics.registry import build_heuristic
-from repro.sim.engine import run_trial
+from repro.sim.engine import Engine
 from repro.sim.system import build_trial_system
 
 import numpy as np
@@ -37,9 +37,9 @@ def run_comparison() -> dict[str, float]:
         seed = rng_mod.spawn_trial_seed(bench_seed(), trial)
         system = build_trial_system(config.with_seed(seed))
         for name in ALL:
-            result = run_trial(
+            result = Engine(
                 system, _make(name, seed), build_filter_chain(VARIANT, config.filters)
-            )
+            ).run()
             misses[name].append(result.missed)
     rows = {name: float(np.median(vals)) for name, vals in misses.items()}
     lines = [

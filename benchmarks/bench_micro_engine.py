@@ -13,7 +13,7 @@ from dataclasses import replace
 from repro import SimulationConfig, build_trial_system
 from repro.filters.chain import build_filter_chain
 from repro.heuristics.lightest_load import LightestLoad
-from repro.sim.engine import run_trial
+from repro.sim.engine import Engine
 from repro.sim.mapper import CandidateBuilder
 from repro.sim.state import CoreState
 
@@ -30,7 +30,7 @@ def test_full_trial_ll_filtered(benchmark):
     system = small_system()
 
     def run():
-        return run_trial(system, LightestLoad(), build_filter_chain("en+rob"))
+        return Engine(system, LightestLoad(), build_filter_chain("en+rob")).run()
 
     result = benchmark.pedantic(run, rounds=3, iterations=1)
     assert result.num_tasks == 150

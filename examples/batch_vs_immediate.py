@@ -18,7 +18,7 @@ from repro import SimulationConfig, build_trial_system
 from repro.extensions import run_batch_trial
 from repro.filters import build_filter_chain
 from repro.heuristics import LightestLoad, MinimumExpectedCompletionTime
-from repro.sim.engine import run_trial
+from repro.sim.engine import Engine
 
 TRIALS = 3
 TASKS = 400
@@ -36,12 +36,12 @@ def main() -> None:
         config = replace(config, workload=config.workload.with_num_tasks(TASKS))
         system = build_trial_system(config)
         rows["immediate MECT/en+rob"].append(
-            run_trial(
+            Engine(
                 system, MinimumExpectedCompletionTime(), build_filter_chain("en+rob")
-            ).missed
+            ).run().missed
         )
         rows["immediate LL/en+rob"].append(
-            run_trial(system, LightestLoad(), build_filter_chain("en+rob")).missed
+            Engine(system, LightestLoad(), build_filter_chain("en+rob")).run().missed
         )
         rows["batch Min-Min/en+rob"].append(
             run_batch_trial(system, "min-min", build_filter_chain("en+rob")).missed

@@ -13,10 +13,11 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro import SimulationConfig, build_trial_system, run_trial
+from repro import SimulationConfig, build_trial_system
 from repro.analysis.phases import phase_breakdown
 from repro.filters import build_filter_chain
 from repro.heuristics import MinimumExpectedCompletionTime
+from repro.sim.engine import Engine
 from repro.sim.metrics import TraceCollector
 
 
@@ -40,9 +41,9 @@ def main() -> None:
     for variant in ("none", "en+rob"):
         collector = TraceCollector()
         heuristic = MinimumExpectedCompletionTime()
-        result = run_trial(
+        result = Engine(
             system, heuristic, build_filter_chain(variant), hooks=(collector,)
-        )
+        ).run()
         traces = collector.as_arrays()
         print(f"=== MECT/{variant} ===")
         print(f"queue depth over arrivals: [{sparkline(traces['queue_depths'])}]")

@@ -14,8 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro import SimulationConfig, build_trial_system
-from repro.experiments.runner import TrialPlan, VariantSpec
+from repro import SimulationConfig, api
 from repro.heuristics.registry import HEURISTICS
 
 REGIMES = {
@@ -43,10 +42,7 @@ def main() -> None:
                         v_mach=v_mach,
                     ),
                 )
-                system = build_trial_system(config)
-                result = TrialPlan(
-                    system=system, spec=VariantSpec(heuristic, "en+rob")
-                ).run()
+                result = api.run_trial(api.Scenario(heuristic, "en+rob", config=config))
                 misses.append(result.missed)
             row.append(f"{float(np.median(misses)):14.1f}")
         print(" ".join(row))

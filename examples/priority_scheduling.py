@@ -28,7 +28,7 @@ from repro.extensions import (
 )
 from repro.filters import FilterChain, RobustnessFilter, build_filter_chain
 from repro.heuristics import LightestLoad
-from repro.sim.engine import run_trial
+from repro.sim.engine import Engine
 
 SEED = 77
 
@@ -59,7 +59,7 @@ def main() -> None:
     }
     print(f"{'policy':>22} {'missed':>7} {'weighted miss':>14} {'cancelled':>10}")
     for label, (heuristic, chain, hooks) in runs.items():
-        result = run_trial(system, heuristic, chain, hooks=hooks)
+        result = Engine(system, heuristic, chain, hooks=hooks).run()
         wm = weighted_missed(result, system.workload)
         cancelled = sum(len(policy.cancelled) for policy in hooks)
         print(f"{label:>22} {result.missed:7d} {100 * wm:13.1f}% {cancelled:10d}")

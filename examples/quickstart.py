@@ -17,9 +17,8 @@ import pathlib
 import sys
 from dataclasses import replace
 
-from repro import SimulationConfig, build_trial_system
+from repro import SimulationConfig, api, build_trial_system
 from repro.experiments.calibrate import subscription_report
-from repro.experiments.runner import TrialPlan, VariantSpec
 from repro.io.results_io import save_json
 from repro.obs.manifest import manifest_for_results, save_manifest
 from repro.obs.sinks import JsonlSink, MetricsRegistry
@@ -51,11 +50,9 @@ def main(seed: int = 2011, outdir: "str | None" = None, num_tasks: int = 500) ->
     print("\n=== Policies ===")
     results = {}
     for variant in ("none", "en+rob"):
-        spec = VariantSpec("LL", variant)
-        result = TrialPlan(
-            system=system, spec=spec, metrics=metrics, sinks=sinks
-        ).run()
-        results[spec.label] = [result]
+        scenario = api.Scenario("LL", variant, config=config)
+        result = api.run_trial(scenario, system=system, metrics=metrics, sinks=sinks)
+        results[scenario.label] = [result]
         print(
             f"LL/{variant:>6}: missed {result.missed:4d} / {result.num_tasks} "
             f"({100 * result.miss_fraction:.1f}%)  "

@@ -9,12 +9,19 @@ assignment filters (energy fair-share, robustness threshold).
 
 Quickstart
 ----------
->>> from repro import SimulationConfig, build_trial_system, run_trial
+>>> from repro import api
+>>> result = api.run_scenario(api.Scenario("LL", "en+rob", seed=42, num_tasks=100))
+>>> 0 <= result.missed <= 100
+True
+
+The same trial one layer down, for scripts that attach their own
+engine subscribers:
+
 >>> from repro.heuristics import LightestLoad
 >>> from repro.filters import build_filter_chain
->>> cfg = SimulationConfig(seed=42).with_updates(workload={"num_tasks": 100})
->>> system = build_trial_system(cfg)
->>> result = run_trial(system, LightestLoad(), build_filter_chain("en+rob"))
+>>> from repro.sim import Engine
+>>> system = api.Scenario("LL", "en+rob", seed=42, num_tasks=100).build_system()
+>>> result = Engine(system, LightestLoad(), build_filter_chain("en+rob")).run()
 >>> 0 <= result.missed <= 100
 True
 
@@ -48,7 +55,6 @@ from repro.config import (
     SimulationConfig,
     WorkloadConfig,
 )
-from repro.sim.engine import run_trial
 from repro.sim.system import build_trial_system
 
 __all__ = [
@@ -61,6 +67,5 @@ __all__ = [
     "LambdaMode",
     "SimulationConfig",
     "WorkloadConfig",
-    "run_trial",
     "build_trial_system",
 ]

@@ -55,7 +55,7 @@ def phase_breakdown(
     """Attribute a trial's outcomes to arrival phases.
 
     Requires per-task outcomes (run the trial with ``keep_outcomes`` or
-    via :func:`repro.sim.engine.run_trial`, which keeps them by default).
+    via :meth:`repro.sim.engine.Engine.run`, which keeps them by default).
     """
     if len(result.outcomes) != result.num_tasks:
         raise ValueError("result lacks per-task outcomes")

@@ -24,13 +24,12 @@ The facade groups five things:
   package — makes a name constructible from the CLI and from scenario
   files; :func:`describe_plugins` renders the catalog.
 * **Running it** — :func:`run_scenario` (a scenario object or file,
-  dispatched on its mode), :func:`run_trial` (one trial, built on
-  :class:`TrialPlan`), :func:`run_ensemble` (paired trials, optionally
+  dispatched on its mode), :func:`run_trial` (one trial, through
+  :func:`observe_trial`), :func:`run_ensemble` (paired trials, optionally
   fanned out over processes), :func:`run_service` (continuous-service
   mode) and :func:`budget_sweep` (the energy-tightness sweep).  All
   accept the observability collectors (:class:`MetricsRegistry`,
-  :class:`SpanProfile`, :class:`TimelineSet`, event sinks) and the
-  :class:`PerfConfig` performance knobs.
+  :class:`SpanProfile`, :class:`TimelineSet`, event sinks).
 * **Inspecting results** — :class:`TrialResult`,
   :class:`EnsembleResult` and :class:`PartialEnsembleResult`.
 * **The value types underneath** — :class:`PMF` and
@@ -43,6 +42,7 @@ removed name with its replacement.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -50,8 +50,8 @@ from repro.config import SimulationConfig
 from repro.experiments.runner import (
     EnsembleResult,
     PartialEnsembleResult,
-    TrialPlan,
     VariantSpec,
+    policy_for,
 )
 from repro.experiments.runner import run_ensemble as _run_ensemble
 from repro.experiments.sweep import SweepResult
@@ -104,7 +104,7 @@ from repro.obs.telemetry import (
     parse_rule,
 )
 from repro.obs.timeline import TimelineRecorder, TimelineSet
-from repro.perf.kernel_cache import CacheStats, PerfConfig
+from repro.perf.kernel_cache import CacheStats, KernelCache
 from repro.perf.trial_cache import TrialCache
 from repro.service import ServiceConfig, ServiceResult, write_windows_jsonl
 from repro.service import serve_system as _serve_system
@@ -147,7 +147,6 @@ __all__ = [
     # running it
     "run_scenario",
     "run_trial",
-    "TrialPlan",
     "run_ensemble",
     "budget_sweep",
     "run_service",
@@ -172,8 +171,8 @@ __all__ = [
     "FaultStats",
     "SheddingConfig",
     "observe_trial",
-    "PerfConfig",
     "CacheStats",
+    "KernelCache",
     "TrialCache",
     # observability collectors
     "MetricsRegistry",
@@ -202,7 +201,6 @@ def run_trial(
     sinks: Sequence[EventSink] = (),
     profile: SpanRecorder | None = None,
     timeline: TimelineRecorder | None = None,
-    perf: PerfConfig | None = None,
     shared: TrialCache | None = None,
     faults: FaultSchedule | None = None,
     fault_policy: FaultPolicy | None = None,
@@ -214,11 +212,13 @@ def run_trial(
     :class:`TrialSystem` (e.g. to run several scenarios against the
     identical workload draw, the paper's pairing discipline); otherwise
     the scenario builds its own.  When reusing a system across
-    scenarios, a single :class:`TrialCache` passed as ``shared`` lets
-    later runs reuse the kernel cache and mapper tables the first run
-    warmed.  Observability collectors, the ``perf`` knobs and
-    ``shared`` are results-neutral: the returned :class:`TrialResult`
-    is bitwise identical for any combination.
+    scenarios, a single ``TrialCache(KernelCache())`` passed as
+    ``shared`` lets later runs reuse the kernel cache and mapper tables
+    the first run warmed (``TrialCache(None)`` runs uncached).
+    Observability collectors and ``shared`` are results-neutral: the
+    returned :class:`TrialResult` is bitwise identical for any
+    combination.  Per-task outcomes are dropped unless
+    ``keep_outcomes``.
 
     ``faults`` injects an in-simulation :class:`FaultSchedule` (node or
     core outages, slowdowns) with recovery behavior set by
@@ -226,20 +226,23 @@ def run_trial(
     controller.  All three default to ``None``: a fault-free run is
     bitwise identical to one on a build without the fault layer.
     """
-    return TrialPlan.from_scenario(
-        scenario,
-        system=system,
-        keep_outcomes=keep_outcomes,
-        metrics=metrics,
+    if system is None:
+        system = scenario.build_system()
+    heuristic, chain = policy_for(system, scenario.spec)
+    result = observe_trial(
+        system,
+        heuristic,
+        chain,
         sinks=sinks,
+        metrics=metrics,
         profile=profile,
         timeline=timeline,
-        perf=perf,
         shared=shared,
         faults=faults,
         fault_policy=fault_policy,
         shedding=shedding,
-    ).run()
+    )
+    return result if keep_outcomes else replace(result, outcomes=())
 
 
 def run_service(
@@ -250,7 +253,6 @@ def run_service(
     timeline: TimelineRecorder | None = None,
     stop: Callable[[], bool] | None = None,
     telemetry: Telemetry = NULL_TELEMETRY,
-    perf: PerfConfig | None = None,
 ) -> ServiceResult:
     """Run one scenario in continuous-service mode.
 
@@ -271,8 +273,6 @@ def run_service(
     ``telemetry`` attaches a live :class:`Telemetry` hub (streaming
     quantiles, SLO rules, online steady-state detection); the inert
     default keeps the run bitwise identical to an untelemetered one.
-
-    ``perf`` selects the hot-path performance knobs (:class:`PerfConfig`).
     """
     if service is None:
         service = ServiceConfig(traffic="replay")
@@ -285,7 +285,6 @@ def run_service(
         timeline=timeline,
         stop=stop,
         telemetry=telemetry,
-        perf=perf,
     )
 
 
@@ -297,7 +296,7 @@ def run_scenario(
 
     Dispatches on :attr:`Scenario.mode`:
 
-    * ``"trial"`` — one :class:`TrialPlan` run, returning a
+    * ``"trial"`` — one :func:`run_trial` call, returning a
       :class:`TrialResult`.  Scenario-level ``[faults]`` / ``[shedding]``
       sections are resolved and injected.
     * ``"ensemble"`` — paired trials per the scenario's ``[ensemble]``
@@ -308,7 +307,7 @@ def run_scenario(
       returning a :class:`ServiceResult`.
 
     Extra keyword ``options`` forward to the mode's runner (collectors,
-    ``n_jobs``, ``perf``, ...), so a scenario file pins the experiment
+    ``n_jobs``, ...), so a scenario file pins the experiment
     while the call site adds observability.
     """
     if isinstance(scenario, (str, Path)):
@@ -358,7 +357,6 @@ def run_ensemble(
     sinks: Sequence[EventSink] = (),
     profile: SpanProfile | None = None,
     timeline: TimelineSet | None = None,
-    perf: PerfConfig | None = None,
     checkpoint: str | Path | None = None,
     resume: bool = False,
     trial_timeout: float | None = None,
@@ -393,7 +391,6 @@ def run_ensemble(
         sinks=sinks,
         profile=profile,
         timeline=timeline,
-        perf=perf,
         checkpoint=checkpoint,
         resume=resume,
         trial_timeout=trial_timeout,
@@ -409,7 +406,6 @@ def budget_sweep(
     *,
     base_seed: int | None = None,
     n_jobs: int = 1,
-    perf: PerfConfig | None = None,
 ) -> SweepResult:
     """Sweep the energy-budget multiplier over one or more scenarios."""
     scens = (scenarios,) if isinstance(scenarios, Scenario) else tuple(scenarios)
@@ -425,5 +421,4 @@ def budget_sweep(
         num_trials,
         base_seed,
         n_jobs=n_jobs,
-        perf=perf,
     )

@@ -745,7 +745,17 @@ def cmd_monitor(args: argparse.Namespace) -> int:
             return 0
 
 
-def _print_ensemble(ensemble: EnsembleResult, tasks: int, svg_dir: str | None) -> None:
+def _print_ensemble(ensemble: EnsembleResult, svg_dir: str | None) -> bool:
+    """Print the per-heuristic tables; False when no trial completed.
+
+    An ensemble that lost every trial to quarantine has nothing to
+    tabulate: it prints ``no completed trials`` instead, and the caller
+    exits 1 through :func:`_no_completed_trials`.
+    """
+    if not _has_trials(ensemble):
+        print("no completed trials")
+        return False
+    tasks = next(rs for rs in ensemble.results.values() if rs)[0].num_tasks
     heuristics = sorted(
         {s.heuristic for s in ensemble.specs},
         # Paper heuristics keep the figures' order; third-party plugin
@@ -772,6 +782,17 @@ def _print_ensemble(ensemble: EnsembleResult, tasks: int, svg_dir: str | None) -
         print(best_variant_table(ensemble, tasks))
         print()
         print(summary_table(ensemble, tasks))
+    return True
+
+
+def _has_trials(ensemble: EnsembleResult) -> bool:
+    """Whether any trial completed (quarantine can take every one)."""
+    return any(ensemble.results.values())
+
+
+def _no_completed_trials(args: argparse.Namespace) -> SystemExit:
+    """The one-line exit of an ensemble command whose every trial failed."""
+    return SystemExit(f"repro {args.command}: no completed trials")
 
 
 def _report_partial(ensemble: EnsembleResult) -> None:
@@ -805,7 +826,7 @@ def _run_ensemble_command(specs: list[VariantSpec], args: argparse.Namespace) ->
             profile=out.profile, timeline=out.timelines, sinks=out.sinks,
         )
     _report_partial(ensemble)
-    _print_ensemble(ensemble, args.tasks, args.svg_dir)
+    printed = _print_ensemble(ensemble, args.svg_dir)
     if args.out:
         save_json(ensemble_to_dict(ensemble), args.out)
         print(f"wrote {args.out}")
@@ -813,6 +834,8 @@ def _run_ensemble_command(specs: list[VariantSpec], args: argparse.Namespace) ->
         save_manifest(build_manifest(ensemble, config), manifest_path)
         print(f"wrote {manifest_path}")
     out.write()
+    if not printed:
+        raise _no_completed_trials(args)
     return 0
 
 
@@ -911,8 +934,8 @@ def _load_ensemble(args: argparse.Namespace, path: str) -> EnsembleResult:
 def cmd_report(args: argparse.Namespace) -> int:
     """Re-render tables from a saved ensemble JSON."""
     ensemble = _load_ensemble(args, args.results)
-    tasks = next(iter(ensemble.results.values()))[0].num_tasks
-    _print_ensemble(ensemble, tasks, args.svg_dir)
+    if not _print_ensemble(ensemble, args.svg_dir):
+        raise _no_completed_trials(args)
     return 0
 
 
@@ -933,6 +956,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         )
     for point in sweep.points:
         _report_partial(point.ensemble)
+    if not any(_has_trials(point.ensemble) for point in sweep.points):
+        print("no completed trials")
+        out.write()
+        raise _no_completed_trials(args)
     print(sweep.table(num_tasks=args.tasks))
     out.write()
     return 0
@@ -951,8 +978,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         _print_trial_result(result)
     elif scenario.mode == "ensemble":
         _report_partial(result)
-        tasks = scenario.resolved_config().workload.num_tasks
-        _print_ensemble(result, tasks, None)
+        if not _print_ensemble(result, None):
+            raise _no_completed_trials(args)
     else:
         _print_service_summary(result)
     return 0
@@ -1024,6 +1051,8 @@ def cmd_scenarios(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     """Paired significance test between two saved specs."""
     ensemble = _load_ensemble(args, args.results)
+    if not _has_trials(ensemble):
+        raise _no_completed_trials(args)
     comparison = compare_variants(ensemble, _parse_spec(args.a), _parse_spec(args.b))
     print(comparison)
     verdict = "significant" if comparison.significant(args.alpha) else "not significant"

@@ -48,7 +48,6 @@ from repro.experiments.executor import (
     load_checkpoint,
     run_supervised,
 )
-from repro.faults import FaultPolicy, FaultSchedule, SheddingConfig
 from repro.filters.chain import build_filter_chain
 from repro.heuristics.registry import build_heuristic
 from repro.obs.events import CheckpointWritten, Event
@@ -57,14 +56,13 @@ from repro.obs.manifest import config_digest
 from repro.obs.sinks import EventSink, MetricsRegistry
 from repro.obs.spans import SpanProfile, SpanRecorder
 from repro.obs.timeline import TimelineRecorder, TimelineSet
-from repro.perf.kernel_cache import PerfConfig
+from repro.perf.kernel_cache import KernelCache
 from repro.perf.trial_cache import TrialCache
 from repro.sim.results import TrialResult
 from repro.sim.system import TrialSystem, build_trial_system
 
 __all__ = [
     "VariantSpec",
-    "TrialPlan",
     "EnsembleResult",
     "PartialEnsembleResult",
     "policy_for",
@@ -100,77 +98,6 @@ def policy_for(system: TrialSystem, spec: VariantSpec):
     return heuristic, chain
 
 
-@dataclass
-class TrialPlan:
-    """One fully-specified trial run: system, policy spec, and ride-alongs.
-
-    Build a plan, then :meth:`run` it: one
-    :func:`~repro.obs.hooks.observe_trial` call, which attaches only the
-    observability collectors (``metrics`` / ``sinks`` / ``profile`` /
-    ``timeline``) that are set.  The simulated decisions — and therefore
-    the result — are bitwise identical with or without them.
-
-    ``perf`` selects the hot-path performance knobs (:mod:`repro.perf`);
-    ``None`` means the defaults (kernel cache on).
-    ``shared`` carries the warm cross-spec caches of the trial
-    (:class:`~repro.perf.TrialCache`); reuse one handle for every spec
-    run against the same ``system``.  ``faults`` / ``fault_policy`` /
-    ``shedding`` thread the in-simulation fault layer
-    (:mod:`repro.faults`) into the engine; all three default to ``None``
-    (fault-free, bitwise identical to earlier releases).
-    """
-
-    system: TrialSystem
-    spec: VariantSpec
-    keep_outcomes: bool = False
-    metrics: MetricsRegistry | None = None
-    sinks: Sequence[EventSink] = ()
-    profile: SpanRecorder | None = None
-    timeline: TimelineRecorder | None = None
-    perf: PerfConfig | None = None
-    shared: TrialCache | None = None
-    faults: FaultSchedule | None = None
-    fault_policy: FaultPolicy | None = None
-    shedding: SheddingConfig | None = None
-
-    @classmethod
-    def from_scenario(cls, scenario: Any, *, system: TrialSystem | None = None, **options: Any) -> "TrialPlan":
-        """Build a plan from a scenario-shaped object.
-
-        ``scenario`` is duck-typed: anything with a ``spec`` attribute
-        (a :class:`VariantSpec`) and, when ``system`` is not given, a
-        ``build_system()`` method.  Keyword ``options`` are the plan's
-        remaining fields (``keep_outcomes``, ``metrics``, ``faults``,
-        ...).  Fault/shedding settings carried by the scenario itself
-        are resolved by the caller (:func:`repro.api.run_scenario`), not
-        here — the runner stays ignorant of the scenario schema.
-        """
-        if system is None:
-            system = scenario.build_system()
-        return cls(system=system, spec=scenario.spec, **options)
-
-    def run(self) -> TrialResult:
-        """Execute the plan and return its trial result."""
-        heuristic, chain = policy_for(self.system, self.spec)
-        result = observe_trial(
-            self.system,
-            heuristic,
-            chain,
-            sinks=self.sinks,
-            metrics=self.metrics,
-            profile=self.profile,
-            timeline=self.timeline,
-            perf=self.perf,
-            shared=self.shared,
-            faults=self.faults,
-            fault_policy=self.fault_policy,
-            shedding=self.shedding,
-        )
-        if not self.keep_outcomes:
-            result = replace(result, outcomes=())
-        return result
-
-
 #: What one trial sends back to the parent: per-spec results, then the
 #: serialized metrics registry, span stream and timeline streams (each
 #: ``None``/empty when its collection was off or the trial was restored
@@ -190,7 +117,6 @@ def _run_one_trial(
         bool,
         bool,
         float | None,
-        PerfConfig | None,
     ],
 ) -> _TrialValue:
     """Worker: build trial ``i``'s system and run every spec against it.
@@ -216,7 +142,6 @@ def _run_one_trial(
         collect_metrics,
         collect_spans,
         timeline_dt,
-        perf,
     ) = args
     seed = rng_mod.spawn_trial_seed(base_seed, trial_index)
     recorder = (
@@ -231,7 +156,7 @@ def _run_one_trial(
         system = build_trial_system(config.with_seed(seed))
     registry = MetricsRegistry() if collect_metrics else None
     timelines: list[dict[str, Any]] | None = [] if timeline_dt is not None else None
-    shared = TrialCache(perf)
+    shared = TrialCache(KernelCache())
     results = []
     for spec in specs:
         tl = (
@@ -243,18 +168,17 @@ def _run_one_trial(
             if timeline_dt is not None
             else None
         )
-        results.append(
-            TrialPlan(
-                system=system,
-                spec=spec,
-                keep_outcomes=keep_outcomes,
-                metrics=registry,
-                profile=recorder,
-                timeline=tl,
-                perf=perf,
-                shared=shared,
-            ).run()
+        heuristic, chain = policy_for(system, spec)
+        result = observe_trial(
+            system,
+            heuristic,
+            chain,
+            metrics=registry,
+            profile=recorder,
+            timeline=tl,
+            shared=shared,
         )
+        results.append(result if keep_outcomes else replace(result, outcomes=()))
         if tl is not None and timelines is not None:
             timelines.append(tl.to_dict())
     return (
@@ -351,7 +275,6 @@ def run_ensemble(
     sinks: Sequence[EventSink] = (),
     profile: SpanProfile | None = None,
     timeline: TimelineSet | None = None,
-    perf: PerfConfig | None = None,
 ) -> EnsembleResult:
     """Run ``num_trials`` paired trials of every spec.
 
@@ -408,10 +331,6 @@ def run_ensemble(
         contributes one sampled state timeline per spec at the set's
         ``dt``, on the same stream id as the trial's spans
         (``trial + 1``).  Fully deterministic for a fixed seed.
-    perf:
-        Hot-path performance knobs (:class:`~repro.perf.PerfConfig`)
-        forwarded to every trial; results-neutral, so checkpoints and
-        manifests written with different ``perf`` settings interoperate.
     """
     specs = tuple(specs)
     if not specs:
@@ -485,7 +404,7 @@ def run_ensemble(
             payloads = {
                 i: (
                     config, base_seed, i, specs, keep_outcomes,
-                    collect, collect_spans, timeline_dt, perf,
+                    collect, collect_spans, timeline_dt,
                 )
                 for i in pending
             }

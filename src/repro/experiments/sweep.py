@@ -19,7 +19,6 @@ from repro.experiments.runner import EnsembleResult, VariantSpec, run_ensemble
 from repro.obs.sinks import EventSink, MetricsRegistry
 from repro.obs.spans import SpanProfile
 from repro.obs.timeline import TimelineSet
-from repro.perf.kernel_cache import PerfConfig
 
 __all__ = ["SweepPoint", "SweepResult", "run_sweep", "budget_sweep"]
 
@@ -98,7 +97,6 @@ def run_sweep(
     sinks: Sequence[EventSink] = (),
     profile: SpanProfile | None = None,
     timeline: TimelineSet | None = None,
-    perf: PerfConfig | None = None,
 ) -> SweepResult:
     """Run ``specs`` at every parameter value.
 
@@ -119,9 +117,6 @@ def run_sweep(
         one registry / span profile / timeline set accumulates across
         the whole sweep (points are distinguishable by span stream
         labels and timeline labels).
-    perf:
-        Hot-path performance knobs forwarded to every trial
-        (results-neutral; see :mod:`repro.perf`).
     """
     if not values:
         raise ValueError("need at least one sweep value")
@@ -145,7 +140,6 @@ def run_sweep(
             sinks=sinks,
             profile=profile,
             timeline=timeline,
-            perf=perf,
         )
         points.append(SweepPoint(value=value, ensemble=ensemble))
     return SweepResult(parameter=parameter, specs=specs, points=tuple(points))
@@ -167,7 +161,6 @@ def budget_sweep(
     sinks: Sequence[EventSink] = (),
     profile: SpanProfile | None = None,
     timeline: TimelineSet | None = None,
-    perf: PerfConfig | None = None,
 ) -> SweepResult:
     """Sweep the energy-budget multiplier (the constraint's tightness)."""
 
@@ -191,5 +184,4 @@ def budget_sweep(
         sinks=sinks,
         profile=profile,
         timeline=timeline,
-        perf=perf,
     )

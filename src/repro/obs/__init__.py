@@ -36,9 +36,9 @@ inspectable without touching the engine's hot path:
 * :mod:`repro.obs.monitor` — the ``repro monitor`` dashboard: tail
   window JSONL (or scrape a live endpoint) into a terminal view.
 
-Observability is strictly opt-in: ``run_trial`` with no hooks allocates
-no event objects, and :mod:`repro.sim.engine` never imports this
-package.
+Observability is strictly opt-in: ``observe_trial`` with no sinks,
+metrics or timeline subscribes nothing and allocates no event objects,
+and :mod:`repro.sim.engine` never imports this package.
 """
 
 from repro.obs.events import (
@@ -75,7 +75,7 @@ from repro.obs.manifest import (
     verify_ensemble,
 )
 from repro.obs.sinks import JsonlSink, MetricsRegistry, RingBufferSink
-from repro.obs.spans import SpanProfile, SpanRecorder, recording, span, traced
+from repro.obs.spans import SpanProfile, SpanRecorder
 from repro.obs.telemetry import (
     NULL_TELEMETRY,
     AlertRule,
@@ -127,9 +127,6 @@ __all__ = [
     "RingBufferSink",
     "SpanProfile",
     "SpanRecorder",
-    "recording",
-    "span",
-    "traced",
     "TimelineRecorder",
     "TimelineSet",
 ]

@@ -12,9 +12,8 @@ optionally times every heuristic decision via :class:`TimedHeuristic`,
 every filter evaluation via :class:`TimedFilterChain`, every pmf
 operation via the :mod:`repro.stoch.ops` observer, and the engine's own
 event handlers via the ``tracer`` hook — all strictly opt-in.  It holds
-the engine instance itself (rather than going through the
-``run_trial`` convenience wrapper) so the kernel cache's final counters
-can be folded into the metrics registry after the run.
+the engine instance so the kernel cache's final counters can be folded
+into the metrics registry after the run.
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ from repro.obs.sinks import (
 )
 from repro.obs.spans import SpanRecorder
 from repro.obs.timeline import TimelineRecorder
-from repro.perf.kernel_cache import PerfConfig
 from repro.perf.trial_cache import TrialCache
 from repro.sim.engine import Engine, EngineHooks
 from repro.sim.results import TrialResult
@@ -286,7 +284,6 @@ def observe_trial(
     metrics: MetricsRegistry | None = None,
     profile: SpanRecorder | None = None,
     timeline: TimelineRecorder | None = None,
-    perf: PerfConfig | None = None,
     shared: TrialCache | None = None,
     faults: FaultSchedule | None = None,
     fault_policy: FaultPolicy | None = None,
@@ -294,28 +291,27 @@ def observe_trial(
 ) -> TrialResult:
     """Run one trial, with whatever observability is attached.
 
-    The one trial driver behind :class:`repro.experiments.runner.TrialPlan`.
-    The engine's subscribers are the :class:`ObservingHooks` adapter (if
-    ``sinks`` or ``metrics`` listen) and then ``timeline``, so an
-    unobserved trial runs without subscribers and allocates no events.
-    Identical simulation semantics to :func:`repro.sim.engine.run_trial`
-    — hooks observe, they never steer, decision timing wraps the
-    heuristic without touching its choices, and span/timeline recording
-    reads state it never mutates — so results are bitwise equal with
-    tracing, metrics, profiling and timelines on or off, in any
-    combination.  The same holds for ``perf`` (see :mod:`repro.perf`):
-    the knobs only change how fast the result is computed, and the
-    kernel cache's final counters are summarized into ``perf.cache.*``
-    metrics (the per-lookup ``stoch.ops.cache_*`` counters stream in
-    live through the op observer).
+    The one trial driver behind :func:`repro.api.run_trial` and the
+    ensemble runner.  The engine's subscribers are the
+    :class:`ObservingHooks` adapter (if ``sinks`` or ``metrics`` listen)
+    and then ``timeline``, so an unobserved trial runs without
+    subscribers and allocates no events.  Identical simulation semantics
+    to a bare ``Engine(...).run()`` — hooks observe, they never steer,
+    decision timing wraps the heuristic without touching its choices,
+    and span/timeline collection reads state it never mutates — so
+    results are bitwise equal with tracing, metrics, profiling and
+    timelines on or off, in any combination.  The kernel cache's final
+    counters are summarized into ``perf.cache.*`` metrics (the
+    per-lookup ``stoch.ops.cache_*`` counters stream in live through the
+    op observer).
 
     ``shared`` is the trial-scoped warm-cache handle
-    (:class:`~repro.perf.TrialCache`); with one, the totals folded into
-    the registry are still this run's *own* activity (the engine
-    baselines the shared counters at run start), and the same deltas
-    additionally land under per-spec keys
-    ``perf.cache.<counter>.<heuristic>/<variant>`` so a merged ensemble
-    registry stays attributable.
+    (:class:`~repro.perf.TrialCache`; ``TrialCache(None)`` is the
+    uncached reference path); with one, the totals folded into the
+    registry are still this run's *own* activity (the engine baselines
+    the shared counters at run start), and the same deltas additionally
+    land under per-spec keys ``perf.cache.<counter>.<heuristic>/<variant>``
+    so a merged ensemble registry stays attributable.
 
     ``faults``/``fault_policy``/``shedding`` thread the in-simulation
     fault layer (see :mod:`repro.faults`) through to the engine; the
@@ -344,7 +340,6 @@ def observe_trial(
             engine_chain,
             hooks=hooks,
             tracer=profile,
-            perf=perf,
             shared=shared,
             faults=faults,
             fault_policy=fault_policy,

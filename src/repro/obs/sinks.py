@@ -249,7 +249,7 @@ class MetricsRegistry:
         self.counters: dict[str, int] = {}
         self.histograms: dict[str, Histogram] = {}
 
-    # -- recording ------------------------------------------------------
+    # -- collection -----------------------------------------------------
 
     def inc(self, name: str, n: int = 1) -> None:
         """Increment counter ``name`` by ``n`` (created at zero)."""

@@ -14,10 +14,6 @@ opt-in and inert by default.
   ``recorder.span("name")`` is a context manager; ``recorder.add``
   records an externally-timed region (used by
   :class:`~repro.obs.hooks.TimedHeuristic` and the ensemble executor).
-* A module-level *current recorder* supports the decorator/context
-  manager API in user code: :func:`span` and :func:`traced` consult it
-  and are no-ops — returning a shared singleton, allocating nothing —
-  while no recorder is installed.
 * :class:`SpanProfile` merges the streams of many recorders (parent +
   workers) deterministically — stable sort by stream id, then span
   start order — and exports Chrome trace-event JSON loadable in
@@ -31,22 +27,14 @@ and worker processes each own their recorder.
 
 from __future__ import annotations
 
-import functools
 import time
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping
 
 __all__ = [
     "SpanRecord",
     "SpanRecorder",
     "SpanProfile",
-    "span",
-    "traced",
-    "install",
-    "uninstall",
-    "current",
-    "recording",
-    "NULL_SPAN",
 ]
 
 #: On-disk format tag of a serialized span stream.
@@ -71,23 +59,6 @@ class SpanRecord:
     depth: int
     stream: int = 0
     tid: int = 0
-
-
-class _NullSpan:
-    """The shared do-nothing span: no recorder installed, nothing recorded."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, *exc: object) -> bool:
-        return False
-
-
-#: Singleton returned by :func:`span` when no recorder is installed, so
-#: instrumented code allocates nothing on the unprofiled hot path.
-NULL_SPAN = _NullSpan()
 
 
 class _OpenSpan:
@@ -139,7 +110,7 @@ class SpanRecorder:
         self._next_seq = 0
         self._clock = clock
 
-    # -- recording ------------------------------------------------------
+    # -- timing ---------------------------------------------------------
 
     def span(self, name: str, tid: int = 0) -> _OpenSpan:
         """Context manager timing one region as a span named ``name``."""
@@ -210,80 +181,6 @@ class SpanRecorder:
                 for r in self.records
             ],
         }
-
-
-# ----------------------------------------------------------------------
-# Module-level current recorder (decorator / context-manager API)
-# ----------------------------------------------------------------------
-
-_current: SpanRecorder | None = None
-
-
-def install(recorder: SpanRecorder) -> SpanRecorder:
-    """Make ``recorder`` the process-wide current recorder; returns it."""
-    global _current
-    _current = recorder
-    return recorder
-
-
-def uninstall() -> None:
-    """Clear the current recorder; :func:`span` goes back to no-ops."""
-    global _current
-    _current = None
-
-
-def current() -> SpanRecorder | None:
-    """The installed recorder, or ``None``."""
-    return _current
-
-
-def span(name: str, tid: int = 0) -> _OpenSpan | _NullSpan:
-    """Time a region against the installed recorder (no-op when none)."""
-    recorder = _current
-    if recorder is None:
-        return NULL_SPAN
-    return recorder.span(name, tid)
-
-
-def traced(name: str | None = None) -> Callable:
-    """Decorator: time every call of the function as a span.
-
-    Uses the function's qualified name unless ``name`` is given; checks
-    the installed recorder per call, so decorated functions stay
-    overhead-free while profiling is off.
-    """
-
-    def decorate(fn: Callable) -> Callable:
-        span_name = name or fn.__qualname__
-
-        @functools.wraps(fn)
-        def wrapper(*args: Any, **kwargs: Any) -> Any:
-            recorder = _current
-            if recorder is None:
-                return fn(*args, **kwargs)
-            with recorder.span(span_name):
-                return fn(*args, **kwargs)
-
-        return wrapper
-
-    return decorate
-
-
-class recording:
-    """``with recording(stream=0, label="x") as rec:`` — scoped install."""
-
-    def __init__(self, stream: int = 0, label: str = "") -> None:
-        self._recorder = SpanRecorder(stream, label)
-        self._previous: SpanRecorder | None = None
-
-    def __enter__(self) -> SpanRecorder:
-        self._previous = _current
-        install(self._recorder)
-        return self._recorder
-
-    def __exit__(self, *exc: object) -> None:
-        global _current
-        _current = self._previous
 
 
 # ----------------------------------------------------------------------

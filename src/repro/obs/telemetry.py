@@ -25,8 +25,7 @@ state:
 
 Telemetry is strictly opt-in and results-neutral: the engine never sees
 it, it only reads values the hooks already carry, and the inert
-:data:`NULL_TELEMETRY` singleton (same pattern as
-:data:`repro.obs.spans.NULL_SPAN`) keeps the disabled path free of
+:data:`NULL_TELEMETRY` singleton keeps the disabled path free of
 allocations — the service hooks check one class attribute
 (:attr:`Telemetry.enabled`) and skip all derived-value computation.
 
@@ -707,10 +706,9 @@ class Telemetry:
 class NullTelemetry(Telemetry):
     """The inert hub: accepts every feed, records nothing.
 
-    Same pattern as :data:`repro.obs.spans.NULL_SPAN` — instrumented
-    code can hold a telemetry reference unconditionally; the class-level
-    :attr:`enabled` flag lets hot paths skip computing derived feed
-    values entirely.
+    Instrumented code can hold a telemetry reference unconditionally;
+    the class-level :attr:`enabled` flag lets hot paths skip computing
+    derived feed values entirely.
     """
 
     enabled = False

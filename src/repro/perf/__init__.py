@@ -5,8 +5,7 @@ trial results and manifest digests):
 
 * a **content-addressed kernel cache** (:class:`KernelCache`) interning
   the results of pmf truncations, installed into
-  :mod:`repro.stoch.ops` for the duration of one engine run — the one
-  switch, ``PerfConfig.kernel_cache``, the parity tests turn off;
+  :mod:`repro.stoch.ops` for the duration of one engine run, always on;
 * the **vectorized candidate builder**
   (:class:`~repro.sim.mapper.CandidateBuilder`), which assembles the
   whole per-arrival :class:`~repro.heuristics.base.CandidateSet` with
@@ -15,17 +14,16 @@ trial results and manifest digests):
   kernel cache and the builder's type tables across every spec of a
   trial (all specs run the same :class:`~repro.sim.system.TrialSystem`).
 
-``PerfConfig.disabled()`` (no kernel cache) is the reference
-configuration the parity tests compare against.
+``TrialCache(None)`` (no kernel cache), passed as an engine's
+``shared=``, is the reference path the parity tests compare against.
 """
 
-from repro.perf.kernel_cache import CacheStats, InternedKernel, KernelCache, PerfConfig
+from repro.perf.kernel_cache import CacheStats, InternedKernel, KernelCache
 from repro.perf.trial_cache import TrialCache
 
 __all__ = [
     "CacheStats",
     "InternedKernel",
     "KernelCache",
-    "PerfConfig",
     "TrialCache",
 ]

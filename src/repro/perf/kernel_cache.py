@@ -42,7 +42,7 @@ import numpy as np
 
 from repro.stoch.pmf import PMF
 
-__all__ = ["CacheStats", "InternedKernel", "KernelCache", "PerfConfig"]
+__all__ = ["CacheStats", "InternedKernel", "KernelCache"]
 
 #: Key tag for the interned operation (a single namespace today, kept
 #: explicit so further interned ops can join the same table).
@@ -225,41 +225,3 @@ class KernelCache:
             evictions=self.evictions,
             entries=len(self._entries),
         )
-
-
-@dataclass(frozen=True)
-class PerfConfig:
-    """Knobs of the hot-path performance layer.
-
-    ``kernel_cache`` is *results-neutral*: the engine produces bitwise
-    identical :class:`~repro.sim.results.TrialResult`s (and therefore
-    identical manifest digests) with it on or off, enforced by
-    ``tests/perf/test_parity.py``; it only trades memory for speed.
-
-    Attributes
-    ----------
-    kernel_cache:
-        Intern truncation kernels for the run: one private cache per
-        engine, or the trial's shared one when a
-        :class:`~repro.perf.trial_cache.TrialCache` is passed (nothing
-        ever leaks across trials).  Off is the reference path the parity
-        tests compare against.
-    max_entries:
-        Kernel-cache capacity (LRU past it).
-    """
-
-    kernel_cache: bool = True
-    max_entries: int = 65536
-
-    def __post_init__(self) -> None:
-        if self.max_entries < 1:
-            raise ValueError("max_entries must be positive")
-
-    @staticmethod
-    def disabled() -> "PerfConfig":
-        """The reference configuration: no kernel cache."""
-        return PerfConfig(kernel_cache=False)
-
-    def make_cache(self) -> KernelCache | None:
-        """Build the engine's kernel cache (``None`` when disabled)."""
-        return KernelCache(self.max_entries) if self.kernel_cache else None

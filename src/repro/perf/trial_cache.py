@@ -12,9 +12,9 @@ the shared execution-time table — so one spec's warm state is a valid
 (and bitwise-identical) answer for the next.
 
 :class:`TrialCache` is the handle the runner creates once per trial and
-threads through every ``TrialPlan.run()`` call.  The engine *reuses*
-the installed kernel cache instead of replacing it (nesting preserved by
-``set_kernel_cache``'s return-previous protocol) and snapshots the
+passes as ``shared=`` to every spec's engine.  The engine *reuses*
+the handle's kernel cache instead of building its own (nesting preserved
+by ``set_kernel_cache``'s return-previous protocol) and snapshots the
 counters at run start, so :meth:`Engine.kernel_cache_stats` and the
 ``perf.cache.*`` metrics stay attributable per spec even though the
 cache object is shared.
@@ -22,13 +22,17 @@ cache object is shared.
 Sharing scope is deliberately *one trial in one worker process*: trials
 have different systems (different pmf contents, so cross-trial entries
 would only pollute the LRU), and worker processes never share memory.
+
+The handle is also how a caller picks the cache: ``TrialCache(None)``
+runs the uncached reference path the parity tests compare against, and
+``TrialCache(KernelCache(n))`` a cache of ``n`` entries.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
-from repro.perf.kernel_cache import CacheStats, KernelCache, PerfConfig
+from repro.perf.kernel_cache import CacheStats, KernelCache
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.workload.pmf_table import ExecutionTimeTable
@@ -41,18 +45,16 @@ class TrialCache:
 
     Parameters
     ----------
-    perf:
-        The trial's performance knobs; ``None`` means defaults.  The
-        shared kernel cache exists when ``perf.kernel_cache`` is on; the
-        builder type tables are always shared.
+    kernel:
+        The kernel cache every engine of the trial shares; ``None`` runs
+        them all on the uncached reference path.  The builder type
+        tables are always shared.
     """
 
-    __slots__ = ("perf", "kernel", "_tables_for", "_tables")
+    __slots__ = ("kernel", "_tables_for", "_tables")
 
-    def __init__(self, perf: PerfConfig | None = None) -> None:
-        self.perf = perf if perf is not None else PerfConfig()
-        #: The shared kernel cache (``None`` when the kernel cache is off).
-        self.kernel: KernelCache | None = self.perf.make_cache()
+    def __init__(self, kernel: KernelCache | None) -> None:
+        self.kernel = kernel
         self._tables_for: Any = None
         self._tables: dict = {}
 

@@ -20,8 +20,8 @@ Two regimes:
 * **Replay** (``traffic="replay"``) — the batch workload's own tasks
   stream through the service loop.  This reduces exactly to batch
   semantics: the returned :attr:`ServiceResult.trial_result` is bitwise
-  identical to :func:`repro.sim.engine.run_trial` (the parity test pins
-  it), with window summaries observed alongside.
+  identical to a batch ``Engine(...).run()`` (the parity test pins it),
+  with window summaries observed alongside.
 
 Determinism: arrival times, task types and execution luck draw from
 ``rng.stream(seed, "service", ...)`` sub-streams, so a service run is as
@@ -42,7 +42,6 @@ from repro.experiments.runner import VariantSpec, policy_for
 from repro.faults import FaultPolicy, FaultSchedule, SheddingConfig
 from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
 from repro.obs.timeline import TimelineRecorder
-from repro.perf.kernel_cache import PerfConfig
 from repro.registry import TRAFFIC_PLUGINS, TrafficContext
 from repro.sim.engine import Engine, EngineHooks
 from repro.sim.metrics import WindowAccumulator, WindowStats
@@ -386,7 +385,6 @@ def serve_system(
     timeline: TimelineRecorder | None = None,
     stop: Callable[[], bool] | None = None,
     telemetry: Telemetry = NULL_TELEMETRY,
-    perf: PerfConfig | None = None,
 ) -> ServiceResult:
     """Run one spec as a continuous service against a built trial system.
 
@@ -404,9 +402,6 @@ def serve_system(
     fed per-event (latency, queue depth) and per-window (energy, SLO
     rules, steady state).  The default :data:`NULL_TELEMETRY` is inert
     and keeps results bitwise identical to a run without it.
-
-    ``perf`` selects the hot-path performance knobs
-    (:class:`~repro.perf.PerfConfig`); ``None`` means the engine default.
     """
     eq_rate = system.workload.rates.eq
     mean_rate = service.rate_mult * eq_rate
@@ -465,7 +460,6 @@ def serve_system(
         tasks_left=planning,
         luck=luck,
         track_outcomes=replay,
-        perf=perf,
         faults=service.faults,
         fault_policy=service.fault_policy,
         shedding=service.shedding,
@@ -477,7 +471,7 @@ def serve_system(
     makespan = engine.serve(tasks)
     # Only a replay that offered the whole workload is batch-equivalent:
     # a bounded or truncated stream must not claim the batch score.  The
-    # parity test pins the scored result bitwise against run_trial.
+    # parity test pins the scored result bitwise against a batch run.
     unbounded = service.task_limit is None and service.horizon is None
     trial = (
         engine.score(makespan)

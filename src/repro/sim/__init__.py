@@ -20,7 +20,7 @@ from repro.sim.system import TrialSystem, build_trial_system
 from repro.sim.state import CoreState, QueuedTask, RollingEnergyBudget, RunningTask
 from repro.sim.mapper import CandidateBuilder
 from repro.sim.results import TaskOutcome, TrialResult
-from repro.sim.engine import Engine, EngineHooks, run_trial
+from repro.sim.engine import Engine, EngineHooks
 from repro.sim.metrics import TraceCollector, WindowAccumulator, WindowStats
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "TrialResult",
     "Engine",
     "EngineHooks",
-    "run_trial",
     "TraceCollector",
     "WindowStats",
     "WindowAccumulator",

@@ -52,7 +52,7 @@ from repro.faults import (
 )
 from repro.filters.chain import FilterChain
 from repro.heuristics.base import Assignment, Heuristic, MappingContext
-from repro.perf.kernel_cache import CacheStats, PerfConfig
+from repro.perf.kernel_cache import CacheStats, KernelCache
 from repro.perf.trial_cache import TrialCache
 from repro.sim.mapper import CandidateBuilder
 from repro.sim.results import TaskOutcome, TrialResult
@@ -61,7 +61,7 @@ from repro.sim.system import TrialSystem
 from repro.stoch.ops import set_kernel_cache
 from repro.workload.task import Task
 
-__all__ = ["Engine", "EngineHooks", "Tracer", "run_trial"]
+__all__ = ["Engine", "EngineHooks", "Tracer"]
 
 # Event kinds.  At one instant: completions first (a just-freed core is
 # visible to the mapper), then fault transitions (an outage at t sees
@@ -174,21 +174,15 @@ class Engine:
         (``engine.arrival``, ``engine.completion``, ``engine.fault``,
         and ``engine.score`` around scoring).  ``None`` means a shared
         null tracer; the event loop is the same either way.
-    perf:
-        Hot-path performance knobs (:class:`~repro.perf.PerfConfig`);
-        defaults to the kernel cache on.  The cache is strictly
-        results-neutral — see :mod:`repro.perf`.
-        Deliberately *not* part of
-        :class:`~repro.config.SimulationConfig`, so manifest/config
-        digests are independent of how fast the run was computed.
     shared:
         Optional :class:`~repro.perf.TrialCache` carrying warm state
         from earlier specs of the same trial (kernel cache + builder
-        type tables).  When given, the engine *reuses* its kernel cache
-        (if both configs enable one) instead of building a private one;
+        type tables).  When given, the engine uses its kernel cache —
+        ``None`` there is the uncached reference path — and
         ``kernel_cache_stats`` still reports this run's own activity
-        (counters are snapshotted at run start).  ``perf`` defaults to
-        the handle's config when both are supplied by the runner.
+        (counters are snapshotted at run start).  ``None`` (the
+        default) builds a private :class:`~repro.perf.KernelCache`.
+        The cache is strictly results-neutral — see :mod:`repro.perf`.
     ledger:
         Energy accountant to record P-state transitions into; ``None``
         (the default) builds the full :class:`EnergyLedger`.  Service
@@ -245,7 +239,6 @@ class Engine:
         *,
         hooks: Sequence[EngineHooks] = (),
         tracer: Tracer | None = None,
-        perf: PerfConfig | None = None,
         shared: TrialCache | None = None,
         ledger: EnergyLedger | StreamingEnergyMeter | None = None,
         rolling_budget: RollingEnergyBudget | None = None,
@@ -261,9 +254,6 @@ class Engine:
         self.filter_chain = filter_chain
         self.hooks = tuple(hooks)
         self.tracer = tracer if tracer is not None else _NULL_TRACER
-        if perf is None:
-            perf = shared.perf if shared is not None else PerfConfig()
-        self.perf = perf
 
         cluster = system.cluster
         dt = system.config.grid.dt
@@ -271,11 +261,7 @@ class Engine:
             CoreState(cid, int(cluster.core_node_index[cid]), dt)
             for cid in range(cluster.num_cores)
         ]
-        shared_cache = shared.kernel if shared is not None else None
-        if shared_cache is not None and self.perf.kernel_cache:
-            self._kernel_cache = shared_cache
-        else:
-            self._kernel_cache = self.perf.make_cache()
+        self._kernel_cache = shared.kernel if shared is not None else KernelCache()
         self._cache_base: CacheStats | None = None
         self._builder = CandidateBuilder(
             self.cores,
@@ -350,7 +336,7 @@ class Engine:
         return self._in_system / len(self.cores)
 
     def kernel_cache_stats(self) -> CacheStats | None:
-        """This run's kernel-cache activity (``None`` when disabled).
+        """This run's kernel-cache activity (``None`` on the uncached path).
 
         With a private cache these are the cache's lifetime counters;
         with a shared :class:`~repro.perf.TrialCache` they are the
@@ -825,30 +811,3 @@ class Engine:
             outcomes=tuple(outcomes),
         )
 
-
-def run_trial(
-    system: TrialSystem,
-    heuristic: Heuristic,
-    filter_chain: FilterChain,
-    *,
-    hooks: Sequence[EngineHooks] = (),
-    tracer: Tracer | None = None,
-    perf: PerfConfig | None = None,
-    shared: TrialCache | None = None,
-    faults: FaultSchedule | None = None,
-    fault_policy: FaultPolicy | None = None,
-    shedding: SheddingConfig | None = None,
-) -> TrialResult:
-    """Convenience wrapper: construct an :class:`Engine` and run it."""
-    return Engine(
-        system,
-        heuristic,
-        filter_chain,
-        hooks=hooks,
-        tracer=tracer,
-        perf=perf,
-        shared=shared,
-        faults=faults,
-        fault_policy=fault_policy,
-        shedding=shedding,
-    ).run()

@@ -1,9 +1,9 @@
 """Optional time-series traces and windowed metrics of a running trial.
 
 :class:`TraceCollector` is an :class:`~repro.sim.engine.EngineHooks`
-subscriber: pass it in ``Engine(hooks=...)`` / ``run_trial(hooks=...)``
-and it samples every mapping decision; an engine with no subscribers
-keeps the hot path allocation-free.  Traces feed the examples and the
+subscriber: pass it in ``Engine(hooks=...)`` and it samples every
+mapping decision; an engine with no subscribers keeps the hot path
+allocation-free.  Traces feed the examples and the
 diagnostic analysis in :mod:`repro.analysis`, not the headline results.
 
 The collector stores *columnar* per-mapping samples for NumPy analysis.

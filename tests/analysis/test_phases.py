@@ -7,14 +7,14 @@ import pytest
 from repro.analysis.phases import phase_breakdown
 from repro.filters.chain import build_filter_chain
 from repro.heuristics.mect import MinimumExpectedCompletionTime
-from repro.sim.engine import run_trial
+from repro.sim.engine import Engine
 
 
 @pytest.fixture(scope="module")
 def trial(small_system):
-    result = run_trial(
+    result = Engine(
         small_system, MinimumExpectedCompletionTime(), build_filter_chain("none")
-    )
+    ).run()
     return small_system, result
 
 

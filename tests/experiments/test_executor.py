@@ -16,7 +16,7 @@ from repro.experiments.executor import (
     load_checkpoint,
     run_supervised,
 )
-from repro.experiments.runner import TrialPlan, VariantSpec
+from repro.experiments.runner import VariantSpec
 from repro.obs.events import TrialQuarantined, TrialRetried
 from repro.obs.manifest import config_digest
 from repro.obs.sinks import MetricsRegistry
@@ -168,7 +168,7 @@ def shard(tmp_path):
     digest = config_digest(config)
     specs = (VariantSpec("LL", "none"),)
     labels = [s.label for s in specs]
-    from repro import build_trial_system
+    from repro import api, build_trial_system
     from repro import rng as rng_mod
 
     path = tmp_path / "shard.jsonl"
@@ -179,7 +179,8 @@ def shard(tmp_path):
     for trial in (0, 1):
         seed = rng_mod.spawn_trial_seed(9, trial)
         system = build_trial_system(config.with_seed(seed))
-        results[trial] = [TrialPlan(system=system, spec=specs[0]).run()]
+        scenario = api.Scenario(specs[0].heuristic, specs[0].variant)
+        results[trial] = [api.run_trial(scenario, system=system)]
         writer.write(trial, results[trial], None)
     writer.close()
     return {

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.experiments.runner import TrialPlan, VariantSpec, run_ensemble
+from repro.experiments.runner import VariantSpec, run_ensemble
 from tests.conftest import tiny_config
 
 
@@ -19,29 +19,6 @@ SPECS = (
 @pytest.fixture(scope="module")
 def ensemble():
     return run_ensemble(SPECS, tiny_config(), num_trials=3, base_seed=42)
-
-
-class TestTrialPlan:
-    def test_strips_outcomes_by_default(self, tiny_system):
-        result = TrialPlan(system=tiny_system, spec=VariantSpec("SQ", "none")).run()
-        assert result.outcomes == ()
-
-    def test_keeps_outcomes_on_request(self, tiny_system):
-        result = TrialPlan(
-            system=tiny_system, spec=VariantSpec("SQ", "none"), keep_outcomes=True
-        ).run()
-        assert len(result.outcomes) == tiny_system.num_tasks
-
-    def test_labels_propagate(self, tiny_system):
-        result = TrialPlan(system=tiny_system, spec=VariantSpec("LL", "rob")).run()
-        assert result.heuristic == "LL"
-        assert result.variant == "rob"
-
-    def test_random_heuristic_reproducible(self, tiny_system):
-        spec = VariantSpec("Random", "none")
-        a = TrialPlan(system=tiny_system, spec=spec).run()
-        b = TrialPlan(system=tiny_system, spec=spec).run()
-        assert a.missed == b.missed
 
 
 class TestRunEnsemble:

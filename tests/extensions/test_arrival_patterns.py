@@ -125,11 +125,11 @@ class TestWorkloadWithArrivals:
 
         from repro.filters.chain import build_filter_chain
         from repro.heuristics.shortest_queue import ShortestQueue
-        from repro.sim.engine import run_trial
+        from repro.sim.engine import Engine
 
         cfg = tiny_system.config.workload
         arrivals = constant_arrivals(cfg.num_tasks, 0.05, rng)
         wl = workload_with_arrivals(cfg, tiny_system.table, seed=4, arrivals=arrivals)
         system = replace(tiny_system, workload=wl)
-        result = run_trial(system, ShortestQueue(), build_filter_chain("en"))
+        result = Engine(system, ShortestQueue(), build_filter_chain("en")).run()
         assert result.num_tasks == cfg.num_tasks

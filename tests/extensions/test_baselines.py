@@ -15,7 +15,7 @@ from repro.extensions.baselines import (
 )
 from repro.filters.chain import build_filter_chain
 from repro.heuristics.base import CandidateSet, MappingContext
-from repro.sim.engine import run_trial
+from repro.sim.engine import Engine
 from repro.workload.task import Task
 
 
@@ -129,9 +129,9 @@ class TestRegistry:
 class TestEndToEnd:
     @pytest.mark.parametrize("name", EXTENDED_HEURISTICS)
     def test_runs_full_trial(self, tiny_system, name):
-        result = run_trial(
+        result = Engine(
             tiny_system, make_extended_heuristic(name), build_filter_chain("en+rob")
-        )
+        ).run()
         assert result.num_tasks == tiny_system.num_tasks
         assert (
             result.missed

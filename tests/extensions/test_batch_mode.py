@@ -7,7 +7,7 @@ import pytest
 from repro.extensions.batch_mode import BatchEngine, run_batch_trial
 from repro.filters.chain import build_filter_chain
 from repro.heuristics.mect import MinimumExpectedCompletionTime
-from repro.sim.engine import run_trial
+from repro.sim.engine import Engine
 from repro import build_trial_system
 from tests.conftest import small_config
 
@@ -100,8 +100,8 @@ class TestVersusImmediate:
         # Deferred commitment should not lose to immediate-mode MECT by
         # much on the same trial (it usually wins during bursts).
         system = build_trial_system(small_config(seed=31))
-        immediate = run_trial(
+        immediate = Engine(
             system, MinimumExpectedCompletionTime(), build_filter_chain("none")
-        )
+        ).run()
         batch = run_batch_trial(system, "min-min", build_filter_chain("none"))
         assert batch.late <= immediate.late + 0.1 * system.num_tasks

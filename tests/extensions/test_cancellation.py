@@ -7,7 +7,7 @@ import pytest
 from repro.extensions.cancellation import AbandonHopelessPolicy
 from repro.filters.chain import build_filter_chain
 from repro.heuristics.mect import MinimumExpectedCompletionTime
-from repro.sim.engine import run_trial
+from repro.sim.engine import Engine
 from repro import build_trial_system
 from tests.conftest import small_config
 
@@ -27,16 +27,16 @@ class TestCancellationBehavior:
         # A congested system (tight budget creates filtering pressure and
         # bursts create queues) where cancellation has something to do.
         system = build_trial_system(small_config(seed=17))
-        baseline = run_trial(
+        baseline = Engine(
             system, MinimumExpectedCompletionTime(), build_filter_chain("none")
-        )
+        ).run()
         policy = AbandonHopelessPolicy(min_prob=0.25)
-        cancelled = run_trial(
+        cancelled = Engine(
             system,
             MinimumExpectedCompletionTime(),
             build_filter_chain("none"),
             hooks=(policy,),
-        )
+        ).run()
         return baseline, cancelled, policy
 
     def test_cancelled_tasks_become_discards(self, runs):

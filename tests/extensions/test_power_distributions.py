@@ -11,7 +11,7 @@ from repro.extensions.power_distributions import (
 )
 from repro.filters.chain import build_filter_chain
 from repro.heuristics.mect import MinimumExpectedCompletionTime
-from repro.sim.engine import run_trial
+from repro.sim.engine import Engine
 
 
 class TestStochasticPowerModel:
@@ -38,9 +38,9 @@ class TestStochasticPowerModel:
 class TestResampleTrialEnergy:
     @pytest.fixture(scope="class")
     def trial(self, tiny_system):
-        result = run_trial(
+        result = Engine(
             tiny_system, MinimumExpectedCompletionTime(), build_filter_chain("none")
-        )
+        ).run()
         return tiny_system, result
 
     def test_requires_outcomes(self, trial):

@@ -13,7 +13,7 @@ from repro.extensions.priorities import (
 from repro.filters.chain import build_filter_chain
 from repro.heuristics.base import CandidateSet, MappingContext
 from repro.heuristics.lightest_load import LightestLoad
-from repro.sim.engine import run_trial
+from repro.sim.engine import Engine
 from repro.workload.task import Task
 
 
@@ -158,20 +158,20 @@ class TestPriorityEnergyFilter:
 
 class TestWeightedMissed:
     def test_matches_unweighted_for_unit_priorities(self, tiny_system):
-        result = run_trial(tiny_system, LightestLoad(), build_filter_chain("en+rob"))
+        result = Engine(tiny_system, LightestLoad(), build_filter_chain("en+rob")).run()
         wm = weighted_missed(result, tiny_system.workload)
         assert wm == pytest.approx(result.missed / result.num_tasks)
 
     def test_requires_outcomes(self, tiny_system):
         from dataclasses import replace
 
-        result = run_trial(tiny_system, LightestLoad(), build_filter_chain("none"))
+        result = Engine(tiny_system, LightestLoad(), build_filter_chain("none")).run()
         stripped = replace(result, outcomes=())
         with pytest.raises(ValueError):
             weighted_missed(stripped, tiny_system.workload)
 
     def test_bounded(self, tiny_system, rng):
         wl = with_priorities(tiny_system.workload, rng, levels=(1.0, 4.0))
-        result = run_trial(tiny_system, LightestLoad(), build_filter_chain("en+rob"))
+        result = Engine(tiny_system, LightestLoad(), build_filter_chain("en+rob")).run()
         wm = weighted_missed(result, wl)
         assert 0.0 <= wm <= 1.0

@@ -8,7 +8,7 @@ from repro.extensions.rescheduling import WorkStealingPolicy
 from repro.filters.chain import build_filter_chain
 from repro.heuristics.mect import MinimumExpectedCompletionTime
 from repro.heuristics.random_heuristic import RandomAssignment
-from repro.sim.engine import run_trial
+from repro.sim.engine import Engine
 from repro import build_trial_system, rng as rng_mod
 from tests.conftest import small_config
 
@@ -28,9 +28,9 @@ class TestWorkStealing:
         def random_h():
             return RandomAssignment(rng_mod.stream(23, "ws-random"))
 
-        baseline = run_trial(system, random_h(), build_filter_chain("rob"))
+        baseline = Engine(system, random_h(), build_filter_chain("rob")).run()
         policy = WorkStealingPolicy(min_gain=0.02)
-        stealing = run_trial(system, random_h(), build_filter_chain("rob"), hooks=(policy,))
+        stealing = Engine(system, random_h(), build_filter_chain("rob"), hooks=(policy,)).run()
         return baseline, stealing, system, policy
 
     def test_steals_happen_under_imbalance(self, runs):

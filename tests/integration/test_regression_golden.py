@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.experiments.runner import TrialPlan, VariantSpec
+from repro import api
 from repro.validation import validate_trial
 from tests.conftest import tiny_config
 from repro import build_trial_system
@@ -46,9 +46,9 @@ class TestEnvironmentGolden:
 
 
 def _run(system, heuristic: str, variant: str) -> int:
-    result = TrialPlan(
-        system=system, spec=VariantSpec(heuristic, variant), keep_outcomes=True
-    ).run()
+    result = api.run_trial(
+        api.Scenario(heuristic, variant), system=system, keep_outcomes=True
+    )
     validate_trial(system, result)
     return result.missed
 

@@ -23,7 +23,7 @@ from repro.experiments.runner import VariantSpec
 from repro.filters.chain import build_filter_chain
 from repro.heuristics.registry import build_heuristic
 from repro import build_trial_system, rng as rng_mod
-from repro.sim.engine import run_trial
+from repro.sim.engine import Engine
 from repro.sim.metrics import TraceCollector
 from tests.conftest import small_config
 
@@ -40,9 +40,9 @@ def run_with_collector(seed: int, spec: VariantSpec):
     heuristic = build_heuristic(
         spec.heuristic, rng_mod.stream(seed, "rho-val", spec.label)
     )
-    result = run_trial(
+    result = Engine(
         system, heuristic, build_filter_chain(spec.variant), hooks=(collector,)
-    )
+    ).run()
     on_time_actual = sum(1 for o in result.outcomes if o.on_time())
     return collector.predicted_on_time(), on_time_actual, result
 

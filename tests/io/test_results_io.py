@@ -8,12 +8,12 @@ import math
 import numpy as np
 import pytest
 
+from repro import api
 from repro.experiments.executor import TrialFailure
 from repro.experiments.runner import (
     PartialEnsembleResult,
     VariantSpec,
     run_ensemble,
-    TrialPlan,
 )
 from repro.io.results_io import (
     ensemble_from_dict,
@@ -28,9 +28,9 @@ from tests.conftest import tiny_config
 
 @pytest.fixture(scope="module")
 def trial(tiny_system):
-    return TrialPlan(
-        system=tiny_system, spec=VariantSpec("MECT", "en+rob"), keep_outcomes=True
-    ).run()
+    return api.run_trial(
+        api.Scenario("MECT", "en+rob"), system=tiny_system, keep_outcomes=True
+    )
 
 
 @pytest.fixture(scope="module")

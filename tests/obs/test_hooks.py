@@ -34,7 +34,7 @@ from repro.obs.hooks import (
 from repro.obs.sinks import MetricsRegistry, RingBufferSink
 from repro.obs.spans import SpanRecorder
 from repro.obs.timeline import TimelineRecorder
-from repro.sim.engine import run_trial
+from repro.sim.engine import Engine
 from tests.conftest import micro_config
 from repro import build_trial_system
 
@@ -59,8 +59,8 @@ class TestOptIn:
         source = inspect.getsource(engine_mod)
         assert "repro.obs" not in source
 
-    def test_run_trial_defaults_to_no_hooks(self):
-        signature = inspect.signature(run_trial)
+    def test_engine_defaults_to_no_hooks(self):
+        signature = inspect.signature(Engine)
         assert signature.parameters["hooks"].default == ()
         assert "collector" not in signature.parameters
 
@@ -128,7 +128,7 @@ class TestEventStream:
 class TestObservationIsInert:
     def test_results_bitwise_identical_with_and_without_tracing(self):
         system = build_trial_system(micro_config(seed=6))
-        plain = run_trial(system, LightestLoad(), build_filter_chain("en+rob"))
+        plain = Engine(system, LightestLoad(), build_filter_chain("en+rob")).run()
         ring = RingBufferSink(capacity=10_000)
         observed = observe_trial(
             system, LightestLoad(), build_filter_chain("en+rob"),
@@ -141,20 +141,20 @@ class TestObservationIsInert:
         metrics = MetricsRegistry()
         timed = TimedHeuristic(LightestLoad(), metrics)
         assert timed.name == "LL"
-        a = run_trial(system, LightestLoad(), build_filter_chain("none"))
-        b = run_trial(system, timed, build_filter_chain("none"))
+        a = Engine(system, LightestLoad(), build_filter_chain("none")).run()
+        b = Engine(system, timed, build_filter_chain("none")).run()
         assert a == b
 
     def test_hooks_without_sinks_or_metrics_are_harmless(self):
         system = build_trial_system(micro_config(seed=2))
-        result = run_trial(
+        result = Engine(
             system, LightestLoad(), build_filter_chain("none"), hooks=(ObservingHooks(),)
-        )
+        ).run()
         assert result.num_tasks == system.num_tasks
 
     def test_profiled_trial_bitwise_identical(self):
         system = build_trial_system(micro_config(seed=6))
-        plain = run_trial(system, LightestLoad(), build_filter_chain("en+rob"))
+        plain = Engine(system, LightestLoad(), build_filter_chain("en+rob")).run()
         profiled = observe_trial(
             system, LightestLoad(), build_filter_chain("en+rob"),
             profile=SpanRecorder(),
@@ -202,7 +202,7 @@ class TestTimedHeuristic:
         system = build_trial_system(micro_config(seed=2))
         metrics = MetricsRegistry()
         timed = TimedHeuristic(LightestLoad(), metrics)
-        run_trial(system, timed, build_filter_chain("none"))
+        Engine(system, timed, build_filter_chain("none")).run()
         hist = metrics.histograms["decision_latency_s.LL"]
         assert hist.count == system.num_tasks
         assert hist.min >= 0.0
@@ -212,7 +212,7 @@ class TestTimedHeuristic:
         metrics = MetricsRegistry()
         recorder = SpanRecorder()
         timed = TimedHeuristic(LightestLoad(), metrics, recorder=recorder)
-        run_trial(system, timed, build_filter_chain("none"))
+        Engine(system, timed, build_filter_chain("none")).run()
         spans = [r for r in recorder.records if r.name == "heuristic.LL"]
         hist = metrics.histograms["decision_latency_s.LL"]
         assert len(spans) == hist.count
@@ -223,7 +223,7 @@ class TestTimedHeuristic:
         system = build_trial_system(micro_config(seed=2))
         recorder = SpanRecorder()
         timed = TimedHeuristic(LightestLoad(), recorder=recorder)
-        result = run_trial(system, timed, build_filter_chain("none"))
+        result = Engine(system, timed, build_filter_chain("none")).run()
         assert result.num_tasks == system.num_tasks
         assert len(recorder) == system.num_tasks
 
@@ -237,15 +237,15 @@ class TestTimedFilterChain:
         inner = build_filter_chain("en+rob")
         timed = TimedFilterChain(inner, SpanRecorder())
         assert timed.label == inner.label == "en+rob"
-        a = run_trial(system, LightestLoad(), inner)
-        b = run_trial(system, LightestLoad(), timed)
+        a = Engine(system, LightestLoad(), inner).run()
+        b = Engine(system, LightestLoad(), timed).run()
         assert a == b
 
     def test_spans_chain_and_each_filter(self):
         system = build_trial_system(micro_config(seed=2))
         recorder = SpanRecorder()
         timed = TimedFilterChain(build_filter_chain("en+rob"), recorder)
-        run_trial(system, LightestLoad(), timed)
+        Engine(system, LightestLoad(), timed).run()
         counts: dict[str, int] = {}
         for record in recorder.records:
             counts[record.name] = counts.get(record.name, 0) + 1

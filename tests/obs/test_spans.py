@@ -4,17 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.obs.spans import (
-    NULL_SPAN,
-    SpanProfile,
-    SpanRecorder,
-    current,
-    install,
-    recording,
-    span,
-    traced,
-    uninstall,
-)
+from repro.obs.spans import SpanProfile, SpanRecorder
 
 
 class FakeClock:
@@ -94,55 +84,6 @@ class TestSpanRecorder:
         (back,) = profile.records
         assert back == rec.records[0]
         assert profile.labels == {2: "w"}
-
-
-class TestModuleLevelApi:
-    def teardown_method(self):
-        uninstall()
-
-    def test_span_without_recorder_is_null_singleton(self):
-        uninstall()
-        assert span("anything") is NULL_SPAN
-        with span("anything"):
-            pass  # inert, records nowhere
-
-    def test_install_uninstall(self):
-        rec = SpanRecorder()
-        install(rec)
-        assert current() is rec
-        with span("x"):
-            pass
-        assert [r.name for r in rec.records] == ["x"]
-        uninstall()
-        assert current() is None
-
-    def test_recording_scopes_and_restores(self):
-        outer = install(SpanRecorder())
-        with recording(stream=1, label="scoped") as rec:
-            assert current() is rec
-            with span("inside"):
-                pass
-        assert current() is outer
-        assert [r.name for r in rec.records] == ["inside"]
-
-    def test_traced_decorator(self):
-        @traced("named.span")
-        def fn(x):
-            return x + 1
-
-        assert fn(1) == 2  # no recorder: plain call
-        with recording() as rec:
-            assert fn(2) == 3
-        assert [r.name for r in rec.records] == ["named.span"]
-
-    def test_traced_defaults_to_qualname(self):
-        @traced()
-        def helper():
-            return None
-
-        with recording() as rec:
-            helper()
-        assert rec.records[0].name.endswith("helper")
 
 
 def two_stream_profile() -> SpanProfile:

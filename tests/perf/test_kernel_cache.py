@@ -2,18 +2,16 @@
 
 from __future__ import annotations
 
-from dataclasses import fields
-
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro import build_trial_system
-from repro.experiments.runner import TrialPlan, VariantSpec
+from repro import api, build_trial_system
 from repro.filters.chain import build_filter_chain
 from repro.heuristics.registry import build_heuristic
-from repro.perf.kernel_cache import CacheStats, InternedKernel, KernelCache, PerfConfig
+from repro.perf.kernel_cache import CacheStats, InternedKernel, KernelCache
+from repro.perf.trial_cache import TrialCache
 from repro.sim.engine import Engine, EngineHooks
 from repro.stoch import ops as ops_mod
 from repro.stoch.ops import set_kernel_cache, truncate_below
@@ -92,29 +90,38 @@ class TestInternedKernel:
         assert kernel.key is not None
 
 
-class TestPerfConfig:
-    def test_defaults_enable_everything(self):
-        perf = PerfConfig()
-        assert perf.kernel_cache
-        assert isinstance(perf.make_cache(), KernelCache)
-        # One reference switch and the eviction capacity.
-        assert [f.name for f in fields(PerfConfig)] == ["kernel_cache", "max_entries"]
+class TestTrialCache:
+    def _engine(self, system, **options):
+        return Engine(system, build_heuristic("SQ"), build_filter_chain("none"), **options)
 
-    def test_disabled_is_the_reference(self):
-        perf = PerfConfig.disabled()
-        assert not perf.kernel_cache
-        assert perf.make_cache() is None
+    def test_kernel_argument_is_required(self):
+        with pytest.raises(TypeError):
+            TrialCache()  # type: ignore[call-arg]
 
-    def test_rejects_nonpositive_capacity(self):
-        with pytest.raises(ValueError):
-            PerfConfig(max_entries=0)
+    def test_engine_cache_comes_from_the_handle(self):
+        system = build_trial_system(micro_config(seed=5))
+        cache = KernelCache(8)
+        assert self._engine(system, shared=TrialCache(cache))._kernel_cache is cache
+        assert self._engine(system, shared=TrialCache(None))._kernel_cache is None
+        # No handle: the engine builds a private default-capacity cache.
+        private = self._engine(system)._kernel_cache
+        assert isinstance(private, KernelCache)
+        assert private.max_entries == KernelCache().max_entries
+
+    def test_uncached_handle_reports_no_stats(self):
+        system = build_trial_system(micro_config(seed=5))
+        shared = TrialCache(None)
+        engine = self._engine(system, shared=shared)
+        engine.run()
+        assert engine.kernel_cache_stats() is None
+        assert shared.stats() is None
 
 
 def test_engine_restores_kernel_cache_after_run():
     """The engine installs its cache for exactly one run, even one that raises."""
     system = build_trial_system(micro_config(seed=5))
     assert ops_mod._kernel_cache is None
-    TrialPlan(system=system, spec=VariantSpec("SQ", "none")).run()
+    api.run_trial(api.Scenario("SQ", "none"), system=system)
     assert ops_mod._kernel_cache is None
 
     class Boom(RuntimeError):

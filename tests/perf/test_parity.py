@@ -1,12 +1,13 @@
 """Results-neutrality of the performance layer.
 
-The acceptance contract of :mod:`repro.perf`: the kernel cache on or
-off produces bitwise-identical trial results — same scalar fields, same
-per-task outcomes, same manifest digests — across all four heuristics
-and with the filters on or off, and the engine's one candidate builder
-reproduces the per-core reference loop (``tests/reference_mapper.py``)
-bit for bit at every arrival, including under outages.  Speed is
-allowed to vary; results are not.
+The acceptance contract of :mod:`repro.perf`: the kernel cache, an
+engine's private one or a trial's shared one, produces trial results
+bitwise identical to the uncached ``TrialCache(None)`` reference — same
+scalar fields, same per-task outcomes, same manifest digests — across
+all four heuristics and with the filters on or off, and the engine's
+one candidate builder reproduces the per-core reference loop
+(``tests/reference_mapper.py``) bit for bit at every arrival, including
+under outages.  Speed is allowed to vary; results are not.
 """
 
 from __future__ import annotations
@@ -15,11 +16,11 @@ import numpy as np
 import pytest
 
 from repro import build_trial_system
-from repro.experiments.runner import TrialPlan, VariantSpec
+from repro.experiments.runner import VariantSpec, policy_for
 from repro.faults import FaultEvent, FaultPolicy, FaultSchedule
 from repro.heuristics.registry import build_heuristic
 from repro.obs.manifest import trial_digest
-from repro.perf.kernel_cache import PerfConfig
+from repro.perf import KernelCache, TrialCache
 from repro.sim.engine import Engine
 from repro.sim.mapper import CandidateBuilder
 from repro.sim.state import CoreState, QueuedTask, RunningTask
@@ -40,21 +41,20 @@ def system():
 def test_perf_knobs_are_results_neutral(system, heuristic, variant, monkeypatch):
     spec = VariantSpec(heuristic, variant)
 
-    def run(perf):
-        return TrialPlan(
-            system=system, spec=spec, keep_outcomes=True, perf=perf
-        ).run()
+    def run(shared=None):
+        return Engine(system, *policy_for(system, spec), shared=shared).run()
 
     def check(result):
         assert result == reference  # full dataclass equality incl. outcomes
         assert trial_digest(result) == trial_digest(reference)
 
-    reference = run(PerfConfig.disabled())
-    check(run(PerfConfig()))  # kernel cache on
+    reference = run(TrialCache(None))  # the uncached reference path
+    check(run())  # the default: a private kernel cache
+    check(run(TrialCache(KernelCache())))  # a trial-shared kernel cache
     # The retired kernel-backend variable selects nothing: numpy is the
     # only kernel path, so a deployment that still sets it is unaffected.
     monkeypatch.setenv("REPRO_PERF_BACKEND", "cext")
-    check(run(PerfConfig()))
+    check(run())
 
 
 def _fresh_cores(system):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro import rng as rng_mod
-from repro.experiments.runner import TrialPlan, VariantSpec
+from repro.experiments.runner import VariantSpec, policy_for
 from repro.filters.chain import build_filter_chain, canonical_variant
 from repro.heuristics.registry import HEURISTICS, build_heuristic
 from repro.registry import (
@@ -25,6 +25,7 @@ from repro.registry import (
     register_heuristic,
     registry_for,
 )
+from repro.sim.engine import Engine
 from tests.conftest import tiny_config
 
 
@@ -46,14 +47,12 @@ class TestLookup:
 
     def test_case_insensitive_trial_results_identical(self, tiny_system):
         """The canonicalized name reaches the rng labels: results match."""
-        lower = TrialPlan(
-            system=tiny_system, spec=VariantSpec("MECT", "en+rob")
-        ).run()
+        lower = Engine(tiny_system, *policy_for(tiny_system, VariantSpec("MECT", "en+rob"))).run()
         # Build the spec the way a case-sloppy caller would.
         spec = VariantSpec(
             HEURISTIC_PLUGINS.canonical("mect"), canonical_variant("EN+ROB")
         )
-        upper = TrialPlan(system=tiny_system, spec=spec).run()
+        upper = Engine(tiny_system, *policy_for(tiny_system, spec)).run()
         assert lower == upper
 
     def test_unknown_name_is_keyerror_with_suggestion(self):
@@ -87,9 +86,8 @@ class TestRegistration:
 
         try:
             assert HEURISTIC_PLUGINS.canonical("GREEDY-TEST") == "greedy-test"
-            result = TrialPlan(
-                system=tiny_system, spec=VariantSpec("greedy-test", "none")
-            ).run()
+            spec = VariantSpec("greedy-test", "none")
+            result = Engine(tiny_system, *policy_for(tiny_system, spec)).run()
             assert result.num_tasks == tiny_system.config.workload.num_tasks
         finally:
             HEURISTIC_PLUGINS.unregister("greedy-test")

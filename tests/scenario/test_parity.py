@@ -8,20 +8,19 @@ same results, same manifest digests — across all three run shapes.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import replace
 
 import pytest
 
 from repro import api
 from repro import rng as rng_mod
-from repro.experiments.runner import TrialPlan, VariantSpec
+from repro.experiments.runner import VariantSpec
 from repro.filters.chain import build_filter_chain
 from repro.heuristics.registry import build_heuristic
 from repro.obs.manifest import config_digest
 from repro.scenario import EnsembleSettings, Scenario
 from repro.service import ServiceConfig
-from repro.sim.engine import run_trial
+from repro.sim.engine import Engine
 from repro.sim.system import build_trial_system
 from tests.conftest import tiny_config
 
@@ -34,7 +33,7 @@ def direct_trial(system):
     rng = rng_mod.stream(system.config.seed, "heuristic", SPEC.label)
     heuristic = build_heuristic(SPEC.heuristic, rng)
     chain = build_filter_chain(SPEC.variant, system.config.filters)
-    return run_trial(system, heuristic, chain)
+    return Engine(system, heuristic, chain).run()
 
 
 class TestTrialParity:
@@ -57,22 +56,12 @@ class TestTrialParity:
         manual = tiny_config(seed=5).with_seed(123)
         assert config_digest(scenario.resolved_config()) == config_digest(manual)
 
-
-class TestTrialPlanShim:
-    def test_plan_run_does_not_warn(self, tiny_system):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            TrialPlan(system=tiny_system, spec=SPEC).run()
-
     def test_metrics_run_matches_plain_run(self, tiny_system):
-        from repro.obs.sinks import MetricsRegistry
-
-        plain = TrialPlan(system=tiny_system, spec=SPEC)
-        observed = TrialPlan(
-            system=tiny_system, spec=SPEC, metrics=MetricsRegistry()
-        )
+        scenario = Scenario("MECT", "en+rob")
+        plain = api.run_trial(scenario, system=tiny_system)
+        observed = api.run_trial(scenario, system=tiny_system, metrics=api.MetricsRegistry())
         # Attaching observability is results-neutral.
-        assert observed.run() == plain.run()
+        assert observed == plain
 
 
 class TestEnsembleParity:

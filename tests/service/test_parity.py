@@ -15,7 +15,7 @@ from repro import api
 from repro import rng as rng_mod
 from repro.obs.manifest import trial_digest
 from repro.service import ServiceConfig, serve_system
-from repro.sim.engine import run_trial
+from repro.sim.engine import Engine
 from tests.conftest import tiny_config
 
 
@@ -91,6 +91,6 @@ class TestLowLevelParity:
             "LL", rng_mod.stream(system.config.seed, "heuristic", spec.label)
         )
         chain = api.build_filter_chain("en+rob", system.config.filters)
-        batch = run_trial(system, heuristic, chain)
+        batch = Engine(system, heuristic, chain).run()
         svc = serve_system(system, spec, ServiceConfig(traffic="replay"))
         assert svc.trial_result == batch

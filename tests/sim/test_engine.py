@@ -11,7 +11,7 @@ from repro.filters.chain import build_filter_chain
 from repro.heuristics.lightest_load import LightestLoad
 from repro.heuristics.mect import MinimumExpectedCompletionTime
 from repro.heuristics.shortest_queue import ShortestQueue
-from repro.sim.engine import Engine, EngineHooks, run_trial
+from repro.sim.engine import Engine, EngineHooks
 from repro.sim.metrics import TraceCollector
 from repro import build_trial_system
 from tests.conftest import tiny_config
@@ -19,7 +19,7 @@ from tests.conftest import tiny_config
 
 @pytest.fixture(scope="module")
 def mect_result(tiny_system):
-    return run_trial(tiny_system, MinimumExpectedCompletionTime(), build_filter_chain("none"))
+    return Engine(tiny_system, MinimumExpectedCompletionTime(), build_filter_chain("none")).run()
 
 
 class TestAccounting:
@@ -107,7 +107,7 @@ class TestEnergySemantics:
             energy={"idle_power_mode": IdlePowerMode.EXCLUDED}
         )
         system = build_trial_system(cfg)
-        result = run_trial(system, ShortestQueue(), build_filter_chain("none"))
+        result = Engine(system, ShortestQueue(), build_filter_chain("none")).run()
         cluster = system.cluster
         power = cluster.power_table()
         eff = cluster.efficiency_vector()
@@ -120,12 +120,12 @@ class TestEnergySemantics:
         assert result.total_energy == pytest.approx(expected, rel=1e-9)
 
     def test_p4_floor_adds_idle_energy(self, tiny_system):
-        result_floor = run_trial(tiny_system, ShortestQueue(), build_filter_chain("none"))
+        result_floor = Engine(tiny_system, ShortestQueue(), build_filter_chain("none")).run()
         cfg = tiny_config().with_updates(
             energy={"idle_power_mode": IdlePowerMode.EXCLUDED}
         )
         system_excl = build_trial_system(cfg)
-        result_excl = run_trial(system_excl, ShortestQueue(), build_filter_chain("none"))
+        result_excl = Engine(system_excl, ShortestQueue(), build_filter_chain("none")).run()
         assert result_floor.total_energy > result_excl.total_energy
 
     def test_transitions_alternate_sanely(self, tiny_system):
@@ -140,12 +140,12 @@ class TestEnergySemantics:
 
     def test_energy_estimate_decreases(self, tiny_system):
         collector = TraceCollector()
-        run_trial(
+        Engine(
             tiny_system,
             MinimumExpectedCompletionTime(),
             build_filter_chain("none"),
             hooks=(collector,),
-        )
+        ).run()
         est = collector.energy_estimates
         assert all(b <= a + 1e-9 for a, b in zip(est, est[1:]))
         assert est[0] < tiny_system.budget  # first mapping already paid
@@ -153,8 +153,8 @@ class TestEnergySemantics:
 
 class TestDeterminism:
     def test_same_engine_inputs_same_result(self, tiny_system):
-        a = run_trial(tiny_system, LightestLoad(), build_filter_chain("en+rob"))
-        b = run_trial(tiny_system, LightestLoad(), build_filter_chain("en+rob"))
+        a = Engine(tiny_system, LightestLoad(), build_filter_chain("en+rob")).run()
+        b = Engine(tiny_system, LightestLoad(), build_filter_chain("en+rob")).run()
         assert a == b
 
     def test_engine_runs_once(self, tiny_system):
@@ -167,21 +167,21 @@ class TestDeterminism:
 class TestCollector:
     def test_one_record_per_arrival(self, tiny_system):
         collector = TraceCollector()
-        run_trial(tiny_system, ShortestQueue(), build_filter_chain("none"), hooks=(collector,))
+        Engine(tiny_system, ShortestQueue(), build_filter_chain("none"), hooks=(collector,)).run()
         assert len(collector.arrival_times) == tiny_system.num_tasks
         assert len(collector.chosen_pstates) == tiny_system.num_tasks
 
     def test_pstate_histogram_totals(self, tiny_system):
         collector = TraceCollector()
-        result = run_trial(
+        result = Engine(
             tiny_system, ShortestQueue(), build_filter_chain("none"), hooks=(collector,)
-        )
+        ).run()
         hist = collector.pstate_histogram(tiny_system.cluster.num_pstates)
         assert hist.sum() == tiny_system.num_tasks - result.discarded
 
     def test_as_arrays(self, tiny_system):
         collector = TraceCollector()
-        run_trial(tiny_system, ShortestQueue(), build_filter_chain("none"), hooks=(collector,))
+        Engine(tiny_system, ShortestQueue(), build_filter_chain("none"), hooks=(collector,)).run()
         arrays = collector.as_arrays()
         assert set(arrays) == {
             "arrival_times",
@@ -213,9 +213,9 @@ class _CountingHooks(EngineHooks):
 class TestHooks:
     def test_hook_counts_cover_workload(self, tiny_system):
         hooks = _CountingHooks()
-        result = run_trial(
+        result = Engine(
             tiny_system, LightestLoad(), build_filter_chain("en+rob"), hooks=(hooks,)
-        )
+        ).run()
         assert hooks.mapped + hooks.discarded == tiny_system.num_tasks
         assert hooks.completed == hooks.mapped
         assert result.discarded == hooks.discarded

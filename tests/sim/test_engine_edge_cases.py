@@ -13,7 +13,7 @@ from repro.config import IdlePowerMode
 from repro.filters.chain import build_filter_chain
 from repro.heuristics.lightest_load import LightestLoad
 from repro.heuristics.mect import MinimumExpectedCompletionTime
-from repro.sim.engine import EngineHooks, run_trial
+from repro.sim.engine import EngineHooks, Engine
 from repro.workload.task import Task
 from tests.conftest import micro_config as tiny
 
@@ -47,7 +47,7 @@ class TestDegenerateTopology:
         )
         system = build_trial_system(cfg)
         assert system.cluster.num_cores == 1
-        result = run_trial(system, MinimumExpectedCompletionTime(), build_filter_chain("none"))
+        result = Engine(system, MinimumExpectedCompletionTime(), build_filter_chain("none")).run()
         # Everything serializes through one core: heavy queueing but
         # accounting must still close.
         assert result.missed + result.completed_within == 30
@@ -60,7 +60,7 @@ class TestDegenerateTopology:
     def test_two_pstate_cluster(self):
         cfg = tiny(cluster={"num_pstates": 2})
         system = build_trial_system(cfg)
-        result = run_trial(system, LightestLoad(), build_filter_chain("en+rob"))
+        result = Engine(system, LightestLoad(), build_filter_chain("en+rob")).run()
         assert all(o.pstate in (-1, 0, 1) for o in result.outcomes)
 
 
@@ -68,7 +68,7 @@ class TestDegenerateWorkload:
     def test_all_burst_no_lull(self):
         cfg = tiny(workload={"burst_head": 15, "burst_tail": 15})
         system = build_trial_system(cfg)
-        result = run_trial(system, MinimumExpectedCompletionTime(), build_filter_chain("none"))
+        result = Engine(system, MinimumExpectedCompletionTime(), build_filter_chain("none")).run()
         assert result.num_tasks == 30
 
     def test_single_task(self):
@@ -85,7 +85,7 @@ class TestDegenerateWorkload:
             energy={"idle_power_mode": IdlePowerMode.EXCLUDED},
         )
         system = build_trial_system(cfg)
-        result = run_trial(system, LightestLoad(), build_filter_chain("en+rob"))
+        result = Engine(system, LightestLoad(), build_filter_chain("en+rob")).run()
         assert result.num_tasks == 1
         # A lone task on an idle cluster with a fresh budget must count.
         assert result.completed_within == 1
@@ -103,7 +103,7 @@ class TestDegenerateWorkload:
             cluster={"num_nodes": 2},
         )
         system = build_trial_system(cfg)
-        result = run_trial(system, LightestLoad(), build_filter_chain("en+rob"))
+        result = Engine(system, LightestLoad(), build_filter_chain("en+rob")).run()
         assert result.total_energy > result.budget
 
     def test_simultaneous_arrivals(self):
@@ -121,7 +121,7 @@ class TestDegenerateWorkload:
             )
         workload = replace(system.workload, tasks=tuple(tasks))
         system = replace(system, workload=workload)
-        result = run_trial(system, MinimumExpectedCompletionTime(), build_filter_chain("none"))
+        result = Engine(system, MinimumExpectedCompletionTime(), build_filter_chain("none")).run()
         assert len(result.outcomes) == 30
         firsts = [o for o in result.outcomes[:5]]
         # Simultaneous arrivals map in task-id order, deterministically.
@@ -132,14 +132,14 @@ class TestBudgetExtremes:
     def test_huge_budget_never_exhausts(self):
         cfg = tiny(energy={"budget_mult": 100.0})
         system = build_trial_system(cfg)
-        result = run_trial(system, MinimumExpectedCompletionTime(), build_filter_chain("none"))
+        result = Engine(system, MinimumExpectedCompletionTime(), build_filter_chain("none")).run()
         assert result.exhaustion_time == float("inf")
         assert result.energy_cutoff == 0
 
     def test_tiny_budget_cuts_everything(self):
         cfg = tiny(energy={"budget_mult": 1e-6})
         system = build_trial_system(cfg)
-        result = run_trial(system, MinimumExpectedCompletionTime(), build_filter_chain("none"))
+        result = Engine(system, MinimumExpectedCompletionTime(), build_filter_chain("none")).run()
         # Unfiltered: tasks still execute, but nothing counts after the
         # (immediate) exhaustion.
         assert result.completed_within == 0
@@ -147,7 +147,7 @@ class TestBudgetExtremes:
     def test_tiny_budget_with_filter_discards(self):
         cfg = tiny(energy={"budget_mult": 1e-6})
         system = build_trial_system(cfg)
-        result = run_trial(system, LightestLoad(), build_filter_chain("en"))
+        result = Engine(system, LightestLoad(), build_filter_chain("en")).run()
         # The energy filter sees no fair share at all: every task is
         # discarded at mapping time.
         assert result.discarded == result.num_tasks
@@ -155,7 +155,7 @@ class TestBudgetExtremes:
     def test_excluded_idle_mode_runs(self):
         cfg = tiny(energy={"idle_power_mode": IdlePowerMode.EXCLUDED})
         system = build_trial_system(cfg)
-        result = run_trial(system, LightestLoad(), build_filter_chain("en+rob"))
+        result = Engine(system, LightestLoad(), build_filter_chain("en+rob")).run()
         assert result.total_energy > 0.0
 
 
@@ -186,9 +186,9 @@ class TestEventOrderingTieBreaks:
         completion still happens at ``t_c`` in the modified system.
         """
         system = build_trial_system(tiny(seed=seed))
-        base = run_trial(
+        base = Engine(
             system, MinimumExpectedCompletionTime(), build_filter_chain("none")
-        )
+        ).run()
         tasks = system.workload.tasks
         for outcome in sorted(
             (o for o in base.outcomes if not o.discarded), key=lambda o: o.completion
@@ -202,9 +202,9 @@ class TestEventOrderingTieBreaks:
         system, done, j = self._tie_system()
         t_c = done.completion
         hooks = RecordingHooks()
-        run_trial(
+        Engine(
             system, MinimumExpectedCompletionTime(), build_filter_chain("none"), hooks=(hooks,)
-        )
+        ).run()
         idx_completed = hooks.events.index(("completed", t_c, done.task_id, done.core_id))
         (idx_mapped,) = [
             i
@@ -229,9 +229,9 @@ class TestEventOrderingTieBreaks:
                     )
 
         hooks = FreedCoreProbe()
-        run_trial(
+        Engine(
             system, MinimumExpectedCompletionTime(), build_filter_chain("none"), hooks=(hooks,)
-        )
+        ).run()
         # By the time the simultaneous arrival maps, the completed task
         # no longer occupies its core: the mapper saw the freed core.
         assert hooks.freed_core_running != done.task_id
@@ -241,9 +241,9 @@ class TestEventOrderingTieBreaks:
         runs = []
         for _ in range(2):
             hooks = RecordingHooks()
-            run_trial(
+            Engine(
                 system, MinimumExpectedCompletionTime(), build_filter_chain("none"), hooks=(hooks,)
-            )
+            ).run()
             runs.append(hooks.events)
         assert runs[0] == runs[1]
 
@@ -255,7 +255,7 @@ class TestEmptyFeasibleSetDiscard:
         cfg = tiny(energy={"budget_mult": 1e-6})
         system = build_trial_system(cfg)
         hooks = RecordingHooks()
-        result = run_trial(system, LightestLoad(), build_filter_chain("en"), hooks=(hooks,))
+        result = Engine(system, LightestLoad(), build_filter_chain("en"), hooks=(hooks,)).run()
         assert result.discarded == result.num_tasks
         assert {kind for kind, *_ in hooks.events} == {"discarded"}
         # One hook call per task, in arrival order.

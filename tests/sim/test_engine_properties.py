@@ -20,7 +20,7 @@ from repro import SimulationConfig, build_trial_system
 from repro.filters.chain import build_filter_chain
 from repro.heuristics.registry import build_heuristic
 from repro import rng as rng_mod
-from repro.sim.engine import run_trial
+from repro.sim.engine import Engine
 
 
 @st.composite
@@ -51,7 +51,7 @@ def test_engine_invariants(case):
     heuristic = build_heuristic(
         heuristic_name, rng_mod.stream(config.seed, "prop", heuristic_name)
     )
-    result = run_trial(system, heuristic, build_filter_chain(variant))
+    result = Engine(system, heuristic, build_filter_chain(variant)).run()
 
     # Accounting closes.
     assert len(result.outcomes) == system.num_tasks
@@ -97,6 +97,6 @@ def test_engine_determinism(case):
         heuristic = build_heuristic(
             heuristic_name, rng_mod.stream(config.seed, "det", heuristic_name)
         )
-        return run_trial(system, heuristic, build_filter_chain(variant))
+        return Engine(system, heuristic, build_filter_chain(variant)).run()
 
     assert once() == once()

@@ -24,7 +24,7 @@ from repro.obs.hooks import ObservingHooks
 from repro.obs.manifest import trial_digest
 from repro.obs.sinks import MetricsRegistry, RingBufferSink
 from repro.obs.timeline import TimelineRecorder
-from repro.sim.engine import EngineHooks, run_trial
+from repro.sim.engine import EngineHooks, Engine
 from repro.sim.metrics import TraceCollector
 from tests.conftest import tiny_config
 
@@ -54,7 +54,7 @@ def system():
 
 def _run(system, variant: str, hooks=(), **options):
     chain = build_filter_chain(variant, system.config.filters)
-    return run_trial(system, build_heuristic("LL"), chain, hooks=hooks, **options)
+    return Engine(system, build_heuristic("LL"), chain, hooks=hooks, **options).run()
 
 
 def _digest(collector: TraceCollector) -> str:

@@ -59,8 +59,29 @@ class TestRunTrial:
 
     def test_perf_knobs_results_neutral(self):
         fast = api.run_trial(self.SCENARIO)
-        slow = api.run_trial(self.SCENARIO, perf=api.PerfConfig.disabled())
+        slow = api.run_trial(self.SCENARIO, shared=api.TrialCache(None))
         assert fast == slow
+
+    def test_strips_outcomes_by_default(self, tiny_system):
+        result = api.run_trial(api.Scenario("SQ", "none"), system=tiny_system)
+        assert result.outcomes == ()
+
+    def test_keeps_outcomes_on_request(self, tiny_system):
+        result = api.run_trial(
+            api.Scenario("SQ", "none"), system=tiny_system, keep_outcomes=True
+        )
+        assert len(result.outcomes) == tiny_system.num_tasks
+
+    def test_labels_propagate(self, tiny_system):
+        result = api.run_trial(api.Scenario("LL", "rob"), system=tiny_system)
+        assert result.heuristic == "LL"
+        assert result.variant == "rob"
+
+    def test_random_heuristic_reproducible(self, tiny_system):
+        scenario = api.Scenario("Random", "none")
+        a = api.run_trial(scenario, system=tiny_system)
+        b = api.run_trial(scenario, system=tiny_system)
+        assert a.missed == b.missed
 
     def test_metrics_capture_cache_counters(self):
         metrics = api.MetricsRegistry()

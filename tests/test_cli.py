@@ -254,6 +254,41 @@ class TestResilienceFlags:
         with pytest.raises(ValueError, match="checkpoint"):
             main(["figure", "fig2", *TINY, "--trials", "2", "--resume"])
 
+    @pytest.mark.parametrize("cmd", [["figure", "fig2"], ["grid"]], ids=["figure", "grid"])
+    def test_no_completed_trials_saves_results_and_exits_1(self, capsys, tmp_path, cmd):
+        # Every trial overruns its timeout and is quarantined: nothing to
+        # tabulate, but the (empty) results and manifest are still saved.
+        out = tmp_path / "f.json"
+        with pytest.raises(SystemExit) as info:
+            main([*cmd, *TINY, "--trials", "2", "--trial-timeout", "0.001",
+                  "--max-retries", "0", "--out", str(out)])
+        assert info.value.code == f"repro {cmd[0]}: no completed trials"
+        text = capsys.readouterr().out
+        assert "WARNING: only 0 of 2 trials completed" in text
+        assert "no completed trials" in text
+        assert out.exists()
+        manifest = out.with_suffix(".manifest.json")
+        assert manifest.exists()
+        assert main(["inspect-manifest", str(manifest), "--results", str(out)]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as info:
+            main(["report", str(out)])
+        assert info.value.code == "repro report: no completed trials"
+        assert "no completed trials" in capsys.readouterr().out
+        spec_a, spec_b = (s["heuristic"] + "/" + s["variant"]
+                          for s in json.loads(out.read_text())["specs"][:2])
+        with pytest.raises(SystemExit) as info:
+            main(["compare", str(out), spec_a, spec_b])
+        assert info.value.code == "repro compare: no completed trials"
+
+    def test_sweep_with_no_completed_trials_exits_1(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["sweep", *TINY, "--trials", "1", "--multipliers", "1.0",
+                  "--specs", "LL/en+rob", "--trial-timeout", "0.001",
+                  "--max-retries", "0"])
+        assert info.value.code == "repro sweep: no completed trials"
+        assert "no completed trials" in capsys.readouterr().out
+
 
 class TestProfilingFlags:
     def test_parser_defaults(self):
