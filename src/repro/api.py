@@ -97,12 +97,7 @@ from repro.obs.export import FileExporter, TelemetryServer
 from repro.obs.hooks import observe_trial
 from repro.obs.sinks import EventSink, JsonlSink, MetricsRegistry, RingBufferSink
 from repro.obs.spans import SpanProfile, SpanRecorder
-from repro.obs.telemetry import (
-    NULL_TELEMETRY,
-    AlertRule,
-    Telemetry,
-    parse_rule,
-)
+from repro.obs.telemetry import AlertRule, Telemetry, parse_rule
 from repro.obs.timeline import TimelineRecorder, TimelineSet
 from repro.perf.kernel_cache import CacheStats, KernelCache
 from repro.perf.trial_cache import TrialCache
@@ -156,7 +151,6 @@ __all__ = [
     "write_windows_jsonl",
     # live telemetry + steady state
     "Telemetry",
-    "NULL_TELEMETRY",
     "AlertRule",
     "parse_rule",
     "FileExporter",
@@ -252,17 +246,18 @@ def run_service(
     system: TrialSystem | None = None,
     timeline: TimelineRecorder | None = None,
     stop: Callable[[], bool] | None = None,
-    telemetry: Telemetry = NULL_TELEMETRY,
+    telemetry: Telemetry | None = None,
 ) -> ServiceResult:
     """Run one scenario in continuous-service mode.
 
     ``service`` selects the traffic model, windowing and rolling energy
-    budget (default: equilibrium-rate Poisson replayed over the batch
-    workload is *not* assumed — the default :class:`ServiceConfig` is
-    generative, so a ``horizon`` or ``task_limit`` is required; pass
-    ``ServiceConfig(traffic="replay")`` for the finite batch-equivalent
-    run).  ``system`` reuses a prebuilt :class:`TrialSystem` exactly as
-    in :func:`run_trial`; ``timeline`` attaches a (optionally
+    budget.  ``None`` (the default) is ``ServiceConfig(traffic="replay")``:
+    the batch workload streamed through the service loop, finite and
+    batch-equivalent.  A generative :class:`ServiceConfig` (``poisson``
+    and the rest) needs a ``horizon`` or ``task_limit``.
+
+    ``system`` reuses a prebuilt :class:`TrialSystem` exactly as in
+    :func:`run_trial`; ``timeline`` attaches a (optionally
     ring-buffered) :class:`TimelineRecorder`.  ``stop`` is the
     graceful-shutdown probe: once it returns true the arrival stream is
     cut, committed work drains and the result is marked truncated.
@@ -270,9 +265,10 @@ def run_service(
     Replay mode's :attr:`ServiceResult.trial_result` is bitwise
     identical to what :func:`run_trial` returns for the same scenario.
 
-    ``telemetry`` attaches a live :class:`Telemetry` hub (streaming
-    quantiles, SLO rules, online steady-state detection); the inert
-    default keeps the run bitwise identical to an untelemetered one.
+    ``telemetry`` subscribes a live :class:`Telemetry` hub (streaming
+    quantiles, SLO rules, online steady-state detection); ``None``
+    attaches none.  The hub only reads, so the run is bitwise identical
+    either way.
     """
     if service is None:
         service = ServiceConfig(traffic="replay")

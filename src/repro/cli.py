@@ -78,7 +78,7 @@ from repro.obs.manifest import build_manifest, load_manifest, save_manifest, ver
 from repro.obs.monitor import read_window_rows, render_monitor, scrape
 from repro.obs.sinks import JsonlSink, MetricsRegistry
 from repro.obs.spans import SpanProfile, SpanRecorder
-from repro.obs.telemetry import NULL_TELEMETRY, Telemetry, parse_rule
+from repro.obs.telemetry import Telemetry, parse_rule
 from repro.obs.timeline import TIMELINE_FORMAT, TimelineRecorder, TimelineSet
 from repro.service import TRAFFIC_MODELS, ServiceConfig, ServiceResult, write_windows_jsonl
 
@@ -543,15 +543,15 @@ def _print_windows(result: ServiceResult, head: int = 10, tail: int = 10) -> Non
 
 def _resolve_telemetry(
     args: argparse.Namespace,
-) -> tuple[Telemetry, TelemetryServer | None]:
-    """Build the serve command's telemetry hub (inert when unrequested)."""
+) -> tuple[Telemetry | None, TelemetryServer | None]:
+    """Build the serve command's telemetry hub (``None`` when unrequested)."""
     wanted = (
         args.telemetry_port is not None
         or args.telemetry_out is not None
         or bool(args.slo)
     )
     if not wanted:
-        return NULL_TELEMETRY, None
+        return None, None
     try:
         telemetry = Telemetry(rules=[parse_rule(spec) for spec in args.slo or []])
     except ValueError as exc:
@@ -561,7 +561,13 @@ def _resolve_telemetry(
     server = None
     if args.telemetry_port is not None:
         server = TelemetryServer(telemetry, port=args.telemetry_port)
-        port = server.start()
+        try:
+            port = server.start()
+        except OSError as exc:
+            raise SystemExit(
+                f"repro serve: --telemetry-port {args.telemetry_port}: "
+                f"{exc.strerror or exc}"
+            ) from None
         print(f"telemetry: scrape http://127.0.0.1:{port}/metrics "
               f"(health: /health)")
     return telemetry, server
@@ -656,12 +662,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
         for sig, handler in previous.items():
             signal.signal(sig, handler)
     _print_service_summary(result)
-    if telemetry.enabled:
+    if telemetry is not None:
         _print_telemetry_summary(telemetry)
     if args.windows_out:
         count = write_windows_jsonl(result, args.windows_out)
         print(f"wrote {args.windows_out} ({count} windows)")
-    if args.telemetry_out and telemetry.enabled:
+    if args.telemetry_out:
         for exporter in telemetry.exporters:
             exporter.export()
         print(f"wrote {args.telemetry_out}")

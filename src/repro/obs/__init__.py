@@ -29,7 +29,9 @@ inspectable without touching the engine's hot path:
   uniform simulated-time grid by another ``EngineHooks`` subscriber;
 * :mod:`repro.obs.telemetry` — live service instruments (counters,
   EWMA rates, P² streaming quantiles), SLO alert rules and online
-  steady-state estimates, inert by default (:data:`NULL_TELEMETRY`);
+  steady-state estimates, fed by the
+  :class:`~repro.obs.telemetry.Telemetry` hub — a third ``EngineHooks``
+  subscriber, attached only when a service run asks for one;
 * :mod:`repro.obs.export` — telemetry export surfaces: Prometheus text
   rendering, an atomic file exporter, and a stdlib HTTP scrape
   endpoint (:class:`TelemetryServer`);
@@ -76,22 +78,13 @@ from repro.obs.manifest import (
 )
 from repro.obs.sinks import JsonlSink, MetricsRegistry, RingBufferSink
 from repro.obs.spans import SpanProfile, SpanRecorder
-from repro.obs.telemetry import (
-    NULL_TELEMETRY,
-    AlertRule,
-    NullTelemetry,
-    P2Quantile,
-    Telemetry,
-    parse_rule,
-)
+from repro.obs.telemetry import AlertRule, P2Quantile, Telemetry, parse_rule
 from repro.obs.timeline import TimelineRecorder, TimelineSet
 
 __all__ = [
     "AlertFired",
     "AlertResolved",
     "AlertRule",
-    "NULL_TELEMETRY",
-    "NullTelemetry",
     "P2Quantile",
     "Telemetry",
     "parse_rule",

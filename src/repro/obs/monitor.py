@@ -9,9 +9,9 @@ a terminal dashboard:
   its newline lands, separates the truncation trailer from window rows
   and counts the complete lines it could not parse.
 * :func:`evaluate_rules` — replay the SLO rule streak machine
-  (:class:`~repro.obs.telemetry.AlertRule`) over the rows, yielding the
-  same firing states a live :class:`~repro.obs.telemetry.Telemetry`
-  would hold.
+  (:meth:`~repro.obs.telemetry.RuleState.update`) over the rows,
+  yielding the same firing states a live
+  :class:`~repro.obs.telemetry.Telemetry` would hold.
 * :func:`render_monitor` — the dashboard text: a recent-windows table,
   steady-state summaries (warm-up index + batch-means CIs) once enough
   windows exist, and SLO health.
@@ -96,16 +96,7 @@ def evaluate_rules(
     for row in rows:
         metrics = derived_window_metrics(row, budget_rate=budget_rate)
         for state in states:
-            state.last_value = metrics.get(state.rule.metric, math.nan)
-            if state.rule.breached(metrics):
-                state.streak += 1
-                state.breached_windows += 1
-                if not state.firing and state.streak >= state.rule.for_windows:
-                    state.firing = True
-                    state.fired_count += 1
-            else:
-                state.streak = 0
-                state.firing = False
+            state.update(metrics)
     return states
 
 

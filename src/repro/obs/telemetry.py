@@ -10,9 +10,12 @@ state:
   :class:`P2Quantile` streaming quantile estimator (Jain & Chlamtac
   1985): five markers per quantile, O(1) memory and time per
   observation, no sample buffer.
-* **The hub** — :class:`Telemetry` wires instruments to the service
-  hooks (completion latency, on-time indicator, queue depth) and to
-  window closes (per-window energy, gauges, rates), keeps a bounded
+* **The hub** — :class:`Telemetry` is an
+  :class:`~repro.sim.engine.EngineHooks` subscriber: it feeds its
+  instruments from the engine's map / discard / shed / complete
+  callbacks (arrival and completion rates, completion latency, on-time
+  indicator, queue depth) and from window closes (per-window energy,
+  gauges), keeps a bounded
   per-window history, refreshes a live steady-state estimate
   (MSER-5 warm-up + batch-means CI via
   :mod:`repro.analysis.steady_state`), and evaluates SLO rules.
@@ -23,11 +26,9 @@ state:
   / :class:`~repro.obs.events.AlertResolved` events to any attached
   sinks and roll up into :meth:`Telemetry.health`.
 
-Telemetry is strictly opt-in and results-neutral: the engine never sees
-it, it only reads values the hooks already carry, and the inert
-:data:`NULL_TELEMETRY` singleton keeps the disabled path free of
-allocations — the service hooks check one class attribute
-(:attr:`Telemetry.enabled`) and skip all derived-value computation.
+Telemetry is strictly opt-in and results-neutral: it only reads engine
+state, and a service run without a hub (``telemetry=None``) does not
+subscribe one.
 
 Thread-safety: the simulation thread is the only writer.  Snapshot
 renders (:meth:`Telemetry.render_prometheus`, :meth:`Telemetry.health`)
@@ -45,6 +46,9 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 from repro.obs.events import AlertFired, AlertResolved, Event
+from repro.sim.engine import Engine, EngineHooks
+from repro.sim.results import ON_TIME_TOL
+from repro.workload.task import Task
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (hints only)
     from repro.analysis.steady_state import SteadyStateSummary
@@ -61,8 +65,6 @@ __all__ = [
     "RuleState",
     "parse_rule",
     "Telemetry",
-    "NullTelemetry",
-    "NULL_TELEMETRY",
     "DEFAULT_QUANTILES",
     "STEADY_METRICS",
 ]
@@ -394,6 +396,29 @@ class RuleState:
     breached_windows: int = 0
     last_value: float = math.nan
 
+    def update(self, metrics: Mapping[str, float]) -> str | None:
+        """Fold one window's metrics into the streak.
+
+        Returns the transition the window caused: ``"fired"``,
+        ``"resolved"`` or ``None``.  The live hub emits alert events
+        from it; :func:`repro.obs.monitor.evaluate_rules` replays it.
+        """
+        rule = self.rule
+        self.last_value = metrics.get(rule.metric, math.nan)
+        if not rule.breached(metrics):
+            self.streak = 0
+            if self.firing:
+                self.firing = False
+                return "resolved"
+            return None
+        self.streak += 1
+        self.breached_windows += 1
+        if not self.firing and self.streak >= rule.for_windows:
+            self.firing = True
+            self.fired_count += 1
+            return "fired"
+        return None
+
     def to_dict(self) -> dict[str, Any]:
         return {
             "rule": self.rule.spec,
@@ -411,8 +436,13 @@ class RuleState:
 # ----------------------------------------------------------------------
 
 
-class Telemetry:
+class Telemetry(EngineHooks):
     """Streaming instrument hub for one service run.
+
+    Subscribe it in ``Engine(hooks=...)`` and wire :meth:`on_window` as
+    the window accumulator's ``on_close``; :func:`repro.service.serve_system`
+    does both.  Every settled arrival — mapped, discarded or shed —
+    feeds the arrival rate; a deferral is not settled and does not.
 
     Parameters
     ----------
@@ -438,8 +468,6 @@ class Telemetry:
     steady_metrics:
         Per-window metrics to keep live steady-state estimates for.
     """
-
-    enabled = True
 
     def __init__(
         self,
@@ -530,32 +558,36 @@ class Telemetry:
         assert self._completion_rate is not None and self._on_time_ewma is not None
         return self._arrival_rate, self._completion_rate, self._on_time_ewma
 
-    # -- event feeds (called by the service hooks) ----------------------
+    # -- engine callbacks -----------------------------------------------
 
-    def on_mapped(self, t: float, queue_depth: float) -> None:
-        """A task was admitted at ``t`` with the given avg queue depth."""
-        self._now = t
+    def on_mapped(self, engine: Engine, task: Task, core_id: int, pstate: int) -> None:
+        self._now = t = engine.now
         self.counters["tasks_mapped"].inc()
-        self.queue_depth.observe(queue_depth)
+        self.queue_depth.observe(engine.avg_queue_depth)
         self._rates()[0].observe(t)
 
-    def on_completion(self, t: float, latency: float, on_time: bool) -> None:
-        """A task finished ``latency`` seconds after its arrival."""
-        self._now = t
+    def on_completion(self, engine: Engine, core_id: int, task: Task, t_now: float) -> None:
+        self._now = t_now
+        on_time = t_now <= task.deadline + ON_TIME_TOL
         self.counters["tasks_completed"].inc()
         self.counters["tasks_on_time" if on_time else "tasks_late"].inc()
-        self.latency.observe(latency)
+        self.latency.observe(t_now - task.arrival)
         _, completion, ewma = self._rates()
-        completion.observe(t)
-        ewma.observe(t, 1.0 if on_time else 0.0)
+        completion.observe(t_now)
+        ewma.observe(t_now, 1.0 if on_time else 0.0)
 
-    def on_discarded(self, t: float) -> None:
-        self._now = t
+    def on_discarded(self, engine: Engine, task: Task) -> None:
+        self._now = t = engine.now
         self.counters["tasks_discarded"].inc()
+        self._rates()[0].observe(t)
 
-    def on_shed(self, t: float, deferred: bool) -> None:
-        self._now = t
-        self.counters["tasks_deferred" if deferred else "tasks_shed"].inc()
+    def on_shed(self, engine: Engine, task: Task, cause: str, deferred: bool) -> None:
+        self._now = t = engine.now
+        if deferred:
+            self.counters["tasks_deferred"].inc()
+        else:
+            self.counters["tasks_shed"].inc()
+            self._rates()[0].observe(t)
 
     def on_window(self, stats: "WindowStats") -> None:
         """A metric window closed: fold it in and re-evaluate health."""
@@ -587,26 +619,8 @@ class Telemetry:
         t = float(metrics.get("end", self._now))
         for state in self.rule_states:
             rule = state.rule
-            state.last_value = metrics.get(rule.metric, math.nan)
-            if rule.breached(metrics):
-                state.streak += 1
-                state.breached_windows += 1
-            else:
-                if state.firing:
-                    state.firing = False
-                    self._emit(
-                        AlertResolved(
-                            t=t,
-                            rule=rule.spec,
-                            metric=rule.metric,
-                            window_index=window_index,
-                        )
-                    )
-                state.streak = 0
-                continue
-            if not state.firing and state.streak >= rule.for_windows:
-                state.firing = True
-                state.fired_count += 1
+            transition = state.update(metrics)
+            if transition == "fired":
                 self._emit(
                     AlertFired(
                         t=t,
@@ -615,6 +629,15 @@ class Telemetry:
                         value=state.last_value,
                         window_index=window_index,
                         streak=state.streak,
+                    )
+                )
+            elif transition == "resolved":
+                self._emit(
+                    AlertResolved(
+                        t=t,
+                        rule=rule.spec,
+                        metric=rule.metric,
+                        window_index=window_index,
                     )
                 )
 
@@ -701,39 +724,3 @@ class Telemetry:
         from repro.obs.export import to_prometheus
 
         return to_prometheus(self.snapshot())
-
-
-class NullTelemetry(Telemetry):
-    """The inert hub: accepts every feed, records nothing.
-
-    Instrumented code can hold a telemetry reference unconditionally;
-    the class-level :attr:`enabled` flag lets hot paths skip computing
-    derived feed values entirely.
-    """
-
-    enabled = False
-
-    def __init__(self) -> None:  # noqa: D107 - deliberately not calling super
-        pass
-
-    def configure(self, **kwargs: Any) -> None:
-        pass
-
-    def on_mapped(self, t: float, queue_depth: float) -> None:
-        pass
-
-    def on_completion(self, t: float, latency: float, on_time: bool) -> None:
-        pass
-
-    def on_discarded(self, t: float) -> None:
-        pass
-
-    def on_shed(self, t: float, deferred: bool) -> None:
-        pass
-
-    def on_window(self, stats: "WindowStats") -> None:
-        pass
-
-
-#: Shared inert instance: feeds vanish, reads would fail — do not read.
-NULL_TELEMETRY = NullTelemetry()

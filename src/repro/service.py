@@ -40,10 +40,10 @@ from repro import rng as rng_mod
 from repro.cluster.energy import EnergyLedger, StreamingEnergyMeter
 from repro.experiments.runner import VariantSpec, policy_for
 from repro.faults import FaultPolicy, FaultSchedule, SheddingConfig
-from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
+from repro.obs.telemetry import Telemetry
 from repro.obs.timeline import TimelineRecorder
 from repro.registry import TRAFFIC_PLUGINS, TrafficContext
-from repro.sim.engine import Engine, EngineHooks
+from repro.sim.engine import Engine
 from repro.sim.metrics import WindowAccumulator, WindowStats
 from repro.sim.results import TrialResult
 from repro.sim.state import RollingEnergyBudget
@@ -80,9 +80,6 @@ WINDOW_SCHEMA_VERSION = 2
 
 #: Format tag of the trailer row marking a truncated (interrupted) run.
 TRAILER_FORMAT = "repro.window_trailer/1"
-
-# Matches TaskOutcome.on_time: completion <= deadline + 1e-9 is on time.
-_LATE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -282,53 +279,6 @@ class _LuckSource:
         return float(values[offset])
 
 
-class _ServiceHooks(EngineHooks):
-    """EngineHooks subscriber feeding the window accumulator.
-
-    The telemetry hub rides along: every feed is guarded by the hub's
-    class-level ``enabled`` flag, so with :data:`NULL_TELEMETRY` the
-    disabled path computes no derived values (no latency subtraction,
-    no ``avg_queue_depth`` read) — the zero-overhead discipline the
-    parity tests pin.
-    """
-
-    __slots__ = ("acc", "tele")
-
-    def __init__(self, acc: WindowAccumulator, telemetry: Telemetry = NULL_TELEMETRY) -> None:
-        self.acc = acc
-        self.tele = telemetry
-
-    def on_mapped(self, engine: Engine, task: Task, core_id: int, pstate: int) -> None:
-        self.acc.on_mapped(engine.now, engine.in_system)
-        if self.tele.enabled:
-            self.tele.on_mapped(engine.now, engine.avg_queue_depth)
-
-    def on_discarded(self, engine: Engine, task: Task) -> None:
-        self.acc.on_discarded(engine.now, engine.in_system)
-        if self.tele.enabled:
-            self.tele.on_discarded(engine.now)
-
-    def on_completion(
-        self, engine: Engine, core_id: int, task: Task, t_now: float
-    ) -> None:
-        late = t_now > task.deadline + _LATE_TOL
-        self.acc.on_completion(t_now, late, engine.in_system)
-        if self.tele.enabled:
-            self.tele.on_completion(t_now, t_now - task.arrival, not late)
-
-    # -- fault-layer hooks (only called when faults/shedding are on) ----
-
-    def on_shed(self, engine: Engine, task: Task, cause: str, deferred: bool) -> None:
-        self.acc.on_shed(engine.now, engine.in_system, deferred=deferred)
-        if self.tele.enabled:
-            self.tele.on_shed(engine.now, deferred)
-
-    def on_orphaned(
-        self, engine: Engine, task: Task, core_id: int, disposition: str
-    ) -> None:
-        self.acc.on_orphaned(engine.now, engine.in_system, disposition=disposition)
-
-
 def _bound(tasks: Iterator[Task], service: ServiceConfig) -> Iterator[Task]:
     """Apply the configured task-limit / horizon bounds to a task stream."""
     if service.task_limit is not None:
@@ -384,7 +334,7 @@ def serve_system(
     *,
     timeline: TimelineRecorder | None = None,
     stop: Callable[[], bool] | None = None,
-    telemetry: Telemetry = NULL_TELEMETRY,
+    telemetry: Telemetry | None = None,
 ) -> ServiceResult:
     """Run one spec as a continuous service against a built trial system.
 
@@ -398,10 +348,11 @@ def serve_system(
     :attr:`ServiceResult.truncated` (the CLI wires SIGINT/SIGTERM to
     it).
 
-    ``telemetry`` is a live :class:`~repro.obs.telemetry.Telemetry` hub
-    fed per-event (latency, queue depth) and per-window (energy, SLO
-    rules, steady state).  The default :data:`NULL_TELEMETRY` is inert
-    and keeps results bitwise identical to a run without it.
+    The window accumulator, then ``telemetry`` (a live
+    :class:`~repro.obs.telemetry.Telemetry` hub, fed per event and per
+    window close), then ``timeline`` subscribe to the engine in that
+    order; a ``None`` is not subscribed.  The hub only reads, so results
+    are bitwise identical with and without it.
     """
     eq_rate = system.workload.rates.eq
     mean_rate = service.rate_mult * eq_rate
@@ -441,20 +392,17 @@ def serve_system(
             _arrival_stream(system, service, mean_rate, phase_length),
             rng_mod.stream(seed, "service", "types"),
         )
-    if telemetry.enabled:
+    on_close = None
+    if telemetry is not None:
         telemetry.configure(window=window, budget_rate=accrual)
-    acc = WindowAccumulator(
-        window,
-        energy_at=energy_at,
-        budget=budget,
-        on_close=telemetry.on_window if telemetry.enabled else None,
-    )
+        on_close = telemetry.on_window
+    acc = WindowAccumulator(window, energy_at=energy_at, budget=budget, on_close=on_close)
     heuristic, chain = policy_for(system, spec)
     engine = Engine(
         system,
         heuristic,
         chain,
-        hooks=tuple(h for h in (_ServiceHooks(acc, telemetry), timeline) if h is not None),
+        hooks=tuple(h for h in (acc, telemetry, timeline) if h is not None),
         ledger=ledger,
         rolling_budget=budget,
         tasks_left=planning,

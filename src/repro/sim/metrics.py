@@ -15,8 +15,8 @@ Continuous-service mode cannot keep per-task state, so it aggregates
 into fixed-length time windows instead: :class:`WindowStats` is the
 per-window summary — a monoid under :meth:`WindowStats.merge`, so
 concatenating adjacent windows is exactly the summary of the combined
-span — and :class:`WindowAccumulator` folds engine events into a
-contiguous run of them.
+span — and :class:`WindowAccumulator`, another ``EngineHooks`` subscriber,
+folds engine events into a contiguous run of them.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ import numpy as np
 
 from repro.faults import SHED_MIN_PROB
 from repro.sim.engine import Engine, EngineHooks
+from repro.sim.results import ON_TIME_TOL
 from repro.workload.task import Task
 
 __all__ = [
@@ -331,8 +332,13 @@ def derived_window_metrics(
     return metrics
 
 
-class WindowAccumulator:
+class WindowAccumulator(EngineHooks):
     """Folds engine events into contiguous :class:`WindowStats` windows.
+
+    An :class:`~repro.sim.engine.EngineHooks` subscriber: pass it in
+    ``Engine(hooks=...)``.  Events land in the window containing the
+    engine's ``now`` (a completion's ``t_now``), and each window records
+    the engine's ``in_system`` after its last event.
 
     Windows are ``[k*window, (k+1)*window)`` from ``start``; a window
     closes when the first event at or past its end arrives (there is no
@@ -381,47 +387,44 @@ class WindowAccumulator:
         self._remapped = 0
         self._lost = 0
 
-    # -- event callbacks (driven by the service hooks) -------------------
+    # -- engine callbacks -------------------------------------------------
 
-    def on_mapped(self, t: float, in_system: int) -> None:
-        """A task was mapped at ``t`` with ``in_system`` tasks in flight."""
-        self._roll(t)
+    def on_mapped(self, engine: Engine, task: Task, core_id: int, pstate: int) -> None:
+        self._roll(engine.now)
         self._mapped += 1
-        self._in_system = in_system
+        self._in_system = engine.in_system
 
-    def on_discarded(self, t: float, in_system: int) -> None:
-        """A task was discarded at ``t``."""
-        self._roll(t)
+    def on_discarded(self, engine: Engine, task: Task) -> None:
+        self._roll(engine.now)
         self._discarded += 1
-        self._in_system = in_system
+        self._in_system = engine.in_system
 
-    def on_completion(self, t: float, late: bool, in_system: int) -> None:
-        """A task completed at ``t``; ``late`` if past its deadline."""
-        self._roll(t)
+    def on_completion(self, engine: Engine, core_id: int, task: Task, t_now: float) -> None:
+        self._roll(t_now)
         self._completed += 1
-        if late:
+        if t_now > task.deadline + ON_TIME_TOL:
             self._late += 1
         else:
             self._on_time += 1
-        self._in_system = in_system
+        self._in_system = engine.in_system
 
-    def on_shed(self, t: float, in_system: int, *, deferred: bool) -> None:
+    def on_shed(self, engine: Engine, task: Task, cause: str, deferred: bool) -> None:
         """An arrival was deferred (retry pending) or shed (dropped)."""
-        self._roll(t)
+        self._roll(engine.now)
         if deferred:
             self._deferred += 1
         else:
             self._shed += 1
-        self._in_system = in_system
+        self._in_system = engine.in_system
 
-    def on_orphaned(self, t: float, in_system: int, *, disposition: str) -> None:
+    def on_orphaned(self, engine: Engine, task: Task, core_id: int, disposition: str) -> None:
         """An outage hit a task: ``remapped``, ``lost``, or ``killed``.
 
         ``remapped``/``lost`` tasks were displaced (and count as
         orphaned); ``killed`` running tasks were terminated outright
         under the ``"lost"`` policy and count only as lost.
         """
-        self._roll(t)
+        self._roll(engine.now)
         if disposition == "remapped":
             self._orphaned += 1
             self._remapped += 1
@@ -432,7 +435,7 @@ class WindowAccumulator:
             self._lost += 1
         else:
             raise ValueError(f"unknown orphan disposition {disposition!r}")
-        self._in_system = in_system
+        self._in_system = engine.in_system
 
     # -- window management ----------------------------------------------
 

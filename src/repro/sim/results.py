@@ -18,7 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["TaskOutcome", "TrialResult"]
+__all__ = ["ON_TIME_TOL", "TaskOutcome", "TrialResult"]
+
+#: Slack on the deadline comparison: a task completing at or before
+#: ``deadline + ON_TIME_TOL`` is on time.
+ON_TIME_TOL = 1e-9
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -42,7 +46,7 @@ class TaskOutcome:
 
     def on_time(self) -> bool:
         """Whether the task completed by its deadline."""
-        return not self.discarded and self.completion <= self.deadline + 1e-9
+        return not self.discarded and self.completion <= self.deadline + ON_TIME_TOL
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TaskOutcome):

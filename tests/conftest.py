@@ -21,6 +21,7 @@ from hypothesis import settings
 
 from repro import SimulationConfig, build_trial_system
 from repro.sim.system import TrialSystem
+from repro.workload.task import Task
 
 settings.register_profile("ci", derandomize=True, deadline=None)
 settings.register_profile("dev", deadline=None)
@@ -89,3 +90,63 @@ def small_system() -> TrialSystem:
 def rng() -> np.random.Generator:
     """A fresh deterministic generator per test."""
     return np.random.default_rng(2011)
+
+
+class StubEngine:
+    """Drives ``EngineHooks`` subscribers without running a simulation.
+
+    Each feed sets the engine state subscribers read (``now``,
+    ``in_system``, ``avg_queue_depth``) and calls the callback, with the
+    engine's own signature, on every hook in order.  Completions build a
+    task ``latency`` seconds old whose ``deadline`` makes it on time or
+    late.
+    """
+
+    def __init__(self, *hooks) -> None:
+        self.hooks = hooks
+        self.now = 0.0
+        self.in_system = 0
+        self.avg_queue_depth = 0.0
+        self._ids = 0
+
+    def _at(self, t: float, in_system: int | None, queue_depth: float | None) -> Task:
+        self.now = t
+        if in_system is not None:
+            self.in_system = in_system
+        if queue_depth is not None:
+            self.avg_queue_depth = queue_depth
+        self._ids += 1
+        return Task(task_id=self._ids, type_id=0, arrival=t, deadline=t)
+
+    def mapped(self, t, *, in_system=None, queue_depth=None) -> None:
+        task = self._at(t, in_system, queue_depth)
+        for hook in self.hooks:
+            hook.on_mapped(self, task, 0, 0)
+
+    def discarded(self, t, *, in_system=None) -> None:
+        task = self._at(t, in_system, None)
+        for hook in self.hooks:
+            hook.on_discarded(self, task)
+
+    def completed(self, t, *, latency=1.0, on_time=True, in_system=None) -> None:
+        self._at(t, in_system, None)
+        arrival = t - latency
+        # A late task's deadline is its arrival, ``latency`` before ``t``.
+        task = Task(
+            task_id=self._ids,
+            type_id=0,
+            arrival=arrival,
+            deadline=t if on_time else arrival,
+        )
+        for hook in self.hooks:
+            hook.on_completion(self, 0, task, t)
+
+    def shed(self, t, *, deferred=False, in_system=None) -> None:
+        task = self._at(t, in_system, None)
+        for hook in self.hooks:
+            hook.on_shed(self, task, "queue_depth", deferred)
+
+    def orphaned(self, t, disposition, *, in_system=None) -> None:
+        task = self._at(t, in_system, None)
+        for hook in self.hooks:
+            hook.on_orphaned(self, task, 0, disposition)

@@ -15,6 +15,7 @@ from repro.obs.monitor import (
     scrape,
 )
 from repro.obs.telemetry import Telemetry
+from repro.sim.metrics import WindowStats
 
 
 def row(index: int, *, on_time: int = 8, late: int = 2, **overrides) -> dict:
@@ -131,10 +132,34 @@ class TestEvaluateRules:
         assert state.fired_count == 1
 
     def test_final_state_matches_live_hub(self):
-        rows = [row(i, on_time=5, late=5) for i in range(3)]
-        (state,) = evaluate_rules(["on_time_prob<0.75:2"], rows)
-        assert state.firing
-        assert state.last_value == pytest.approx(0.5)
+        # The same windows through a live hub and through the replay:
+        # fire, resolve, then breach again (firing a second time).
+        rules = ["on_time_prob<0.75:2", "queue_depth>4"]
+        windows = [
+            WindowStats(
+                start=10.0 * i,
+                end=10.0 * (i + 1),
+                mapped=10,
+                completed=10,
+                on_time=on_time,
+                late=10 - on_time,
+                energy=500.0,
+                in_system_end=depth,
+            )
+            for i, (on_time, depth) in enumerate(
+                [(5, 3), (5, 5), (10, 5), (5, 3), (5, 3), (6, 9)]
+            )
+        ]
+        tele = Telemetry(rules=rules)
+        tele.configure(window=10.0)
+        for n, stats in enumerate(windows, start=1):
+            tele.on_window(stats)
+            replayed = evaluate_rules(rules, [w.to_dict() for w in windows[:n]])
+            assert [s.to_dict() for s in replayed] == [
+                s.to_dict() for s in tele.rule_states
+            ]
+        assert [s.fired_count for s in tele.rule_states] == [2, 2]
+        assert [s.firing for s in tele.rule_states] == [True, True]
 
 
 class TestRenderMonitor:

@@ -1,8 +1,8 @@
 """Tests for the live telemetry layer (repro.obs.telemetry + export).
 
-Instruments, the SLO rule grammar and streak machine, the Telemetry hub,
-the inert NULL_TELEMETRY, and the export surfaces (Prometheus text,
-atomic file, HTTP scrape endpoint).
+Instruments, the SLO rule grammar and streak machine, the Telemetry hub
+(fed as an EngineHooks subscriber through a stub engine), and the export
+surfaces (Prometheus text, atomic file, HTTP scrape endpoint).
 """
 
 from __future__ import annotations
@@ -23,19 +23,19 @@ from repro.obs.export import (
     to_prometheus,
 )
 from repro.obs.telemetry import (
-    NULL_TELEMETRY,
     AlertRule,
     Counter,
     Ewma,
     EwmaRate,
     Gauge,
-    NullTelemetry,
     P2Quantile,
     QuantileSet,
     Telemetry,
     parse_rule,
 )
+from repro.sim.engine import EngineHooks
 from repro.sim.metrics import WindowStats
+from tests.conftest import StubEngine
 
 
 def window(index: int, *, on_time: int = 8, late: int = 2, **overrides) -> WindowStats:
@@ -238,12 +238,13 @@ class TestTelemetryHub:
     def test_feeds_update_counters_and_streams(self):
         tele = Telemetry()
         tele.configure(window=10.0)
-        tele.on_mapped(1.0, queue_depth=0.5)
-        tele.on_completion(2.0, latency=1.0, on_time=True)
-        tele.on_completion(3.0, latency=2.5, on_time=False)
-        tele.on_discarded(4.0)
-        tele.on_shed(5.0, deferred=False)
-        tele.on_shed(6.0, deferred=True)
+        engine = StubEngine(tele)
+        engine.mapped(1.0, queue_depth=0.5)
+        engine.completed(2.0, latency=1.0, on_time=True)
+        engine.completed(3.0, latency=2.5, on_time=False)
+        engine.discarded(4.0)
+        engine.shed(5.0, deferred=False)
+        engine.shed(6.0, deferred=True)
         counts = {k: c.value for k, c in tele.counters.items()}
         assert counts == {
             "tasks_mapped": 1,
@@ -258,6 +259,21 @@ class TestTelemetryHub:
         assert tele.latency.count == 2
         assert tele.latency.total == 3.5
         assert tele.queue_depth.count == 1
+
+    def test_is_an_engine_subscriber(self):
+        assert isinstance(Telemetry(), EngineHooks)
+
+    def test_arrival_rate_counts_every_settled_arrival(self):
+        # Mapped, discarded and shed arrivals are settled; a deferral is
+        # a retry still pending and counts when it settles.
+        tau = 10.0
+        tele = Telemetry(ewma_tau=tau)
+        engine = StubEngine(tele)
+        engine.mapped(5.0)
+        engine.discarded(5.0)
+        engine.shed(5.0, deferred=False)
+        engine.shed(5.0, deferred=True)
+        assert tele.snapshot()["arrival_rate"] == pytest.approx(3.0 / tau)
 
     def test_window_close_sets_gauges_and_history(self):
         tele = Telemetry()
@@ -338,7 +354,7 @@ class TestTelemetryHub:
     def test_snapshot_is_json_serializable(self):
         tele = Telemetry(rules=["queue_depth>100"])
         tele.configure(window=10.0)
-        tele.on_completion(1.0, latency=0.5, on_time=True)
+        StubEngine(tele).completed(1.0, latency=0.5, on_time=True)
         for i in range(12):
             tele.on_window(window(i))
         doc = json.loads(json.dumps(tele.snapshot(), allow_nan=True))
@@ -346,32 +362,15 @@ class TestTelemetryHub:
         assert doc["health"]["healthy"] is True
 
 
-class TestNullTelemetry:
-    def test_singleton_is_inert(self):
-        assert NULL_TELEMETRY.enabled is False
-        assert isinstance(NULL_TELEMETRY, NullTelemetry)
-        assert Telemetry.enabled is True
-
-    def test_feeds_are_no_ops_without_state(self):
-        NULL_TELEMETRY.configure(window=5.0)
-        NULL_TELEMETRY.on_mapped(1.0, queue_depth=0.5)
-        NULL_TELEMETRY.on_completion(2.0, latency=1.0, on_time=True)
-        NULL_TELEMETRY.on_discarded(3.0)
-        NULL_TELEMETRY.on_shed(4.0, deferred=False)
-        NULL_TELEMETRY.on_window(window(0))
-        # The null hub deliberately allocates no instrument state at all.
-        assert not hasattr(NULL_TELEMETRY, "counters")
-        assert not hasattr(NULL_TELEMETRY, "history")
-
-
 class TestPrometheusRendering:
     @pytest.fixture()
     def tele(self) -> Telemetry:
         tele = Telemetry(rules=['on_time_prob<0.75:2'])
         tele.configure(window=10.0, budget_rate=100.0)
+        engine = StubEngine(tele)
         for i in range(12):
-            tele.on_completion(10.0 * i + 1.0, latency=1.0 + 0.1 * i, on_time=True)
-            tele.on_mapped(10.0 * i + 0.5, queue_depth=float(i % 3))
+            engine.completed(10.0 * i + 1.0, latency=1.0 + 0.1 * i, on_time=True)
+            engine.mapped(10.0 * i + 0.5, queue_depth=float(i % 3))
             tele.on_window(window(i))
         return tele
 

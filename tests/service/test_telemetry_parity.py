@@ -1,23 +1,25 @@
 """Zero-telemetry neutrality: attaching a hub must not change results.
 
-The acceptance bar for the telemetry layer is strict: with telemetry
-disabled (the default NULL_TELEMETRY) a serve run must be bitwise
-identical to one that never heard of telemetry, and *enabling* telemetry
-must still leave the simulation trajectory untouched — the hub only
-reads values the hooks already carry.  These tests pin both directions
-plus the accounting ties between hub counters and window totals.
+The acceptance bar for the telemetry layer is strict: a serve run
+without a hub (the default ``telemetry=None``) subscribes nothing extra,
+and *subscribing* the hub must leave the simulation trajectory untouched
+— it only reads engine state.  These tests pin that, plus the
+accounting ties between hub counters and window totals on a plain run
+and on one with shedding, deferrals and node outages.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 
 import pytest
 
 from repro import api
+from repro.faults import FaultPolicy, FaultSchedule, SheddingConfig
 from repro.obs.manifest import trial_digest
-from repro.obs.telemetry import NULL_TELEMETRY, Telemetry
-from repro.service import ServiceConfig
+from repro.obs.telemetry import Telemetry
+from repro.service import ServiceConfig, serve_system
 from tests.conftest import tiny_config
 
 
@@ -66,19 +68,44 @@ class TestResultNeutrality:
         assert instrumented.makespan == bare.makespan
         assert instrumented.total_energy == bare.total_energy
 
-    def test_null_telemetry_is_the_default(self, scenario, system):
-        explicit = api.run_service(
-            scenario, system=system, telemetry=NULL_TELEMETRY
-        )
-        implicit = api.run_service(scenario, system=system)
-        assert explicit.trial_result == implicit.trial_result
+    def test_null_telemetry_is_the_default(self):
+        # No hub unless one is passed: None subscribes nothing.
+        for fn in (api.run_service, serve_system):
+            assert inspect.signature(fn).parameters["telemetry"].default is None
+
+
+def degraded(system) -> ServiceConfig:
+    """4x overload with queue-depth shedding and node outages."""
+    task_limit = 300
+    eq_rate = system.workload.rates.eq
+    horizon = task_limit / (4.0 * eq_rate)
+    return ServiceConfig(
+        traffic="poisson",
+        rate_mult=4.0,
+        window=20.0 / eq_rate,
+        task_limit=task_limit,
+        faults=FaultSchedule.generate(
+            num_targets=system.cluster.num_nodes,
+            horizon=horizon,
+            mtbf=horizon,
+            mttr=0.2 * horizon,
+            seed=7,
+            scope="node",
+        ),
+        fault_policy=FaultPolicy(running="resume"),
+        shedding=SheddingConfig(queue_depth=3.0, defer=30.0),
+    )
 
 
 class TestHubAccounting:
     @pytest.fixture(scope="class")
-    def run(self, scenario, system):
+    def service(self, system) -> ServiceConfig:
+        return GENERATIVE
+
+    @pytest.fixture(scope="class")
+    def run(self, scenario, system, service):
         tele = fresh_telemetry()
-        svc = api.run_service(scenario, GENERATIVE, system=system, telemetry=tele)
+        svc = api.run_service(scenario, service, system=system, telemetry=tele)
         return tele, svc
 
     def test_counters_match_window_totals(self, run):
@@ -89,6 +116,8 @@ class TestHubAccounting:
         assert tele.counters["tasks_on_time"].value == totals.on_time
         assert tele.counters["tasks_late"].value == totals.late
         assert tele.counters["tasks_discarded"].value == totals.discarded
+        assert tele.counters["tasks_shed"].value == totals.shed
+        assert tele.counters["tasks_deferred"].value == totals.deferred
         assert tele.counters["windows"].value == len(svc.windows)
 
     def test_latency_stream_counts_every_completion(self, run):
@@ -133,3 +162,22 @@ class TestHubAccounting:
                 l.mean == o.mean
                 or (math.isnan(l.mean) and math.isnan(o.mean))
             )
+
+
+class TestHubAccountingDegraded(TestHubAccounting):
+    """The same ties on a run that sheds, defers, discards and orphans."""
+
+    @pytest.fixture(scope="class")
+    def service(self, system) -> ServiceConfig:
+        return degraded(system)
+
+    def test_run_exercises_the_fault_feeds(self, run):
+        _, svc = run
+        totals = svc.totals
+        assert totals.shed > 0 and totals.deferred > 0
+        assert totals.discarded > 0 and totals.orphaned > 0
+
+    def test_window_rows_identical_without_the_hub(self, run, scenario, system, service):
+        _, svc = run
+        bare = api.run_service(scenario, service, system=system)
+        assert window_dicts(svc) == window_dicts(bare)

@@ -17,7 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.service import WINDOW_FORMAT, ServiceConfig, window_rows, write_windows_jsonl
+from repro.sim.engine import EngineHooks
+from repro.sim.results import ON_TIME_TOL
+from repro.workload.task import Task
 from repro.sim.metrics import WindowAccumulator, WindowStats
+from tests.conftest import StubEngine
 
 counts = st.integers(min_value=0, max_value=50)
 
@@ -93,12 +97,16 @@ class TestWindowAccumulator:
         with pytest.raises(ValueError):
             WindowAccumulator(0.0)
 
+    def test_is_an_engine_subscriber(self):
+        assert isinstance(WindowAccumulator(1.0), EngineHooks)
+
     def test_events_land_in_their_windows(self):
         acc = WindowAccumulator(10.0)
-        acc.on_mapped(1.0, 1)
-        acc.on_mapped(9.9, 2)
-        acc.on_completion(12.0, False, 1)
-        acc.on_discarded(25.0, 1)
+        engine = StubEngine(acc)
+        engine.mapped(1.0, in_system=1)
+        engine.mapped(9.9, in_system=2)
+        engine.completed(12.0, in_system=1)
+        engine.discarded(25.0, in_system=1)
         windows = acc.flush(25.0)
         assert [w.arrivals for w in windows] == [2, 0, 1]
         assert [w.completed for w in windows] == [0, 1, 0]
@@ -107,8 +115,9 @@ class TestWindowAccumulator:
 
     def test_empty_gap_windows_are_emitted(self):
         acc = WindowAccumulator(5.0)
-        acc.on_mapped(1.0, 1)
-        acc.on_mapped(22.0, 2)
+        engine = StubEngine(acc)
+        engine.mapped(1.0, in_system=1)
+        engine.mapped(22.0, in_system=2)
         windows = acc.flush(22.0)
         assert len(windows) == 5
         assert [w.arrivals for w in windows] == [1, 0, 0, 0, 1]
@@ -121,18 +130,43 @@ class TestWindowAccumulator:
     def test_telescoping_energy_sums_to_total(self):
         energy = lambda t: 3.0 * t  # noqa: E731 - a linear meter stub
         acc = WindowAccumulator(10.0, energy_at=energy)
+        engine = StubEngine(acc)
         for t in (2.0, 17.0, 34.0):
-            acc.on_mapped(t, 1)
+            engine.mapped(t, in_system=1)
         windows = acc.flush(35.0)
         assert sum(w.energy for w in windows) == pytest.approx(energy(35.0))
         assert WindowStats.merge_all(windows).energy == pytest.approx(energy(35.0))
 
     def test_late_counts_split(self):
         acc = WindowAccumulator(10.0)
-        acc.on_completion(1.0, False, 0)
-        acc.on_completion(2.0, True, 0)
+        engine = StubEngine(acc)
+        engine.completed(1.0, on_time=True, in_system=0)
+        engine.completed(2.0, on_time=False, in_system=0)
         (w,) = acc.flush(2.0)
         assert (w.completed, w.on_time, w.late) == (2, 1, 1)
+
+    def test_deadline_tolerance_matches_task_outcome(self):
+        # ON_TIME_TOL is shared with TaskOutcome.on_time.
+        acc = WindowAccumulator(10.0)
+        task = Task(task_id=0, type_id=0, arrival=0.0, deadline=1.0)
+        for t_now in (1.0 + 0.5 * ON_TIME_TOL, 1.0 + 2.0 * ON_TIME_TOL):
+            acc.on_completion(StubEngine(acc), 0, task, t_now)
+        (w,) = acc.flush(2.0)
+        assert (w.on_time, w.late) == (1, 1)
+
+    def test_fault_feeds_split_by_disposition(self):
+        acc = WindowAccumulator(10.0)
+        engine = StubEngine(acc)
+        engine.shed(1.0)
+        engine.shed(2.0, deferred=True)
+        engine.orphaned(3.0, "remapped")
+        engine.orphaned(4.0, "lost")
+        engine.orphaned(5.0, "killed")
+        (w,) = acc.flush(5.0)
+        assert (w.shed, w.deferred, w.arrivals) == (1, 1, 1)
+        assert (w.orphaned, w.remapped, w.lost) == (2, 1, 2)
+        with pytest.raises(ValueError, match="disposition"):
+            engine.orphaned(6.0, "vanished")
 
 
 class TestWindowRows:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import pathlib
+import socket
 
 import pytest
 
@@ -540,6 +541,22 @@ class TestServeTelemetryFlags:
         text = capsys.readouterr().out
         assert "telemetry: scrape http://127.0.0.1:" in text
         assert "steady state (MSER-5 warm-up, batch-means CI)" in text
+
+    def test_busy_telemetry_port_exits_with_one_line(self):
+        with socket.socket() as held:
+            held.bind(("127.0.0.1", 0))
+            held.listen(1)
+            port = held.getsockname()[1]
+            with pytest.raises(SystemExit) as info:
+                main(
+                    [
+                        "serve", *TINY, "--traffic", "replay",
+                        "--telemetry-port", str(port),
+                    ]
+                )
+        message = info.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert message.startswith(f"repro serve: --telemetry-port {port}: ")
 
 
 class TestMonitorCommand:

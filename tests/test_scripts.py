@@ -493,12 +493,14 @@ class TestTelemetryCheck:
         try:
             from repro.obs.telemetry import Telemetry
             from repro.sim.metrics import WindowStats
+            from tests.conftest import StubEngine
 
             tele = Telemetry(rules=["on_time_prob<0.5:3"])
             tele.configure(window=10.0)
+            engine = StubEngine(tele)
             for i in range(12):
-                tele.on_mapped(10.0 * i + 0.5, queue_depth=1.0)
-                tele.on_completion(10.0 * i + 2.0, latency=1.5, on_time=True)
+                engine.mapped(10.0 * i + 0.5, queue_depth=1.0)
+                engine.completed(10.0 * i + 2.0, latency=1.5, on_time=True)
                 tele.on_window(
                     WindowStats(
                         start=10.0 * i, end=10.0 * (i + 1), mapped=1,
