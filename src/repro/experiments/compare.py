@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from repro.experiments.runner import EnsembleResult, VariantSpec
 
@@ -61,6 +60,10 @@ def compare_variants(
     ensemble: EnsembleResult, a: VariantSpec, b: VariantSpec
 ) -> PairedComparison:
     """Paired test of ``b`` against ``a`` over an ensemble's trials."""
+    # Imported here, not at module level: scipy.stats costs most of a
+    # second to import and nothing else on the import path needs it.
+    from scipy import stats
+
     misses_a = ensemble.misses(a).astype(np.float64)
     misses_b = ensemble.misses(b).astype(np.float64)
     if misses_a.shape != misses_b.shape:

@@ -36,6 +36,13 @@ from repro.workload.task import Task
 
 __all__ = ["CandidateBuilder"]
 
+#: Per-type gathers of :meth:`CandidateBuilder._type_tables`: ``eet``
+#: (C, P), ``eet_flat``, ``eec_flat``, node-stacked padded ``times`` and
+#: ``probs`` (N, P, L), and each node's native padded width.
+_TypeTables = tuple[
+    np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]
+]
+
 
 class CandidateBuilder:
     """Per-trial candidate-set builder with batched array construction.
@@ -67,7 +74,7 @@ class CandidateBuilder:
         cores: Sequence[CoreState],
         table: ExecutionTimeTable,
         *,
-        type_tables: dict | None = None,
+        type_tables: dict[int, _TypeTables] | None = None,
     ) -> None:
         self._cores = list(cores)
         self._table = table
@@ -101,20 +108,11 @@ class CandidateBuilder:
         # tables are built once per trial instead of once per spec —
         # entries are pure functions of (table, type_id), so sharing is
         # exact.
-        self._by_type: dict[
-            int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-        ] = type_tables if type_tables is not None else {}
+        self._by_type: dict[int, _TypeTables] = (
+            type_tables if type_tables is not None else {}
+        )
 
-    def _type_tables(
-        self, type_id: int
-    ) -> tuple[
-        np.ndarray,
-        np.ndarray,
-        np.ndarray,
-        np.ndarray,
-        np.ndarray,
-        tuple[int, ...],
-    ]:
+    def _type_tables(self, type_id: int) -> _TypeTables:
         cached = self._by_type.get(type_id)
         if cached is None:
             cluster = self._table.cluster

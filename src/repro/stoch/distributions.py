@@ -6,6 +6,12 @@ gamma laws (strictly positive support, right-skewed — the natural model
 for execution times).  Each discretizer integrates the continuous density
 over grid-aligned bins so the pmf mass matches the law's probability of
 falling in each bin, then renormalizes the truncated tails away.
+
+The CDFs are the :mod:`scipy.special` ufuncs that ``scipy.stats`` itself
+evaluates (``gammainc`` for ``gamma.cdf``, ``ndtr`` for ``norm.cdf``),
+called directly on the standardized edges, so the masses are bitwise
+those of the ``scipy.stats`` forms.  ``scipy.special`` is imported inside
+the discretizers that need it: importing this module loads no scipy.
 """
 
 from __future__ import annotations
@@ -13,7 +19,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import stats
 
 from repro.stoch.pmf import PMF
 
@@ -26,8 +31,16 @@ __all__ = [
 ]
 
 
+def _check_dt(dt: float) -> None:
+    # PMF._from_raw skips PMF's validation: the masses are finite and
+    # non-negative by construction, but the grid step is caller input.
+    if not (dt > 0.0 and math.isfinite(dt)):
+        raise ValueError(f"dt must be a positive finite float, got {dt}")
+
+
 def _bin_edges(lo: float, hi: float, dt: float) -> np.ndarray:
     """Grid-aligned bin edges covering ``[lo, hi]`` (edges at multiples of dt)."""
+    _check_dt(dt)
     first = math.floor(lo / dt)
     last = math.ceil(hi / dt)
     if last <= first:
@@ -36,16 +49,18 @@ def _bin_edges(lo: float, hi: float, dt: float) -> np.ndarray:
 
 
 def _from_masses(masses: np.ndarray, first_edge: float, dt: float) -> PMF:
-    """Build a pmf from clipped bin masses; mass of bin i sits at its center."""
+    """Build a pmf from clipped bin masses; mass of bin i sits at its center.
+
+    ``masses`` must be finite, non-negative and owned by the caller (it
+    may become the pmf's array).  Equals
+    ``PMF(first_edge + dt/2, dt, masses).compact()`` bit for bit.
+    """
     if masses.sum() <= 0.0:
         # Degenerate law narrower than one bin: all mass in the bin
         # containing the midpoint of the range.
-        fallback = np.zeros(masses.size)
-        fallback[fallback.size // 2] = 1.0
-        masses = fallback
-    centers_start = first_edge + 0.5 * dt
-    pmf = PMF(centers_start, dt, masses)
-    return pmf.compact()
+        masses = np.zeros(masses.size)
+        masses[masses.size // 2] = 1.0
+    return PMF._from_raw(first_edge + 0.5 * dt, dt, masses)
 
 
 def _from_cdf(cdf_vals: np.ndarray, edges: np.ndarray, dt: float) -> PMF:
@@ -65,13 +80,15 @@ def discretized_gamma(mean: float, cv: float, dt: float, *, tail_sigmas: float =
     """
     if mean <= 0.0 or cv <= 0.0:
         raise ValueError("mean and cv must be positive")
+    from scipy.special import gammainc
+
     shape = 1.0 / (cv * cv)
     scale = mean * cv * cv
     std = cv * mean
     lo = max(0.0, mean - tail_sigmas * std)
     hi = mean + tail_sigmas * std
     edges = _bin_edges(lo, hi, dt)
-    cdf_vals = stats.gamma.cdf(edges, a=shape, scale=scale)
+    cdf_vals = gammainc(shape, edges / scale)
     return _from_cdf(cdf_vals, edges, dt)
 
 
@@ -83,7 +100,7 @@ def discretized_gamma_batch(
     All laws share ``cv`` (hence the gamma shape) and the grid, which is
     exactly the situation of the execution-time table — so the gamma CDF
     is evaluated over the concatenation of every law's bin edges in a
-    *single* vectorized call instead of one scipy round trip per law.
+    *single* ``gammainc`` call instead of one round trip per law.
     Every arithmetic step (support bounds, edge indices, CDF, bin-mass
     differences, clipping, normalization) is the same elementwise
     expression the scalar path evaluates, so each returned pmf is
@@ -95,6 +112,9 @@ def discretized_gamma_batch(
         return []
     if cv <= 0.0 or not np.all(means > 0.0):
         raise ValueError("mean and cv must be positive")
+    _check_dt(dt)
+    from scipy.special import gammainc
+
     shape = 1.0 / (cv * cv)
     scales = means * cv * cv
     stds = cv * means
@@ -113,27 +133,38 @@ def discretized_gamma_batch(
     idx = np.arange(int(offsets[-1]), dtype=np.int64)
     idx -= np.repeat(offsets[:-1] - firsts, counts)
     edges = dt * idx
-    cdf_vals = stats.gamma.cdf(edges, a=shape, scale=np.repeat(scales, counts))
+    cdf_vals = gammainc(shape, edges / np.repeat(scales, counts))
     # Bin masses batched: within law i the first ``counts[i] - 1``
     # entries after its offset are exactly ``np.diff`` of its CDF slice
-    # (the entry straddling two laws is never read).
+    # (the entry straddling two laws is never read).  Each law gets a
+    # copy of its slice, so no pmf keeps the batch array alive.
     masses = np.clip(cdf_vals[1:] - cdf_vals[:-1], 0.0, None)
     out: list[PMF] = []
     for i in range(means.size):
         o = int(offsets[i])
         n = int(counts[i])
-        out.append(_from_masses(masses[o : o + n - 1], float(edges[o]), dt))
+        out.append(_from_masses(masses[o : o + n - 1].copy(), float(edges[o]), dt))
     return out
 
 
 def discretized_normal(mean: float, std: float, dt: float, *, tail_sigmas: float = 4.0) -> PMF:
-    """Normal law truncated at ``mean ± tail_sigmas * std`` (and at zero)."""
+    """Normal law truncated at ``mean ± tail_sigmas * std`` (and at zero).
+
+    Raises ``ValueError`` when that support lies entirely at or below
+    zero: an execution time cannot be non-positive.
+    """
     if std <= 0.0:
         raise ValueError("std must be positive")
     lo = max(0.0, mean - tail_sigmas * std)
     hi = mean + tail_sigmas * std
+    if hi <= 0.0:
+        raise ValueError(
+            f"truncated support mean + tail_sigmas * std = {hi} is not positive"
+        )
+    from scipy.special import ndtr
+
     edges = _bin_edges(lo, hi, dt)
-    cdf_vals = stats.norm.cdf(edges, loc=mean, scale=std)
+    cdf_vals = ndtr((edges - mean) / std)
     return _from_cdf(cdf_vals, edges, dt)
 
 

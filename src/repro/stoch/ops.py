@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
-from repro.stoch.pmf import _RTOL, _TRIM_EPS, PMF
+from repro.stoch.pmf import _RTOL, PMF
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.perf.kernel_cache import KernelCache
@@ -109,7 +109,7 @@ def convolve(a: PMF, b: PMF) -> PMF:
         probs = np.convolve(a.probs, b.probs)
         if _op_observer is not None:
             _op_observer("convolve", probs.size)
-        return _finalize_conv(a.start + b.start, a.dt, probs)
+        return PMF._from_raw(a.start + b.start, a.dt, probs)
     probs = np.convolve(a.probs, b.probs)
     if _op_observer is not None:
         # Count only materialized convolutions (delta shortcuts above are
@@ -233,40 +233,6 @@ def _truncate_tail(
         arr.setflags(write=False)
         return PMF._intern(pmf.start + k * pmf.dt, pmf.dt, arr)
     return PMF(pmf.start + k * pmf.dt, pmf.dt, tail)
-
-
-def _finalize_conv(base: float, dt: float, raw: np.ndarray) -> PMF:
-    """``PMF(base, dt, raw).compact()`` minus the redundant validation.
-
-    ``raw`` is the product of two valid probability arrays, so it is
-    finite and non-negative with positive total by construction; the
-    normalization and trimming below follow PMF.__init__ and
-    PMF.compact branch for branch, producing bitwise-identical arrays.
-    """
-    total = float(raw.sum())
-    arr = raw / total if abs(total - 1.0) > _RTOL else raw
-    thresh = float(arr.max()) * _TRIM_EPS
-    # First/last index above threshold without materializing the index
-    # array flatnonzero builds.  When both end bins survive (checked on
-    # scalars first) nothing trims; otherwise the mask is never empty
-    # because the max itself always exceeds ``max * _TRIM_EPS``.
-    if arr[0] > thresh and arr[-1] > thresh:
-        lo = 0
-        hi = arr.size - 1
-    else:
-        keep = arr > thresh
-        lo = int(keep.argmax())
-        hi = arr.size - 1 - int(keep[::-1].argmax())
-    if lo == 0 and hi == arr.size - 1:
-        start = base
-        out = arr
-    else:
-        sl = arr[lo : hi + 1]
-        t2 = float(sl.sum())
-        out = sl / t2 if abs(t2 - 1.0) > _RTOL else sl.copy()
-        start = base + lo * dt
-    out.setflags(write=False)
-    return PMF._intern(start, dt, out)
 
 
 def prob_sum_at_most(ready: PMF, exec_pmf: PMF, deadline: float) -> float:

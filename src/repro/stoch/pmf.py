@@ -133,6 +133,45 @@ class PMF:
         object.__setattr__(self, "_key", key)
         return self
 
+    @classmethod
+    def _from_raw(cls, start: float, dt: float, raw: np.ndarray) -> "PMF":
+        """``PMF(start, dt, raw).compact()`` minus the redundant validation.
+
+        ``raw`` must be a float64 array the caller owns, finite and
+        non-negative with positive total by construction (a convolution
+        of two valid pmfs, clipped bin masses of a discretized law), and
+        ``dt`` must already be a valid grid step.  The normalization and
+        trimming below follow :meth:`__init__` and :meth:`compact`
+        branch for branch, producing bitwise-identical arrays.  When
+        nothing is trimmed and the total is already one, ``raw`` itself
+        becomes the pmf's (read-only) array.  Not part of the public
+        surface.
+        """
+        total = float(raw.sum())
+        arr = raw / total if abs(total - 1.0) > _RTOL else raw
+        thresh = float(arr.max()) * _TRIM_EPS
+        # First/last index above threshold without materializing the
+        # index array flatnonzero builds.  When both end bins survive
+        # (checked on scalars first) nothing trims; otherwise the mask is
+        # never empty because the max itself always exceeds
+        # ``max * _TRIM_EPS``.
+        if arr[0] > thresh and arr[-1] > thresh:
+            lo = 0
+            hi = arr.size - 1
+        else:
+            keep = arr > thresh
+            lo = int(keep.argmax())
+            hi = arr.size - 1 - int(keep[::-1].argmax())
+        if lo == 0 and hi == arr.size - 1:
+            out = arr
+        else:
+            sl = arr[lo : hi + 1]
+            t2 = float(sl.sum())
+            out = sl / t2 if abs(t2 - 1.0) > _RTOL else sl.copy()
+            start = start + lo * dt
+        out.setflags(write=False)
+        return cls._intern(start, dt, out)
+
     @staticmethod
     def from_mapping(mapping: Mapping[float, float], dt: float) -> "PMF":
         """Build a pmf from ``{time: probability}`` pairs.

@@ -20,7 +20,7 @@ Construction cost matters: the table is rebuilt per trial per worker,
 and at paper scale it holds T*N*P = 4,000 discretized gammas.  Every
 cell is evaluated through one vectorized
 :func:`~repro.stoch.distributions.discretized_gamma_batch` call (a
-single scipy CDF round trip instead of 4,000), bitwise identical per
+single ``gammainc`` evaluation instead of 4,000), bitwise identical per
 cell to :func:`~repro.stoch.distributions.discretized_gamma`, and the
 padded matrices are deferred to first :meth:`padded` access — the mapper
 only ever asks for the task types that actually arrive.  Padding is a

@@ -2,15 +2,22 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats
 
 from repro.stoch.distributions import (
     discretized_exponential,
     discretized_gamma,
+    discretized_gamma_batch,
     discretized_normal,
     discretized_uniform,
 )
+from repro.stoch.pmf import PMF
 
 
 class TestGamma:
@@ -65,6 +72,14 @@ class TestNormal:
     def test_rejects_bad_std(self):
         with pytest.raises(ValueError):
             discretized_normal(10.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize(
+        ("mean", "std", "tail_sigmas"), [(-50.0, 5.0, 4.0), (-20.0, 5.0, 4.0), (-1.0, 1.0, 0.5)]
+    )
+    def test_rejects_support_at_or_below_zero(self, mean, std, tail_sigmas):
+        # mean + tail_sigmas * std <= 0: no positive time to put mass on.
+        with pytest.raises(ValueError, match="not positive"):
+            discretized_normal(mean, std, 1.0, tail_sigmas=tail_sigmas)
 
     def test_symmetry(self):
         pmf = discretized_normal(mean=100.0, std=5.0, dt=0.25)
@@ -124,3 +139,107 @@ class TestGridAlignment:
         pmf = discretized_uniform(0.0, 10.0, dt=1.0)
         frac = (pmf.start / pmf.dt) % 1.0
         assert frac == pytest.approx(0.5)
+
+
+class TestRejectsBadGrid:
+    @pytest.mark.parametrize("dt", [0.0, -1.0, math.inf, math.nan])
+    def test_every_discretizer(self, dt):
+        for call in (
+            lambda: discretized_gamma(100.0, 0.2, dt),
+            lambda: discretized_gamma_batch(np.array([100.0]), 0.2, dt),
+            lambda: discretized_normal(100.0, 10.0, dt),
+            lambda: discretized_uniform(50.0, 150.0, dt),
+            lambda: discretized_exponential(100.0, dt),
+        ):
+            with pytest.raises(ValueError, match="dt"):
+                call()
+
+
+# ----------------------------------------------------------------------
+# Bitwise oracle: the scipy.stats CDFs finished by PMF(...).compact()
+# ----------------------------------------------------------------------
+
+
+def _ref_edges(lo: float, hi: float, dt: float) -> np.ndarray:
+    first = math.floor(lo / dt)
+    last = max(math.ceil(hi / dt), first + 1)
+    return dt * np.arange(first, last + 1)
+
+
+def _ref_pmf(cdf_vals: np.ndarray, edges: np.ndarray, dt: float) -> PMF:
+    masses = np.clip(np.diff(cdf_vals), 0.0, None)
+    if masses.sum() <= 0.0:
+        masses = np.zeros(masses.size)
+        masses[masses.size // 2] = 1.0
+    return PMF(float(edges[0]) + 0.5 * dt, dt, masses).compact()
+
+
+def _ref_gamma(mean: float, cv: float, dt: float, tail_sigmas: float) -> PMF:
+    std = cv * mean
+    edges = _ref_edges(max(0.0, mean - tail_sigmas * std), mean + tail_sigmas * std, dt)
+    cdf_vals = stats.gamma.cdf(edges, a=1.0 / (cv * cv), scale=mean * cv * cv)
+    return _ref_pmf(cdf_vals, edges, dt)
+
+
+def _ref_normal(mean: float, std: float, dt: float, tail_sigmas: float) -> PMF:
+    edges = _ref_edges(max(0.0, mean - tail_sigmas * std), mean + tail_sigmas * std, dt)
+    return _ref_pmf(stats.norm.cdf(edges, loc=mean, scale=std), edges, dt)
+
+
+def _assert_bitwise(got: PMF, want: PMF) -> None:
+    assert got.start == want.start
+    assert got.dt == want.dt
+    assert got.probs.dtype == want.probs.dtype
+    assert got.probs.tobytes() == want.probs.tobytes()
+    assert not got.probs.flags.writeable
+
+
+# Laws are drawn in units of dt so the bin count stays bounded.
+_dts = st.floats(0.01, 50.0)
+_cvs = st.floats(0.01, 1.5)
+_tails = st.floats(0.25, 8.0)
+_ratios = st.floats(0.01, 400.0)
+
+
+class TestBitwiseOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(ratios=st.lists(_ratios, min_size=1, max_size=6), cv=_cvs, dt=_dts, tail=_tails)
+    def test_gamma_scalar_and_batch(self, ratios, cv, dt, tail):
+        means = [r * dt for r in ratios]
+        batch = discretized_gamma_batch(np.array(means), cv, dt, tail_sigmas=tail)
+        assert len(batch) == len(means)
+        for mean, pmf in zip(means, batch):
+            want = _ref_gamma(mean, cv, dt, tail)
+            _assert_bitwise(discretized_gamma(mean, cv, dt, tail_sigmas=tail), want)
+            _assert_bitwise(pmf, want)
+            # Each law owns its array: none keeps the batch buffer alive.
+            assert pmf.probs.base is None
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        m=st.floats(-100.0, 1000.0), s=st.floats(0.01, 300.0), dt=_dts, tail=_tails
+    )
+    def test_normal(self, m, s, dt, tail):
+        mean, std = m * dt, s * dt
+        if mean + tail * std <= 0.0:
+            with pytest.raises(ValueError):
+                discretized_normal(mean, std, dt, tail_sigmas=tail)
+            return
+        got = discretized_normal(mean, std, dt, tail_sigmas=tail)
+        _assert_bitwise(got, _ref_normal(mean, std, dt, tail))
+
+    def test_normal_narrower_than_one_bin_fallback(self):
+        # The support straddles zero, but every CDF value above zero
+        # rounds to 1.0, so every bin mass is zero.
+        want = _ref_normal(-50.0, 5.0, 1.0, 12.0)
+        assert len(want) == 1 and want.probs[0] == 1.0
+        _assert_bitwise(discretized_normal(-50.0, 5.0, 1.0, tail_sigmas=12.0), want)
+
+    def test_gamma_narrower_than_one_bin_fallback(self):
+        # Negative tail_sigmas invert the range; the one bin left lies
+        # far beyond the law's mass.
+        want = _ref_gamma(100.0, 0.01, 1.0, -20.0)
+        assert len(want) == 1 and want.probs[0] == 1.0
+        _assert_bitwise(discretized_gamma(100.0, 0.01, 1.0, tail_sigmas=-20.0), want)
+        (batch,) = discretized_gamma_batch(np.array([100.0]), 0.01, 1.0, tail_sigmas=-20.0)
+        _assert_bitwise(batch, want)
