@@ -67,16 +67,11 @@ def test_truncate_running_task_cached_hit(benchmark):
     # The hot-path case the kernel cache turns into a dict lookup: the
     # same (contents, cut-bin) truncation repeating across cores/tasks.
     from repro.perf.kernel_cache import KernelCache
-    from repro.stoch.ops import set_kernel_cache
 
     shifted = shift(EXEC, 100.0)
     cut = shifted.start + 0.4 * (shifted.stop - shifted.start)
     cache = KernelCache()
-    previous = set_kernel_cache(cache)
-    try:
-        truncate_below(shifted, cut)  # warm the entry
-        out = benchmark(truncate_below, shifted, cut)
-    finally:
-        set_kernel_cache(previous)
+    truncate_below(shifted, cut, cache=cache)  # warm the entry
+    out = benchmark(truncate_below, shifted, cut, cache=cache)
     assert abs(out.total_mass() - 1.0) < 1e-9
     assert cache.stats().hits >= 1

@@ -142,8 +142,8 @@ def _cache_table(counters: Mapping[str, int]) -> str | None:
     """Per-spec kernel-cache stats from ``perf.cache.*`` counters.
 
     One row per ``heuristic/variant`` label (the attribution deltas the
-    engine reports even when specs share one warm
-    :class:`~repro.perf.TrialCache`), plus a total row; hit rate is
+    engine reports even when the specs of a trial share one
+    :class:`~repro.perf.KernelCache`), plus a total row; hit rate is
     derived.  Returns ``None`` when the registry carries no cache
     counters at all.
     """

@@ -100,7 +100,6 @@ from repro.obs.spans import SpanProfile, SpanRecorder
 from repro.obs.telemetry import AlertRule, Telemetry, parse_rule
 from repro.obs.timeline import TimelineRecorder, TimelineSet
 from repro.perf.kernel_cache import CacheStats, KernelCache
-from repro.perf.trial_cache import TrialCache
 from repro.service import ServiceConfig, ServiceResult, write_windows_jsonl
 from repro.service import serve_system as _serve_system
 from repro.sim.metrics import WindowStats
@@ -167,7 +166,6 @@ __all__ = [
     "observe_trial",
     "CacheStats",
     "KernelCache",
-    "TrialCache",
     # observability collectors
     "MetricsRegistry",
     "JsonlSink",
@@ -195,7 +193,6 @@ def run_trial(
     sinks: Sequence[EventSink] = (),
     profile: SpanRecorder | None = None,
     timeline: TimelineRecorder | None = None,
-    shared: TrialCache | None = None,
     faults: FaultSchedule | None = None,
     fault_policy: FaultPolicy | None = None,
     shedding: SheddingConfig | None = None,
@@ -205,13 +202,10 @@ def run_trial(
     Pass ``system`` to reuse an already-built
     :class:`TrialSystem` (e.g. to run several scenarios against the
     identical workload draw, the paper's pairing discipline); otherwise
-    the scenario builds its own.  When reusing a system across
-    scenarios, a single ``TrialCache(KernelCache())`` passed as
-    ``shared`` lets later runs reuse the kernel cache and mapper tables
-    the first run warmed (``TrialCache(None)`` runs uncached).
-    Observability collectors and ``shared`` are results-neutral: the
-    returned :class:`TrialResult` is bitwise identical for any
-    combination.  Per-task outcomes are dropped unless
+    the scenario builds its own.  Runs over one system share its
+    candidate-builder tables.  Observability collectors are
+    results-neutral: the returned :class:`TrialResult` is bitwise
+    identical for any combination.  Per-task outcomes are dropped unless
     ``keep_outcomes``.
 
     ``faults`` injects an in-simulation :class:`FaultSchedule` (node or
@@ -231,7 +225,6 @@ def run_trial(
         metrics=metrics,
         profile=profile,
         timeline=timeline,
-        shared=shared,
         faults=faults,
         fault_policy=fault_policy,
         shedding=shedding,

@@ -429,10 +429,20 @@ class _Outputs:
 
 
 def _parse_spec(label: str) -> VariantSpec:
+    """``"LL/en+rob"`` -> a spec; ``ValueError`` on a malformed or unknown one.
+
+    Names are checked against the plugin registries here, so a typo
+    fails before any trial runs, but kept as given (the spec label
+    seeds the Random heuristic's stream).
+    """
+    heuristic, sep, variant = label.partition("/")
+    if not sep:
+        raise ValueError(f"spec must look like 'LL/en+rob', got {label!r}")
     try:
-        heuristic, variant = label.split("/", 1)
-    except ValueError:
-        raise SystemExit(f"spec must look like 'LL/en+rob', got {label!r}")
+        HEURISTIC_PLUGINS.canonical(heuristic)
+        canonical_variant(variant)
+    except KeyError as exc:  # UnknownPluginError or a malformed variant
+        raise ValueError(exc.args[0]) from None
     return VariantSpec(heuristic, variant)
 
 
@@ -473,7 +483,8 @@ def _traffic_name(value: str) -> str:
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
     """Print Section VI subscription/budget diagnostics."""
-    config = Scenario(seed=args.seed, num_tasks=args.tasks).resolved_config()
+    with _bad_input(args):
+        config = Scenario(seed=args.seed, num_tasks=args.tasks).resolved_config()
     print(calibration_summary(config))
     return 0
 
@@ -819,11 +830,12 @@ def _report_partial(ensemble: EnsembleResult) -> None:
 
 def _run_ensemble_command(specs: list[VariantSpec], args: argparse.Namespace) -> int:
     """Shared figure/grid body: run, render, save results + manifest + metrics."""
-    config = Scenario(seed=args.seed, num_tasks=args.tasks).resolved_config()
+    with _bad_input(args):
+        config = Scenario(seed=args.seed, num_tasks=args.tasks).resolved_config()
     # Ensemble-level traces carry the executor's recovery events
     # (retries, quarantines, checkpoints); per-task events stay in the
     # workers and are summarized by --metrics-out instead.
-    with _Outputs(args) as out:
+    with _Outputs(args) as out, _bad_input(args):
         ensemble = run_ensemble(
             specs, config, args.trials, base_seed=args.seed,
             n_jobs=args.jobs, metrics=out.metrics,
@@ -949,9 +961,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     """Sweep the energy-budget multiplier over given specs."""
     from repro.experiments.sweep import budget_sweep
 
-    specs = tuple(_parse_spec(s) for s in args.specs)
-    config = Scenario(seed=args.seed, num_tasks=args.tasks).resolved_config()
-    with _Outputs(args) as out:
+    with _bad_input(args):
+        specs = tuple(_parse_spec(s) for s in args.specs)
+        config = Scenario(seed=args.seed, num_tasks=args.tasks).resolved_config()
+    with _Outputs(args) as out, _bad_input(args):
         sweep = budget_sweep(
             args.multipliers, specs, config, args.trials, base_seed=args.seed,
             n_jobs=args.jobs,
@@ -1059,7 +1072,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     ensemble = _load_ensemble(args, args.results)
     if not _has_trials(ensemble):
         raise _no_completed_trials(args)
-    comparison = compare_variants(ensemble, _parse_spec(args.a), _parse_spec(args.b))
+    with _bad_input(args):
+        a, b = _parse_spec(args.a), _parse_spec(args.b)
+    comparison = compare_variants(ensemble, a, b)
     print(comparison)
     verdict = "significant" if comparison.significant(args.alpha) else "not significant"
     print(f"difference is {verdict} at alpha={args.alpha}")

@@ -57,7 +57,6 @@ from repro.obs.sinks import EventSink, MetricsRegistry
 from repro.obs.spans import SpanProfile, SpanRecorder
 from repro.obs.timeline import TimelineRecorder, TimelineSet
 from repro.perf.kernel_cache import KernelCache
-from repro.perf.trial_cache import TrialCache
 from repro.sim.results import TrialResult
 from repro.sim.system import TrialSystem, build_trial_system
 
@@ -128,10 +127,11 @@ def _run_one_trial(
     merge deterministically regardless of which pool slot ran the trial
     and a trial's spans correlate with its timelines by stream id.
 
-    One :class:`~repro.perf.TrialCache` spans all specs: they run
-    against the same system, so the kernel cache and the builder's type
-    tables warmed by the first spec serve the rest (results-neutral;
-    see :mod:`repro.perf.trial_cache`).
+    One :class:`~repro.perf.KernelCache` spans all specs: they run
+    against the same system, so the truncation kernels warmed by the
+    first spec serve the rest, as do the builder tables memoized on the
+    system's execution-time table (results-neutral; see
+    :mod:`repro.perf`).
     """
     (
         config,
@@ -156,7 +156,7 @@ def _run_one_trial(
         system = build_trial_system(config.with_seed(seed))
     registry = MetricsRegistry() if collect_metrics else None
     timelines: list[dict[str, Any]] | None = [] if timeline_dt is not None else None
-    shared = TrialCache(KernelCache())
+    kernel_cache = KernelCache()
     results = []
     for spec in specs:
         tl = (
@@ -176,7 +176,7 @@ def _run_one_trial(
             metrics=registry,
             profile=recorder,
             timeline=tl,
-            shared=shared,
+            kernel_cache=kernel_cache,
         )
         results.append(result if keep_outcomes else replace(result, outcomes=()))
         if tl is not None and timelines is not None:
@@ -298,11 +298,12 @@ def run_ensemble(
         Skip trials already present in ``checkpoint`` whose stored
         digests re-verify; new completions append to the same shard.
     trial_timeout:
-        Per-trial wall-clock limit (seconds).  A trial that overruns is
-        killed and retried.  Setting it (or ``fault_plan``) forces the
+        Per-trial wall-clock limit (seconds, positive).  A trial that
+        overruns is killed and retried.  Setting it (or ``fault_plan``) forces the
         supervised worker pool even at ``n_jobs=1``.
     max_retries / backoff_base / backoff_cap:
-        Retry budget per trial and its exponential-backoff shape; jitter
+        Retry budget per trial (``>= 0``; checked before any work, at
+        every ``n_jobs``) and its exponential-backoff shape; jitter
         is deterministic (see
         :class:`~repro.experiments.executor.RetryPolicy`).  A trial
         failing ``max_retries + 1`` attempts is quarantined and the
@@ -342,6 +343,10 @@ def run_ensemble(
             f"n_jobs must be a positive worker count, got {n_jobs} "
             "(use n_jobs=1 for the in-process serial path)"
         )
+    if trial_timeout is not None and trial_timeout <= 0:
+        raise ValueError(f"trial_timeout must be positive, got {trial_timeout}")
+    if max_retries < 0:
+        raise ValueError(f"max_retries must be >= 0, got {max_retries}")
     if resume and checkpoint is None:
         raise ValueError("resume=True requires a checkpoint path")
     if fault_plan is not None and fault_plan.needs_timeout() and trial_timeout is None:

@@ -34,7 +34,7 @@ from repro.cluster.energy import IDLE_PSTATE, EnergyLedger
 from repro.filters.chain import FilterChain
 from repro.heuristics.base import MappingContext
 from repro.robustness.completion import prob_on_time
-from repro.sim.results import TaskOutcome, TrialResult
+from repro.sim.results import TaskOutcome, TrialResult, score_trial
 from repro.sim.state import CoreState, RunningTask
 from repro.sim.system import TrialSystem
 from repro.stoch.pmf import PMF
@@ -257,54 +257,13 @@ class BatchEngine:
         # Tasks still pending at drain time can never run (no more events).
         self._pending.clear()
         self.ledger.close(end_time)
-        return self._score(end_time)
-
-    def _score(self, end_time: float) -> TrialResult:
-        system = self.system
-        exhaustion = self.ledger.exhaustion_time(system.budget)
-        outcomes: list[TaskOutcome] = []
-        discarded = late = cutoff = within = 0
-        for task in system.workload.tasks:
-            outcome = self._outcomes.get(task.task_id)
-            if outcome is None:
-                discarded += 1
-                outcomes.append(
-                    TaskOutcome(
-                        task_id=task.task_id,
-                        type_id=task.type_id,
-                        arrival=task.arrival,
-                        deadline=task.deadline,
-                        core_id=-1,
-                        pstate=-1,
-                        start=float("nan"),
-                        completion=float("nan"),
-                        discarded=True,
-                    )
-                )
-                continue
-            outcomes.append(outcome)
-            if not outcome.on_time():
-                late += 1
-            elif outcome.completion > exhaustion:
-                cutoff += 1
-            else:
-                within += 1
-        missed = discarded + late + cutoff
-        return TrialResult(
+        return score_trial(
+            self.system,
+            self._outcomes,
+            self.ledger,
+            end_time,
             heuristic=f"Batch-{self.policy}",
             variant=self.filter_chain.label,
-            seed=system.config.seed,
-            num_tasks=system.num_tasks,
-            missed=missed,
-            completed_within=within,
-            discarded=discarded,
-            late=late,
-            energy_cutoff=cutoff,
-            total_energy=self.ledger.total_energy(),
-            budget=system.budget,
-            exhaustion_time=exhaustion,
-            makespan=end_time,
-            outcomes=tuple(outcomes),
         )
 
 

@@ -46,7 +46,7 @@ from repro.obs.sinks import (
 )
 from repro.obs.spans import SpanRecorder
 from repro.obs.timeline import TimelineRecorder
-from repro.perf.trial_cache import TrialCache
+from repro.perf.kernel_cache import KernelCache
 from repro.sim.engine import Engine, EngineHooks
 from repro.sim.results import TrialResult
 from repro.sim.system import TrialSystem
@@ -284,7 +284,7 @@ def observe_trial(
     metrics: MetricsRegistry | None = None,
     profile: SpanRecorder | None = None,
     timeline: TimelineRecorder | None = None,
-    shared: TrialCache | None = None,
+    kernel_cache: KernelCache | None = None,
     faults: FaultSchedule | None = None,
     fault_policy: FaultPolicy | None = None,
     shedding: SheddingConfig | None = None,
@@ -305,11 +305,11 @@ def observe_trial(
     per-lookup ``stoch.ops.cache_*`` counters stream in live through the
     op observer).
 
-    ``shared`` is the trial-scoped warm-cache handle
-    (:class:`~repro.perf.TrialCache`; ``TrialCache(None)`` is the
-    uncached reference path); with one, the totals folded into the
+    ``kernel_cache`` is forwarded to the engine (``None``: a private
+    :class:`~repro.perf.KernelCache`).  When one cache serves several
+    runs (the runner's one per trial), the totals folded into the
     registry are still this run's *own* activity (the engine baselines
-    the shared counters at run start), and the same deltas additionally
+    the cache's counters at run start), and the same deltas additionally
     land under per-spec keys ``perf.cache.<counter>.<heuristic>/<variant>``
     so a merged ensemble registry stays attributable.
 
@@ -340,7 +340,7 @@ def observe_trial(
             engine_chain,
             hooks=hooks,
             tracer=profile,
-            shared=shared,
+            kernel_cache=kernel_cache,
             faults=faults,
             fault_policy=fault_policy,
             shedding=shedding,
@@ -352,8 +352,8 @@ def observe_trial(
             result = engine.run()
         if adapter is not None:
             adapter.trial_finished(result)
-        stats = engine.kernel_cache_stats()
-        if metrics is not None and stats is not None:
+        if metrics is not None:
+            stats = engine.kernel_cache_stats()
             label = f"{heuristic.name}/{filter_chain.label}"
             for counter, value in (
                 ("hits", stats.hits),

@@ -4,25 +4,33 @@ The mapping hot path recomputes the same pmf kernels constantly: the
 same (type, node, P-state) execution pmfs recur across cores, tasks and
 time, so the *operands* of most truncations have been seen before.
 :class:`KernelCache` interns the finished result of each
-``truncate_below`` call keyed by a digest of its operand contents, so a
-repeat of the same truncation is a dict lookup instead of a slice,
-renormalization and pmf validation.  (Convolution results were measured
-to repeat far too rarely to be worth interning — a queue convolution's
-left operand is an ever-changing accumulator — so ``convolve`` only
-uses the validation-free finalizer, never the cache.)
+``truncate_below(..., cache=)`` call keyed by a digest of its operand
+contents, so a repeat of the same truncation is a dict lookup instead of
+a slice and renormalization.  (Convolution results were measured to
+repeat far too rarely to be worth interning — a queue convolution's
+left operand is an ever-changing accumulator — so ``convolve`` never
+uses the cache.)
 
-Correctness contract — *bitwise identity*.  A cached kernel stores the
-exact probability array the uncached code path produced (plus the
-integer grid offset of the result relative to its operand), and a hit
-reconstructs a :class:`~repro.stoch.pmf.PMF` from that array verbatim.
-The truncation's probability contents are independent of the operand's
+The cache is an explicit argument, never ambient state: an
+:class:`~repro.sim.engine.Engine` takes one as ``kernel_cache=`` (or
+builds a private one) and hands it to each
+:class:`~repro.sim.state.CoreState`, whose ready-pmf update passes it to
+``truncate_below``.  The ensemble runner passes one cache per trial to
+every spec's engine, since all specs of a trial run the same system.
+
+Correctness contract — *bitwise identity*.  A cached kernel
+(:class:`~repro.stoch.pmf.InternedKernel`) stores the exact probability
+array the fresh computation produced (plus the integer grid offset of
+the result relative to its operand), and a hit reconstructs a
+:class:`~repro.stoch.pmf.PMF` from that array verbatim.  The
+truncation's probability contents are independent of the operand's
 absolute ``start`` time, which is what makes content addressing sound:
 the result array is the renormalized tail ``probs[k:]`` and the start
-is ``pmf.start + k * dt`` — so the key is ``(digest(probs), k)``, not
-the wall-clock cut time.
+is ``pmf.start + k * dt`` — so the key is ``(digest(probs), k, dt)``,
+not the wall-clock cut time.
 
-The cache is bounded (LRU by access order) and purely local to one
-engine run; eviction only ever costs recomputation, never correctness.
+The cache is bounded (LRU by access order); eviction only ever costs
+recomputation, never correctness.
 
 Counters (hits / misses / evictions) are reported two ways: locally via
 :meth:`KernelCache.stats`, and through the
@@ -38,17 +46,11 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Tuple
 
-import numpy as np
-
-from repro.stoch.pmf import PMF
+from repro.stoch.pmf import InternedKernel
 
 __all__ = ["CacheStats", "InternedKernel", "KernelCache"]
 
-#: Key tag for the interned operation (a single namespace today, kept
-#: explicit so further interned ops can join the same table).
-OP_TRUNCATE = 1
-
-#: A cache key: ``(op, operand digests / parameters ...)``.
+#: A cache key: operand digest and parameters (see ``truncate_below``).
 KernelKey = Tuple[object, ...]
 
 
@@ -97,74 +99,6 @@ class CacheStats:
             evictions=self.evictions - base.evictions,
             entries=self.entries - base.entries,
         )
-
-
-class InternedKernel:
-    """One interned result: a probability array plus its grid offset.
-
-    ``probs`` is the read-only array the uncached computation produced;
-    ``lo`` is the integer number of grid bins between the operation's
-    natural start (the operand's start, for a truncation) and the
-    result's first impulse.
-    :meth:`rebuild` re-materializes the pmf for any operand start using
-    the same arithmetic expression the uncached path evaluates, so the
-    reconstructed pmf is bitwise identical to a fresh computation.
-    """
-
-    __slots__ = ("probs", "lo", "key", "m1", "cdf")
-
-    def __init__(
-        self,
-        probs: np.ndarray,
-        lo: int,
-        key: bytes | None,
-        m1: "np.floating | None",
-        cdf: np.ndarray | None,
-    ) -> None:
-        self.probs = probs
-        self.lo = lo
-        self.key = key
-        self.m1 = m1
-        self.cdf = cdf
-
-    @classmethod
-    def from_result(cls, result: PMF, base_start: float) -> "InternedKernel":
-        """Intern a finished pmf produced from operands with ``base_start``.
-
-        The derived values (digest, first moment, cumulative sum) are
-        *not* forced here: a kernel that never gets a hit would pay for
-        quantities nobody reads.  Whatever the result instance has
-        already computed is carried over (all three depend on the probs
-        alone, so sharing is exact); the rest is backfilled lazily on
-        the first rebuild.
-        """
-        lo = int(round((result.start - base_start) / result.dt))
-        key = object.__getattribute__(result, "_key")
-        m1 = object.__getattribute__(result, "_m1")
-        cdf = object.__getattribute__(result, "_cdf")
-        return cls(result.probs, lo, key, m1, cdf)
-
-    def rebuild(self, base_start: float, dt: float) -> PMF:
-        """Reconstruct the result pmf for operands starting at ``base_start``."""
-        m1 = self.m1
-        if m1 is None:
-            # First hit: materialize the start-independent moment once
-            # and share it with every future sibling — the same
-            # expression as PMF.mean's cache-miss branch, so the value
-            # is bitwise identical.
-            m1 = np.dot(np.arange(self.probs.size), self.probs)
-            self.m1 = m1
-        cdf = self.cdf
-        if cdf is None:
-            # Likewise the cumulative sum (PMF.cdf's lazy expression).
-            cdf = self.probs.cumsum()
-            cdf.setflags(write=False)
-            self.cdf = cdf
-        # ``base + lo * dt`` is the exact expression the uncached path
-        # evaluates (``PMF.compact`` / ``truncate_below``); ``lo == 0``
-        # keeps the base bit-for-bit, matching compact's return-self.
-        start = base_start if self.lo == 0 else base_start + self.lo * dt
-        return PMF._intern(start, dt, self.probs, key=self.key, m1=m1, cdf=cdf)
 
 
 class KernelCache:

@@ -53,12 +53,10 @@ from repro.faults import (
 from repro.filters.chain import FilterChain
 from repro.heuristics.base import Assignment, Heuristic, MappingContext
 from repro.perf.kernel_cache import CacheStats, KernelCache
-from repro.perf.trial_cache import TrialCache
 from repro.sim.mapper import CandidateBuilder
-from repro.sim.results import TaskOutcome, TrialResult
+from repro.sim.results import TrialResult, score_trial
 from repro.sim.state import CoreState, QueuedTask, RollingEnergyBudget, RunningTask
 from repro.sim.system import TrialSystem
-from repro.stoch.ops import set_kernel_cache
 from repro.workload.task import Task
 
 __all__ = ["Engine", "EngineHooks", "Tracer"]
@@ -174,15 +172,13 @@ class Engine:
         (``engine.arrival``, ``engine.completion``, ``engine.fault``,
         and ``engine.score`` around scoring).  ``None`` means a shared
         null tracer; the event loop is the same either way.
-    shared:
-        Optional :class:`~repro.perf.TrialCache` carrying warm state
-        from earlier specs of the same trial (kernel cache + builder
-        type tables).  When given, the engine uses its kernel cache —
-        ``None`` there is the uncached reference path — and
-        ``kernel_cache_stats`` still reports this run's own activity
-        (counters are snapshotted at run start).  ``None`` (the
-        default) builds a private :class:`~repro.perf.KernelCache`.
-        The cache is strictly results-neutral — see :mod:`repro.perf`.
+    kernel_cache:
+        The :class:`~repro.perf.KernelCache` every core's ready-pmf
+        update memoizes its truncations in.  ``None`` (the default)
+        builds a private one; the ensemble runner passes one cache to
+        all specs of a trial, and ``kernel_cache_stats`` still reports
+        this run's own activity (counters are snapshotted at run
+        start).  Strictly results-neutral — see :mod:`repro.perf`.
     ledger:
         Energy accountant to record P-state transitions into; ``None``
         (the default) builds the full :class:`EnergyLedger`.  Service
@@ -239,7 +235,7 @@ class Engine:
         *,
         hooks: Sequence[EngineHooks] = (),
         tracer: Tracer | None = None,
-        shared: TrialCache | None = None,
+        kernel_cache: KernelCache | None = None,
         ledger: EnergyLedger | StreamingEnergyMeter | None = None,
         rolling_budget: RollingEnergyBudget | None = None,
         tasks_left: int | None = None,
@@ -257,17 +253,13 @@ class Engine:
 
         cluster = system.cluster
         dt = system.config.grid.dt
+        self._kernel_cache = kernel_cache if kernel_cache is not None else KernelCache()
+        self._cache_base = CacheStats()
         self.cores: list[CoreState] = [
-            CoreState(cid, int(cluster.core_node_index[cid]), dt)
+            CoreState(cid, int(cluster.core_node_index[cid]), dt, cache=self._kernel_cache)
             for cid in range(cluster.num_cores)
         ]
-        self._kernel_cache = shared.kernel if shared is not None else KernelCache()
-        self._cache_base: CacheStats | None = None
-        self._builder = CandidateBuilder(
-            self.cores,
-            system.table,
-            type_tables=shared.mapper_tables(system.table) if shared is not None else None,
-        )
+        self._builder = CandidateBuilder(self.cores, system.table)
         self.ledger = (
             EnergyLedger(cluster, system.config.energy.idle_power_mode)
             if ledger is None
@@ -335,22 +327,16 @@ class Engine:
         """Tasks queued or executing per core, cluster-wide."""
         return self._in_system / len(self.cores)
 
-    def kernel_cache_stats(self) -> CacheStats | None:
-        """This run's kernel-cache activity (``None`` on the uncached path).
+    def kernel_cache_stats(self) -> CacheStats:
+        """This run's kernel-cache activity.
 
-        With a private cache these are the cache's lifetime counters;
-        with a shared :class:`~repro.perf.TrialCache` they are the
-        deltas since this engine's ``run()`` started, so per-spec stats
-        stay attributable (``entries`` is then the entries this run
-        added).  The shared cache's trial-wide totals live on
-        ``TrialCache.stats()``.
+        The deltas since this engine's ``serve()`` started, so a cache
+        shared by the specs of a trial stays attributable per spec
+        (``entries`` is the entries this run added); for a private cache
+        they are its lifetime counters.  A shared cache's trial-wide
+        totals are its own ``stats()``.
         """
-        if self._kernel_cache is None:
-            return None
-        stats = self._kernel_cache.stats()
-        if self._cache_base is not None:
-            stats = stats.since(self._cache_base)
-        return stats
+        return self._kernel_cache.stats().since(self._cache_base)
 
     def cancel_queued(self, core_id: int, task_id: int) -> bool:
         """Cancellation extension: drop a *queued* (not running) task.
@@ -664,26 +650,16 @@ class Engine:
         stream ends, and no :class:`TrialResult` is scored — windowed
         accounting happens in hooks; :meth:`score` does that for a full
         replay of the workload.
-
-        The engine's kernel cache is installed into
-        :mod:`repro.stoch.ops` for exactly the duration of this call, so
-        nothing is shared across trials and the module global is always
-        restored — even on an exception.
         """
         if self._ran:
             raise RuntimeError("an Engine instance runs exactly once")
         self._ran = True
-        if self._kernel_cache is not None:
-            # Baseline for per-run stat attribution; all zeros for a
-            # private cache, the previous specs' totals for a shared one.
-            self._cache_base = self._kernel_cache.stats()
-        previous_cache = set_kernel_cache(self._kernel_cache)
-        try:
-            end_time = self._event_loop(iter(arrivals))
-            self.ledger.close(end_time)
-            return end_time
-        finally:
-            set_kernel_cache(previous_cache)
+        # Baseline for per-run stat attribution; all zeros for a private
+        # cache, the previous specs' totals for a shared one.
+        self._cache_base = self._kernel_cache.stats()
+        end_time = self._event_loop(iter(arrivals))
+        self.ledger.close(end_time)
+        return end_time
 
     def _event_loop(self, arrivals: Iterator[Task]) -> float:
         """Drain events, pulling arrivals lazily; returns the last event time.
@@ -750,64 +726,11 @@ class Engine:
         if not self._ran:
             raise RuntimeError("score() comes after serve()")
         with self.tracer.span("engine.score"):
-            return self._score(end_time)
-
-    def _score(self, end_time: float) -> TrialResult:
-        system = self.system
-        exhaustion = self.ledger.exhaustion_time(system.budget)
-        outcomes: list[TaskOutcome] = []
-        discarded = late = cutoff = within = 0
-        for task in system.workload.tasks:
-            pending = self._outcomes.get(task.task_id)
-            if pending is None:
-                discarded += 1
-                outcomes.append(
-                    TaskOutcome(
-                        task_id=task.task_id,
-                        type_id=task.type_id,
-                        arrival=task.arrival,
-                        deadline=task.deadline,
-                        core_id=-1,
-                        pstate=-1,
-                        start=float("nan"),
-                        completion=float("nan"),
-                        discarded=True,
-                    )
-                )
-                continue
-            outcome = TaskOutcome(
-                task_id=task.task_id,
-                type_id=task.type_id,
-                arrival=task.arrival,
-                deadline=task.deadline,
-                core_id=pending.core_id,
-                pstate=pending.pstate,
-                start=pending.start,
-                completion=pending.completion,
-                discarded=False,
+            return score_trial(
+                self.system,
+                self._outcomes,
+                self.ledger,
+                end_time,
+                heuristic=self.heuristic.name,
+                variant=self.filter_chain.label,
             )
-            outcomes.append(outcome)
-            if not outcome.on_time():
-                late += 1
-            elif outcome.completion > exhaustion:
-                cutoff += 1
-            else:
-                within += 1
-        missed = discarded + late + cutoff
-        return TrialResult(
-            heuristic=self.heuristic.name,
-            variant=self.filter_chain.label,
-            seed=system.config.seed,
-            num_tasks=system.num_tasks,
-            missed=missed,
-            completed_within=within,
-            discarded=discarded,
-            late=late,
-            energy_cutoff=cutoff,
-            total_energy=self.ledger.total_energy(),
-            budget=system.budget,
-            exhaustion_time=exhaustion,
-            makespan=end_time,
-            outcomes=tuple(outcomes),
-        )
-

@@ -36,13 +36,6 @@ from repro.workload.task import Task
 
 __all__ = ["CandidateBuilder"]
 
-#: Per-type gathers of :meth:`CandidateBuilder._type_tables`: ``eet``
-#: (C, P), ``eet_flat``, ``eec_flat``, node-stacked padded ``times`` and
-#: ``probs`` (N, P, L), and each node's native padded width.
-_TypeTables = tuple[
-    np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]
-]
-
 
 class CandidateBuilder:
     """Per-trial candidate-set builder with batched array construction.
@@ -61,21 +54,13 @@ class CandidateBuilder:
         "_table",
         "_num_cores",
         "_num_pstates",
-        "_num_nodes",
         "_core_ids",
         "_pstates",
         "_dt",
         "_node_cores",
-        "_by_type",
     )
 
-    def __init__(
-        self,
-        cores: Sequence[CoreState],
-        table: ExecutionTimeTable,
-        *,
-        type_tables: dict[int, _TypeTables] | None = None,
-    ) -> None:
+    def __init__(self, cores: Sequence[CoreState], table: ExecutionTimeTable) -> None:
         self._cores = list(cores)
         self._table = table
         cluster = table.cluster
@@ -85,7 +70,6 @@ class CandidateBuilder:
             raise ValueError("every core must use the table's grid step")
         self._num_cores = cluster.num_cores
         self._num_pstates = cluster.num_pstates
-        self._num_nodes = cluster.num_nodes
         core_ids = np.repeat(np.arange(self._num_cores), self._num_pstates)
         pstates = np.tile(np.arange(self._num_pstates), self._num_cores)
         core_ids.setflags(write=False)
@@ -100,50 +84,6 @@ class CandidateBuilder:
         for c, core in enumerate(self._cores):
             grouped.setdefault(core.node_index, []).append(c)
         self._node_cores: list[tuple[int, list[int]]] = list(grouped.items())
-        # Per-type gathers and node-stacked padded matrices, built on
-        # first use; identical values to the per-arrival lookups of the
-        # reference loop, shared read-only across arrivals.  A caller
-        # holding several builders over the *same* table (the specs of
-        # one trial) may pass a shared ``type_tables`` dict so the
-        # tables are built once per trial instead of once per spec —
-        # entries are pure functions of (table, type_id), so sharing is
-        # exact.
-        self._by_type: dict[int, _TypeTables] = (
-            type_tables if type_tables is not None else {}
-        )
-
-    def _type_tables(self, type_id: int) -> _TypeTables:
-        cached = self._by_type.get(type_id)
-        if cached is None:
-            cluster = self._table.cluster
-            core_node = cluster.core_node_index
-            eet = self._table.eet[type_id][core_node]  # (C, P)
-            eec_flat = self._table.eec[type_id][core_node].ravel()
-            eet_flat = eet.ravel()
-            # Every node's padded (P, L) matrices stacked to a common
-            # width so one batched pass covers all nodes.  The extra
-            # columns extend the table's own padding scheme — zero
-            # probability, times repeating the row's last impulse — so
-            # the index/gather passes can run rectangularly; each node's
-            # *native* width is kept so row reductions run over exactly
-            # the reference's term count (an appended ``+0.0`` term is
-            # value-neutral but can change the reduction's accumulator
-            # blocking, which is a bitwise difference).
-            pads = [self._table.padded(type_id, n) for n in range(self._num_nodes)]
-            widths = tuple(pad.times.shape[1] for pad in pads)
-            width = max(widths)
-            times_stack = np.empty((self._num_nodes, self._num_pstates, width))
-            probs_stack = np.zeros((self._num_nodes, self._num_pstates, width))
-            for n, pad in enumerate(pads):
-                length = widths[n]
-                times_stack[n, :, :length] = pad.times
-                times_stack[n, :, length:] = pad.times[:, -1:]
-                probs_stack[n, :, :length] = pad.probs
-            for arr in (eet, eet_flat, eec_flat, times_stack, probs_stack):
-                arr.setflags(write=False)
-            cached = (eet, eet_flat, eec_flat, times_stack, probs_stack, widths)
-            self._by_type[type_id] = cached
-        return cached
 
     def build(self, task: Task, t_now: float) -> CandidateSet:
         """Assemble the candidate set for one arrival at ``t_now``."""
@@ -154,8 +94,11 @@ class CandidateBuilder:
         deadline = task.deadline
         type_id = task.type_id
 
-        eet, eet_flat, eec_flat, times_stack, probs_stack, widths = self._type_tables(
-            type_id
+        # Per-type gathers memoized on the table: identical values to the
+        # per-arrival lookups of the reference loop, shared read-only
+        # across arrivals and across every builder over the table.
+        eet, eet_flat, eec_flat, times_stack, probs_stack, widths = (
+            self._table.candidate_arrays(type_id)
         )
 
         # ``deadline - time`` for every (node, P-state, impulse), once

@@ -15,10 +15,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Mapping
 
 import numpy as np
 
-__all__ = ["ON_TIME_TOL", "TaskOutcome", "TrialResult"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.cluster.energy import EnergyLedger
+    from repro.sim.system import TrialSystem
+
+__all__ = ["ON_TIME_TOL", "TaskOutcome", "TrialResult", "score_trial"]
 
 #: Slack on the deadline comparison: a task completing at or before
 #: ``deadline + ON_TIME_TOL`` is on time.
@@ -127,3 +132,77 @@ class TrialResult:
         return np.array(
             [o.completion for o in self.outcomes if not o.discarded], dtype=np.float64
         )
+
+
+def score_trial(
+    system: "TrialSystem",
+    placements: Mapping[int, Any],
+    ledger: "EnergyLedger",
+    end_time: float,
+    *,
+    heuristic: str,
+    variant: str,
+) -> TrialResult:
+    """Score a finished run over the system's whole workload.
+
+    ``placements`` maps a task id to where and when it ran (anything
+    with ``core_id``, ``pstate``, ``start`` and ``completion``); a task
+    that is absent or maps to ``None`` was discarded.  An on-time
+    completion after the ledger's budget-exhaustion instant is an
+    energy cut-off (DESIGN.md §4.4).  ``end_time`` is the makespan.
+    """
+    exhaustion = ledger.exhaustion_time(system.budget)
+    outcomes: list[TaskOutcome] = []
+    discarded = late = cutoff = within = 0
+    for task in system.workload.tasks:
+        placed = placements.get(task.task_id)
+        if placed is None:
+            discarded += 1
+            outcomes.append(
+                TaskOutcome(
+                    task_id=task.task_id,
+                    type_id=task.type_id,
+                    arrival=task.arrival,
+                    deadline=task.deadline,
+                    core_id=-1,
+                    pstate=-1,
+                    start=float("nan"),
+                    completion=float("nan"),
+                    discarded=True,
+                )
+            )
+            continue
+        outcome = TaskOutcome(
+            task_id=task.task_id,
+            type_id=task.type_id,
+            arrival=task.arrival,
+            deadline=task.deadline,
+            core_id=placed.core_id,
+            pstate=placed.pstate,
+            start=placed.start,
+            completion=placed.completion,
+            discarded=False,
+        )
+        outcomes.append(outcome)
+        if not outcome.on_time():
+            late += 1
+        elif outcome.completion > exhaustion:
+            cutoff += 1
+        else:
+            within += 1
+    return TrialResult(
+        heuristic=heuristic,
+        variant=variant,
+        seed=system.config.seed,
+        num_tasks=system.num_tasks,
+        missed=discarded + late + cutoff,
+        completed_within=within,
+        discarded=discarded,
+        late=late,
+        energy_cutoff=cutoff,
+        total_energy=ledger.total_energy(),
+        budget=system.budget,
+        exhaustion_time=exhaustion,
+        makespan=end_time,
+        outcomes=tuple(outcomes),
+    )

@@ -14,7 +14,8 @@ the core (Section IV-B).  :class:`CoreState` caches both pieces:
   time ``t`` changes nothing as long as the cached distribution has no
   impulse before ``t``, so the cache records its first-impulse time and
   stays valid across most events — typically only cores whose predicted
-  completion is overdue recompute.
+  completion is overdue recompute.  Those truncations go through the
+  engine's :class:`~repro.perf.KernelCache`, handed to every core.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
+from repro.perf.kernel_cache import KernelCache
 from repro.stoch.ops import convolve, convolve_many, shift, truncate_below
 from repro.stoch.pmf import PMF
 from repro.workload.task import Task
@@ -55,12 +57,18 @@ class QueuedTask:
 
 
 class CoreState:
-    """Mutable state of one core during a trial."""
+    """Mutable state of one core during a trial.
+
+    ``cache`` memoizes the running task's truncations (the engine passes
+    its kernel cache to every core); ``None`` computes each one fresh.
+    Results are bitwise identical either way.
+    """
 
     __slots__ = (
         "core_id",
         "node_index",
         "dt",
+        "_cache",
         "running",
         "queue",
         "epoch",
@@ -72,10 +80,13 @@ class CoreState:
         "_ready_trunc_start",
     )
 
-    def __init__(self, core_id: int, node_index: int, dt: float) -> None:
+    def __init__(
+        self, core_id: int, node_index: int, dt: float, *, cache: KernelCache | None = None
+    ) -> None:
         self.core_id = core_id
         self.node_index = node_index
         self.dt = dt
+        self._cache = cache
         self.running: RunningTask | None = None
         self.queue: deque[QueuedTask] = deque()
         self.epoch = 0
@@ -213,7 +224,7 @@ class CoreState:
         ):
             return self._ready_pmf
         running_c = truncate_below(
-            shift(self.running.exec_pmf, self.running.start_time), t_now
+            shift(self.running.exec_pmf, self.running.start_time), t_now, cache=self._cache
         )
         qconv = self._queue_convolution()
         ready = running_c if qconv is None else convolve(running_c, qconv)

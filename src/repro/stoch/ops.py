@@ -20,14 +20,11 @@ predicting stochastic completion times:
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import Callable, Iterable, Protocol, Sequence
 
 import numpy as np
 
-from repro.stoch.pmf import _RTOL, PMF
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.perf.kernel_cache import KernelCache
+from repro.stoch.pmf import _RTOL, PMF, InternedKernel
 
 __all__ = [
     "convolve",
@@ -37,7 +34,7 @@ __all__ = [
     "prob_sum_at_most",
     "expectation_of_sum",
     "set_op_observer",
-    "set_kernel_cache",
+    "TruncationCache",
 ]
 
 #: Optional instrumentation callback ``(op: str, grid_size: int)``.
@@ -62,23 +59,18 @@ def set_op_observer(
     return previous
 
 
-#: Optional kernel intern table (:class:`repro.perf.KernelCache`).
-#: The engine installs one for the duration of a run; this module never
-#: imports :mod:`repro.perf` at runtime, mirroring the op-observer
-#: decoupling above.  Results are bitwise identical with or without it.
-_kernel_cache: "KernelCache | None" = None
+class TruncationCache(Protocol):
+    """What :func:`truncate_below` needs of its ``cache=`` memo.
 
-
-def set_kernel_cache(cache: "KernelCache | None") -> "KernelCache | None":
-    """Install (or clear, with ``None``) the module-wide kernel cache.
-
-    Returns the previously-installed cache so callers can restore it —
-    engine runs nest the same way observation scopes do.
+    :class:`repro.perf.KernelCache` is the implementation (and owns the
+    hit/miss/eviction counters); this module only knows the shape.
     """
-    global _kernel_cache
-    previous = _kernel_cache
-    _kernel_cache = cache
-    return previous
+
+    def get(self, key: tuple) -> InternedKernel | None:
+        """The interned result for ``key``, or ``None`` on a miss."""
+
+    def put(self, key: tuple, kernel: InternedKernel) -> int:
+        """Store a result; returns how many entries were evicted."""
 
 
 def _check_same_grid(a: PMF, b: PMF) -> None:
@@ -101,21 +93,16 @@ def convolve(a: PMF, b: PMF) -> PMF:
         return shift(b, a.start)
     if len(b) == 1:
         return shift(a, b.start)
-    if _kernel_cache is not None:
-        # Convolution results repeat far too rarely to be worth interning
-        # (queue convolutions incorporate an ever-changing accumulator),
-        # but the validation-free finalizer still applies: the raw
-        # product of two valid probability arrays needs no re-checking.
-        probs = np.convolve(a.probs, b.probs)
-        if _op_observer is not None:
-            _op_observer("convolve", probs.size)
-        return PMF._from_raw(a.start + b.start, a.dt, probs)
     probs = np.convolve(a.probs, b.probs)
     if _op_observer is not None:
         # Count only materialized convolutions (delta shortcuts above are
         # free); the grid size is the produced support length.
         _op_observer("convolve", probs.size)
-    return PMF(a.start + b.start, a.dt, probs).compact()
+    # The raw product of two valid probability arrays needs no
+    # re-validation: ``_from_raw`` is ``PMF(...).compact()`` without it.
+    # (Convolution results repeat far too rarely to be worth interning;
+    # queue convolutions incorporate an ever-changing accumulator.)
+    return PMF._from_raw(a.start + b.start, a.dt, probs)
 
 
 def convolve_many(pmfs: Sequence[PMF]) -> PMF:
@@ -142,24 +129,19 @@ def shift(pmf: PMF, offset: float) -> PMF:
     # and mass scans — and its defensive copy of a mutable input —
     # would be pure overhead.  The content digest, first moment and
     # cumulative sum are functions of ``probs`` alone and carry over;
-    # the digest is *forced* only when a kernel cache is installed, so
-    # the truncation that always follows on the cached hot path keys
-    # itself without rehashing (uncached runs keep hashing lazy).
-    if _kernel_cache is not None:
-        key = pmf.content_key()
-    else:
-        key = object.__getattribute__(pmf, "_key")
+    # the digest is forced on the source, so the cached truncation that
+    # follows on the hot path keys itself without rehashing.
     return PMF._intern(
         pmf.start + offset,
         pmf.dt,
         pmf.probs,
-        key=key,
+        key=pmf.content_key(),
         m1=object.__getattribute__(pmf, "_m1"),
         cdf=object.__getattribute__(pmf, "_cdf"),
     )
 
 
-def truncate_below(pmf: PMF, t: float, *, dt_for_degenerate: float | None = None) -> PMF:
+def truncate_below(pmf: PMF, t: float, *, cache: TruncationCache | None = None) -> PMF:
     """Remove impulses strictly before ``t`` and renormalize.
 
     This implements the paper's update for a running task observed at the
@@ -169,6 +151,10 @@ def truncate_below(pmf: PMF, t: float, *, dt_for_degenerate: float | None = None
     If *all* mass lies in the past (the task is overdue relative to its
     own distribution), the best available prediction is "it completes
     now", so a degenerate pmf at ``t`` is returned.
+
+    ``cache`` memoizes the renormalized tails (the engine passes its
+    :class:`~repro.perf.KernelCache`); results are bitwise identical with
+    or without it.
     """
     if t <= pmf.start:
         return pmf
@@ -181,58 +167,45 @@ def truncate_below(pmf: PMF, t: float, *, dt_for_degenerate: float | None = None
     if _op_observer is not None:
         _op_observer("truncate_below", pmf.probs.size)
     if k >= pmf.probs.size:
-        return PMF.delta(t, dt_for_degenerate if dt_for_degenerate is not None else pmf.dt)
-    cache = _kernel_cache
+        return PMF.delta(t, pmf.dt)
     if cache is not None:
         # The renormalized tail depends only on (contents, k); the cut
         # time enters solely through ``k`` and the result offset.
-        from repro.perf.kernel_cache import OP_TRUNCATE, InternedKernel
-
-        key = (OP_TRUNCATE, pmf.content_key(), k, pmf.dt)
+        key = (pmf.content_key(), k, pmf.dt)
         kernel = cache.get(key)
         if kernel is not None:
             if _op_observer is not None:
                 _op_observer("cache_hit", kernel.probs.size)
             return kernel.rebuild(pmf.start, pmf.dt)
-        out = _truncate_tail(pmf, t, k, dt_for_degenerate)
-        if out is not None:
-            evicted = cache.put(key, InternedKernel.from_result(out, pmf.start))
-            if _op_observer is not None:
-                _op_observer("cache_miss", out.probs.size)
-                if evicted:
-                    _op_observer("cache_evict", evicted)
-            return out
-        # All-zero tail: degenerate results are cheap, skip interning.
-        return PMF.delta(t, dt_for_degenerate if dt_for_degenerate is not None else pmf.dt)
-    out = _truncate_tail(pmf, t, k, dt_for_degenerate)
+    out = _truncate_tail(pmf, k)
     if out is None:
-        return PMF.delta(t, dt_for_degenerate if dt_for_degenerate is not None else pmf.dt)
+        # All-zero tail: degenerate results are cheap, never interned.
+        return PMF.delta(t, pmf.dt)
+    if cache is not None:
+        evicted = cache.put(key, InternedKernel.from_result(out, pmf.start))
+        if _op_observer is not None:
+            _op_observer("cache_miss", out.probs.size)
+            if evicted:
+                _op_observer("cache_evict", evicted)
     return out
 
 
-def _truncate_tail(
-    pmf: PMF, t: float, k: int, dt_for_degenerate: float | None
-) -> PMF | None:
+def _truncate_tail(pmf: PMF, k: int) -> PMF | None:
     """The materializing branch of :func:`truncate_below` (``0 < k < n``).
 
     Returns ``None`` when the surviving tail carries no mass (the caller
-    substitutes the degenerate "completes now" pmf).
+    substitutes the degenerate "completes now" pmf).  Replicates
+    ``PMF.__init__``'s normalization branch on a slice of an
+    already-valid pmf, skipping only its re-validation: the tail is
+    finite, non-negative, and its sum is checked here.
     """
     tail = pmf.probs[k:]
     total = float(tail.sum())
     if total <= 0.0:
         return None
-    if _kernel_cache is not None:
-        # Replicate PMF.__init__'s normalization branch on a slice of
-        # an already-valid pmf, skipping only its re-validation: the
-        # tail is finite, non-negative, and its sum was checked above.
-        if abs(total - 1.0) > _RTOL:
-            arr = tail / total
-        else:
-            arr = tail.copy()
-        arr.setflags(write=False)
-        return PMF._intern(pmf.start + k * pmf.dt, pmf.dt, arr)
-    return PMF(pmf.start + k * pmf.dt, pmf.dt, tail)
+    arr = tail / total if abs(total - 1.0) > _RTOL else tail.copy()
+    arr.setflags(write=False)
+    return PMF._intern(pmf.start + k * pmf.dt, pmf.dt, arr)
 
 
 def prob_sum_at_most(ready: PMF, exec_pmf: PMF, deadline: float) -> float:

@@ -9,6 +9,8 @@ offsets add while the grid step is preserved.
 
 Instances are *logically immutable*: no public method mutates ``probs``.
 The cumulative sum used by CDF queries is computed lazily and cached.
+:class:`InternedKernel` is a start-independent snapshot of a finished pmf,
+the entry type of the kernel cache.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-__all__ = ["PMF"]
+__all__ = ["PMF", "InternedKernel"]
 
 #: Relative tolerance used when checking normalization and grid agreement.
 _RTOL = 1e-9
@@ -332,3 +334,71 @@ class PMF:
 
     def __hash__(self) -> int:  # pragma: no cover - identity hashing
         return id(self)
+
+
+class InternedKernel:
+    """One interned kernel result: a probability array plus its grid offset.
+
+    The entry type of :class:`repro.perf.KernelCache`.  ``probs`` is the
+    read-only array a fresh computation produced; ``lo`` is the integer
+    number of grid bins between the operation's natural start (the
+    operand's start, for a truncation) and the result's first impulse.
+    :meth:`rebuild` re-materializes the pmf for any operand start using
+    the same arithmetic expression the fresh computation evaluates, so
+    the reconstructed pmf is bitwise identical to it.
+    """
+
+    __slots__ = ("probs", "lo", "key", "m1", "cdf")
+
+    def __init__(
+        self,
+        probs: np.ndarray,
+        lo: int,
+        key: bytes | None,
+        m1: "np.floating | None",
+        cdf: np.ndarray | None,
+    ) -> None:
+        self.probs = probs
+        self.lo = lo
+        self.key = key
+        self.m1 = m1
+        self.cdf = cdf
+
+    @classmethod
+    def from_result(cls, result: PMF, base_start: float) -> "InternedKernel":
+        """Intern a finished pmf produced from operands with ``base_start``.
+
+        The derived values (digest, first moment, cumulative sum) are
+        *not* forced here: a kernel that never gets a hit would pay for
+        quantities nobody reads.  Whatever the result instance has
+        already computed is carried over (all three depend on the probs
+        alone, so sharing is exact); the rest is backfilled lazily on
+        the first rebuild.
+        """
+        lo = int(round((result.start - base_start) / result.dt))
+        key = object.__getattribute__(result, "_key")
+        m1 = object.__getattribute__(result, "_m1")
+        cdf = object.__getattribute__(result, "_cdf")
+        return cls(result.probs, lo, key, m1, cdf)
+
+    def rebuild(self, base_start: float, dt: float) -> PMF:
+        """Reconstruct the result pmf for operands starting at ``base_start``."""
+        m1 = self.m1
+        if m1 is None:
+            # First hit: materialize the start-independent moment once
+            # and share it with every future sibling — the same
+            # expression as PMF.mean's cache-miss branch, so the value
+            # is bitwise identical.
+            m1 = np.dot(np.arange(self.probs.size), self.probs)
+            self.m1 = m1
+        cdf = self.cdf
+        if cdf is None:
+            # Likewise the cumulative sum (PMF.cdf's lazy expression).
+            cdf = self.probs.cumsum()
+            cdf.setflags(write=False)
+            self.cdf = cdf
+        # ``base + lo * dt`` is the exact expression the uncached path
+        # evaluates (``PMF.compact`` / ``truncate_below``); ``lo == 0``
+        # keeps the base bit-for-bit, matching compact's return-self.
+        start = base_start if self.lo == 0 else base_start + self.lo * dt
+        return PMF._intern(start, dt, self.probs, key=self.key, m1=m1, cdf=cdf)

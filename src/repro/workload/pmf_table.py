@@ -14,7 +14,10 @@ needs:
 * ``eec[t, n, pi]``  — expected energy consumption
   (``eet * mu(n, pi) / epsilon(n)``, Section V-A);
 * per ``(t, n)`` padded ``(num_pstates, L)`` impulse time/probability
-  matrices, letting one NumPy pass score all P-states of a core.
+  matrices, letting one NumPy pass score all P-states of a core;
+* per type, the candidate builder's core-major gathers and node-stacked
+  padded matrices (:meth:`ExecutionTimeTable.candidate_arrays`), shared by
+  every engine over the table.
 
 Construction cost matters: the table is rebuilt per trial per worker,
 and at paper scale it holds T*N*P = 4,000 discretized gammas.  Every
@@ -22,9 +25,9 @@ cell is evaluated through one vectorized
 :func:`~repro.stoch.distributions.discretized_gamma_batch` call (a
 single ``gammainc`` evaluation instead of 4,000), bitwise identical per
 cell to :func:`~repro.stoch.distributions.discretized_gamma`, and the
-padded matrices are deferred to first :meth:`padded` access — the mapper
-only ever asks for the task types that actually arrive.  Padding is a
-pure function of the cell's pmfs whenever it runs, so laziness is
+padded matrices and candidate arrays are deferred to first access — the
+mapper only ever asks for the task types that actually arrive.  Both are
+pure functions of the table whenever they run, so laziness is
 results-neutral.
 """
 
@@ -40,7 +43,14 @@ from repro.stoch.distributions import discretized_gamma_batch
 from repro.stoch.pmf import PMF
 from repro.workload.etc_matrix import ETCMatrix
 
-__all__ = ["ExecutionTimeTable", "PaddedPMFMatrix"]
+__all__ = ["ExecutionTimeTable", "PaddedPMFMatrix", "CandidateArrays"]
+
+#: Per-type arrays of :meth:`ExecutionTimeTable.candidate_arrays`:
+#: ``eet`` (C, P), ``eet_flat``, ``eec_flat``, node-stacked padded
+#: ``times`` and ``probs`` (N, P, L), and each node's native padded width.
+CandidateArrays = tuple[
+    np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]
+]
 
 
 @dataclass(frozen=True)
@@ -97,6 +107,7 @@ class ExecutionTimeTable:
         self._padded: list[list[PaddedPMFMatrix | None]] = [
             [None] * N for _ in range(T)
         ]
+        self._candidate_arrays: dict[int, CandidateArrays] = {}
         self._eet = eet
         self._eet.setflags(write=False)
         eec = eet * (power / eff[:, None])[None, :, :]
@@ -142,6 +153,43 @@ class ExecutionTimeTable:
             pad = _pad(self._pmfs[type_id][node])
             self._padded[type_id][node] = pad
         return pad
+
+    def candidate_arrays(self, type_id: int) -> CandidateArrays:
+        """The candidate builder's per-type arrays, memoized on first use.
+
+        Core-major ``eet``/``eec`` gathers over the cluster's cores plus
+        every node's padded (P, L) matrices stacked to a common width so
+        one batched pass covers all nodes.  The extra columns extend the
+        :meth:`padded` scheme — zero probability, times repeating the
+        row's last impulse — so the index/gather passes can run
+        rectangularly; each node's *native* width is kept so row
+        reductions run over exactly the reference's term count (an
+        appended ``+0.0`` term is value-neutral but can change the
+        reduction's accumulator blocking, which is a bitwise
+        difference).  All arrays are read-only.
+        """
+        cached = self._candidate_arrays.get(type_id)
+        if cached is None:
+            core_node = self._cluster.core_node_index
+            eet = self._eet[type_id][core_node]  # (C, P)
+            eec_flat = self._eec[type_id][core_node].ravel()
+            eet_flat = eet.ravel()
+            N, P = self._cluster.num_nodes, self._cluster.num_pstates
+            pads = [self.padded(type_id, n) for n in range(N)]
+            widths = tuple(pad.times.shape[1] for pad in pads)
+            width = max(widths)
+            times_stack = np.empty((N, P, width))
+            probs_stack = np.zeros((N, P, width))
+            for n, pad in enumerate(pads):
+                length = widths[n]
+                times_stack[n, :, :length] = pad.times
+                times_stack[n, :, length:] = pad.times[:, -1:]
+                probs_stack[n, :, :length] = pad.probs
+            for arr in (eet, eet_flat, eec_flat, times_stack, probs_stack):
+                arr.setflags(write=False)
+            cached = (eet, eet_flat, eec_flat, times_stack, probs_stack, widths)
+            self._candidate_arrays[type_id] = cached
+        return cached
 
     @property
     def eet(self) -> np.ndarray:

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import settings
 
 from repro import SimulationConfig, build_trial_system
+from repro.perf.kernel_cache import KernelCache
 from repro.sim.system import TrialSystem
 from repro.workload.task import Task
 
@@ -90,6 +91,21 @@ def small_system() -> TrialSystem:
 def rng() -> np.random.Generator:
     """A fresh deterministic generator per test."""
     return np.random.default_rng(2011)
+
+
+class NeverHitCache(KernelCache):
+    """The uncached reference: every lookup misses and nothing is stored.
+
+    Passed as ``kernel_cache=``, it makes every truncation compute its
+    tail fresh, which is what the parity tests hold the real cache to.
+    """
+
+    def get(self, key):
+        self.misses += 1
+        return None
+
+    def put(self, key, kernel) -> int:
+        return 0
 
 
 class StubEngine:

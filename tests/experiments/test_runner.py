@@ -86,6 +86,24 @@ class TestRunEnsemble:
         with pytest.raises(ValueError, match="n_jobs"):
             run_ensemble(SPECS, tiny_config(), num_trials=1, n_jobs=n_jobs)
 
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    @pytest.mark.parametrize(
+        "options, match",
+        [
+            ({"trial_timeout": 0.0}, "trial_timeout"),
+            ({"trial_timeout": -3.0}, "trial_timeout"),
+            ({"max_retries": -1}, "max_retries"),
+        ],
+        ids=["timeout-0", "timeout-negative", "retries-negative"],
+    )
+    def test_rejects_bad_retry_options_before_any_work(self, tmp_path, n_jobs, options, match):
+        shard = tmp_path / "run.ckpt.jsonl"
+        with pytest.raises(ValueError, match=match):
+            run_ensemble(
+                SPECS, tiny_config(), num_trials=1, n_jobs=n_jobs, checkpoint=shard, **options
+            )
+        assert not shard.exists()
+
     def test_spec_label(self):
         assert VariantSpec("LL", "en+rob").label == "LL/en+rob"
 

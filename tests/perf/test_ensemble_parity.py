@@ -1,14 +1,13 @@
 """Ensemble-level results-neutrality of the full optimization stack.
 
-PR-level acceptance: with every ensemble optimization engaged at once —
-the warm cross-spec :class:`TrialCache`, the kernel cache, chunked
-dispatch and the single-copy result frames — every ``TrialResult`` and
-the run's manifest digests are bitwise identical to the reference: a
-plain loop running every spec of every trial through
-:func:`~repro.obs.hooks.observe_trial` on the uncached
-``TrialCache(None)`` path, at any ``n_jobs`` and chunk size.  Sharing
-one ``TrialCache`` across a trial's specs is pinned separately against
-a fresh handle per spec.
+With every ensemble optimization engaged at once — one kernel cache
+shared by a trial's specs, chunked dispatch and the single-copy result
+frames — every ``TrialResult`` and the run's manifest digests are
+bitwise identical to the reference: a plain loop running every spec of
+every trial through :func:`~repro.obs.hooks.observe_trial` on the
+never-hit ``NeverHitCache``, at any ``n_jobs`` and chunk size.  Sharing
+one cache across a trial's specs is pinned separately against a fresh
+cache per spec.
 """
 
 from __future__ import annotations
@@ -21,8 +20,7 @@ from repro.experiments.runner import EnsembleResult, VariantSpec, policy_for, ru
 from repro.obs.hooks import observe_trial
 from repro.obs.manifest import build_manifest
 from repro.perf.kernel_cache import KernelCache
-from repro.perf.trial_cache import TrialCache
-from tests.conftest import micro_config
+from tests.conftest import NeverHitCache, micro_config
 
 SPECS = (VariantSpec("LL", "en+rob"), VariantSpec("MECT", "none"), VariantSpec("SQ", "en+rob"))
 TRIALS = 4
@@ -41,10 +39,10 @@ def run(*, n_jobs=1, chunk_size=None):
     )
 
 
-def _run_specs(make_shared, *, per_spec=False):
+def _run_specs(make_cache, *, per_spec=False):
     """Every spec of every trial through ``observe_trial``, in ensemble order.
 
-    ``make_shared()`` builds the ``shared=`` handle: one per trial (its
+    ``make_cache()`` builds the ``kernel_cache=``: one per trial (its
     specs share it, as in the runner) or, with ``per_spec``, one per spec.
     """
     config = micro_config(seed=31)
@@ -52,13 +50,13 @@ def _run_specs(make_shared, *, per_spec=False):
     for trial in range(TRIALS):
         seed = rng_mod.spawn_trial_seed(BASE_SEED, trial)
         system = build_trial_system(config.with_seed(seed))
-        shared = make_shared()
+        cache = make_cache()
         for spec in SPECS:
             results[spec].append(
                 observe_trial(
                     system,
                     *policy_for(system, spec),
-                    shared=make_shared() if per_spec else shared,
+                    kernel_cache=make_cache() if per_spec else cache,
                 )
             )
     return results
@@ -66,8 +64,8 @@ def _run_specs(make_shared, *, per_spec=False):
 
 @pytest.fixture(scope="module")
 def reference():
-    """The uncached per-trial loop, as an ensemble (for its manifest)."""
-    results = _run_specs(lambda: TrialCache(None))
+    """The never-hit per-trial loop, as an ensemble (for its manifest)."""
+    results = _run_specs(NeverHitCache)
     return EnsembleResult(
         specs=SPECS,
         num_trials=TRIALS,
@@ -93,21 +91,21 @@ def test_all_optimizations_bitwise_match_reference(reference, n_jobs, chunk_size
 
 
 def test_each_knob_alone_matches_reference(reference):
-    for make_shared in (
+    for make_cache in (
         lambda: None,  # every engine's private cache
-        lambda: TrialCache(KernelCache(4)),  # a shared cache churning under eviction
+        lambda: KernelCache(4),  # a shared cache churning under eviction
     ):
-        partial = _run_specs(make_shared)
+        partial = _run_specs(make_cache)
         for spec in SPECS:
             assert partial[spec] == list(reference.results[spec])
 
 
 @pytest.mark.parametrize(
-    "make_kernel", [KernelCache, lambda: None], ids=["cache-on", "cache-off"]
+    "make_cache", [KernelCache, NeverHitCache], ids=["cache-on", "cache-off"]
 )
-def test_shared_trial_cache_matches_unshared(reference, make_kernel):
-    """One ``TrialCache`` across a trial's specs changes no bit of any result."""
-    unshared = _run_specs(lambda: TrialCache(make_kernel()), per_spec=True)
-    shared = _run_specs(lambda: TrialCache(make_kernel()))
+def test_shared_trial_cache_matches_unshared(reference, make_cache):
+    """One cache across a trial's specs changes no bit of any result."""
+    unshared = _run_specs(make_cache, per_spec=True)
+    shared = _run_specs(make_cache)
     for spec in SPECS:
         assert shared[spec] == unshared[spec] == list(reference.results[spec])

@@ -7,14 +7,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro import api, build_trial_system
+from repro import build_trial_system
 from repro.filters.chain import build_filter_chain
 from repro.heuristics.registry import build_heuristic
 from repro.perf.kernel_cache import CacheStats, InternedKernel, KernelCache
-from repro.perf.trial_cache import TrialCache
-from repro.sim.engine import Engine, EngineHooks
-from repro.stoch import ops as ops_mod
-from repro.stoch.ops import set_kernel_cache, truncate_below
+from repro.sim.engine import Engine
+from repro.stoch.ops import truncate_below
 from repro.stoch.pmf import PMF
 from tests.conftest import micro_config
 
@@ -90,55 +88,34 @@ class TestInternedKernel:
         assert kernel.key is not None
 
 
-class TestTrialCache:
+class TestEngineKernelCache:
     def _engine(self, system, **options):
         return Engine(system, build_heuristic("SQ"), build_filter_chain("none"), **options)
 
-    def test_kernel_argument_is_required(self):
-        with pytest.raises(TypeError):
-            TrialCache()  # type: ignore[call-arg]
-
-    def test_engine_cache_comes_from_the_handle(self):
+    def test_engine_uses_the_cache_it_is_given(self):
         system = build_trial_system(micro_config(seed=5))
         cache = KernelCache(8)
-        assert self._engine(system, shared=TrialCache(cache))._kernel_cache is cache
-        assert self._engine(system, shared=TrialCache(None))._kernel_cache is None
-        # No handle: the engine builds a private default-capacity cache.
+        engine = self._engine(system, kernel_cache=cache)
+        assert all(core._cache is cache for core in engine.cores)
+        # No cache given: the engine builds a private default-capacity one.
         private = self._engine(system)._kernel_cache
-        assert isinstance(private, KernelCache)
+        assert isinstance(private, KernelCache) and private is not cache
         assert private.max_entries == KernelCache().max_entries
 
-    def test_uncached_handle_reports_no_stats(self):
+    def test_shared_cache_stats_are_per_run(self):
         system = build_trial_system(micro_config(seed=5))
-        shared = TrialCache(None)
-        engine = self._engine(system, shared=shared)
-        engine.run()
-        assert engine.kernel_cache_stats() is None
-        assert shared.stats() is None
-
-
-def test_engine_restores_kernel_cache_after_run():
-    """The engine installs its cache for exactly one run, even one that raises."""
-    system = build_trial_system(micro_config(seed=5))
-    assert ops_mod._kernel_cache is None
-    api.run_trial(api.Scenario("SQ", "none"), system=system)
-    assert ops_mod._kernel_cache is None
-
-    class Boom(RuntimeError):
-        pass
-
-    class RaiseOnMapped(EngineHooks):
-        def on_mapped(self, engine, task, core_id, pstate):
-            assert engine._kernel_cache is not None
-            assert ops_mod._kernel_cache is engine._kernel_cache
-            raise Boom
-
-    engine = Engine(
-        system, build_heuristic("SQ"), build_filter_chain("none"), hooks=(RaiseOnMapped(),)
-    )
-    with pytest.raises(Boom):
-        engine.run()
-    assert ops_mod._kernel_cache is None
+        cache = KernelCache()
+        first = self._engine(system, kernel_cache=cache)
+        first.run()
+        a = first.kernel_cache_stats()
+        second = self._engine(system, kernel_cache=cache)
+        second.run()
+        b = second.kernel_cache_stats()
+        assert a.lookups > 0
+        assert b.hits > 0  # the second run reads what the first interned
+        assert a.hits + b.hits == cache.hits
+        assert a.misses + b.misses == cache.misses
+        assert a.entries + b.entries == len(cache)
 
 
 @st.composite
@@ -167,12 +144,8 @@ class TestCachedTruncateBitwise:
         t = pmf.start + frac * (pmf.probs.size * pmf.dt)
         reference = truncate_below(pmf, t)
         cache = KernelCache()
-        previous = set_kernel_cache(cache)
-        try:
-            first = truncate_below(pmf, t)  # miss path
-            second = truncate_below(pmf, t)  # hit path (when interned)
-        finally:
-            set_kernel_cache(previous)
+        first = truncate_below(pmf, t, cache=cache)  # miss path
+        second = truncate_below(pmf, t, cache=cache)  # hit path (when interned)
         for out in (first, second):
             assert out.start == reference.start
             assert out.dt == reference.dt

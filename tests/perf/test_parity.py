@@ -2,7 +2,7 @@
 
 The acceptance contract of :mod:`repro.perf`: the kernel cache, an
 engine's private one or a trial's shared one, produces trial results
-bitwise identical to the uncached ``TrialCache(None)`` reference — same
+bitwise identical to the never-hit ``NeverHitCache`` reference — same
 scalar fields, same per-task outcomes, same manifest digests — across
 all four heuristics and with the filters on or off, and the engine's
 one candidate builder reproduces the per-core reference loop
@@ -20,11 +20,11 @@ from repro.experiments.runner import VariantSpec, policy_for
 from repro.faults import FaultEvent, FaultPolicy, FaultSchedule
 from repro.heuristics.registry import build_heuristic
 from repro.obs.manifest import trial_digest
-from repro.perf import KernelCache, TrialCache
+from repro.perf import KernelCache
 from repro.sim.engine import Engine
 from repro.sim.mapper import CandidateBuilder
 from repro.sim.state import CoreState, QueuedTask, RunningTask
-from tests.conftest import micro_config
+from tests.conftest import NeverHitCache, micro_config
 from tests.reference_mapper import build_candidate_set
 
 HEURISTICS = ("SQ", "MECT", "LL", "Random")
@@ -41,16 +41,16 @@ def system():
 def test_perf_knobs_are_results_neutral(system, heuristic, variant, monkeypatch):
     spec = VariantSpec(heuristic, variant)
 
-    def run(shared=None):
-        return Engine(system, *policy_for(system, spec), shared=shared).run()
+    def run(kernel_cache=None):
+        return Engine(system, *policy_for(system, spec), kernel_cache=kernel_cache).run()
 
     def check(result):
         assert result == reference  # full dataclass equality incl. outcomes
         assert trial_digest(result) == trial_digest(reference)
 
-    reference = run(TrialCache(None))  # the uncached reference path
+    reference = run(NeverHitCache())  # every truncation computed fresh
     check(run())  # the default: a private kernel cache
-    check(run(TrialCache(KernelCache())))  # a trial-shared kernel cache
+    check(run(KernelCache()))  # a cache the caller passes in
     # The retired kernel-backend variable selects nothing: numpy is the
     # only kernel path, so a deployment that still sets it is unaffected.
     monkeypatch.setenv("REPRO_PERF_BACKEND", "cext")

@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro import api
+from repro.experiments.runner import policy_for
+from tests.conftest import NeverHitCache
 
 
 class TestSurface:
@@ -58,8 +60,10 @@ class TestRunTrial:
         assert api.run_trial(self.SCENARIO, system=system) == api.run_trial(self.SCENARIO)
 
     def test_perf_knobs_results_neutral(self):
-        fast = api.run_trial(self.SCENARIO)
-        slow = api.run_trial(self.SCENARIO, shared=api.TrialCache(None))
+        system = self.SCENARIO.build_system()
+        fast = api.run_trial(self.SCENARIO, system=system, keep_outcomes=True)
+        heuristic, chain = policy_for(system, self.SCENARIO.spec)
+        slow = api.observe_trial(system, heuristic, chain, kernel_cache=NeverHitCache())
         assert fast == slow
 
     def test_strips_outcomes_by_default(self, tiny_system):

@@ -252,8 +252,35 @@ class TestResilienceFlags:
         assert data["counters"]["executor.trials_resumed"] == 2
 
     def test_resume_requires_checkpoint(self, capsys):
-        with pytest.raises(ValueError, match="checkpoint"):
+        with pytest.raises(SystemExit, match="^repro figure: .*checkpoint"):
             main(["figure", "fig2", *TINY, "--trials", "2", "--resume"])
+
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            (["figure", "fig2", "--jobs", "0"], "n_jobs must be a positive"),
+            (["grid", "--trials", "0"], "need at least one trial"),
+            (["calibrate", "--tasks", "-5"], "num_tasks must be >= 1"),
+            (["sweep", "--specs", "LL/xx"], "unknown filter 'xx'"),
+            (["sweep", "--specs", "XX/en"], "unknown heuristic 'XX'"),
+            (["sweep", "--specs", "LL"], "spec must look like 'LL/en+rob'"),
+            (["figure", "fig2", "--trial-timeout", "-3"], "trial_timeout must be positive"),
+            (["figure", "fig2", "--max-retries", "-1"], "max_retries must be >= 0"),
+            (["grid", "--max-retries", "-1", "--jobs", "2"], "max_retries must be >= 0"),
+        ],
+        ids=[
+            "jobs-0", "trials-0", "tasks-negative", "unknown-filter",
+            "unknown-heuristic", "malformed-spec", "timeout-negative",
+            "retries-negative", "retries-negative-parallel",
+        ],
+    )
+    def test_bad_flag_values_exit_with_one_line(self, capsys, argv, reason):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        message = info.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert message.startswith(f"repro {argv[0]}: {reason}")
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("cmd", [["figure", "fig2"], ["grid"]], ids=["figure", "grid"])
     def test_no_completed_trials_saves_results_and_exits_1(self, capsys, tmp_path, cmd):

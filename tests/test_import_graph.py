@@ -1,9 +1,13 @@
-"""Start-up guard: importing the package loads no scipy.
+"""Import-graph guards: start-up loads no scipy, and the layers stay put.
 
 ``scipy.stats`` alone costs most of a second to import, and every CLI
 command and benchmark process pays whatever ``import repro`` pulls in.
 scipy is therefore imported inside the functions that use it; these
 tests fail if a module-level import brings it back.
+
+``repro.stoch`` (the pmf algebra) sits below ``repro.perf`` (the kernel
+cache that memoizes it): the cache is passed in as an argument, so no
+stoch module imports perf, not even inside a function.
 """
 
 from __future__ import annotations
@@ -65,5 +69,32 @@ def test_no_module_level_scipy_import_under_src():
             else:
                 names = [node.module or ""]
             if any(name.split(".")[0] == "scipy" for name in names):
+                offenders.append(f"{path.relative_to(SRC)}:{node.lineno}")
+    assert offenders == []
+
+
+def _imported_modules(node: ast.Import | ast.ImportFrom, package: str):
+    """Absolute names an import statement can bind, relative ones resolved."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    base = package.split(".")
+    if node.level:
+        base = base[: len(base) - node.level + 1]
+        module = ".".join(base + ([node.module] if node.module else []))
+    else:
+        module = node.module or ""
+    return [module] + [f"{module}.{alias.name}" for alias in node.names]
+
+
+def test_stoch_never_imports_perf():
+    offenders = []
+    for path in sorted((SRC / "repro" / "stoch").rglob("*.py")):
+        package = ".".join(path.relative_to(SRC).parts[:-1])
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            names = _imported_modules(node, package)
+            if any(name == "repro.perf" or name.startswith("repro.perf.") for name in names):
                 offenders.append(f"{path.relative_to(SRC)}:{node.lineno}")
     assert offenders == []
