@@ -1,6 +1,6 @@
 """Extended comparison: the paper's heuristics vs four more classics.
 
-Puts the literature baselines of :mod:`repro.extensions.baselines`
+Puts the literature baselines of :mod:`repro.heuristics.baselines`
 (MET, OLB, KPB, MEEC) through the same filtered evaluation as the
 paper's four, testing the paper's thesis out of sample: if the filters
 drive performance, even load-blind MET or deadline-blind MEEC should be
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from _common import bench_config, bench_seed, bench_tasks, bench_trials, emit
 from repro import rng as rng_mod
-from repro.extensions.baselines import make_extended_heuristic
 from repro.filters.chain import build_filter_chain
 from repro.heuristics.registry import build_heuristic
 from repro.sim.engine import Engine
@@ -23,12 +22,6 @@ ALL = ("SQ", "MECT", "LL", "Random", "MET", "OLB", "KPB", "MEEC")
 VARIANT = "en+rob"
 
 
-def _make(name: str, seed: int):
-    if name in ("SQ", "MECT", "LL", "Random"):
-        return build_heuristic(name, rng_mod.stream(seed, "heuristic", name))
-    return make_extended_heuristic(name)
-
-
 def run_comparison() -> dict[str, float]:
     config = bench_config()
     trials = bench_trials()
@@ -38,7 +31,9 @@ def run_comparison() -> dict[str, float]:
         system = build_trial_system(config.with_seed(seed))
         for name in ALL:
             result = Engine(
-                system, _make(name, seed), build_filter_chain(VARIANT, config.filters)
+                system,
+                build_heuristic(name, rng_mod.stream(seed, "heuristic", name)),
+                build_filter_chain(VARIANT, config.filters),
             ).run()
             misses[name].append(result.missed)
     rows = {name: float(np.median(vals)) for name, vals in misses.items()}

@@ -1,13 +1,8 @@
 """Analysis and presentation: box plots (ASCII + SVG), tables, phase
 breakdowns, event-trace summaries, span-profile reports, timeline
-charts and time-series views of finished trials."""
+charts and steady-state summaries of service windows."""
 
 from repro.analysis.boxplot import ascii_boxplot, ascii_boxplot_group
-from repro.analysis.faults_report import (
-    faults_report,
-    robustness_delta,
-    service_robustness_delta,
-)
 from repro.analysis.phases import PhaseBreakdown, phase_breakdown
 from repro.analysis.profile_report import (
     SpanStat,
@@ -31,11 +26,6 @@ from repro.analysis.svg import (
     timeline_svg,
 )
 from repro.analysis.tables import markdown_table
-from repro.analysis.timeseries import (
-    active_tasks_series,
-    completion_rate_series,
-    cumulative_energy_series,
-)
 from repro.analysis.trace_summary import (
     TraceSummary,
     summarize_trace,
@@ -60,12 +50,6 @@ __all__ = [
     "timeline_table",
     "metrics_tables",
     "markdown_table",
-    "active_tasks_series",
-    "completion_rate_series",
-    "cumulative_energy_series",
-    "faults_report",
-    "robustness_delta",
-    "service_robustness_delta",
     "SteadyStateSummary",
     "analyze_series",
     "analyze_windows",

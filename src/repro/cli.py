@@ -97,8 +97,9 @@ def _add_policy(parser: argparse.ArgumentParser) -> None:
         "--heuristic",
         default="LL",
         type=_heuristic_name,
-        help="allocation heuristic, any registered plugin "
-        f"(builtin: {', '.join(HEURISTICS)}; case-insensitive)",
+        help="allocation heuristic, any registered plugin, e.g. the paper's "
+        f"{', '.join(HEURISTICS)} ('repro scenarios plugins' lists all; "
+        "case-insensitive)",
     )
     parser.add_argument(
         "-F",
@@ -506,7 +507,7 @@ def _print_trial_result(result: Any) -> None:
 def cmd_trial(args: argparse.Namespace) -> int:
     """Run a single trial of one (heuristic, filters) policy."""
     scenario, schedule = _flag_scenario(args)
-    with _Outputs(args, label=scenario.label) as out, _bad_input(args):
+    with _bad_input(args), _Outputs(args, label=scenario.label) as out:
         result = run_scenario(
             scenario,
             metrics=out.metrics,
@@ -555,7 +556,12 @@ def _print_windows(result: ServiceResult, head: int = 10, tail: int = 10) -> Non
 def _resolve_telemetry(
     args: argparse.Namespace,
 ) -> tuple[Telemetry | None, TelemetryServer | None]:
-    """Build the serve command's telemetry hub (``None`` when unrequested)."""
+    """Build the serve command's telemetry hub (``None`` when unrequested).
+
+    A bad ``--slo`` rule raises ``ValueError`` and a busy
+    ``--telemetry-port`` ``OSError``, each naming its flag, for
+    :func:`_bad_input` to turn into one line.
+    """
     wanted = (
         args.telemetry_port is not None
         or args.telemetry_out is not None
@@ -566,7 +572,7 @@ def _resolve_telemetry(
     try:
         telemetry = Telemetry(rules=[parse_rule(spec) for spec in args.slo or []])
     except ValueError as exc:
-        raise SystemExit(f"--slo: {exc}")
+        raise ValueError(f"--slo: {exc}") from None
     if args.telemetry_out:
         telemetry.exporters.append(FileExporter(args.telemetry_out, telemetry))
     server = None
@@ -575,9 +581,8 @@ def _resolve_telemetry(
         try:
             port = server.start()
         except OSError as exc:
-            raise SystemExit(
-                f"repro serve: --telemetry-port {args.telemetry_port}: "
-                f"{exc.strerror or exc}"
+            raise OSError(
+                f"--telemetry-port {args.telemetry_port}: {exc.strerror or exc}"
             ) from None
         print(f"telemetry: scrape http://127.0.0.1:{port}/metrics "
               f"(health: /health)")
@@ -645,8 +650,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
     process exits 0.
     """
     scenario, _ = _flag_scenario(args)
-    out = _Outputs(args, label=scenario.label, timeline_cap=args.timeline_cap)
-    telemetry, server = _resolve_telemetry(args)
+    with _bad_input(args):
+        out = _Outputs(args, label=scenario.label, timeline_cap=args.timeline_cap)
+        telemetry, server = _resolve_telemetry(args)
     stop_requested = False
 
     def _request_stop(signum: int, frame: Any) -> None:
@@ -835,7 +841,7 @@ def _run_ensemble_command(specs: list[VariantSpec], args: argparse.Namespace) ->
     # Ensemble-level traces carry the executor's recovery events
     # (retries, quarantines, checkpoints); per-task events stay in the
     # workers and are summarized by --metrics-out instead.
-    with _Outputs(args) as out, _bad_input(args):
+    with _bad_input(args), _Outputs(args) as out:
         ensemble = run_ensemble(
             specs, config, args.trials, base_seed=args.seed,
             n_jobs=args.jobs, metrics=out.metrics,
@@ -964,7 +970,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     with _bad_input(args):
         specs = tuple(_parse_spec(s) for s in args.specs)
         config = Scenario(seed=args.seed, num_tasks=args.tasks).resolved_config()
-    with _Outputs(args) as out, _bad_input(args):
+    with _bad_input(args), _Outputs(args) as out:
         sweep = budget_sweep(
             args.multipliers, specs, config, args.trials, base_seed=args.seed,
             n_jobs=args.jobs,

@@ -1,25 +1,26 @@
 """Section VIII future-work features, implemented as optional extensions.
 
-The paper closes with four directions; each has a module here:
+The paper closes with four directions:
 
 * **varying task priorities** — :mod:`repro.extensions.priorities`
   (priority assignment, a priority-weighted LL variant, weighted
   scoring);
 * **cancelling and/or rescheduling tasks** —
   :mod:`repro.extensions.cancellation` (an engine hook that abandons
-  queued tasks which have become hopeless, freeing their slot);
-* **a variety of arrival rates and patterns** —
-  :mod:`repro.extensions.arrival_patterns` (constant, sinusoidal,
-  multi-burst processes and a workload builder around them);
-* **full probability distributions for power consumption** —
-  :mod:`repro.extensions.power_distributions` (per-P-state power pmfs
-  and post-hoc energy re-accounting under power uncertainty);
-* **rescheduling** — :mod:`repro.extensions.rescheduling` (work stealing
-  between cores when rescheduling is permitted).
+  queued tasks which have become hopeless, freeing their slot) and
+  :mod:`repro.extensions.rescheduling` (work stealing between cores
+  when rescheduling is permitted);
+* **a variety of arrival rates and patterns** — not a module here: the
+  registered traffic models of :mod:`repro.workload.traffic`
+  (``poisson``, ``diurnal``, ``mmpp``, ``burst``, ``replay``) are the
+  one family of arrival processes, driven by ``repro serve --traffic``;
+* **full probability distributions for power consumption** — not
+  implemented; power stays the paper's deterministic per-P-state value.
 
-:mod:`repro.extensions.baselines` additionally supplies four classic
-immediate-mode heuristics (MET, OLB, KPB, MEEC) from the same literature
-the paper draws SQ/MECT from, for broader head-to-head comparisons.
+:mod:`repro.extensions.batch_mode` adds the batch-mode mapper the paper
+contrasts immediate mode with (Section II).  The four classic
+literature baselines (MET, OLB, KPB, MEEC) are registered heuristics in
+:mod:`repro.heuristics.baselines`.
 
 None of these change the baseline reproduction; the benches ablate them
 separately.
@@ -32,46 +33,16 @@ from repro.extensions.priorities import (
     with_priorities,
 )
 from repro.extensions.cancellation import AbandonHopelessPolicy
-from repro.extensions.arrival_patterns import (
-    constant_arrivals,
-    multi_burst_arrivals,
-    sinusoidal_arrivals,
-    workload_with_arrivals,
-)
-from repro.extensions.power_distributions import (
-    StochasticPowerModel,
-    resample_trial_energy,
-)
 from repro.extensions.rescheduling import WorkStealingPolicy
 from repro.extensions.batch_mode import BatchEngine, run_batch_trial
-from repro.extensions.baselines import (
-    EXTENDED_HEURISTICS,
-    KPercentBest,
-    MinimumExecutionTime,
-    MinimumExpectedEnergy,
-    OpportunisticLoadBalancing,
-    make_extended_heuristic,
-)
 
 __all__ = [
     "BatchEngine",
     "run_batch_trial",
     "PriorityEnergyFilter",
     "WorkStealingPolicy",
-    "EXTENDED_HEURISTICS",
-    "KPercentBest",
-    "MinimumExecutionTime",
-    "MinimumExpectedEnergy",
-    "OpportunisticLoadBalancing",
-    "make_extended_heuristic",
     "PriorityLightestLoad",
     "weighted_missed",
     "with_priorities",
     "AbandonHopelessPolicy",
-    "constant_arrivals",
-    "multi_burst_arrivals",
-    "sinusoidal_arrivals",
-    "workload_with_arrivals",
-    "StochasticPowerModel",
-    "resample_trial_energy",
 ]

@@ -10,6 +10,10 @@ four of the paper's heuristics are provided:
   new heuristic
 * :class:`~repro.heuristics.random_heuristic.RandomAssignment` (Random)
 
+:mod:`repro.heuristics.baselines` adds four classics from the same
+literature for out-of-sample comparisons (MET, OLB, KPB, MEEC); all eight
+are named through :func:`~repro.heuristics.registry.build_heuristic`.
+
 Heuristics operate on a vectorized :class:`~repro.heuristics.base.CandidateSet`
 whose arrays hold, per candidate assignment, the expectation quantities of
 Section V-A (EET, ECT, EEC) and the on-time probability rho.

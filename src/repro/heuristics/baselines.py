@@ -17,8 +17,10 @@ Plus one energy-side baseline:
 * **MEEC** (Minimum Expected Energy Consumption): cheapest assignment,
   deadline-blind — the greedy-energy extreme.
 
-None of these appear in the paper's figures; `bench_extended_heuristics`
-compares them against the paper's four under the same filters.
+None of these appear in the paper's figures.  They register in the same
+plugin namespace as the paper's four (:mod:`repro.heuristics.registry`),
+so the CLI, scenario files and `bench_extended_heuristics` name them
+like any other heuristic.
 """
 
 from __future__ import annotations
@@ -34,8 +36,6 @@ __all__ = [
     "OpportunisticLoadBalancing",
     "KPercentBest",
     "MinimumExpectedEnergy",
-    "EXTENDED_HEURISTICS",
-    "make_extended_heuristic",
 ]
 
 
@@ -110,23 +110,3 @@ class MinimumExpectedEnergy(Heuristic):
     def select(self, cands: CandidateSet, ctx: MappingContext) -> int | None:
         """Pick the cheapest feasible candidate."""
         return argmin_lexicographic(cands.mask, cands.eec)
-
-
-#: Names of the extended baselines, in presentation order.
-EXTENDED_HEURISTICS: tuple[str, ...] = ("MET", "OLB", "KPB", "MEEC")
-
-
-def make_extended_heuristic(name: str) -> Heuristic:
-    """Instantiate an extended baseline by name (case-insensitive)."""
-    key = name.strip().upper()
-    if key == "MET":
-        return MinimumExecutionTime()
-    if key == "OLB":
-        return OpportunisticLoadBalancing()
-    if key == "KPB":
-        return KPercentBest()
-    if key == "MEEC":
-        return MinimumExpectedEnergy()
-    raise KeyError(
-        f"unknown extended heuristic {name!r}; known: {', '.join(EXTENDED_HEURISTICS)}"
-    )

@@ -3,10 +3,9 @@
 A :class:`~repro.faults.FaultSchedule` is the reproducibility anchor of
 a degraded run: archiving the schedule alongside results lets a later
 session replay the identical outage/recovery sequence against a
-different policy (the degraded-vs-clean comparison in
-:mod:`repro.analysis.faults_report` depends on exactly this).  The
-document format is the schedule's own ``to_dict``/``from_dict``
-round-trip — this module only adds the file I/O.
+different policy.  The document format is the schedule's own
+``to_dict``/``from_dict`` round-trip — this module only adds the file
+I/O.
 """
 
 from __future__ import annotations

@@ -1,9 +1,11 @@
-"""Drawing actual realizations from pmfs.
+"""Drawing i.i.d. realizations from pmfs by inverse-CDF sampling.
 
-The simulator samples each task's *actual* execution time from its
-execution-time pmf the moment the task starts running (paper Section VI:
-"the simulated actual task execution times are randomly sampled from the
-execution time distributions during each trial").
+The simulator draws each task's *actual* execution time through
+:meth:`~repro.stoch.pmf.PMF.quantile` on a per-task uniform fixed at
+system build (``TrialSystem.exec_luck``), so paired variants see the
+same luck.  These samplers draw fresh realizations instead; the Monte
+Carlo checks of the Section IV completion-time and rho algebra use
+them.
 """
 
 from __future__ import annotations

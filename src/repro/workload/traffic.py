@@ -15,8 +15,6 @@ Time streams
 * :func:`diurnal_times` — two-phase day/night convenience wrapper.
 * :func:`mmpp_times` — Markov-modulated Poisson (random exponential
   dwells per modulation state; bursty on/off traffic).
-* :func:`surge_times` — a base rate with multiplicative surge windows
-  at fixed instants (the overload stimulus for shedding studies).
 * :func:`trace_times` — replay a recorded trace, validating monotonicity.
 * :func:`merge_times` / :func:`splice_times` — combine streams while
   preserving monotone arrival order.
@@ -59,7 +57,6 @@ __all__ = [
     "piecewise_times",
     "diurnal_times",
     "mmpp_times",
-    "surge_times",
     "trace_times",
     "merge_times",
     "splice_times",
@@ -209,46 +206,6 @@ def mmpp_times(
         for state in itertools.cycle(range(len(rate_vec))):
             t0 += dwell_vec[state] * float(rng.standard_exponential())
             yield t0, rate_vec[state]
-
-    return _nhpp(segments(), rng, start)
-
-
-def surge_times(
-    base_rate: float,
-    surges: Sequence[tuple[float, float, float]],
-    rng: np.random.Generator,
-    *,
-    start: float = 0.0,
-) -> Iterator[float]:
-    """A base-rate Poisson stream with multiplicative surge windows.
-
-    ``surges`` is a sequence of ``(at, duration, mult)`` triples: from
-    time ``at`` for ``duration``, arrivals come at ``base_rate * mult``.
-    Surges must be disjoint and time-ordered; between them the stream
-    runs at ``base_rate`` (forever after the last one).  ``mult`` may be
-    large (the overload stimulus a shedding study throws at the
-    admission controller) or zero (a brownout).  Compiles to a
-    :func:`piecewise_times`-style segment walk, so a surge-free call
-    reproduces :func:`poisson_times` bit for bit.
-    """
-    if not (base_rate > 0.0):
-        raise ValueError(f"base_rate must be positive, got {base_rate}")
-    windows = [(float(a), float(d), float(m)) for a, d, m in surges]
-    prev_end = float(start)
-    for at, dur, mult in windows:
-        if at < prev_end:
-            raise ValueError("surge windows must be disjoint and time-ordered")
-        if not (dur > 0.0):
-            raise ValueError(f"surge durations must be positive, got {dur}")
-        if mult < 0.0:
-            raise ValueError(f"surge multipliers must be non-negative, got {mult}")
-        prev_end = at + dur
-
-    def segments() -> Iterator[tuple[float, float]]:
-        for at, dur, mult in windows:
-            yield at, base_rate
-            yield at + dur, base_rate * mult
-        yield math.inf, base_rate
 
     return _nhpp(segments(), rng, start)
 

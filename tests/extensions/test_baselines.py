@@ -1,20 +1,20 @@
-"""Tests for the extended baseline heuristics (repro.extensions.baselines)."""
+"""Tests for the literature baseline heuristics (repro.heuristics.baselines)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.extensions.baselines import (
-    EXTENDED_HEURISTICS,
+from repro.filters.chain import build_filter_chain
+from repro.heuristics.base import CandidateSet, MappingContext
+from repro.heuristics.baselines import (
     KPercentBest,
     MinimumExecutionTime,
     MinimumExpectedEnergy,
     OpportunisticLoadBalancing,
-    make_extended_heuristic,
 )
-from repro.filters.chain import build_filter_chain
-from repro.heuristics.base import CandidateSet, MappingContext
+from repro.heuristics.registry import HEURISTICS, build_heuristic
+from repro.registry import HEURISTIC_PLUGINS, UnknownPluginError
 from repro.sim.engine import Engine
 from repro.workload.task import Task
 
@@ -110,27 +110,44 @@ class TestMEEC:
         assert MinimumExpectedEnergy().select(cands(), ctx()) == 1
 
 
+BASELINES = ("MET", "OLB", "KPB", "MEEC")
+
+
 class TestRegistry:
     def test_names(self):
-        assert EXTENDED_HEURISTICS == ("MET", "OLB", "KPB", "MEEC")
+        # Registered after the paper's four, in presentation order.
+        assert HEURISTIC_PLUGINS.names() == HEURISTICS + BASELINES
 
     def test_builds_each(self):
-        for name in EXTENDED_HEURISTICS:
-            assert make_extended_heuristic(name).name == name
+        expected = {
+            "MET": MinimumExecutionTime,
+            "OLB": OpportunisticLoadBalancing,
+            "KPB": KPercentBest,
+            "MEEC": MinimumExpectedEnergy,
+        }
+        for name in BASELINES:
+            heuristic = build_heuristic(name)
+            assert type(heuristic) is expected[name]
+            assert heuristic.name == name
 
     def test_case_insensitive(self):
-        assert make_extended_heuristic("olb").name == "OLB"
+        for spelling in ("olb", "Olb", "OLB", " olb "):
+            assert HEURISTIC_PLUGINS.canonical(spelling) == "OLB"
+            assert type(build_heuristic(spelling)) is OpportunisticLoadBalancing
 
     def test_unknown(self):
-        with pytest.raises(KeyError):
-            make_extended_heuristic("SQ")
+        with pytest.raises(UnknownPluginError) as info:
+            build_heuristic("MEECC")
+        assert isinstance(info.value, KeyError)
+        assert info.value.suggestion == "MEEC"
+        assert "did you mean 'MEEC'" in str(info.value)
 
 
 class TestEndToEnd:
-    @pytest.mark.parametrize("name", EXTENDED_HEURISTICS)
+    @pytest.mark.parametrize("name", BASELINES)
     def test_runs_full_trial(self, tiny_system, name):
         result = Engine(
-            tiny_system, make_extended_heuristic(name), build_filter_chain("en+rob")
+            tiny_system, build_heuristic(name), build_filter_chain("en+rob")
         ).run()
         assert result.num_tasks == tiny_system.num_tasks
         assert (

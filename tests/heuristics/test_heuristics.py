@@ -145,4 +145,4 @@ class TestRegistry:
 
     def test_unknown_name(self):
         with pytest.raises(KeyError):
-            build_heuristic("OLB")
+            build_heuristic("OLBX")

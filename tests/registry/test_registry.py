@@ -31,7 +31,9 @@ from tests.conftest import tiny_config
 
 class TestLookup:
     def test_builtin_names_registered(self):
-        assert HEURISTIC_PLUGINS.names() == ("SQ", "MECT", "LL", "Random")
+        assert HEURISTIC_PLUGINS.names() == (
+            "SQ", "MECT", "LL", "Random", "MET", "OLB", "KPB", "MEEC",
+        )
         assert set(FILTER_PLUGINS.names()) == {"en", "rob"}
         assert set(TRAFFIC_PLUGINS.names()) == {
             "poisson", "diurnal", "mmpp", "burst", "replay",
@@ -57,17 +59,18 @@ class TestLookup:
 
     def test_unknown_name_is_keyerror_with_suggestion(self):
         with pytest.raises(UnknownPluginError) as info:
-            HEURISTIC_PLUGINS.get("MELT")
+            HEURISTIC_PLUGINS.get("MECTT")
         assert isinstance(info.value, KeyError)
         assert info.value.suggestion == "MECT"
         assert "did you mean 'MECT'" in str(info.value)
         with pytest.raises(KeyError):
-            build_heuristic("OLB")
+            build_heuristic("OLBX")
 
     def test_contains_and_iter(self):
         assert "mect" in HEURISTIC_PLUGINS
         assert "nope" not in HEURISTIC_PLUGINS
-        assert list(iter(HEURISTIC_PLUGINS)) == list(HEURISTICS)
+        assert list(iter(HEURISTIC_PLUGINS)) == list(HEURISTIC_PLUGINS.names())
+        assert list(iter(HEURISTIC_PLUGINS))[: len(HEURISTICS)] == list(HEURISTICS)
 
     def test_registry_for(self):
         for kind in PLUGIN_KINDS:
@@ -201,7 +204,8 @@ class TestDiscovery:
         kinds = {row["kind"] for row in rows}
         assert kinds == set(PLUGIN_KINDS)
         heuristic_rows = describe_plugins("heuristic")
-        assert [r["name"] for r in heuristic_rows] == list(HEURISTICS)
+        assert [r["name"] for r in heuristic_rows] == list(HEURISTIC_PLUGINS.names())
+        assert [r["name"] for r in heuristic_rows][: len(HEURISTICS)] == list(HEURISTICS)
         text = plugin_table(rows)
         assert "MECT" in text and "threshold" in text
         assert plugin_table([]) == "(no plugins registered)"

@@ -38,7 +38,7 @@ class TestConstruction:
 
     def test_unknown_heuristic(self):
         with pytest.raises(ValueError, match="heuristic"):
-            Scenario(heuristic="OLB")
+            Scenario(heuristic="OLBX")
 
     def test_unknown_filter_variant(self):
         with pytest.raises(ValueError, match="filter"):
@@ -308,7 +308,7 @@ class TestFromFile:
 
     def test_semantic_errors_name_the_file(self, tmp_path):
         path = tmp_path / "typo.toml"
-        path.write_text('[policy]\nheuristic = "MELT"\n')
+        path.write_text('[policy]\nheuristic = "MECTT"\n')
         with pytest.raises(ScenarioError, match="typo.toml.*did you mean 'MECT'"):
             Scenario.from_file(path)
 

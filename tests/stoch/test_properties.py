@@ -12,7 +12,6 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.stoch.grid import regrid
 from repro.stoch.ops import convolve, prob_sum_at_most, shift, truncate_below
 from repro.stoch.pmf import PMF
 
@@ -92,14 +91,6 @@ def test_prob_sum_monotone_in_deadline(a: PMF, b: PMF):
     ds = np.linspace(a.start + b.start - 2, a.stop + b.stop + 2, 12)
     vals = [prob_sum_at_most(a, b, float(d)) for d in ds]
     assert all(x <= y + 1e-12 for x, y in zip(vals, vals[1:]))
-
-
-@given(pmfs(), st.sampled_from([0.5, 1.5, 3.0, 7.0]))
-@settings(max_examples=60, deadline=None)
-def test_regrid_conserves_mass_and_mean(pmf: PMF, new_dt: float):
-    out = regrid(pmf, new_dt)
-    assert np.isclose(out.total_mass(), 1.0, atol=1e-9)
-    assert np.isclose(out.mean(), pmf.mean(), rtol=1e-9, atol=1e-6)
 
 
 @given(pmfs(), st.floats(min_value=0.0, max_value=1.0))

@@ -66,6 +66,17 @@ class TestCommands:
         assert "SQ/en" in out
         assert "missed" in out
 
+    def test_trial_names_a_literature_baseline(self, capsys):
+        # MET/OLB/KPB/MEEC share the paper's heuristic namespace, any case.
+        assert main(["trial", "-H", "met", "-F", "en+rob", "--tasks", "30"]) == 0
+        assert "MET/en+rob: missed" in capsys.readouterr().out
+
+    def test_plugin_catalog_lists_eight_heuristics(self, capsys):
+        assert main(["scenarios", "plugins", "--kind", "heuristic"]) == 0
+        rows = [line.split()[1] for line in capsys.readouterr().out.splitlines()
+                if line.startswith("heuristic ")]
+        assert rows == ["SQ", "MECT", "LL", "Random", "MET", "OLB", "KPB", "MEEC"]
+
     def test_figure_with_output(self, capsys, tmp_path):
         out_json = tmp_path / "fig.json"
         svg_dir = tmp_path / "figs"
@@ -267,11 +278,17 @@ class TestResilienceFlags:
             (["figure", "fig2", "--trial-timeout", "-3"], "trial_timeout must be positive"),
             (["figure", "fig2", "--max-retries", "-1"], "max_retries must be >= 0"),
             (["grid", "--max-retries", "-1", "--jobs", "2"], "max_retries must be >= 0"),
+            (["trial", "--timeline-out", "t.json", "--timeline-dt", "0"],
+             "timeline dt must be positive"),
+            (["serve", "--task-limit", "10", "--timeline-out", "t.json",
+              "--timeline-cap", "0"], "timeline capacity must be positive"),
+            (["serve", "--task-limit", "10", "--slo", "bogus"], "--slo: "),
         ],
         ids=[
             "jobs-0", "trials-0", "tasks-negative", "unknown-filter",
             "unknown-heuristic", "malformed-spec", "timeout-negative",
             "retries-negative", "retries-negative-parallel",
+            "timeline-dt-0", "timeline-cap-0", "slo-bogus",
         ],
     )
     def test_bad_flag_values_exit_with_one_line(self, capsys, argv, reason):
