@@ -11,7 +11,8 @@ Runs a small ensemble three ways and compares manifest trial digests:
    restored results must still match.
 
 Exits nonzero (with a diagnostic) on any digest mismatch, any
-quarantined trial, or unexpected retry counts.
+quarantined trial, unexpected retry counts, or a trial dispatched again
+without a charged fault (dispatches must equal trials + retries).
 
 Usage:
     python scripts/chaos_check.py [--tasks 60] [--trials 3] [--seed 5]
@@ -77,11 +78,17 @@ def main() -> int:
         faults = len(plan.faults)
         retried = registry.counter("executor.trials_retried")
         quarantined = registry.counter("executor.trials_quarantined")
-        print(f"  retried={retried} quarantined={quarantined}")
+        dispatched = registry.counter("executor.trials_dispatched")
+        print(f"  retried={retried} quarantined={quarantined} dispatched={dispatched}")
         if isinstance(chaotic, PartialEnsembleResult):
             problems.append(f"chaos run lost trials: {chaotic.missing_trials}")
         if retried != faults:
             problems.append(f"expected {faults} retries, saw {retried}")
+        # A trial is re-sent only after a fault was charged to it.
+        if dispatched != args.trials + retried:
+            problems.append(
+                f"expected {args.trials} + {retried} dispatches, saw {dispatched}"
+            )
         if quarantined:
             problems.append(f"{quarantined} trials quarantined; expected 0")
         if build_manifest(chaotic, config).trial_digests != clean.trial_digests:

@@ -167,20 +167,13 @@ def _cache_table(counters: Mapping[str, int]) -> str | None:
 
 
 def _executor_table(counters: Mapping[str, int]) -> str | None:
-    """Chunk-level dispatch and recovery stats from ``executor.*`` counters."""
-    items = {k: v for k, v in counters.items() if k.startswith("executor.")}
-    if not items:
-        return None
-    rows: list[tuple[str, str]] = []
-    chunks = items.pop("executor.chunks_dispatched", 0)
-    trials = items.pop("executor.trials_dispatched", 0)
-    if chunks:
-        rows.append(("chunks dispatched", str(chunks)))
-        rows.append(("trials dispatched", str(trials)))
-        rows.append(("mean trials/chunk", f"{trials / chunks:.2f}"))
-    for key, value in sorted(items.items()):
-        rows.append((key.removeprefix("executor.").replace("_", " "), str(value)))
-    return markdown_table(["executor", "value"], rows)
+    """Dispatch and recovery stats from ``executor.*`` counters."""
+    rows = [
+        (key.removeprefix("executor.").replace("_", " "), str(value))
+        for key, value in sorted(counters.items())
+        if key.startswith("executor.")
+    ]
+    return markdown_table(["executor", "value"], rows) if rows else None
 
 
 #: Counter prefixes the fault/shedding table claims from the registry.

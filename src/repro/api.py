@@ -350,7 +350,6 @@ def run_ensemble(
     resume: bool = False,
     trial_timeout: float | None = None,
     max_retries: int = 2,
-    chunk_size: int | None = None,
 ) -> EnsembleResult:
     """Run ``num_trials`` paired trials of one or more scenarios.
 
@@ -359,9 +358,8 @@ def run_ensemble(
     task stream).  ``base_seed`` defaults to the scenarios' shared seed
     override, falling back to the configured master seed; trial ``i``
     derives its own seed from it.  The resilience options
-    (``checkpoint``/``resume``/``trial_timeout``/``max_retries``), the
-    ``chunk_size`` dispatch knob, and collectors forward to
-    :func:`repro.experiments.runner.run_ensemble`.
+    (``checkpoint``/``resume``/``trial_timeout``/``max_retries``) and
+    collectors forward to :func:`repro.experiments.runner.run_ensemble`.
     """
     scens = (scenarios,) if isinstance(scenarios, Scenario) else tuple(scenarios)
     if not scens:
@@ -384,7 +382,6 @@ def run_ensemble(
         resume=resume,
         trial_timeout=trial_timeout,
         max_retries=max_retries,
-        chunk_size=chunk_size,
     )
 
 

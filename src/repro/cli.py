@@ -383,6 +383,11 @@ class _Outputs:
         timeline_cap: int | None = None,
     ) -> None:
         self.args = args
+        # Built before any output opens and whether or not --timeline-out
+        # asks for it, so a bad --timeline-dt / --timeline-cap always fails.
+        timeline = TimelineRecorder(
+            args.timeline_dt, stream=0, label=label or "", capacity=timeline_cap
+        )
         trace_out = getattr(args, "trace_out", None)
         profile_out = getattr(args, "profile_out", None)
         self.trace = JsonlSink(trace_out) if trace_out else None
@@ -395,9 +400,7 @@ class _Outputs:
             if profile_out:
                 self.recorder = SpanRecorder(stream=0, label=f"trial:{label}")
             if args.timeline_out:
-                self.timeline = TimelineRecorder(
-                    args.timeline_dt, stream=0, label=label, capacity=timeline_cap
-                )
+                self.timeline = timeline
 
     def __enter__(self) -> "_Outputs":
         return self

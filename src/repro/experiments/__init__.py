@@ -38,7 +38,6 @@ from repro.experiments.figures import (
     FIGURES,
     PAPER_MEDIANS,
     figure_specs,
-    run_figure,
 )
 from repro.experiments.stats import (
     BoxStats,
@@ -66,7 +65,6 @@ __all__ = [
     "FIGURES",
     "PAPER_MEDIANS",
     "figure_specs",
-    "run_figure",
     "BoxStats",
     "box_stats",
     "median_improvement",

@@ -6,18 +6,15 @@ every completed trial.  This module fails *open* instead, applying the
 robustness discipline of the paper's scheduler to the harness itself:
 
 * :func:`run_supervised` owns a pool of worker processes connected by
-  pipes.  Trials are dispatched in *chunks* of ``chunk_size`` jobs per
-  IPC round (auto-sized from the trial count and ``n_jobs`` by
-  default), but fault granularity stays per-trial: a dying worker
-  forfeits only the trial it was running — the rest of its chunk is
-  requeued at the same attempt, uncharged — a hung worker is killed at
-  the per-trial wall-clock timeout (the deadline re-arms as each trial
-  of a chunk starts), and result payloads are checksummed so transport
-  corruption is detected rather than silently recorded.  Results travel
-  as single-copy binary frames: the worker pickles the value once,
-  directly into the frame buffer behind a fixed header carrying the
-  trial index and the payload's SHA-256, instead of pickling the value
-  and then pickling the (blob, digest) tuple again for the pipe.
+  pipes and hands each idle worker one trial at a time.  A dying worker
+  forfeits only the trial it was running, a hung worker is killed at
+  the per-trial wall-clock timeout, and result payloads are checksummed
+  so transport corruption is detected rather than silently recorded.
+  Results travel as single-copy binary frames: the worker pickles the
+  value once, directly into the frame buffer behind a fixed header
+  carrying the trial index and the payload's SHA-256, instead of
+  pickling the value and then pickling the (blob, digest) tuple again
+  for the pipe.
 * Failed trials retry with exponential backoff and **deterministic**
   jitter derived from ``(base_seed, "retry", trial, attempt)`` via
   :mod:`repro.rng` — chaos runs replay exactly.  A trial that exhausts
@@ -55,7 +52,6 @@ import pathlib
 import pickle
 import time
 import warnings
-from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence
 
@@ -89,21 +85,6 @@ _MIN_WAIT = 0.01
 _STATUS_OK = 0x52  # "R"
 _STATUS_ERR = 0x45  # "E"
 _HEADER_SIZE = 1 + 8 + 32
-#: Chunk auto-sizing: aim for this many dispatch waves per worker (keeps
-#: the tail balanced when trials have uneven durations) up to this cap
-#: (bounds how much work one crash or timeout can requeue).  Two waves —
-#: not four — and ceiling division: floor-dividing by four waves drove
-#: small ensembles (e.g. 16 trials on 4 jobs) to chunk size 1, paying
-#: one IPC round trip per trial and benchmarking *slower* than unchunked
-#: dispatch.
-_CHUNK_WAVES = 2
-_CHUNK_CAP = 16
-
-
-def _auto_chunk_size(num_trials: int, n_jobs: int) -> int:
-    """Default jobs per IPC round given the trial count and pool size."""
-    per_worker = -(-num_trials // (_CHUNK_WAVES * max(1, n_jobs)))
-    return max(1, min(_CHUNK_CAP, per_worker))
 
 
 def _result_frame(trial: int, value: Any) -> memoryview:
@@ -190,44 +171,37 @@ class _ChaosError(RuntimeError):
 
 
 def _worker_main(conn: multiprocessing.connection.Connection) -> None:
-    """Worker loop: receive ``(fn, jobs)`` chunks; ``None`` means exit.
+    """Worker loop: receive ``(fn, job)`` messages; ``None`` means exit.
 
-    Each job is ``(trial, attempt, payload, fault)``; the chunk's trials
-    run strictly in order and every trial replies with its own binary
-    frame (see :func:`_result_frame` / :func:`_error_frame`) as soon as
-    it resolves, so the supervisor sees per-trial progress even though
-    dispatch is chunked.  Injected crash/hang faults bypass the reply
-    for their trial (that is the point) — a crash mid-chunk abandons the
-    rest of the chunk exactly like a real mid-chunk death would.
+    Each job is ``(trial, attempt, payload, fault)`` and is answered by
+    one binary frame (see :func:`_result_frame` / :func:`_error_frame`).
+    Injected crash/hang faults bypass the reply (that is the point).
     """
     try:
         while True:
             msg = conn.recv()
             if msg is None:
                 break
-            fn, jobs = msg
-            for trial, attempt, payload, fault in jobs:
-                if fault == FAULT_CRASH:
-                    os._exit(_CRASH_EXIT)
-                if fault == FAULT_HANG:
-                    time.sleep(_HANG_SECONDS)
-                    conn.send_bytes(
-                        _error_frame(trial, "injected hang outlived the supervisor")
+            fn, (trial, attempt, payload, fault) = msg
+            if fault == FAULT_CRASH:
+                os._exit(_CRASH_EXIT)
+            if fault == FAULT_HANG:
+                time.sleep(_HANG_SECONDS)
+                conn.send_bytes(
+                    _error_frame(trial, "injected hang outlived the supervisor")
+                )
+                continue
+            try:
+                if fault == FAULT_ERROR:
+                    raise _ChaosError(
+                        f"injected error fault (trial {trial}, attempt {attempt})"
                     )
-                    continue
-                try:
-                    if fault == FAULT_ERROR:
-                        raise _ChaosError(
-                            f"injected error fault (trial {trial}, attempt {attempt})"
-                        )
-                    frame = _result_frame(trial, fn(payload))
-                    if fault == FAULT_CORRUPT:
-                        frame[_HEADER_SIZE] ^= 0xFF
-                    conn.send_bytes(frame)
-                except Exception as exc:
-                    conn.send_bytes(
-                        _error_frame(trial, f"{type(exc).__name__}: {exc}")
-                    )
+                frame = _result_frame(trial, fn(payload))
+                if fault == FAULT_CORRUPT:
+                    frame[_HEADER_SIZE] ^= 0xFF
+                conn.send_bytes(frame)
+            except Exception as exc:
+                conn.send_bytes(_error_frame(trial, f"{type(exc).__name__}: {exc}"))
     except (EOFError, OSError, KeyboardInterrupt):
         pass
 
@@ -241,9 +215,9 @@ def _mp_context() -> multiprocessing.context.BaseContext:
 
 
 class _Worker:
-    """One supervised worker process plus its pipe and in-flight chunk."""
+    """One supervised worker process plus its pipe and in-flight trial."""
 
-    __slots__ = ("conn", "process", "jobs", "deadline", "started_at")
+    __slots__ = ("conn", "process", "job", "deadline", "started_at")
 
     def __init__(self, ctx: multiprocessing.context.BaseContext) -> None:
         parent_conn, child_conn = ctx.Pipe()
@@ -251,10 +225,8 @@ class _Worker:
         self.process = ctx.Process(target=_worker_main, args=(child_conn,), daemon=True)
         self.process.start()
         child_conn.close()
-        #: Remaining (trial, attempt) jobs of the in-flight chunk; the
-        #: head entry is the trial the worker is running *now* — its
-        #: deadline and span clock below always refer to the head.
-        self.jobs: deque[tuple[int, int]] = deque()
+        #: The (trial, attempt) the worker is running, ``None`` when idle.
+        self.job: tuple[int, int] | None = None
         self.deadline: float | None = None
         self.started_at: float = 0.0
 
@@ -287,7 +259,6 @@ def run_supervised(
     on_event: Callable[[Event], None] | None = None,
     metrics: MetricsRegistry | None = None,
     profile: SpanRecorder | None = None,
-    chunk_size: int | None = None,
 ) -> tuple[dict[int, Any], list[TrialFailure]]:
     """Run ``fn(payloads[trial])`` for every trial under supervision.
 
@@ -297,31 +268,23 @@ def run_supervised(
     :class:`~repro.obs.events.TrialRetried` /
     :class:`~repro.obs.events.TrialQuarantined`.
 
-    ``chunk_size`` is the number of jobs handed to a worker per IPC
-    round (``None`` auto-sizes from the trial count and ``n_jobs``;
-    chaos-scale ensembles get 1).  Chunking amortizes dispatch latency
-    without coarsening recovery: workers reply per trial, the per-trial
-    ``trial_timeout`` deadline re-arms as each trial of a chunk starts,
-    and when a worker dies only the trial it was actually running is
-    charged a fault — the untouched remainder of its chunk goes back to
-    the queue at the same attempt number.  Checkpoint (``on_result``)
-    and quarantine granularity are therefore identical to
-    ``chunk_size=1``.
+    The pool is ``min(n_jobs, len(payloads))`` workers and each idle
+    worker is handed one trial per IPC round, so the per-trial
+    ``trial_timeout`` deadline starts when the trial is sent, and a
+    trial is sent again only after a fault was charged to it: a dying
+    or hung worker forfeits exactly the trial it was running.
 
-    With ``profile``, every attempt's start-to-resolution wall time is
+    With ``profile``, every attempt's send-to-resolution wall time is
     recorded as an ``executor.trial`` span (``tid`` = pool slot, so
     trace viewers show one lane per worker; faulted and timed-out
     attempts are included — their cost is real even when their result
-    is discarded).  A chunked trial's span starts when it becomes its
-    worker's head job, not when the chunk was sent.
+    is discarded).
 
     ``fn`` and the payloads must be picklable; ``fn`` must be a
     module-level callable so the worker can resolve it.
     """
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
-    if chunk_size is not None and chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     retry = retry or RetryPolicy()
     done: dict[int, Any] = {}
     failures: list[TrialFailure] = []
@@ -332,9 +295,9 @@ def run_supervised(
         if on_event is not None:
             on_event(event)
 
-    def count(name: str, n: int = 1) -> None:
+    def count(name: str) -> None:
         if metrics is not None:
-            metrics.inc(name, n)
+            metrics.inc(name)
 
     def span_trial(started_at: float, slot: int) -> None:
         if profile is not None:
@@ -346,19 +309,6 @@ def run_supervised(
     now = time.monotonic()
     pending: list[tuple[float, int, int]] = [(now, t, 1) for t in sorted(payloads)]
     heapq.heapify(pending)
-    chunk = chunk_size if chunk_size is not None else _auto_chunk_size(len(payloads), n_jobs)
-
-    def abandon_chunk(worker: _Worker) -> None:
-        """Requeue a dead worker's untouched jobs at the same attempt.
-
-        They never ran, so no fault is charged and no retry is counted —
-        they become immediately eligible again.
-        """
-        now = time.monotonic()
-        count("executor.trials_requeued", len(worker.jobs))
-        while worker.jobs:
-            trial, attempt = worker.jobs.popleft()
-            heapq.heappush(pending, (now, trial, attempt))
 
     def handle_fault(trial: int, attempt: int, fault: str, detail: str) -> None:
         count(f"executor.faults.{fault}")
@@ -379,32 +329,27 @@ def run_supervised(
     try:
         while len(done) + len(failures) < len(payloads):
             now = time.monotonic()
-            # Assign up to ``chunk`` eligible pending jobs per idle worker.
+            # Hand the soonest eligible pending trial to each idle worker.
             for slot, worker in enumerate(workers):
-                if worker.jobs or not pending or pending[0][0] > now:
+                if worker.job is not None or not pending or pending[0][0] > now:
                     continue
-                jobs: list[tuple[int, int, Any, str | None]] = []
-                while pending and pending[0][0] <= now and len(jobs) < chunk:
-                    _, trial, attempt = heapq.heappop(pending)
-                    fault = fault_plan.fault_for(trial, attempt) if fault_plan else None
-                    jobs.append((trial, attempt, payloads[trial], fault))
+                _, trial, attempt = heapq.heappop(pending)
+                fault = fault_plan.fault_for(trial, attempt) if fault_plan else None
                 try:
-                    worker.conn.send((fn, jobs))
+                    worker.conn.send((fn, (trial, attempt, payloads[trial], fault)))
                 except (BrokenPipeError, OSError):
-                    # The worker died between chunks; put the jobs back
-                    # and replace the worker before trying again.
-                    for trial, attempt, _payload, _fault in jobs:
-                        heapq.heappush(pending, (now, trial, attempt))
+                    # The worker died while idle; the trial never ran, so
+                    # it goes back uncharged and the worker is replaced.
+                    heapq.heappush(pending, (now, trial, attempt))
                     worker.kill()
                     workers[slot] = _Worker(ctx)
                     continue
-                worker.jobs = deque((t, a) for t, a, _p, _f in jobs)
+                worker.job = (trial, attempt)
                 worker.deadline = now + trial_timeout if trial_timeout is not None else None
                 worker.started_at = time.perf_counter()
-                count("executor.chunks_dispatched")
-                count("executor.trials_dispatched", len(jobs))
+                count("executor.trials_dispatched")
 
-            busy = [w for w in workers if w.jobs]
+            busy = [w for w in workers if w.job is not None]
             # How long may we block?  Until the soonest worker deadline
             # or the soonest retry becomes eligible.
             horizons = [w.deadline - now for w in busy if w.deadline is not None]
@@ -421,27 +366,22 @@ def run_supervised(
                 [w.conn for w in busy], timeout=wait_for
             )
             for conn in ready:
-                worker = next(w for w in busy if w.conn is conn)
-                if not worker.jobs:  # pragma: no cover - defensive
-                    continue
-                slot = workers.index(worker)
-                trial, attempt = worker.jobs[0]
-                started_at = worker.started_at
+                slot, worker = next(
+                    (i, w) for i, w in enumerate(workers) if w.conn is conn
+                )
+                trial, attempt = worker.job
+                worker.job = worker.deadline = None
                 try:
                     frame = conn.recv_bytes()
                 except (EOFError, OSError):
                     # Pipe closed without a reply: the worker crashed on
-                    # its current trial.  Only that trial is forfeit —
-                    # the untouched rest of the chunk goes back as-is.
-                    worker.jobs.popleft()
-                    abandon_chunk(worker)
+                    # its trial.
                     worker.kill()
                     workers[slot] = _Worker(ctx)
-                    span_trial(started_at, slot)
+                    span_trial(worker.started_at, slot)
                     handle_fault(trial, attempt, FAULT_CRASH, "worker process died")
                     continue
-                worker.jobs.popleft()
-                span_trial(started_at, slot)
+                span_trial(worker.started_at, slot)
                 view = memoryview(frame)
                 ok_len = len(view) >= 9
                 status = view[0] if ok_len else -1
@@ -472,29 +412,16 @@ def run_supervised(
                     handle_fault(
                         trial, attempt, FAULT_CORRUPT, "malformed result frame"
                     )
-                # The next trial of the chunk (if any) starts now: re-arm
-                # its deadline and span clock.
-                if worker.jobs:
-                    worker.deadline = (
-                        time.monotonic() + trial_timeout
-                        if trial_timeout is not None
-                        else None
-                    )
-                    worker.started_at = time.perf_counter()
-                else:
-                    worker.deadline = None
 
             # Enforce per-trial wall-clock deadlines on whoever is left.
             now = time.monotonic()
-            for i, worker in enumerate(workers):
-                if not worker.jobs or worker.deadline is None or now < worker.deadline:
+            for slot, worker in enumerate(workers):
+                if worker.deadline is None or now < worker.deadline:
                     continue
-                trial, attempt = worker.jobs.popleft()
-                started_at = worker.started_at
-                abandon_chunk(worker)
+                trial, attempt = worker.job
                 worker.kill()
-                workers[i] = _Worker(ctx)
-                span_trial(started_at, i)
+                workers[slot] = _Worker(ctx)
+                span_trial(worker.started_at, slot)
                 handle_fault(
                     trial, attempt, FAULT_TIMEOUT,
                     f"trial exceeded {trial_timeout}s wall clock",

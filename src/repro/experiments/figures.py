@@ -9,12 +9,11 @@ re-samples its own cluster).
 
 from __future__ import annotations
 
-from repro.config import SimulationConfig
-from repro.experiments.runner import EnsembleResult, VariantSpec, run_ensemble
+from repro.experiments.runner import VariantSpec
 from repro.filters.chain import VARIANTS
 from repro.heuristics.registry import HEURISTICS
 
-__all__ = ["FIGURES", "PAPER_MEDIANS", "figure_specs", "run_figure", "full_grid_specs"]
+__all__ = ["FIGURES", "PAPER_MEDIANS", "figure_specs", "full_grid_specs"]
 
 #: Figure id -> heuristic shown (fig6 covers all four).
 FIGURES: dict[str, tuple[str, ...]] = {
@@ -67,25 +66,4 @@ def full_grid_specs() -> tuple[VariantSpec, ...]:
     """All sixteen (heuristic, variant) cells of the evaluation."""
     return tuple(
         VariantSpec(heuristic=h, variant=v) for h in HEURISTICS for v in VARIANTS
-    )
-
-
-def run_figure(
-    figure: str,
-    config: SimulationConfig,
-    num_trials: int,
-    base_seed: int = 0,
-    *,
-    n_jobs: int = 1,
-    **resilience,
-) -> EnsembleResult:
-    """Run the trials behind one of the paper's figures.
-
-    Extra keyword arguments (``checkpoint``, ``resume``,
-    ``trial_timeout``, ``max_retries``, ...) forward to
-    :func:`~repro.experiments.runner.run_ensemble`.
-    """
-    return run_ensemble(
-        figure_specs(figure), config, num_trials, base_seed, n_jobs=n_jobs,
-        **resilience,
     )

@@ -270,7 +270,6 @@ def run_ensemble(
     max_retries: int = 2,
     backoff_base: float = 0.5,
     backoff_cap: float = 30.0,
-    chunk_size: int | None = None,
     fault_plan: FaultPlan | None = None,
     sinks: Sequence[EventSink] = (),
     profile: SpanProfile | None = None,
@@ -308,12 +307,6 @@ def run_ensemble(
         :class:`~repro.experiments.executor.RetryPolicy`).  A trial
         failing ``max_retries + 1`` attempts is quarantined and the
         ensemble returns a :class:`PartialEnsembleResult`.
-    chunk_size:
-        Trials dispatched to a worker per IPC round on the supervised
-        path (``None`` = auto from the trial count and ``n_jobs``; see
-        :func:`~repro.experiments.executor.run_supervised`).  Purely a
-        transport knob: results, checkpoint granularity and quarantine
-        stay per-trial.
     fault_plan:
         Deterministic chaos injection (tests/CI only); see
         :mod:`repro.experiments.chaos`.
@@ -426,7 +419,6 @@ def run_ensemble(
                         backoff_base=backoff_base,
                         backoff_cap=backoff_cap,
                     ),
-                    chunk_size=chunk_size,
                     fault_plan=fault_plan,
                     on_result=record,
                     on_event=emit,

@@ -124,6 +124,19 @@ class TestChaosRecovery:
             == clean_manifest.trial_digests
         )
 
+    def test_trial_is_resent_only_after_a_charged_fault(self):
+        # A crash forfeits the crashed trial alone: no other trial is sent
+        # twice, so every dispatch beyond the first per trial is a retry.
+        plan = FaultPlan.of((0, 1, "crash"), (1, 1, "corrupt"), (2, 1, "error"))
+        registry = MetricsRegistry()
+        run_ensemble(
+            SPECS, micro_config(seed=5), TRIALS, BASE_SEED,
+            backoff_base=0.0, fault_plan=plan, metrics=registry,
+        )
+        retried = registry.counter("executor.trials_retried")
+        assert retried == 3
+        assert registry.counter("executor.trials_dispatched") == TRIALS + retried
+
 
 class TestQuarantine:
     def test_poison_trial_yields_partial_result(self):

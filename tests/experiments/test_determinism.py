@@ -75,7 +75,7 @@ class TestParallelDeterminism:
                 SPECS, micro_config(seed=5), num_trials=3, base_seed=9,
                 n_jobs=n_jobs, metrics=registry,
             )
-            # ``executor.*`` counters (chunk dispatch bookkeeping) are
+            # ``executor.*`` counters (dispatch and recovery counts) are
             # harness-operational: they describe *how* trials were
             # delivered to workers, so they only exist on the parallel
             # path.  Everything else — the simulation metrics — must be

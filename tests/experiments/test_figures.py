@@ -9,9 +9,8 @@ from repro.experiments.figures import (
     PAPER_MEDIANS,
     figure_specs,
     full_grid_specs,
-    run_figure,
 )
-from repro.experiments.runner import VariantSpec
+from repro.experiments.runner import VariantSpec, run_ensemble
 from tests.conftest import tiny_config
 
 
@@ -60,7 +59,7 @@ class TestDefinitions:
 
 class TestRunFigure:
     def test_run_small_figure(self):
-        ensemble = run_figure("fig2", tiny_config(), num_trials=2, base_seed=1)
+        ensemble = run_ensemble(figure_specs("fig2"), tiny_config(), num_trials=2, base_seed=1)
         assert ensemble.num_trials == 2
         assert VariantSpec("SQ", "none") in ensemble.results
         assert len(ensemble.specs) == 4

@@ -1,13 +1,13 @@
 """Ensemble-level results-neutrality of the full optimization stack.
 
 With every ensemble optimization engaged at once — one kernel cache
-shared by a trial's specs, chunked dispatch and the single-copy result
-frames — every ``TrialResult`` and the run's manifest digests are
-bitwise identical to the reference: a plain loop running every spec of
-every trial through :func:`~repro.obs.hooks.observe_trial` on the
-never-hit ``NeverHitCache``, at any ``n_jobs`` and chunk size.  Sharing
-one cache across a trial's specs is pinned separately against a fresh
-cache per spec.
+shared by a trial's specs and the single-copy result frames — every
+``TrialResult`` and the run's manifest digests are bitwise identical to
+the reference: a plain loop running every spec of every trial through
+:func:`~repro.obs.hooks.observe_trial` on the never-hit
+``NeverHitCache``, serially and on the worker pool.  Sharing one cache
+across a trial's specs is pinned separately against a fresh cache per
+spec.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ TRIALS = 4
 BASE_SEED = 17
 
 
-def run(*, n_jobs=1, chunk_size=None):
+def run(*, n_jobs=1):
     return run_ensemble(
         SPECS,
         micro_config(seed=31),
@@ -35,7 +35,6 @@ def run(*, n_jobs=1, chunk_size=None):
         base_seed=BASE_SEED,
         n_jobs=n_jobs,
         keep_outcomes=True,
-        chunk_size=chunk_size,
     )
 
 
@@ -74,13 +73,9 @@ def reference():
     )
 
 
-@pytest.mark.parametrize(
-    "n_jobs,chunk_size",
-    [(1, None), (2, None), (2, 1), (2, 3)],
-    ids=["serial", "parallel-auto", "parallel-chunk1", "parallel-chunk3"],
-)
-def test_all_optimizations_bitwise_match_reference(reference, n_jobs, chunk_size):
-    optimized = run(n_jobs=n_jobs, chunk_size=chunk_size)
+@pytest.mark.parametrize("n_jobs", [1, 2], ids=["serial", "parallel"])
+def test_all_optimizations_bitwise_match_reference(reference, n_jobs):
+    optimized = run(n_jobs=n_jobs)
     for spec in SPECS:
         assert optimized.results[spec] == reference.results[spec]
     config = micro_config(seed=31)

@@ -282,13 +282,20 @@ class TestResilienceFlags:
              "timeline dt must be positive"),
             (["serve", "--task-limit", "10", "--timeline-out", "t.json",
               "--timeline-cap", "0"], "timeline capacity must be positive"),
+            (["trial", "--tasks", "30", "--timeline-dt", "-5"],
+             "timeline dt must be positive"),
+            (["figure", "fig2", "--tasks", "20", "--trials", "1", "--timeline-dt", "0"],
+             "timeline dt must be positive"),
+            (["serve", "--task-limit", "10", "--timeline-cap", "0"],
+             "timeline capacity must be positive"),
             (["serve", "--task-limit", "10", "--slo", "bogus"], "--slo: "),
         ],
         ids=[
             "jobs-0", "trials-0", "tasks-negative", "unknown-filter",
             "unknown-heuristic", "malformed-spec", "timeout-negative",
             "retries-negative", "retries-negative-parallel",
-            "timeline-dt-0", "timeline-cap-0", "slo-bogus",
+            "timeline-dt-0", "timeline-cap-0", "timeline-dt-negative-no-out",
+            "figure-timeline-dt-0-no-out", "timeline-cap-0-no-out", "slo-bogus",
         ],
     )
     def test_bad_flag_values_exit_with_one_line(self, capsys, argv, reason):
