@@ -79,7 +79,7 @@ class PriorityLightestLoad(Heuristic):
 
     def select(self, cands: CandidateSet, ctx: MappingContext) -> int | None:
         """Pick the minimum priority-shaped load."""
-        miss = np.clip(1.0 - cands.prob_on_time, 1e-12, 1.0)
+        miss = np.clip(1.0 - cands.feasible_rho(), 1e-12, 1.0)
         load = cands.eec * np.power(miss, ctx.task.priority)
         return argmin_lexicographic(cands.mask, load)
 

@@ -31,4 +31,4 @@ class RobustnessFilter(AssignmentFilter):
 
     def apply(self, cands: CandidateSet, ctx: MappingContext) -> None:
         """Clear candidates whose on-time probability is below threshold."""
-        cands.mask &= cands.prob_on_time >= self._config.rho_thresh
+        cands.mask &= cands.feasible_rho() >= self._config.rho_thresh

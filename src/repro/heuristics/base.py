@@ -12,21 +12,58 @@ one index (or none, in which case the task is discarded).
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass
+from typing import NamedTuple, Protocol
 
 import numpy as np
 
 from repro.workload.task import Task
 
-__all__ = ["Assignment", "CandidateSet", "MappingContext", "Heuristic", "argmin_lexicographic"]
+__all__ = [
+    "Assignment",
+    "CandidateSet",
+    "ColumnSource",
+    "MappingContext",
+    "Heuristic",
+    "argmin_lexicographic",
+]
 
-#: Sentinel default for :attr:`CandidateSet.mask` — replaced by an
-#: all-feasible mask of the right length in ``__post_init__``.  A real
-#: (if empty) boolean array keeps the field's ``np.ndarray`` annotation
-#: honest, unlike the previous ``default=None`` + ``type: ignore``.
-_MASK_UNSET: np.ndarray = np.empty(0, dtype=bool)
-_MASK_UNSET.setflags(write=False)
+
+class ColumnSource(Protocol):
+    """Where a :class:`CandidateSet`'s ECT and rho columns come from.
+
+    ``ect(mask)`` and ``rho(mask)`` return a full-length column in which
+    every candidate of a core with at least one candidate in ``mask`` is
+    filled (``mask=None``: every candidate); the other entries are
+    undefined.  ``rho_at(index)`` returns one candidate's rho.  The
+    engine's source (:mod:`repro.sim.mapper`) computes each core's rows
+    on first read, so a policy pays only for the cores it looks at.
+    """
+
+    def ect(self, mask: np.ndarray | None) -> np.ndarray: ...
+
+    def rho(self, mask: np.ndarray | None) -> np.ndarray: ...
+
+    def rho_at(self, index: int) -> float: ...
+
+
+class _GivenColumns:
+    """Columns handed to the constructor as ready-made arrays."""
+
+    __slots__ = ("_ect", "_rho")
+
+    def __init__(self, ect: np.ndarray, rho: np.ndarray) -> None:
+        self._ect = ect
+        self._rho = rho
+
+    def ect(self, mask: np.ndarray | None) -> np.ndarray:
+        return self._ect
+
+    def rho(self, mask: np.ndarray | None) -> np.ndarray:
+        return self._rho
+
+    def rho_at(self, index: int) -> float:
+        return float(self._rho[index])
 
 
 class Assignment(NamedTuple):
@@ -36,13 +73,20 @@ class Assignment(NamedTuple):
     pstate: int
 
 
-@dataclass
 class CandidateSet:
     """Vectorized view of every potential assignment for one task.
 
     All arrays share length ``num_cores * num_pstates`` and candidate
     order (core-major, then P-state), so ``argmin`` indices translate
     directly to assignments.
+
+    ``ect`` and ``prob_on_time`` are either passed as arrays or come
+    from a :class:`ColumnSource` (``columns=``), which the engine's
+    builder uses to compute them only where they are read.  The two
+    properties always return the full column; :meth:`feasible_ect`,
+    :meth:`feasible_rho` and :meth:`rho_at` are the cheaper reads a
+    policy should prefer.  A source reads live core state, so read the
+    columns before the mapping step commits its assignment.
 
     Attributes
     ----------
@@ -63,27 +107,69 @@ class CandidateSet:
         Feasibility mask; filters clear entries, heuristics respect it.
     """
 
-    core_ids: np.ndarray
-    pstates: np.ndarray
-    queue_len: np.ndarray
-    eet: np.ndarray
-    eec: np.ndarray
-    ect: np.ndarray
-    prob_on_time: np.ndarray
-    mask: np.ndarray = field(default_factory=lambda: _MASK_UNSET)
+    __slots__ = ("core_ids", "pstates", "queue_len", "eet", "eec", "mask", "_columns")
 
-    def __post_init__(self) -> None:
-        n = self.core_ids.size
-        for name in ("pstates", "queue_len", "eet", "eec", "ect", "prob_on_time"):
-            if getattr(self, name).size != n:
+    def __init__(
+        self,
+        core_ids: np.ndarray,
+        pstates: np.ndarray,
+        queue_len: np.ndarray,
+        eet: np.ndarray,
+        eec: np.ndarray,
+        ect: np.ndarray | None = None,
+        prob_on_time: np.ndarray | None = None,
+        mask: np.ndarray | None = None,
+        *,
+        columns: ColumnSource | None = None,
+    ) -> None:
+        self.core_ids = core_ids
+        self.pstates = pstates
+        self.queue_len = queue_len
+        self.eet = eet
+        self.eec = eec
+        n = core_ids.size
+        named = {"pstates": pstates, "queue_len": queue_len, "eet": eet, "eec": eec}
+        if columns is None:
+            if ect is None or prob_on_time is None:
+                raise TypeError("pass ect and prob_on_time, or columns=")
+            named.update(ect=ect, prob_on_time=prob_on_time)
+            columns = _GivenColumns(ect, prob_on_time)
+        elif ect is not None or prob_on_time is not None:
+            raise TypeError("pass ect and prob_on_time, or columns=, not both")
+        for name, arr in named.items():
+            if arr.size != n:
                 raise ValueError(f"candidate array {name!r} misaligned")
-        if self.mask is _MASK_UNSET:
-            self.mask = np.ones(n, dtype=bool)
-        elif self.mask.size != n:
+        if mask is None:
+            mask = np.ones(n, dtype=bool)
+        elif mask.size != n:
             raise ValueError("mask misaligned")
+        self.mask = mask
+        self._columns = columns
 
     def __len__(self) -> int:
         return int(self.core_ids.size)
+
+    @property
+    def ect(self) -> np.ndarray:
+        """Expected completion time of every candidate."""
+        return self._columns.ect(None)
+
+    @property
+    def prob_on_time(self) -> np.ndarray:
+        """On-time probability rho of every candidate."""
+        return self._columns.rho(None)
+
+    def feasible_ect(self) -> np.ndarray:
+        """ECT, defined on every candidate of a core with one in ``mask``."""
+        return self._columns.ect(self.mask)
+
+    def feasible_rho(self) -> np.ndarray:
+        """rho, defined on every candidate of a core with one in ``mask``."""
+        return self._columns.rho(self.mask)
+
+    def rho_at(self, index: int) -> float:
+        """rho of the one candidate ``index``."""
+        return self._columns.rho_at(index)
 
     @property
     def num_feasible(self) -> int:

@@ -68,7 +68,7 @@ class OpportunisticLoadBalancing(Heuristic):
 
     def select(self, cands: CandidateSet, ctx: MappingContext) -> int | None:
         """Pick the earliest-ready core (ties: cheapest EEC)."""
-        ready = cands.ect - cands.eet
+        ready = cands.feasible_ect() - cands.eet
         return argmin_lexicographic(cands.mask, ready, cands.eec)
 
 
@@ -96,7 +96,7 @@ class KPercentBest(Heuristic):
         best_by_eet = feasible[np.argsort(cands.eet[feasible], kind="stable")[:keep]]
         sub_mask = np.zeros_like(cands.mask)
         sub_mask[best_by_eet] = True
-        return argmin_lexicographic(sub_mask, cands.ect)
+        return argmin_lexicographic(sub_mask, cands.feasible_ect())
 
     def __repr__(self) -> str:
         return f"KPercentBest(k_percent={self.k_percent})"

@@ -23,5 +23,5 @@ class LightestLoad(Heuristic):
 
     def select(self, cands: CandidateSet, ctx: MappingContext) -> int | None:
         """Pick the minimum-load candidate per Eq. 5."""
-        load = cands.eec * (1.0 - cands.prob_on_time)
+        load = cands.eec * (1.0 - cands.feasible_rho())
         return argmin_lexicographic(cands.mask, load)

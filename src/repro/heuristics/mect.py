@@ -21,4 +21,4 @@ class MinimumExpectedCompletionTime(Heuristic):
 
     def select(self, cands: CandidateSet, ctx: MappingContext) -> int | None:
         """Pick the minimum expected-completion-time candidate."""
-        return argmin_lexicographic(cands.mask, cands.ect)
+        return argmin_lexicographic(cands.mask, cands.feasible_ect())

@@ -522,7 +522,7 @@ class Engine:
         self.decision_queue_depth = ctx.avg_queue_depth
         self.decision_feasible = cands.num_feasible
         self.decision = None
-        self.decision_rho = 0.0 if index is None else float(cands.prob_on_time[index])
+        self.decision_rho = 0.0 if index is None else cands.rho_at(index)
         if index is None or (veto is not None and veto(self.decision_rho)):
             return None if index is None else _VETOED
 

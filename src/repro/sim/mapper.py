@@ -12,13 +12,17 @@ of Section V-A quantities over all candidates in candidate order
   against the core's ready-time CDF.
 
 :class:`CandidateBuilder` is the engine's one implementation.  It
-precomputes the per-candidate coordinate arrays once per trial, shares a
-single degenerate ready pmf across all idle cores, and deduplicates the
-per-core probability rows by ``(node, ready pmf)`` — every idle core of
-a node yields the same row, so a mostly-idle cluster computes a handful
-of rows instead of one per core.  Its arithmetic expressions are those
-of a plain per-core loop (``tests/reference_mapper.py``, the parity
-oracle), so the results match that loop bit for bit
+precomputes the per-candidate coordinate arrays once per trial and, per
+arrival, fills queue lengths, EET and EEC for every candidate.  A core's
+ready pmf, ECT row and rho row are built on first read
+(:class:`_ArrivalColumns`), at most once per arrival: SQ and Random read
+neither column, MECT reads ECT and the robustness filter and LL read
+rho, each only for the cores with a feasible candidate.  Rows are
+computed by one routine over any core subset; it shares a single
+degenerate ready pmf across all idle cores and one probability row per
+node across them.  Its arithmetic expressions are those of a plain
+per-core loop (``tests/reference_mapper.py``, the parity oracle), so any
+subset of rows matches that loop bit for bit
 (``tests/perf/test_parity.py``).
 """
 
@@ -38,15 +42,14 @@ __all__ = ["CandidateBuilder"]
 
 
 class CandidateBuilder:
-    """Per-trial candidate-set builder with batched array construction.
+    """Per-trial candidate-set builder.
 
     Bound to one core list and one execution-time table (both live for a
     whole trial), so the candidate coordinate arrays — identical for
-    every arrival — are built once.  Per arrival it shares one
-    degenerate ready pmf across all idle cores and computes one
-    probability row per *distinct* ``(node, ready pmf)`` pair instead of
-    one per core.  Output is bitwise identical to the per-core
-    reference loop the parity tests hold it to.
+    every arrival — are built once.  ECT and rho are left to each
+    arrival's :class:`_ArrivalColumns`, which builds only the rows that
+    are read.  Output is bitwise identical to the per-core reference
+    loop the parity tests hold it to.
     """
 
     __slots__ = (
@@ -57,7 +60,8 @@ class CandidateBuilder:
         "_core_ids",
         "_pstates",
         "_dt",
-        "_node_cores",
+        "_core_node",
+        "_node_order",
     )
 
     def __init__(self, cores: Sequence[CoreState], table: ExecutionTimeTable) -> None:
@@ -77,105 +81,217 @@ class CandidateBuilder:
         self._core_ids = core_ids
         self._pstates = pstates
         self._dt = table.grid.dt
-        # Cores grouped by node: collecting distinct ready pmfs in node
+        self._core_node = [core.node_index for core in self._cores]
+        # Core indices grouped by node: walking a core subset in this
         # order keeps each node's rows contiguous, so the per-node dot
         # can run on array slices without gather copies.
-        grouped: dict[int, list[int]] = {}
-        for c, core in enumerate(self._cores):
-            grouped.setdefault(core.node_index, []).append(c)
-        self._node_cores: list[tuple[int, list[int]]] = list(grouped.items())
+        self._node_order = np.argsort(np.array(self._core_node), kind="stable")
 
     def build(self, task: Task, t_now: float) -> CandidateSet:
         """Assemble the candidate set for one arrival at ``t_now``."""
-        cores = self._cores
-        C = self._num_cores
         P = self._num_pstates
-        dt = self._dt
-        deadline = task.deadline
-        type_id = task.type_id
-
         # Per-type gathers memoized on the table: identical values to the
         # per-arrival lookups of the reference loop, shared read-only
         # across arrivals and across every builder over the table.
         eet, eet_flat, eec_flat, times_stack, probs_stack, widths = (
-            self._table.candidate_arrays(type_id)
+            self._table.candidate_arrays(task.type_id)
+        )
+        qlens = [len(core.queue) + (core.running is not None) for core in self._cores]
+        return CandidateSet(
+            core_ids=self._core_ids,
+            pstates=self._pstates,
+            queue_len=np.repeat(np.array(qlens, dtype=np.int64), P),
+            eet=eet_flat,
+            eec=eec_flat,
+            columns=_ArrivalColumns(
+                self, task.deadline, t_now, eet, times_stack, probs_stack, widths
+            ),
         )
 
-        # ``deadline - time`` for every (node, P-state, impulse), once
-        # per arrival — the same elementwise expression the reference
-        # evaluates per node (elementwise ufuncs are exact per element
-        # regardless of batching).
-        a_stack = deadline - times_stack  # (N, P, width)
 
-        # One pass over the cores, grouped by node, collects per
-        # *distinct* (node, ready pmf) pair the quantities the batched
-        # row computation needs; grouping keeps each node's rows
-        # contiguous.  One degenerate pmf stands in for every idle
-        # core's ready time: its values are exactly what
-        # CoreState.ready_pmf would build, and sharing the object caches
-        # the mean and collapses all idle cores of a node onto one
-        # probability row (identity against it is the only way two
-        # cores can share a ready pmf).
-        idle_delta: PMF | None = None
-        idle_mean = 0.0
-        slots: list[int] = [0] * C  # per core: its distinct-row index
-        means: list[float] = [0.0] * C
-        qlens: list[int] = [0] * C
+class _ArrivalColumns:
+    """One arrival's ECT and rho columns, built per core on first read.
+
+    A read names the cores it needs (every core, the cores with a
+    candidate in a mask, or one candidate's core); the rows of those
+    cores not built yet are computed then, together with any ready pmf
+    they need.  The engine reads every column before it commits the
+    arrival's assignment, so the cores' state is the one the arrival saw.
+    """
+
+    __slots__ = (
+        "_builder",
+        "_deadline",
+        "_t_now",
+        "_eet",
+        "_times",
+        "_probs",
+        "_widths",
+        "_ready",
+        "_idle",
+        "_idle_rows",
+        "_ect",
+        "_ect_flat",
+        "_ect_done",
+        "_rho",
+        "_rho_flat",
+        "_rho_done",
+    )
+
+    def __init__(
+        self,
+        builder: CandidateBuilder,
+        deadline: float,
+        t_now: float,
+        eet: np.ndarray,
+        times_stack: np.ndarray,
+        probs_stack: np.ndarray,
+        widths: tuple[int, ...],
+    ) -> None:
+        C, P = builder._num_cores, builder._num_pstates
+        self._builder = builder
+        self._deadline = deadline
+        self._t_now = t_now
+        self._eet = eet  # (C, P)
+        self._times = times_stack  # (N, P, width)
+        self._probs = probs_stack  # (N, P, width)
+        self._widths = widths
+        self._ready: list[PMF | None] = [None] * C
+        self._idle: PMF | None = None
+        self._idle_rows: dict[int, np.ndarray] = {}  # node -> its idle cores' rho row
+        # Entries of cores not built yet are NaN, never stale numbers.
+        self._ect_flat = np.full(C * P, np.nan)
+        self._ect = self._ect_flat.reshape(C, P)
+        self._ect_done = np.zeros(C, dtype=bool)
+        self._rho_flat = np.full(C * P, np.nan)
+        self._rho = self._rho_flat.reshape(C, P)
+        self._rho_done = np.zeros(C, dtype=bool)
+
+    # ColumnSource -------------------------------------------------------
+
+    def ect(self, mask: np.ndarray | None) -> np.ndarray:
+        need = self._pending(self._ect_done, mask)
+        if need.any():
+            self._ect_rows(np.flatnonzero(need).tolist())
+        return self._ect_flat
+
+    def rho(self, mask: np.ndarray | None) -> np.ndarray:
+        need = self._pending(self._rho_done, mask)
+        if need.any():
+            order = self._builder._node_order
+            self._rho_rows(order[need[order]].tolist())
+        return self._rho_flat
+
+    def rho_at(self, index: int) -> float:
+        c = int(index) // self._builder._num_pstates
+        if not self._rho_done[c]:
+            self._rho_rows([c])
+        return float(self._rho_flat[index])
+
+    # Rows ---------------------------------------------------------------
+
+    @staticmethod
+    def _pending(done: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
+        """Per core: asked for by ``mask`` (``None``: all) and not built yet."""
+        if mask is None:
+            return ~done
+        need = mask.reshape(done.size, -1).any(axis=1)
+        need &= ~done
+        return need
+
+    def _ready_pmf(self, c: int) -> PMF:
+        """Core ``c``'s ready pmf, computed at most once per arrival.
+
+        One degenerate pmf stands in for every idle core's ready time:
+        its values are exactly what CoreState.ready_pmf would build, and
+        sharing the object caches the mean and lets all idle cores of a
+        node share one probability row.
+        """
+        ready = self._ready[c]
+        if ready is None:
+            core = self._builder._cores[c]
+            if core.running is None:
+                ready = self._idle
+                if ready is None:
+                    ready = self._idle = PMF.delta(self._t_now, self._builder._dt)
+            else:
+                ready = core.ready_pmf(self._t_now)
+            self._ready[c] = ready
+        return ready
+
+    def _ect_rows(self, cores: list[int]) -> None:
+        means: list[float] = []
+        for c in cores:
+            ready = self._ready_pmf(c)
+            # Inline of PMF.mean's cached branch (same expression, minus
+            # the method dispatch).
+            m1 = ready._m1
+            means.append(float(ready.start + ready.dt * m1) if m1 is not None else ready.mean())
+        self._ect[cores] = np.array(means)[:, None] + self._eet[cores]
+        self._ect_done[cores] = True
+
+    def _rho_rows(self, cores: list[int]) -> None:
+        """Fill the rho rows of ``cores`` (grouped by node, in node order).
+
+        One probability row per distinct (node, ready pmf) pair, batched
+        over the subset: the offset/index grid is one elementwise pass,
+        then the CDF gather and the per-P-state dot run per node on its
+        contiguous (P, width) slice — the same expressions, on the same
+        values, as prob_on_time_all_pstates evaluates one core at a time.
+        Each row is an independent reduction, so a subset's rows equal
+        the same rows of the full computation.
+        """
+        idle_rows = self._idle_rows
+        core_node = self._builder._core_node
+        rho = self._rho
         starts_l: list[float] = []
         sizes_l: list[int] = []
         cdfs: list[np.ndarray] = []
         node_blocks: list[tuple[int, int, int]] = []  # (node, row lo, row hi)
-        for node, node_core_ids in self._node_cores:
-            row_lo = len(starts_l)
-            idle_slot = -1
-            for c in node_core_ids:
-                core = cores[c]
-                if core.running is None:
-                    if idle_delta is None:
-                        idle_delta = PMF.delta(t_now, dt)
-                        idle_mean = idle_delta.mean()
-                    means[c] = idle_mean
-                    if idle_slot < 0:
-                        idle_slot = len(starts_l)
-                        starts_l.append(idle_delta.start)
-                        sizes_l.append(idle_delta.probs.size)
-                        cdfs.append(idle_delta.cdf)
-                    slots[c] = idle_slot
-                    qlens[c] = len(core.queue)
-                else:
-                    ready = core.ready_pmf(t_now)
-                    # Inline of PMF.mean's cached branch (same
-                    # expression, minus the method dispatch).
-                    m1 = ready._m1
-                    means[c] = (
-                        float(ready.start + ready.dt * m1) if m1 is not None else ready.mean()
-                    )
-                    slots[c] = len(starts_l)
-                    starts_l.append(ready.start)
-                    sizes_l.append(ready.probs.size)
-                    cdfs.append(ready.cdf)
-                    qlens[c] = len(core.queue) + 1
-            # Every core owns or shares a row, so no node's block is empty.
+        dest: list[int] = []  # cores filled from this batch ...
+        slots: list[int] = []  # ... and their rows in it
+        fresh_idle: dict[int, int] = {}  # node -> row of its idle cores
+        node = -1
+        row_lo = 0
+        for c in cores:
+            n = core_node[c]
+            if n != node:
+                if len(starts_l) > row_lo:
+                    node_blocks.append((node, row_lo, len(starts_l)))
+                node, row_lo = n, len(starts_l)
+            ready = self._ready_pmf(c)
+            idle = ready is self._idle
+            if idle and n in idle_rows:
+                rho[c] = idle_rows[n]
+                continue
+            slot = fresh_idle.get(n, -1) if idle else -1
+            if slot < 0:
+                slot = len(starts_l)
+                starts_l.append(ready.start)
+                sizes_l.append(ready.probs.size)
+                cdfs.append(ready.cdf)
+                if idle:
+                    fresh_idle[n] = slot
+            dest.append(c)
+            slots.append(slot)
+        if len(starts_l) > row_lo:
             node_blocks.append((node, row_lo, len(starts_l)))
-        ready_means = np.array(means)
-        queue_len = np.array(qlens, dtype=np.int64)
+        self._rho_done[cores] = True
+        if not starts_l:
+            return
 
-        # Probability rows, one per distinct (node, ready pmf), over all
-        # nodes in one batch: the offset/index grid is one elementwise
-        # pass, then the CDF gather and the per-P-state dot run per
-        # distinct pmf on its contiguous (P, width) slice — the same
-        # expressions, on the same values, as prob_on_time_all_pstates
-        # evaluates one core at a time.
+        dt = self._builder._dt
+        times = self._times
         u = len(starts_l)
         starts = np.array(starts_l)
         sizes = np.array(sizes_l, dtype=np.int64)
-        # floor((a - start) / dt + 1e-9) in-place on a writable
-        # stack of each distinct pmf's node rows: the same
-        # elementwise chain as the expression form, without the
-        # intermediate temporaries.
-        work = np.empty((u, a_stack.shape[1], a_stack.shape[2]))
-        for node, row_lo, row_hi in node_blocks:
-            work[row_lo:row_hi] = a_stack[node]
+        # floor((deadline - time - start) / dt + 1e-9) in place on a
+        # writable stack of each row's node matrix: the same elementwise
+        # chain as the expression form, without the intermediate
+        # temporaries.
+        work = np.empty((u, times.shape[1], times.shape[2]))
+        for n, lo, hi in node_blocks:
+            np.subtract(self._deadline, times[n], out=work[lo:hi])
         np.subtract(work, starts[:, None, None], out=work)
         np.divide(work, dt, out=work)
         np.add(work, 1e-9, out=work)
@@ -183,11 +299,11 @@ class CandidateBuilder:
         ks_all = work.astype(np.int64)
         np.minimum(ks_all, (sizes - 1)[:, None, None], out=ks_all)
         np.maximum(ks_all, -1, out=ks_all)
-        # One flat gather over all distinct CDFs, with an exact-0.0
-        # sentinel ahead of each block: entry ``j`` of pmf ``i``
-        # lives at ``offsets[i] + j`` and the clamped ``j == -1``
-        # (query before the pmf's start) lands on the sentinel — the
-        # same per-element values the reference's ``np.where`` form
+        # One flat gather over all the rows' CDFs, with an exact-0.0
+        # sentinel ahead of each block: entry ``j`` of row ``i`` lives
+        # at ``offsets[i] + j`` and the clamped ``j == -1`` (query
+        # before the pmf's start) lands on the sentinel — the same
+        # per-element values the reference's ``np.where`` form
         # produces, without materializing the mask.
         offsets_l: list[int] = []
         acc = 1
@@ -200,35 +316,24 @@ class CandidateBuilder:
             flat_cdf[off : off + cdf.size] = cdf
         np.add(ks_all, np.array(offsets_l, dtype=np.int64)[:, None, None], out=ks_all)
         fr_all = np.take(flat_cdf, ks_all)
-        # One sum-of-products per node over its contiguous row
-        # block: einsum's u axis is an outer loop over independent
-        # (p, l) reductions, so each row is bitwise the per-slice
-        # two-operand reduction, and broadcasting the node's shared
-        # probability matrix avoids a gather copy.  Sliced to the
-        # node's native pad width: the reduction must run over
-        # exactly the reference's terms, because extra zero-probability
-        # columns — while value-neutral term by term — change the
-        # inner loop's accumulator blocking and therefore rounding.
-        rows = np.empty((u, P))
-        for node, row_lo, row_hi in node_blocks:
-            w = widths[node]
+        # One sum-of-products per node over its contiguous row block:
+        # einsum's u axis is an outer loop over independent (p, l)
+        # reductions, so each row is bitwise the per-slice two-operand
+        # reduction, and broadcasting the node's shared probability
+        # matrix avoids a gather copy.  Sliced to the node's native pad
+        # width: the reduction must run over exactly the reference's
+        # terms, because extra zero-probability columns — while
+        # value-neutral term by term — change the inner loop's
+        # accumulator blocking and therefore rounding.
+        rows = np.empty((u, times.shape[1]))
+        for n, lo, hi in node_blocks:
+            w = self._widths[n]
             np.einsum(
                 "pl,upl->up",
-                probs_stack[node, :, :w],
-                fr_all[row_lo:row_hi, :, :w],
-                out=rows[row_lo:row_hi],
+                self._probs[n, :, :w],
+                fr_all[lo:hi, :, :w],
+                out=rows[lo:hi],
             )
-        prob = np.take(rows, slots, axis=0)  # (C, P) scatter by slot
-
-        ect = ready_means[:, None] + eet
-
-        return CandidateSet(
-            core_ids=self._core_ids,
-            pstates=self._pstates,
-            queue_len=np.repeat(queue_len, P),
-            eet=eet_flat,
-            eec=eec_flat,
-            ect=ect.ravel(),
-            prob_on_time=prob.ravel(),
-        )
-
+        rho[dest] = rows[slots]
+        for n, slot in fresh_idle.items():
+            idle_rows[n] = rows[slot]

@@ -52,6 +52,14 @@ class TestCandidateSet:
         with pytest.raises(ValueError):
             make_cands(eet=np.array([1.0]))
 
+    def test_columns_come_from_arrays_or_a_source(self):
+        with pytest.raises(TypeError):
+            make_cands(ect=None)
+        cands = make_cands()
+        assert cands.feasible_ect() is cands.ect
+        assert cands.feasible_rho() is cands.prob_on_time
+        assert cands.rho_at(2) == 0.95
+
     def test_misaligned_mask_rejected(self):
         with pytest.raises(ValueError):
             make_cands(mask=np.ones(3, dtype=bool))

@@ -89,8 +89,8 @@ class TestInternedKernel:
 
 
 class TestEngineKernelCache:
-    def _engine(self, system, **options):
-        return Engine(system, build_heuristic("SQ"), build_filter_chain("none"), **options)
+    def _engine(self, system, heuristic="SQ", **options):
+        return Engine(system, build_heuristic(heuristic), build_filter_chain("none"), **options)
 
     def test_engine_uses_the_cache_it_is_given(self):
         system = build_trial_system(micro_config(seed=5))
@@ -105,10 +105,12 @@ class TestEngineKernelCache:
     def test_shared_cache_stats_are_per_run(self):
         system = build_trial_system(micro_config(seed=5))
         cache = KernelCache()
-        first = self._engine(system, kernel_cache=cache)
+        # LL reads every core's rho, so every busy core's ready pmf (and
+        # its truncation) is computed; SQ reads almost none of them.
+        first = self._engine(system, "LL", kernel_cache=cache)
         first.run()
         a = first.kernel_cache_stats()
-        second = self._engine(system, kernel_cache=cache)
+        second = self._engine(system, "LL", kernel_cache=cache)
         second.run()
         b = second.kernel_cache_stats()
         assert a.lookups > 0

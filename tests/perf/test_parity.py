@@ -154,3 +154,60 @@ class TestBuilderMatchesReference:
         assert engine.fault_stats.remapped > 0
         assert check.during_outage > 0
         assert check.checked == len(tasks) + engine.fault_stats.orphaned
+
+
+class TestDemandDrivenReads:
+    """Partial column reads equal the reference's entries bit for bit.
+
+    At every mapping step of a run, fresh candidate sets over the live
+    cores get a random mask; the feasible-only ECT and rho reads (in
+    both orders) and a ``rho_at`` on a core nothing has read yet must
+    equal the per-core reference on the cores they cover, and the full
+    columns read afterwards must equal it everywhere.
+    """
+
+    def test_every_mapping_of_a_run(self, system):
+        table = system.table
+        rng = np.random.default_rng(2)
+
+        class SubsetCheck:
+            """Filter-chain stand-in that reads fresh sets partially."""
+
+            label = "none"
+
+            def __init__(self) -> None:
+                self.engine: Engine | None = None
+                self.checked = 0
+                self.partial_busy = 0
+
+            def apply(self, cands, ctx):
+                cores = self.engine.cores
+                ref = build_candidate_set(ctx.task, cores, table, ctx.t_now)
+                builder = CandidateBuilder(cores, table)
+                for rho_first in (True, False):
+                    got = builder.build(ctx.task, ctx.t_now)
+                    got.mask = rng.random(len(got)) < 0.3
+                    read = np.unique(got.core_ids[got.mask])
+                    covered = np.isin(got.core_ids, read)
+                    reads = [
+                        (got.feasible_rho, ref.prob_on_time),
+                        (got.feasible_ect, ref.ect),
+                    ]
+                    for fn, expected in reads if rho_first else reads[::-1]:
+                        assert fn()[covered].tobytes() == expected[covered].tobytes()
+                    unread = np.flatnonzero(~covered)
+                    if unread.size:
+                        i = int(rng.choice(unread))
+                        assert got.rho_at(i) == ref.prob_on_time[i]
+                        if cores[int(got.core_ids[i])].running is not None:
+                            self.partial_busy += 1
+                    for name in ("prob_on_time", "ect") if rho_first else ("ect", "prob_on_time"):
+                        assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), name
+                self.checked += 1
+
+        check = SubsetCheck()
+        engine = Engine(system, build_heuristic("LL"), check)
+        check.engine = engine
+        engine.run()
+        assert check.checked == len(system.workload.tasks)
+        assert check.partial_busy > 0  # rho_at reached busy cores nothing else had read
