@@ -27,9 +27,14 @@ The facade groups five things:
   dispatched on its mode), :func:`run_trial` (one trial, through
   :func:`observe_trial`), :func:`run_ensemble` (paired trials, optionally
   fanned out over processes), :func:`run_service` (continuous-service
-  mode) and :func:`budget_sweep` (the energy-tightness sweep).  All
-  accept the observability collectors (:class:`MetricsRegistry`,
-  :class:`SpanProfile`, :class:`TimelineSet`, event sinks).
+  mode) and :func:`budget_sweep` (the energy-tightness sweep).  The
+  scenario alone states a run's faults, shedding and service shape.
+  :func:`run_trial` and :func:`run_ensemble` accept the observability
+  collectors (:class:`MetricsRegistry`, :class:`SpanProfile` or
+  :class:`SpanRecorder`, :class:`TimelineSet` or
+  :class:`TimelineRecorder`, event sinks); :func:`run_service` takes
+  only a ``timeline`` and a live ``telemetry`` hub, and
+  :func:`budget_sweep` takes none.
 * **Inspecting results** — :class:`TrialResult`,
   :class:`EnsembleResult` and :class:`PartialEnsembleResult`.
 * **The value types underneath** — :class:`PMF` and
@@ -193,9 +198,6 @@ def run_trial(
     sinks: Sequence[EventSink] = (),
     profile: SpanRecorder | None = None,
     timeline: TimelineRecorder | None = None,
-    faults: FaultSchedule | None = None,
-    fault_policy: FaultPolicy | None = None,
-    shedding: SheddingConfig | None = None,
 ) -> TrialResult:
     """Run one trial of a scenario.
 
@@ -208,15 +210,15 @@ def run_trial(
     identical for any combination.  Per-task outcomes are dropped unless
     ``keep_outcomes``.
 
-    ``faults`` injects an in-simulation :class:`FaultSchedule` (node or
-    core outages, slowdowns) with recovery behavior set by
-    ``fault_policy``; ``shedding`` attaches the overload admission
-    controller.  All three default to ``None``: a fault-free run is
-    bitwise identical to one on a build without the fault layer.
+    The scenario's ``faults`` (a :class:`FaultSettings`, resolved by
+    :meth:`Scenario.resolved_faults`) and ``shedding`` sections are
+    injected; without them the run is bitwise identical to one on a
+    build without the fault layer.
     """
     if system is None:
         system = scenario.build_system()
     heuristic, chain = policy_for(system, scenario.spec)
+    faults, fault_policy = scenario.resolved_faults()
     result = observe_trial(
         system,
         heuristic,
@@ -227,14 +229,13 @@ def run_trial(
         timeline=timeline,
         faults=faults,
         fault_policy=fault_policy,
-        shedding=shedding,
+        shedding=scenario.shedding,
     )
     return result if keep_outcomes else replace(result, outcomes=())
 
 
 def run_service(
     scenario: Scenario,
-    service: ServiceConfig | None = None,
     *,
     system: TrialSystem | None = None,
     timeline: TimelineRecorder | None = None,
@@ -243,11 +244,14 @@ def run_service(
 ) -> ServiceResult:
     """Run one scenario in continuous-service mode.
 
-    ``service`` selects the traffic model, windowing and rolling energy
-    budget.  ``None`` (the default) is ``ServiceConfig(traffic="replay")``:
-    the batch workload streamed through the service loop, finite and
-    batch-equivalent.  A generative :class:`ServiceConfig` (``poisson``
-    and the rest) needs a ``horizon`` or ``task_limit``.
+    The scenario's ``service`` section selects the traffic model,
+    windowing and rolling energy budget, and its ``faults`` /
+    ``shedding`` sections the fault layer
+    (:meth:`Scenario.resolved_service`).  Without a ``service`` section
+    the run is ``ServiceConfig(traffic="replay")``: the batch workload
+    streamed through the service loop, finite and batch-equivalent.  A
+    generative :class:`ServiceConfig` (``poisson`` and the rest) needs a
+    ``horizon`` or ``task_limit``.
 
     ``system`` reuses a prebuilt :class:`TrialSystem` exactly as in
     :func:`run_trial`; ``timeline`` attaches a (optionally
@@ -263,14 +267,12 @@ def run_service(
     attaches none.  The hub only reads, so the run is bitwise identical
     either way.
     """
-    if service is None:
-        service = ServiceConfig(traffic="replay")
     if system is None:
         system = scenario.build_system()
     return _serve_system(
         system,
         scenario.spec,
-        service,
+        scenario.resolved_service(),
         timeline=timeline,
         stop=stop,
         telemetry=telemetry,
@@ -286,14 +288,12 @@ def run_scenario(
     Dispatches on :attr:`Scenario.mode`:
 
     * ``"trial"`` — one :func:`run_trial` call, returning a
-      :class:`TrialResult`.  Scenario-level ``[faults]`` / ``[shedding]``
-      sections are resolved and injected.
+      :class:`TrialResult`.
     * ``"ensemble"`` — paired trials per the scenario's ``[ensemble]``
       settings, returning an :class:`EnsembleResult`; bitwise identical
       to :func:`run_ensemble` with the same arguments.
-    * ``"service"`` — continuous-service mode per the scenario's
-      ``[service]`` settings (batch-equivalent replay when omitted),
-      returning a :class:`ServiceResult`.
+    * ``"service"`` — one :func:`run_service` call, returning a
+      :class:`ServiceResult`.
 
     Extra keyword ``options`` forward to the mode's runner (collectors,
     ``n_jobs``, ...), so a scenario file pins the experiment
@@ -302,14 +302,7 @@ def run_scenario(
     if isinstance(scenario, (str, Path)):
         scenario = Scenario.from_file(scenario)
     if scenario.mode == "trial":
-        faults, fault_policy = scenario.resolved_faults()
-        return run_trial(
-            scenario,
-            faults=faults,
-            fault_policy=fault_policy,
-            shedding=scenario.shedding,
-            **options,  # type: ignore[arg-type]
-        )
+        return run_trial(scenario, **options)  # type: ignore[arg-type]
     if scenario.mode == "ensemble":
         settings = scenario.resolved_ensemble()
         options.setdefault("n_jobs", settings.n_jobs)
@@ -319,20 +312,33 @@ def run_scenario(
             base_seed=settings.base_seed,
             **options,  # type: ignore[arg-type]
         )
-    return run_service(scenario, scenario.resolved_service(), **options)  # type: ignore[arg-type]
+    return run_service(scenario, **options)  # type: ignore[arg-type]
 
 
-def _common_config(scenarios: Sequence[Scenario]) -> SimulationConfig:
-    """The single resolved config an ensemble's scenarios must share."""
-    config = scenarios[0].resolved_config()
-    for other in scenarios[1:]:
+def _ensemble_inputs(
+    scenarios: Scenario | Sequence[Scenario], base_seed: int | None
+) -> tuple[list[VariantSpec], SimulationConfig, int]:
+    """The specs, shared config and base seed of a paired ensemble.
+
+    Every scenario must be fault-free and resolve to one workload
+    configuration; ``base_seed`` defaults to that configuration's seed.
+    """
+    scens = (scenarios,) if isinstance(scenarios, Scenario) else tuple(scenarios)
+    if not scens:
+        raise ValueError("need at least one scenario")
+    for scenario in scens:
+        scenario.require_fault_free()
+    config = scens[0].resolved_config()
+    for other in scens[1:]:
         if other.resolved_config() != config:
             raise ValueError(
                 "ensemble scenarios must share one workload configuration "
-                f"({other.label} differs from {scenarios[0].label}); vary only "
+                f"({other.label} differs from {scens[0].label}); vary only "
                 "the heuristic/filters, or run separate ensembles"
             )
-    return config
+    if base_seed is None:
+        base_seed = config.seed
+    return [s.spec for s in scens], config, base_seed
 
 
 def run_ensemble(
@@ -360,15 +366,12 @@ def run_ensemble(
     derives its own seed from it.  The resilience options
     (``checkpoint``/``resume``/``trial_timeout``/``max_retries``) and
     collectors forward to :func:`repro.experiments.runner.run_ensemble`.
+    Ensembles inject no faults: a scenario with active ``faults`` or any
+    ``shedding`` raises ``ValueError``.
     """
-    scens = (scenarios,) if isinstance(scenarios, Scenario) else tuple(scenarios)
-    if not scens:
-        raise ValueError("need at least one scenario")
-    config = _common_config(scens)
-    if base_seed is None:
-        base_seed = config.seed
+    specs, config, base_seed = _ensemble_inputs(scenarios, base_seed)
     return _run_ensemble(
-        [s.spec for s in scens],
+        specs,
         config,
         num_trials,
         base_seed,
@@ -393,16 +396,14 @@ def budget_sweep(
     base_seed: int | None = None,
     n_jobs: int = 1,
 ) -> SweepResult:
-    """Sweep the energy-budget multiplier over one or more scenarios."""
-    scens = (scenarios,) if isinstance(scenarios, Scenario) else tuple(scenarios)
-    if not scens:
-        raise ValueError("need at least one scenario")
-    config = _common_config(scens)
-    if base_seed is None:
-        base_seed = config.seed
+    """Sweep the energy-budget multiplier over one or more scenarios.
+
+    The scenarios obey the same rules as in :func:`run_ensemble`.
+    """
+    specs, config, base_seed = _ensemble_inputs(scenarios, base_seed)
     return _budget_sweep(
         multipliers,
-        [s.spec for s in scens],
+        specs,
         config,
         num_trials,
         base_seed,

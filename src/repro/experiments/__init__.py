@@ -46,7 +46,7 @@ from repro.experiments.stats import (
     median_improvement,
 )
 from repro.experiments.compare import PairedComparison, compare_variants
-from repro.experiments.sweep import SweepResult, budget_sweep, run_sweep
+from repro.experiments.sweep import SweepResult, budget_sweep
 from repro.experiments.report import figure_table, summary_table
 
 __all__ = [
@@ -72,7 +72,6 @@ __all__ = [
     "compare_variants",
     "SweepResult",
     "budget_sweep",
-    "run_sweep",
     "figure_table",
     "summary_table",
 ]

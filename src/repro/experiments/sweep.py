@@ -1,16 +1,17 @@
-"""Parameter sweeps with paired trials.
+"""The energy-budget sweep, with paired trials.
 
-A sweep reruns one or more (heuristic, variant) specs while varying a
-single configuration knob, holding trial seeds fixed, so each sweep point
+A sweep reruns one or more (heuristic, variant) specs while varying the
+energy-budget multiplier, holding trial seeds fixed, so each sweep point
 is directly comparable (same workload/cluster draws per trial index).
-Used by the ablation benches and the budget/heterogeneity examples.
+Used by ``repro sweep``, :func:`repro.api.budget_sweep` and
+``examples/energy_budget_sweep.py``.
 """
 
 from __future__ import annotations
 
 import pathlib
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from repro.obs.sinks import EventSink, MetricsRegistry
 from repro.obs.spans import SpanProfile
 from repro.obs.timeline import TimelineSet
 
-__all__ = ["SweepPoint", "SweepResult", "run_sweep", "budget_sweep"]
+__all__ = ["SweepPoint", "SweepResult", "budget_sweep"]
 
 
 @dataclass(frozen=True)
@@ -79,72 +80,6 @@ def _point_checkpoint(
     return path.with_name(f"{path.stem}.point{index}{suffix}")
 
 
-def run_sweep(
-    parameter: str,
-    values: Sequence[Any],
-    patch: Callable[[SimulationConfig, Any], SimulationConfig],
-    specs: Sequence[VariantSpec],
-    base_config: SimulationConfig,
-    num_trials: int,
-    base_seed: int = 0,
-    *,
-    n_jobs: int = 1,
-    checkpoint: str | pathlib.Path | None = None,
-    resume: bool = False,
-    trial_timeout: float | None = None,
-    max_retries: int = 2,
-    metrics: MetricsRegistry | None = None,
-    sinks: Sequence[EventSink] = (),
-    profile: SpanProfile | None = None,
-    timeline: TimelineSet | None = None,
-) -> SweepResult:
-    """Run ``specs`` at every parameter value.
-
-    Parameters
-    ----------
-    patch:
-        ``(config, value) -> config`` applying the sweep value; it must
-        not change the seed (the sweep re-derives trial seeds from
-        ``base_seed`` so points stay paired).
-    checkpoint / resume / trial_timeout / max_retries:
-        Resilience options forwarded to
-        :func:`~repro.experiments.runner.run_ensemble`; ``checkpoint``
-        fans out to one shard per sweep point
-        (``name.pointN.jsonl``), so an interrupted sweep resumes
-        point by point.
-    metrics / sinks / profile / timeline:
-        Observability collectors forwarded to every point's ensemble;
-        one registry / span profile / timeline set accumulates across
-        the whole sweep (points are distinguishable by span stream
-        labels and timeline labels).
-    """
-    if not values:
-        raise ValueError("need at least one sweep value")
-    specs = tuple(specs)
-    points: list[SweepPoint] = []
-    for index, value in enumerate(values):
-        config = patch(base_config, value)
-        if config.seed != base_config.seed:
-            raise ValueError("patch must not change the seed")
-        ensemble = run_ensemble(
-            specs,
-            config,
-            num_trials,
-            base_seed,
-            n_jobs=n_jobs,
-            checkpoint=_point_checkpoint(checkpoint, index),
-            resume=resume,
-            trial_timeout=trial_timeout,
-            max_retries=max_retries,
-            metrics=metrics,
-            sinks=sinks,
-            profile=profile,
-            timeline=timeline,
-        )
-        points.append(SweepPoint(value=value, ensemble=ensemble))
-    return SweepResult(parameter=parameter, specs=specs, points=tuple(points))
-
-
 def budget_sweep(
     multipliers: Sequence[float],
     specs: Sequence[VariantSpec],
@@ -162,26 +97,43 @@ def budget_sweep(
     profile: SpanProfile | None = None,
     timeline: TimelineSet | None = None,
 ) -> SweepResult:
-    """Sweep the energy-budget multiplier (the constraint's tightness)."""
+    """Run ``specs`` at every energy-budget multiplier (the constraint's
+    tightness), in the order given.
 
-    def patch(config: SimulationConfig, mult: float) -> SimulationConfig:
-        return config.with_updates(energy={"budget_mult": mult})
-
-    return run_sweep(
-        "budget_mult",
-        list(multipliers),
-        patch,
-        specs,
-        base_config,
-        num_trials,
-        base_seed,
-        n_jobs=n_jobs,
-        checkpoint=checkpoint,
-        resume=resume,
-        trial_timeout=trial_timeout,
-        max_retries=max_retries,
-        metrics=metrics,
-        sinks=sinks,
-        profile=profile,
-        timeline=timeline,
-    )
+    Parameters
+    ----------
+    checkpoint / resume / trial_timeout / max_retries:
+        Resilience options forwarded to
+        :func:`~repro.experiments.runner.run_ensemble`; ``checkpoint``
+        fans out to one shard per sweep point
+        (``name.pointN.jsonl``), so an interrupted sweep resumes
+        point by point.
+    metrics / sinks / profile / timeline:
+        Observability collectors forwarded to every point's ensemble;
+        one registry / span profile / timeline set accumulates across
+        the whole sweep (points are distinguishable by span stream
+        labels and timeline labels).
+    """
+    multipliers = list(multipliers)
+    if not multipliers:
+        raise ValueError("need at least one sweep value")
+    specs = tuple(specs)
+    points: list[SweepPoint] = []
+    for index, mult in enumerate(multipliers):
+        ensemble = run_ensemble(
+            specs,
+            base_config.with_updates(energy={"budget_mult": mult}),
+            num_trials,
+            base_seed,
+            n_jobs=n_jobs,
+            checkpoint=_point_checkpoint(checkpoint, index),
+            resume=resume,
+            trial_timeout=trial_timeout,
+            max_retries=max_retries,
+            metrics=metrics,
+            sinks=sinks,
+            profile=profile,
+            timeline=timeline,
+        )
+        points.append(SweepPoint(value=mult, ensemble=ensemble))
+    return SweepResult(parameter="budget_mult", specs=specs, points=tuple(points))

@@ -63,9 +63,7 @@ class TaskMapped:
     """A task was committed to a (core, P-state) assignment.
 
     ``energy_estimate`` is the heuristic's remaining-energy estimate
-    ``zeta(t_l)`` *after* subtracting this assignment's EEC;
-    ``prob_on_time`` is the chosen assignment's ``rho`` when the caller
-    supplied it (``nan`` when unavailable through the hook interface).
+    ``zeta(t_l)`` *after* subtracting this assignment's EEC.
     """
 
     kind: ClassVar[str] = "task_mapped"

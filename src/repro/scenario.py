@@ -413,14 +413,8 @@ class Scenario:
                 "scenario service config must not embed faults/fault_policy/"
                 "shedding; declare scenario-level [faults] / [shedding] instead"
             )
-        if self.mode == "ensemble" and (
-            (self.faults is not None and self.faults.active)
-            or self.shedding is not None
-        ):
-            raise ValueError(
-                "fault injection and shedding are supported in trial and "
-                "service modes, not ensembles"
-            )
+        if self.mode == "ensemble":
+            self.require_fault_free()
 
     # -- the pre-scenario api.Scenario surface --------------------------
 
@@ -466,6 +460,19 @@ class Scenario:
         return replace(
             base, faults=schedule, fault_policy=policy, shedding=self.shedding
         )
+
+    def require_fault_free(self) -> None:
+        """Raise ``ValueError`` if runs would inject faults or shed load.
+
+        Ensembles do neither, so an ensemble-mode scenario, and every
+        scenario :func:`repro.api.run_ensemble` or
+        :func:`repro.api.budget_sweep` is given, must pass this check.
+        """
+        if (self.faults is not None and self.faults.active) or self.shedding is not None:
+            raise ValueError(
+                "fault injection and shedding are supported in trial and "
+                "service modes, not ensembles"
+            )
 
     def resolved_ensemble(self) -> EnsembleSettings:
         """The ensemble settings (defaults when the section was omitted)."""

@@ -1,51 +1,35 @@
-"""Tests for parameter sweeps (repro.experiments.sweep)."""
+"""Tests for the energy-budget sweep (repro.experiments.sweep)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.config import SimulationConfig
 from repro.experiments.runner import VariantSpec
-from repro.experiments.sweep import _point_checkpoint, budget_sweep, run_sweep
+from repro.experiments.sweep import _point_checkpoint, budget_sweep
 from tests.conftest import tiny_config
 
 SPECS = (VariantSpec("MECT", "none"),)
 
 
 class TestRunSweep:
-    def test_points_in_order(self):
-        def patch(cfg: SimulationConfig, value: float) -> SimulationConfig:
-            return cfg.with_updates(energy={"budget_mult": value})
+    """The sweep loop: point order, paired seeds, and its input check."""
 
-        sweep = run_sweep(
-            "budget_mult", [0.5, 2.0], patch, SPECS, tiny_config(), num_trials=2
-        )
+    def test_points_in_order(self):
+        sweep = budget_sweep([0.5, 2.0], SPECS, tiny_config(), num_trials=2)
         assert sweep.values() == [0.5, 2.0]
         assert sweep.parameter == "budget_mult"
         assert len(sweep.points) == 2
 
     def test_paired_seeds_across_points(self):
-        def patch(cfg, value):
-            return cfg.with_updates(energy={"budget_mult": value})
-
-        sweep = run_sweep(
-            "budget_mult", [0.5, 2.0], patch, SPECS, tiny_config(), num_trials=2
-        )
+        sweep = budget_sweep([0.5, 2.0], SPECS, tiny_config(), num_trials=2)
         seeds_a = [r.seed for r in sweep.points[0].ensemble.results[SPECS[0]]]
         seeds_b = [r.seed for r in sweep.points[1].ensemble.results[SPECS[0]]]
         assert seeds_a == seeds_b
 
     def test_rejects_empty_values(self):
         with pytest.raises(ValueError):
-            run_sweep("x", [], lambda c, v: c, SPECS, tiny_config(), 1)
-
-    def test_rejects_seed_changing_patch(self):
-        def bad_patch(cfg, value):
-            return cfg.with_seed(cfg.seed + 1)
-
-        with pytest.raises(ValueError):
-            run_sweep("x", [1], bad_patch, SPECS, tiny_config(), 1)
+            budget_sweep([], SPECS, tiny_config(), 1)
 
     def test_table_renders(self):
         sweep = budget_sweep([0.5, 2.0], SPECS, tiny_config(), num_trials=2)

@@ -13,7 +13,7 @@ import pytest
 from repro import api
 from repro.faults import FaultEvent, FaultPolicy, FaultSchedule
 from repro.obs.sinks import MetricsRegistry, RingBufferSink
-from repro.service import ServiceConfig
+from repro.service import ServiceConfig, serve_system
 from tests.conftest import tiny_config
 
 #: One node down from t=800 for 3000 s — long enough to orphan both the
@@ -32,10 +32,10 @@ def system(scenario):
 
 
 def _replay(scenario, system, faults, policy):
-    return api.run_service(
-        scenario,
+    return serve_system(
+        system,
+        scenario.spec,
         ServiceConfig(traffic="replay", faults=faults, fault_policy=policy),
-        system=system,
     )
 
 

@@ -10,12 +10,15 @@ layer.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro import api
+from repro.experiments.runner import policy_for
 from repro.faults import FaultPolicy, FaultSchedule, SheddingConfig
 from repro.obs.manifest import trial_digest
-from repro.service import ServiceConfig
+from repro.service import ServiceConfig, serve_system
 from tests.conftest import tiny_config
 
 SPECS = [("LL", "en+rob"), ("MECT", "none"), ("SQ", "en"), ("Random", "rob")]
@@ -31,10 +34,9 @@ class TestZeroFaultTrialParity:
     def test_empty_schedule_is_bitwise_identical(self, system, heuristic, filters):
         scenario = api.Scenario(heuristic, filters, config=tiny_config(seed=123))
         baseline = api.run_trial(scenario, system=system, keep_outcomes=True)
-        inert = api.run_trial(
-            scenario,
-            system=system,
-            keep_outcomes=True,
+        inert = api.observe_trial(
+            system,
+            *policy_for(system, scenario.spec),
             faults=FaultSchedule.empty(),
             fault_policy=FaultPolicy(),
             shedding=SheddingConfig(),
@@ -47,7 +49,9 @@ class TestZeroFaultTrialParity:
         scenario = api.Scenario("LL", "en+rob", config=tiny_config(seed=123))
         baseline = api.run_trial(scenario, system=system, keep_outcomes=True)
         shed_only = api.run_trial(
-            scenario, system=system, keep_outcomes=True, shedding=SheddingConfig()
+            replace(scenario, shedding=SheddingConfig()),
+            system=system,
+            keep_outcomes=True,
         )
         assert shed_only == baseline
 
@@ -56,15 +60,15 @@ class TestZeroFaultServiceParity:
     def test_replay_windows_and_score_are_identical(self, system):
         scenario = api.Scenario("LL", "en+rob", config=tiny_config(seed=123))
         baseline = api.run_service(scenario, system=system)
-        inert = api.run_service(
-            scenario,
+        inert = serve_system(
+            system,
+            scenario.spec,
             ServiceConfig(
                 traffic="replay",
                 faults=FaultSchedule.empty(),
                 fault_policy=FaultPolicy(),
                 shedding=SheddingConfig(),
             ),
-            system=system,
         )
         assert inert.trial_result == baseline.trial_result
         assert trial_digest(inert.trial_result) == trial_digest(baseline.trial_result)
@@ -79,11 +83,13 @@ class TestZeroFaultServiceParity:
     def test_generative_stream_is_identical(self, system):
         scenario = api.Scenario("LL", "en+rob", config=tiny_config(seed=123))
         config = dict(traffic="poisson", task_limit=80)
-        baseline = api.run_service(scenario, ServiceConfig(**config), system=system)
-        inert = api.run_service(
-            scenario,
+        baseline = api.run_service(
+            replace(scenario, service=ServiceConfig(**config)), system=system
+        )
+        inert = serve_system(
+            system,
+            scenario.spec,
             ServiceConfig(**config, faults=FaultSchedule.empty(), shedding=SheddingConfig()),
-            system=system,
         )
         assert inert.makespan == baseline.makespan
         assert inert.total_energy == baseline.total_energy

@@ -14,7 +14,7 @@ from repro.faults import (
     FaultSchedule,
     SheddingConfig,
 )
-from repro.service import ServiceConfig
+from repro.service import ServiceConfig, serve_system
 from tests.conftest import tiny_config
 
 
@@ -99,15 +99,15 @@ class TestEngineShedding:
     BASE = dict(traffic="poisson", rate_mult=2.5, task_limit=200)
 
     def _serve(self, scenario, system, shedding=None):
-        return api.run_service(
-            scenario,
+        return serve_system(
+            system,
+            scenario.spec,
             ServiceConfig(
                 **self.BASE,
                 faults=self.OUTAGE,
                 fault_policy=FaultPolicy(running="resume", remap=True),
                 shedding=shedding,
             ),
-            system=system,
         )
 
     def test_queue_depth_shedding_protects_admitted_work(self, scenario, system):

@@ -16,6 +16,7 @@ requires holding those policy inputs fixed.
 from __future__ import annotations
 
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -41,7 +42,9 @@ def soak(scenario, system):
     """One shared soak run (module-scoped: it is the expensive part)."""
     timeline = api.TimelineRecorder(120.0, stream=0, label="soak", capacity=256)
     service = api.ServiceConfig(traffic="diurnal", task_limit=SOAK_TASKS)
-    result = api.run_service(scenario, service, system=system, timeline=timeline)
+    result = api.run_service(
+        replace(scenario, service=service), system=system, timeline=timeline
+    )
     return result, timeline
 
 
@@ -94,10 +97,12 @@ class TestWindowComposition:
             traffic="poisson", task_limit=3000, planning_tasks=50, budget_cap=5e7
         )
         windowed = api.run_service(
-            scenario, api.ServiceConfig(window=500.0, **common), system=system
+            replace(scenario, service=api.ServiceConfig(window=500.0, **common)),
+            system=system,
         )
         one_shot = api.run_service(
-            scenario, api.ServiceConfig(window=1e12, **common), system=system
+            replace(scenario, service=api.ServiceConfig(window=1e12, **common)),
+            system=system,
         )
         return windowed, one_shot
 

@@ -9,6 +9,7 @@ same results, same manifest digests — across all three run shapes.
 from __future__ import annotations
 
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -17,7 +18,7 @@ from repro import rng as rng_mod
 from repro.experiments.runner import VariantSpec
 from repro.filters.chain import build_filter_chain
 from repro.heuristics.registry import build_heuristic
-from repro.obs.manifest import config_digest
+from repro.obs.manifest import config_digest, trial_digest
 from repro.scenario import EnsembleSettings, Scenario
 from repro.service import ServiceConfig
 from repro.sim.engine import Engine
@@ -26,6 +27,7 @@ from tests.conftest import tiny_config
 
 
 SPEC = VariantSpec("MECT", "en+rob")
+SCENARIOS = Path(__file__).resolve().parents[2] / "examples" / "scenarios"
 
 
 def direct_trial(system):
@@ -93,11 +95,49 @@ class TestServiceParity:
         scenario = Scenario("LL", "en+rob", config=tiny_system.config,
                             mode="service", service=service)
         via_scenario = api.run_scenario(scenario, system=tiny_system)
-        direct = api.run_service(scenario, service, system=tiny_system)
+        direct = api.run_service(scenario, system=tiny_system)
         assert via_scenario.makespan == direct.makespan
         assert via_scenario.total_energy == direct.total_energy
         assert via_scenario.totals.mapped == direct.totals.mapped
         assert len(via_scenario.windows) == len(direct.windows)
+
+
+class TestCommittedScenarioParity:
+    """A committed scenario file gives one result through either entry:
+    the mode's runner on the loaded object, or ``run_scenario`` on the
+    path.  Faults, shedding and the service shape come from the file."""
+
+    @pytest.fixture(scope="class")
+    def faulty(self):
+        path = SCENARIOS / "faulty_cluster.toml"
+        return Scenario.from_file(path), api.run_scenario(path)
+
+    def test_faulted_trial_matches_run_scenario(self, faulty):
+        scenario, via_file = faulty
+        direct = api.run_trial(scenario)
+        assert direct == via_file
+        assert trial_digest(direct) == trial_digest(via_file)
+
+    def test_faults_change_the_trial(self, faulty):
+        scenario, via_file = faulty
+        fault_free = api.run_trial(replace(scenario, faults=None))
+        assert fault_free != via_file
+        assert trial_digest(fault_free) != trial_digest(via_file)
+
+    @pytest.mark.parametrize("name", ["overload_service", "degraded_service"])
+    def test_service_runner_matches_run_scenario(self, name):
+        path = SCENARIOS / f"{name}.toml"
+        scenario = Scenario.from_file(path)
+        direct = api.run_service(scenario)
+        via_file = api.run_scenario(path)
+        assert direct.traffic == via_file.traffic == scenario.service.traffic
+        assert direct.arrivals == via_file.arrivals == scenario.service.task_limit
+        assert [w.to_dict() for w in direct.windows] == [
+            w.to_dict() for w in via_file.windows
+        ]
+        assert direct.fault_totals == via_file.fault_totals
+        outages = direct.fault_totals["outages"]
+        assert (outages > 0) == (scenario.faults is not None)
 
 
 @pytest.fixture(autouse=True)

@@ -9,6 +9,8 @@ public api facade and through the digesting layer.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro import api
@@ -69,7 +71,8 @@ class TestReplayParity:
 
     def test_truncated_replay_is_unscored_and_bounded(self, scenario, system):
         svc = api.run_service(
-            scenario, ServiceConfig(traffic="replay", task_limit=20), system=system
+            replace(scenario, service=ServiceConfig(traffic="replay", task_limit=20)),
+            system=system,
         )
         assert svc.trial_result is None
         assert svc.arrivals == 20
@@ -78,7 +81,8 @@ class TestReplayParity:
         full = api.run_service(scenario, system=system)
         cut = full.makespan / 3.0
         svc = api.run_service(
-            scenario, ServiceConfig(traffic="replay", horizon=cut), system=system
+            replace(scenario, service=ServiceConfig(traffic="replay", horizon=cut)),
+            system=system,
         )
         expected = sum(1 for t in system.workload.tasks if t.arrival <= cut)
         assert svc.arrivals == expected

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import inspect
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -59,11 +60,10 @@ class TestResultNeutrality:
         assert window_dicts(instrumented) == window_dicts(bare)
 
     def test_generative_run_is_bitwise_identical(self, scenario, system):
-        bare = api.run_service(scenario, GENERATIVE, system=system)
+        generative = replace(scenario, service=GENERATIVE)
+        bare = api.run_service(generative, system=system)
         tele = fresh_telemetry()
-        instrumented = api.run_service(
-            scenario, GENERATIVE, system=system, telemetry=tele
-        )
+        instrumented = api.run_service(generative, system=system, telemetry=tele)
         assert window_dicts(instrumented) == window_dicts(bare)
         assert instrumented.makespan == bare.makespan
         assert instrumented.total_energy == bare.total_energy
@@ -105,7 +105,7 @@ class TestHubAccounting:
     @pytest.fixture(scope="class")
     def run(self, scenario, system, service):
         tele = fresh_telemetry()
-        svc = api.run_service(scenario, service, system=system, telemetry=tele)
+        svc = serve_system(system, scenario.spec, service, telemetry=tele)
         return tele, svc
 
     def test_counters_match_window_totals(self, run):
@@ -179,5 +179,5 @@ class TestHubAccountingDegraded(TestHubAccounting):
 
     def test_window_rows_identical_without_the_hub(self, run, scenario, system, service):
         _, svc = run
-        bare = api.run_service(scenario, service, system=system)
+        bare = serve_system(system, scenario.spec, service)
         assert window_dicts(svc) == window_dicts(bare)

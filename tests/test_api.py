@@ -117,6 +117,28 @@ class TestRunEnsemble:
         for spec in ensemble.specs:
             assert len(ensemble.results[spec]) == 2
 
+    @pytest.mark.parametrize(
+        "section",
+        [
+            {"faults": api.FaultSettings(mtbf=500.0, mttr=100.0, horizon=2000.0)},
+            {"shedding": api.SheddingConfig(queue_depth=4.0)},
+            {"shedding": api.SheddingConfig()},
+        ],
+        ids=["faults", "shedding", "inert-shedding"],
+    )
+    def test_refuses_fault_layer_instead_of_dropping_it(self, section):
+        faulted = api.Scenario("LL", seed=3, num_tasks=40, **section)
+        plain = api.Scenario("SQ", seed=3, num_tasks=40)
+        with pytest.raises(ValueError, match="not ensembles"):
+            api.run_ensemble([plain, faulted], 2)
+        with pytest.raises(ValueError, match="not ensembles"):
+            api.budget_sweep(faulted, [1.0], 1)
+
+    def test_inactive_fault_section_is_accepted(self):
+        scenario = api.Scenario("LL", seed=3, num_tasks=40, faults=api.FaultSettings())
+        ensemble = api.run_ensemble(scenario, 1)
+        assert ensemble.specs == (scenario.spec,)
+
     def test_single_scenario_accepted_bare(self):
         ensemble = api.run_ensemble(api.Scenario("LL", seed=3, num_tasks=40), 1)
         assert ensemble.specs == (api.VariantSpec("LL", "en+rob"),)
