@@ -15,7 +15,7 @@ from repro.filters.chain import build_filter_chain
 from repro.heuristics.lightest_load import LightestLoad
 from repro.sim.engine import Engine
 from repro.sim.mapper import CandidateBuilder
-from repro.sim.state import CoreState
+from repro.sim.state import CoreState, QueuedTask, RunningTask
 
 from _common import bench_seed
 
@@ -37,22 +37,44 @@ def test_full_trial_ll_filtered(benchmark):
     benchmark.extra_info["missed"] = result.missed
 
 
+def busy_cores(system):
+    """Every core running a task, every other one with two more queued.
+
+    The first task's pmf on each core's node starts at its arrival, so an
+    arrival read right after it sees non-degenerate ready pmfs.
+    """
+    cluster = system.cluster
+    dt = system.config.grid.dt
+    probe = system.workload.tasks[0]
+    t0 = probe.arrival
+    cores = []
+    for cid in range(cluster.num_cores):
+        core = CoreState(cid, int(cluster.core_node_index[cid]), dt)
+        pstate = cid % cluster.num_pstates
+        pmf = system.table.pmf(probe.type_id, core.node_index, pstate)
+        core.set_running(RunningTask(probe, pstate, pmf, start_time=t0, completion_time=t0))
+        if cid % 2:
+            for _ in range(2):
+                core.enqueue(QueuedTask(probe, pstate, pmf))
+        cores.append(core)
+    return cores
+
+
 def test_candidate_builder_cold_event(benchmark):
     system = small_system()
     cluster = system.cluster
-    dt = system.config.grid.dt
-    cores = [
-        CoreState(cid, int(cluster.core_node_index[cid]), dt)
-        for cid in range(cluster.num_cores)
-    ]
-    task = system.workload.tasks[0]
+    cores = busy_cores(system)
+    task = system.workload.tasks[1]
 
     def cold_build():
-        # A fresh builder pays for the task type's tables on first use.
-        return CandidateBuilder(cores, system.table).build(task, task.arrival)
+        # A fresh builder pays for the task type's tables on first use;
+        # reading rho computes every core's rho row.
+        cands = CandidateBuilder(cores, system.table).build(task, task.arrival)
+        return cands, cands.prob_on_time
 
-    cands = benchmark(cold_build)
+    cands, rho = benchmark(cold_build)
     assert len(cands) == cluster.num_cores * cluster.num_pstates
+    assert ((rho >= 0.0) & (rho <= 1.0)).all()
 
 
 def test_system_build(benchmark):
@@ -65,13 +87,16 @@ def test_system_build(benchmark):
 def test_candidate_builder_event(benchmark):
     system = small_system()
     cluster = system.cluster
-    dt = system.config.grid.dt
-    cores = [
-        CoreState(cid, int(cluster.core_node_index[cid]), dt)
-        for cid in range(cluster.num_cores)
-    ]
+    cores = busy_cores(system)
     builder = CandidateBuilder(cores, system.table)
-    task = system.workload.tasks[0]
+    task = system.workload.tasks[1]
 
-    cands = benchmark(builder.build, task, task.arrival)
+    def build():
+        # build() fills queue lengths, EET and EEC only; rho is computed
+        # on read, so the timed call reads it.
+        cands = builder.build(task, task.arrival)
+        return cands, cands.prob_on_time
+
+    cands, rho = benchmark(build)
     assert len(cands) == cluster.num_cores * cluster.num_pstates
+    assert ((rho >= 0.0) & (rho <= 1.0)).all()

@@ -316,12 +316,16 @@ def run_scenario(
 
 
 def _ensemble_inputs(
-    scenarios: Scenario | Sequence[Scenario], base_seed: int | None
+    scenarios: Scenario | Sequence[Scenario], num_trials: int, base_seed: int | None
 ) -> tuple[list[VariantSpec], SimulationConfig, int]:
     """The specs, shared config and base seed of a paired ensemble.
 
     Every scenario must be fault-free and resolve to one workload
-    configuration; ``base_seed`` defaults to that configuration's seed.
+    configuration.  A scenario's own ``[ensemble]`` section is binding:
+    a ``num_trials`` or ``base_seed`` that contradicts it raises
+    ``ValueError`` (``n_jobs`` is the caller's core budget and changes
+    no result).  ``base_seed`` defaults to the section's, then to the
+    configuration's seed.
     """
     scens = (scenarios,) if isinstance(scenarios, Scenario) else tuple(scenarios)
     if not scens:
@@ -335,6 +339,23 @@ def _ensemble_inputs(
                 "ensemble scenarios must share one workload configuration "
                 f"({other.label} differs from {scens[0].label}); vary only "
                 "the heuristic/filters, or run separate ensembles"
+            )
+    for scenario in scens:
+        settings = scenario.ensemble
+        if settings is None:
+            continue
+        own_seed = config.seed if settings.base_seed is None else settings.base_seed
+        if num_trials != settings.num_trials:
+            raise ValueError(
+                f"num_trials={num_trials} contradicts the [ensemble] section of "
+                f"{scenario.label} (num_trials = {settings.num_trials})"
+            )
+        if base_seed is None:
+            base_seed = own_seed
+        elif base_seed != own_seed:
+            raise ValueError(
+                f"base_seed={base_seed} contradicts the [ensemble] section of "
+                f"{scenario.label} (base seed {own_seed})"
             )
     if base_seed is None:
         base_seed = config.seed
@@ -363,13 +384,16 @@ def run_ensemble(
     pairing discipline: within a trial every policy sees the identical
     task stream).  ``base_seed`` defaults to the scenarios' shared seed
     override, falling back to the configured master seed; trial ``i``
-    derives its own seed from it.  The resilience options
+    derives its own seed from it.  A scenario's own ``[ensemble]``
+    section fixes ``num_trials`` and the base seed: a call that
+    contradicts it raises ``ValueError`` rather than overriding it.
+    The resilience options
     (``checkpoint``/``resume``/``trial_timeout``/``max_retries``) and
     collectors forward to :func:`repro.experiments.runner.run_ensemble`.
     Ensembles inject no faults: a scenario with active ``faults`` or any
     ``shedding`` raises ``ValueError``.
     """
-    specs, config, base_seed = _ensemble_inputs(scenarios, base_seed)
+    specs, config, base_seed = _ensemble_inputs(scenarios, num_trials, base_seed)
     return _run_ensemble(
         specs,
         config,
@@ -400,7 +424,7 @@ def budget_sweep(
 
     The scenarios obey the same rules as in :func:`run_ensemble`.
     """
-    specs, config, base_seed = _ensemble_inputs(scenarios, base_seed)
+    specs, config, base_seed = _ensemble_inputs(scenarios, num_trials, base_seed)
     return _budget_sweep(
         multipliers,
         specs,

@@ -8,8 +8,10 @@ of Section V-A quantities over all candidates in candidate order
 * ``EET`` and ``EEC`` come straight from the precomputed tables;
 * ``ECT`` is the core's expected ready time plus EET (linearity of
   expectation over the convolution, so no pmf product is formed);
-* ``rho`` (on-time probability) is one padded-matrix pass per core
-  against the core's ready-time CDF.
+* ``rho`` (on-time probability) takes one CDF index per (core,
+  P-state): impulses sit one grid step apart, so a window of the core's
+  ready-time CDF, read backwards from that index, holds the CDF value at
+  every impulse, and one sum-of-products per P-state weighs it.
 
 :class:`CandidateBuilder` is the engine's one implementation.  It
 precomputes the per-candidate coordinate arrays once per trial and, per
@@ -39,6 +41,21 @@ from repro.workload.pmf_table import ExecutionTimeTable
 from repro.workload.task import Task
 
 __all__ = ["CandidateBuilder"]
+
+# Rho rows index each row's ready CDF at ``floor(y)``, where
+# ``y = (deadline - time - start) / dt + 1e-9`` is evaluated per impulse
+# (``prob_on_time_all_pstates``).  Impulse ``l`` of a P-state sits at
+# ``time_0 + l*dt``, so ``y_l = y_0 - l`` up to rounding: four operations
+# on magnitudes up to ``scale = |deadline| + |time| + |start|`` plus the
+# time grid's own two, about ``6 * eps * scale / dt`` index units between
+# any two impulses.  A ``y_0`` farther than the margin below from every
+# integer therefore floors to ``floor(y_0) - l`` at every impulse; the
+# rest recompute per impulse.  The relative term carries a 10x slack
+# over that bound; at the paper's magnitudes the floor, orders of
+# magnitude above it, is the margin in force, and it still leaves the
+# per-impulse recompute unused on the benchmark workloads.
+_INDEX_MARGIN_REL = 64 * float(np.finfo(np.float64).eps)
+_INDEX_MARGIN_FLOOR = 1e-6
 
 
 class CandidateBuilder:
@@ -234,12 +251,16 @@ class _ArrivalColumns:
         """Fill the rho rows of ``cores`` (grouped by node, in node order).
 
         One probability row per distinct (node, ready pmf) pair, batched
-        over the subset: the offset/index grid is one elementwise pass,
-        then the CDF gather and the per-P-state dot run per node on its
-        contiguous (P, width) slice — the same expressions, on the same
-        values, as prob_on_time_all_pstates evaluates one core at a time.
-        Each row is an independent reduction, so a subset's rows equal
-        the same rows of the full computation.
+        over the subset.  The reference's CDF index is evaluated once per
+        (row, P-state), at the first impulse; one gather from a flat
+        buffer of the rows' CDFs then yields the CDF value at every
+        impulse, and the per-P-state dot runs per node on its contiguous
+        (P, width) slice.  The values gathered, and the dot over them,
+        are those prob_on_time_all_pstates computes one core at a time:
+        a pair whose index rounding could differ between impulses (see
+        ``_INDEX_MARGIN_REL``) is recomputed with its per-impulse
+        expression.  Each row is an independent reduction, so a subset's
+        rows equal the same rows of the full computation.
         """
         idle_rows = self._idle_rows
         core_node = self._builder._core_node
@@ -247,6 +268,7 @@ class _ArrivalColumns:
         starts_l: list[float] = []
         sizes_l: list[int] = []
         cdfs: list[np.ndarray] = []
+        row_nodes: list[int] = []
         node_blocks: list[tuple[int, int, int]] = []  # (node, row lo, row hi)
         dest: list[int] = []  # cores filled from this batch ...
         slots: list[int] = []  # ... and their rows in it
@@ -270,6 +292,7 @@ class _ArrivalColumns:
                 starts_l.append(ready.start)
                 sizes_l.append(ready.probs.size)
                 cdfs.append(ready.cdf)
+                row_nodes.append(n)
                 if idle:
                     fresh_idle[n] = slot
             dest.append(c)
@@ -280,42 +303,71 @@ class _ArrivalColumns:
         if not starts_l:
             return
 
+        deadline = self._deadline
         dt = self._builder._dt
         times = self._times
-        u = len(starts_l)
-        starts = np.array(starts_l)
-        sizes = np.array(sizes_l, dtype=np.int64)
-        # floor((deadline - time - start) / dt + 1e-9) in place on a
-        # writable stack of each row's node matrix: the same elementwise
-        # chain as the expression form, without the intermediate
-        # temporaries.
-        work = np.empty((u, times.shape[1], times.shape[2]))
-        for n, lo, hi in node_blocks:
-            np.subtract(self._deadline, times[n], out=work[lo:hi])
-        np.subtract(work, starts[:, None, None], out=work)
-        np.divide(work, dt, out=work)
-        np.add(work, 1e-9, out=work)
-        np.floor(work, out=work)
-        ks_all = work.astype(np.int64)
-        np.minimum(ks_all, (sizes - 1)[:, None, None], out=ks_all)
-        np.maximum(ks_all, -1, out=ks_all)
-        # One flat gather over all the rows' CDFs, with an exact-0.0
-        # sentinel ahead of each block: entry ``j`` of row ``i`` lives
-        # at ``offsets[i] + j`` and the clamped ``j == -1`` (query
-        # before the pmf's start) lands on the sentinel — the same
-        # per-element values the reference's ``np.where`` form
-        # produces, without materializing the mask.
-        offsets_l: list[int] = []
-        acc = 1
-        for size in sizes_l:
-            offsets_l.append(acc)
-            acc += size + 1
-        flat_cdf = np.zeros(acc - 1)
-        for i, cdf in enumerate(cdfs):
-            off = offsets_l[i]
-            flat_cdf[off : off + cdf.size] = cdf
-        np.add(ks_all, np.array(offsets_l, dtype=np.int64)[:, None, None], out=ks_all)
-        fr_all = np.take(flat_cdf, ks_all)
+        W = times.shape[2]
+        sizes = np.array(sizes_l)
+        # The reference's index chain at each P-state's first impulse, in
+        # the same order, on a (rows, P) array only:
+        # y0 = (deadline - time_0 - start) / dt + 1e-9.
+        y0 = times[:, :, 0][row_nodes]
+        np.subtract(deadline, y0, out=y0)
+        np.subtract(y0, np.array(starts_l)[:, None], out=y0)
+        np.divide(y0, dt, out=y0)
+        np.add(y0, 1e-9, out=y0)
+        k0 = np.floor(y0)
+        # Impulse l sits at time_0 + l*dt, so the reference's index there
+        # is k0 - l unless rounding carries y_l across an integer, which
+        # only a y0 within the margin of one allows; those pairs take
+        # the exact per-impulse fallback below.
+        np.subtract(y0, k0, out=y0)  # the fraction, in [0, 1)
+        np.subtract(y0, 0.5, out=y0)
+        np.abs(y0, out=y0)
+        # Times rows are nondecreasing: their largest magnitudes sit at
+        # the ends.
+        scale = (
+            abs(deadline)
+            + float(np.abs(times[:, :, [0, -1]]).max())
+            + max(map(abs, starts_l))
+        )
+        near = y0 >= 0.5 - max(_INDEX_MARGIN_FLOOR, _INDEX_MARGIN_REL * scale / dt)
+        # One flat buffer holds each row's CDF as W copies of F[m-1],
+        # then F reversed, then W zeros.  F[k] of a row sits at its
+        # anchor minus k, so the W entries from anchor - k0 hold
+        # F[k0 - l] at offset l: the reference's clamping (F[m-1] above
+        # the support, 0 below it) is built in once k0 is clamped to
+        # [-1, m + W - 2].  Past a P-state's own support the padded
+        # times repeat its last impulse and the window reads other CDF
+        # values than the reference does; their probability is exactly
+        # 0, so both add +0.0.
+        flat = np.zeros(sum(sizes_l) + 2 * W * len(cdfs))
+        bases_l: list[int] = []
+        pos = 0
+        for cdf in cdfs:
+            bases_l.append(pos)
+            flat[pos + W : pos + W + cdf.size] = cdf[::-1]
+            pos += cdf.size + 2 * W
+        # windows[j] is flat[j : j + W], sliding_window_view's layout
+        # built directly (this runs on every read).
+        step = flat.strides[0]
+        windows = np.ndarray((flat.size - W + 1, W), flat.dtype, flat, 0, (step, step))
+        bases = np.array(bases_l)
+        windows[bases] = flat[bases + W][:, None]  # the copies of F[m-1]
+        np.minimum(k0, (sizes + (W - 2))[:, None], out=k0)
+        np.maximum(k0, -1.0, out=k0)
+        anchors = bases + (W - 1) + sizes
+        fr_all = windows[anchors[:, None] - k0.astype(np.int64)]  # (rows, P, W)
+        if near.any():
+            for i, p in zip(*np.nonzero(near)):
+                # The reference's per-impulse expression, for this pair only.
+                ks = np.floor(
+                    (deadline - times[row_nodes[i], p] - starts_l[i]) / dt + 1e-9
+                ).astype(np.int64)
+                np.minimum(ks, sizes_l[i] - 1, out=ks)
+                np.maximum(ks, -1, out=ks)
+                cdf = cdfs[i]
+                fr_all[i, p] = np.where(ks >= 0, cdf[np.maximum(ks, 0)], 0.0)
         # One sum-of-products per node over its contiguous row block:
         # einsum's u axis is an outer loop over independent (p, l)
         # reductions, so each row is bitwise the per-slice two-operand
@@ -325,7 +377,7 @@ class _ArrivalColumns:
         # terms, because extra zero-probability columns — while
         # value-neutral term by term — change the inner loop's
         # accumulator blocking and therefore rounding.
-        rows = np.empty((u, times.shape[1]))
+        rows = np.empty((len(starts_l), times.shape[1]))
         for n, lo, hi in node_blocks:
             w = self._widths[n]
             np.einsum(

@@ -10,7 +10,9 @@ the core (Section IV-B).  :class:`CoreState` caches both pieces:
   :func:`~repro.stoch.ops.convolve_many`, so one incremental convolution
   reproduces the full recomputation bit for bit) and invalidated
   otherwise, and
-* the running task's truncated completion pmf.  Truncation at a later
+* the running task's truncated completion pmf.  Its untruncated form,
+  the execution pmf shifted to the start time, is built once when the
+  task starts rather than on every recompute.  Truncation at a later
   time ``t`` changes nothing as long as the cached distribution has no
   impulse before ``t``, so the cache records its first-impulse time and
   stays valid across most events — typically only cores whose predicted
@@ -70,6 +72,7 @@ class CoreState:
         "dt",
         "_cache",
         "running",
+        "_running_pmf",
         "queue",
         "epoch",
         "_version",
@@ -88,6 +91,7 @@ class CoreState:
         self.dt = dt
         self._cache = cache
         self.running: RunningTask | None = None
+        self._running_pmf: PMF | None = None  # running task's pmf at its start
         self.queue: deque[QueuedTask] = deque()
         self.epoch = 0
         self._version = 0
@@ -146,6 +150,7 @@ class CoreState:
         if self.running is not None:
             raise RuntimeError("core already running a task")
         self.running = running
+        self._running_pmf = shift(running.exec_pmf, running.start_time)
         self._version += 1
 
     def clear_running(self) -> None:
@@ -153,6 +158,7 @@ class CoreState:
         if self.running is None:
             raise RuntimeError("no running task to clear")
         self.running = None
+        self._running_pmf = None
         self._version += 1
 
     def interrupt(self) -> RunningTask:
@@ -167,6 +173,7 @@ class CoreState:
         if running is None:
             raise RuntimeError("no running task to interrupt")
         self.running = None
+        self._running_pmf = None
         self.epoch += 1
         self._version += 1
         return running
@@ -223,9 +230,7 @@ class CoreState:
             and self._ready_trunc_start >= t_now - 1e-9
         ):
             return self._ready_pmf
-        running_c = truncate_below(
-            shift(self.running.exec_pmf, self.running.start_time), t_now, cache=self._cache
-        )
+        running_c = truncate_below(self._running_pmf, t_now, cache=self._cache)
         qconv = self._queue_convolution()
         ready = running_c if qconv is None else convolve(running_c, qconv)
         self._ready_version = self._version

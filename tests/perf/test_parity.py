@@ -12,8 +12,12 @@ under outages.  Speed is allowed to vary; results are not.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import build_trial_system
 from repro.experiments.runner import VariantSpec, policy_for
@@ -21,6 +25,7 @@ from repro.faults import FaultEvent, FaultPolicy, FaultSchedule
 from repro.heuristics.registry import build_heuristic
 from repro.obs.manifest import trial_digest
 from repro.perf import KernelCache
+from repro.sim import mapper
 from repro.sim.engine import Engine
 from repro.sim.mapper import CandidateBuilder
 from repro.sim.state import CoreState, QueuedTask, RunningTask
@@ -211,3 +216,128 @@ class TestDemandDrivenReads:
         engine.run()
         assert check.checked == len(system.workload.tasks)
         assert check.partial_busy > 0  # rho_at reached busy cores nothing else had read
+
+
+def _busy(core, table, task, pstate, start):
+    """Put ``task`` (its pmf on ``core`` at ``pstate``) running from ``start``."""
+    pmf = table.pmf(task.type_id, core.node_index, pstate)
+    core.set_running(RunningTask(task, pstate, pmf, start_time=start, completion_time=start))
+
+
+class TestRhoExactness:
+    """The rho rows' one-floor-per-pair index is the reference's, bitwise.
+
+    The builder evaluates the reference's index expression once per
+    (core, P-state) and steps it down one bin per impulse; pairs whose
+    first-impulse value lies within a rounding margin of an integer
+    recompute every impulse.  Random cluster states with deadlines placed
+    on those index boundaries, and an arrival where stepping really does
+    disagree with the per-impulse expression, must still reproduce
+    ``build_candidate_set`` bit for bit.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_random_states_and_boundary_deadlines(self, system, data):
+        table = system.table
+        tasks = system.workload.tasks
+        dt = table.grid.dt
+        P = system.cluster.num_pstates
+        cores = _fresh_cores(system)
+        t_now = data.draw(st.floats(0.0, 4000.0), label="t_now")
+        pick = st.integers(0, len(tasks) - 1)
+        for core in cores:
+            if data.draw(st.booleans(), label="busy"):
+                task = tasks[data.draw(pick)]
+                back = data.draw(st.integers(0, 60)) * dt
+                if not data.draw(st.booleans(), label="on grid"):
+                    back += data.draw(st.floats(0.01, 0.99)) * dt
+                _busy(core, table, task, data.draw(st.integers(0, P - 1)), t_now - back)
+                for _ in range(data.draw(st.integers(0, 2), label="queued")):
+                    queued = tasks[data.draw(pick)]
+                    pstate = data.draw(st.integers(0, P - 1))
+                    pmf = table.pmf(queued.type_id, core.node_index, pstate)
+                    core.enqueue(QueuedTask(queued, pstate, pmf))
+        task = tasks[data.draw(pick, label="arrival")]
+        if data.draw(st.booleans(), label="boundary deadline"):
+            # Deadline on an index boundary of one (core, P-state) pair:
+            # y0 = k (+ the reference's 1e-9 nudge), then a few ulps off.
+            core = cores[data.draw(st.integers(0, len(cores) - 1))]
+            ready = core.ready_pmf(t_now)
+            time_0 = table.padded(task.type_id, core.node_index).times[
+                data.draw(st.integers(0, P - 1)), 0
+            ]
+            deadline = time_0 + ready.start + data.draw(st.integers(-3, 80)) * dt
+            deadline -= data.draw(st.sampled_from([0.0, 1e-9 * dt]))
+            deadline = float(
+                deadline + data.draw(st.integers(-4, 4)) * np.spacing(deadline)
+            )
+        else:
+            deadline = t_now + data.draw(st.floats(-200.0, 3000.0), label="slack")
+        # The builder reads the deadline only; arrival 0 keeps any
+        # non-negative deadline valid.
+        task = replace(task, arrival=0.0, deadline=max(deadline, 0.0))
+
+        ref = build_candidate_set(task, cores, table, t_now).prob_on_time
+        builder = CandidateBuilder(cores, table)
+        assert builder.build(task, t_now).prob_on_time.tobytes() == ref.tobytes()
+        masked = builder.build(task, t_now)
+        masked.mask = np.array(
+            data.draw(st.lists(st.booleans(), min_size=len(ref), max_size=len(ref)))
+        )
+        covered = np.isin(masked.core_ids, masked.core_ids[masked.mask])
+        assert masked.feasible_rho()[covered].tobytes() == ref[covered].tobytes()
+
+    def test_fallback_covers_a_real_index_disagreement(self, system, monkeypatch):
+        table = system.table
+        dt = table.grid.dt
+        cores = _fresh_cores(system)
+        probe = system.workload.tasks[0]
+        t_now = probe.arrival
+        for i, core in enumerate(cores):
+            # Off-grid starts, so the ready pmfs do not share the times' grid.
+            _busy(core, table, probe, i % system.cluster.num_pstates, t_now - 0.37 * dt * i)
+        arrival = system.workload.tasks[1]
+        pad = table.padded(arrival.type_id, cores[0].node_index)
+        ready = cores[0].ready_pmf(t_now)
+
+        cdf = ready.cdf
+        width = pad.times.shape[1]
+
+        def gather(ks):
+            ks = np.clip(ks, -1, cdf.size - 1).astype(np.int64)
+            return np.where(ks >= 0, cdf[np.maximum(ks, 0)], 0.0)
+
+        def disagrees(deadline):
+            """Whether stepping floor(y0) down one bin per impulse reads a
+            different CDF value than the per-impulse index somewhere."""
+            y = (deadline - pad.times - ready.start) / dt + 1e-9
+            steps = np.floor(y[:, :1]) - np.arange(width)
+            return bool(((gather(np.floor(y)) != gather(steps)) & (pad.probs > 0)).any())
+
+        def rho(task):
+            return CandidateBuilder(cores, table).build(task, t_now).prob_on_time
+
+        found = None
+        for k in range(0, cdf.size + width, 7):
+            # y0 = k, minus the reference's 1e-9 nudge, then ulps off.
+            base = float(pad.times[0, 0] + ready.start + k * dt - 1e-9 * dt)
+            for ulps in range(-64, 65):
+                deadline = base + ulps * float(np.spacing(base))
+                if not disagrees(deadline):
+                    continue
+                task = replace(arrival, deadline=deadline)
+                ref = build_candidate_set(task, cores, table, t_now).prob_on_time
+                with monkeypatch.context() as patched:
+                    patched.setattr(mapper, "_INDEX_MARGIN_FLOOR", 0.0)
+                    patched.setattr(mapper, "_INDEX_MARGIN_REL", 0.0)
+                    if rho(task).tobytes() != ref.tobytes():
+                        found = (task, ref)
+                        break
+            if found:
+                break
+        assert found is not None, "no arrival where stepping the index disagrees"
+        task, ref = found
+        # Without a margin the stepped index gives a different rho; with
+        # it the pair recomputes per impulse and matches bitwise.
+        assert rho(task).tobytes() == ref.tobytes()

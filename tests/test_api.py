@@ -142,3 +142,33 @@ class TestRunEnsemble:
     def test_single_scenario_accepted_bare(self):
         ensemble = api.run_ensemble(api.Scenario("LL", seed=3, num_tasks=40), 1)
         assert ensemble.specs == (api.VariantSpec("LL", "en+rob"),)
+
+    def test_ensemble_section_is_binding(self):
+        """A scenario's own ``[ensemble]`` section gives one ensemble
+        through ``run_scenario`` and ``run_ensemble``; a call that
+        contradicts it is refused instead of silently overriding it."""
+        settings = api.EnsembleSettings(num_trials=3, base_seed=9, n_jobs=2)
+        scenario = api.Scenario(
+            "LL", seed=3, num_tasks=30, mode="ensemble", ensemble=settings
+        )
+        with pytest.raises(ValueError, match="num_trials=1 contradicts"):
+            api.run_ensemble(scenario, 1)
+        with pytest.raises(ValueError, match="base_seed=3 contradicts"):
+            api.run_ensemble(scenario, 3, base_seed=3)
+        with pytest.raises(ValueError, match="contradicts"):
+            api.budget_sweep(scenario, [1.0], 1)
+        # An omitted base seed comes from the section; n_jobs is the
+        # caller's core budget and is not checked.
+        direct = api.run_ensemble(scenario, 3)
+        via_scenario = api.run_scenario(scenario, n_jobs=1)
+        assert direct.num_trials == via_scenario.num_trials == 3
+        assert direct.base_seed == via_scenario.base_seed == 9
+        assert direct.results == via_scenario.results
+
+    def test_section_without_base_seed_defers_to_the_scenario_seed(self):
+        scenario = api.Scenario(
+            "LL", seed=3, num_tasks=30, ensemble=api.EnsembleSettings(num_trials=1)
+        )
+        assert api.run_ensemble(scenario, 1, base_seed=3).base_seed == 3
+        with pytest.raises(ValueError, match="contradicts"):
+            api.run_ensemble(scenario, 1, base_seed=4)
