@@ -37,8 +37,8 @@ def test_full_trial_ll_filtered(benchmark):
     benchmark.extra_info["missed"] = result.missed
 
 
-def busy_cores(system):
-    """Every core running a task, every other one with two more queued.
+def busy_cores(system, queue=(0, 2)):
+    """Every core running a task; core ``c`` queues ``queue[c % len(queue)]`` more.
 
     The first task's pmf on each core's node starts at its arrival, so an
     arrival read right after it sees non-degenerate ready pmfs.
@@ -53,9 +53,8 @@ def busy_cores(system):
         pstate = cid % cluster.num_pstates
         pmf = system.table.pmf(probe.type_id, core.node_index, pstate)
         core.set_running(RunningTask(probe, pstate, pmf, start_time=t0, completion_time=t0))
-        if cid % 2:
-            for _ in range(2):
-                core.enqueue(QueuedTask(probe, pstate, pmf))
+        for _ in range(queue[cid % len(queue)]):
+            core.enqueue(QueuedTask(probe, pstate, pmf))
         cores.append(core)
     return cores
 
@@ -99,4 +98,36 @@ def test_candidate_builder_event(benchmark):
 
     cands, rho = benchmark(build)
     assert len(cands) == cluster.num_cores * cluster.num_pstates
+    assert ((rho >= 0.0) & (rho <= 1.0)).all()
+
+
+def test_ready_refresh_time_advance(benchmark):
+    """The common ready-pmf refresh: time moved, nothing else did.
+
+    Every core runs a task with one or two more queued, and its ready
+    pmf is resident as of the running task's start.  The timed call is
+    an arrival later in time, past the first impulse of most running
+    tasks, that reads every rho row: each of those cores re-truncates
+    its running task and re-convolves it with the (unchanged) queue.
+    """
+    system = small_system()
+    probe, task = system.workload.tasks[:2]
+    t0 = probe.arrival
+    first = sorted(
+        t0 + system.table.pmf(probe.type_id, core.node_index, core.running.pstate).start
+        for core in busy_cores(system, queue=(1, 2))
+    )
+    t1 = first[len(first) // 2] + 1.0  # past the first impulse of half the cores
+
+    def setup():
+        cores = busy_cores(system, queue=(1, 2))
+        builder = CandidateBuilder(cores, system.table)
+        builder.build(task, t0).prob_on_time  # every row resident at t0
+        return (builder,), {}
+
+    def arrival(builder):
+        return builder.build(task, t1).prob_on_time
+
+    rho = benchmark.pedantic(arrival, setup=setup, rounds=20)
+    assert rho.shape == (system.cluster.num_cores * system.cluster.num_pstates,)
     assert ((rho >= 0.0) & (rho <= 1.0)).all()

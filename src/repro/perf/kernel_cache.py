@@ -14,9 +14,19 @@ uses the cache.)
 The cache is an explicit argument, never ambient state: an
 :class:`~repro.sim.engine.Engine` takes one as ``kernel_cache=`` (or
 builds a private one) and hands it to each
-:class:`~repro.sim.state.CoreState`, whose ready-pmf update passes it to
-``truncate_below``.  The ensemble runner passes one cache per trial to
-every spec's engine, since all specs of a trial run the same system.
+:class:`~repro.sim.state.CoreState`.  The ensemble runner passes one
+cache per trial to every spec's engine, since all specs of a trial run
+the same system.
+
+Which truncations use it: a core's ready-pmf refresh when nothing is
+queued behind the running task — that truncation *is* the ready pmf,
+and the same (execution pmf, cut) recurs across cores and specs.  The
+refresh of a core with queued work does not: its truncated tail is only
+an operand of the queue convolution, so
+:func:`~repro.stoch.ops.truncate_convolve` slices and renormalizes it
+in place.  The ``perf.cache_*`` metrics (hits, misses, evictions)
+therefore count the lookups of running-only refreshes alone, while the
+``stoch.ops.truncate_below`` count still covers every truncation.
 
 Correctness contract — *bitwise identity*.  A cached kernel
 (:class:`~repro.stoch.pmf.InternedKernel`) stores the exact probability

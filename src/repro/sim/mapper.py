@@ -16,16 +16,23 @@ of Section V-A quantities over all candidates in candidate order
 :class:`CandidateBuilder` is the engine's one implementation.  It
 precomputes the per-candidate coordinate arrays once per trial and, per
 arrival, fills queue lengths, EET and EEC for every candidate.  A core's
-ready pmf, ECT row and rho row are built on first read
-(:class:`_ArrivalColumns`), at most once per arrival: SQ and Random read
-neither column, MECT reads ECT and the robustness filter and LL read
-rho, each only for the cores with a feasible candidate.  Rows are
-computed by one routine over any core subset; it shares a single
-degenerate ready pmf across all idle cores and one probability row per
-node across them.  Its arithmetic expressions are those of a plain
-per-core loop (``tests/reference_mapper.py``, the parity oracle), so any
-subset of rows matches that loop bit for bit
-(``tests/perf/test_parity.py``).
+ECT row and rho row are built on first read (:class:`_ArrivalColumns`),
+at most once per arrival: SQ and Random read neither column, MECT reads
+ECT and the robustness filter and LL read rho, each only for the cores
+with a feasible candidate.
+
+The cores' ready pmfs stay resident across arrivals in one
+:class:`~repro.sim.state.ReadyRows` arena: each core's CDF row, laid
+out for windowed reads, plus its start, size, first moment, horizon and
+queue length as arrays.  A read refreshes, through
+``CoreState.ready_pmf``, only the cores whose row is stale (a mutation,
+or ``t_now`` past the row's horizon); every other core goes straight to
+the arrays, so per-core Python runs over stale cores only.  Rows are
+computed by one routine over any core subset.  Its arithmetic
+expressions are those of a plain per-core loop
+(``tests/reference_mapper.py``, the parity oracle, which composes every
+ready pmf from scratch), so any subset of rows matches that loop bit
+for bit (``tests/perf/test_parity.py``).
 """
 
 from __future__ import annotations
@@ -35,10 +42,16 @@ from typing import Sequence
 import numpy as np
 
 from repro.heuristics.base import CandidateSet
-from repro.sim.state import CoreState
-from repro.stoch.pmf import PMF
+from repro.sim.state import CoreState, ReadyRows
 from repro.workload.pmf_table import ExecutionTimeTable
 from repro.workload.task import Task
+
+# np.einsum's kernel: without ``optimize`` the function only forwards
+# to it, and the forwarding costs more than a small row block's dot.
+try:  # numpy >= 2
+    from numpy._core.multiarray import c_einsum as _einsum
+except ImportError:  # pragma: no cover - numpy 1.x
+    from numpy.core.multiarray import c_einsum as _einsum
 
 __all__ = ["CandidateBuilder"]
 
@@ -63,10 +76,12 @@ class CandidateBuilder:
 
     Bound to one core list and one execution-time table (both live for a
     whole trial), so the candidate coordinate arrays — identical for
-    every arrival — are built once.  ECT and rho are left to each
-    arrival's :class:`_ArrivalColumns`, which builds only the rows that
-    are read.  Output is bitwise identical to the per-core reference
-    loop the parity tests hold it to.
+    every arrival — are built once, and the cores' ready CDFs stay
+    resident in one :class:`~repro.sim.state.ReadyRows` arena across
+    arrivals.  ECT and rho are left to each arrival's
+    :class:`_ArrivalColumns`, which builds only the rows that are read.
+    Output is bitwise identical to the per-core reference loop the
+    parity tests hold it to.
     """
 
     __slots__ = (
@@ -79,6 +94,9 @@ class CandidateBuilder:
         "_dt",
         "_core_node",
         "_node_order",
+        "_node_edges",
+        "_type_rows",
+        "_rows",
     )
 
     def __init__(self, cores: Sequence[CoreState], table: ExecutionTimeTable) -> None:
@@ -98,32 +116,51 @@ class CandidateBuilder:
         self._core_ids = core_ids
         self._pstates = pstates
         self._dt = table.grid.dt
-        self._core_node = [core.node_index for core in self._cores]
+        self._core_node = np.array([core.node_index for core in self._cores], dtype=np.int64)
         # Core indices grouped by node: walking a core subset in this
         # order keeps each node's rows contiguous, so the per-node dot
         # can run on array slices without gather copies.
-        self._node_order = np.argsort(np.array(self._core_node), kind="stable")
+        self._node_order = np.argsort(self._core_node, kind="stable")
+        self._node_edges = np.arange(cluster.num_nodes + 1)
+        self._type_rows: dict[int, tuple] = {}  # type -> _type_row_arrays(...)
+        self._rows = ReadyRows.bind(self._cores, table.max_width)
 
     def build(self, task: Task, t_now: float) -> CandidateSet:
         """Assemble the candidate set for one arrival at ``t_now``."""
-        P = self._num_pstates
         # Per-type gathers memoized on the table: identical values to the
         # per-arrival lookups of the reference loop, shared read-only
         # across arrivals and across every builder over the table.
         eet, eet_flat, eec_flat, times_stack, probs_stack, widths = (
             self._table.candidate_arrays(task.type_id)
         )
-        qlens = [len(core.queue) + (core.running is not None) for core in self._cores]
+        type_rows = self._type_rows.get(task.type_id)
+        if type_rows is None:
+            type_rows = _type_row_arrays(times_stack, probs_stack, widths)
+            self._type_rows[task.type_id] = type_rows
         return CandidateSet(
             core_ids=self._core_ids,
             pstates=self._pstates,
-            queue_len=np.repeat(np.array(qlens, dtype=np.int64), P),
+            queue_len=np.repeat(self._rows.qlen, self._num_pstates),
             eet=eet_flat,
             eec=eec_flat,
-            columns=_ArrivalColumns(
-                self, task.deadline, t_now, eet, times_stack, probs_stack, widths
-            ),
+            columns=_ArrivalColumns(self, task.deadline, t_now, eet, times_stack, *type_rows),
         )
+
+
+def _type_row_arrays(
+    times_stack: np.ndarray, probs_stack: np.ndarray, widths: tuple[int, ...]
+) -> tuple[np.ndarray, float, list[np.ndarray]]:
+    """What every rho read of one task type needs of its padded tables.
+
+    Each (node, P-state)'s first impulse time, the largest impulse-time
+    magnitude (the index margin's scale; times rows are nondecreasing,
+    so it sits at an end) and each node's probability matrix at its
+    native width.
+    """
+    time0 = np.ascontiguousarray(times_stack[:, :, 0])
+    time_scale = float(np.abs(times_stack[:, :, [0, -1]]).max())
+    node_probs = [probs_stack[n, :, :w] for n, w in enumerate(widths)]
+    return time0, time_scale, node_probs
 
 
 class _ArrivalColumns:
@@ -131,22 +168,23 @@ class _ArrivalColumns:
 
     A read names the cores it needs (every core, the cores with a
     candidate in a mask, or one candidate's core); the rows of those
-    cores not built yet are computed then, together with any ready pmf
-    they need.  The engine reads every column before it commits the
-    arrival's assignment, so the cores' state is the one the arrival saw.
+    cores not built yet are computed then.  Each read first refreshes
+    the needed cores whose resident row is stale — the only per-core
+    Python — and then works on the arena's arrays.  The engine reads
+    every column before it commits the arrival's assignment, so the
+    cores' state is the one the arrival saw.
     """
 
     __slots__ = (
         "_builder",
+        "_rows",
         "_deadline",
         "_t_now",
         "_eet",
         "_times",
-        "_probs",
-        "_widths",
-        "_ready",
-        "_idle",
-        "_idle_rows",
+        "_time0",
+        "_time_scale",
+        "_node_probs",
         "_ect",
         "_ect_flat",
         "_ect_done",
@@ -162,20 +200,20 @@ class _ArrivalColumns:
         t_now: float,
         eet: np.ndarray,
         times_stack: np.ndarray,
-        probs_stack: np.ndarray,
-        widths: tuple[int, ...],
+        time0: np.ndarray,
+        time_scale: float,
+        node_probs: list[np.ndarray],
     ) -> None:
         C, P = builder._num_cores, builder._num_pstates
         self._builder = builder
+        self._rows = builder._rows
         self._deadline = deadline
         self._t_now = t_now
         self._eet = eet  # (C, P)
         self._times = times_stack  # (N, P, width)
-        self._probs = probs_stack  # (N, P, width)
-        self._widths = widths
-        self._ready: list[PMF | None] = [None] * C
-        self._idle: PMF | None = None
-        self._idle_rows: dict[int, np.ndarray] = {}  # node -> its idle cores' rho row
+        self._time0 = time0  # (N, P)
+        self._time_scale = time_scale
+        self._node_probs = node_probs  # N x (P, native width)
         # Entries of cores not built yet are NaN, never stale numbers.
         self._ect_flat = np.full(C * P, np.nan)
         self._ect = self._ect_flat.reshape(C, P)
@@ -189,20 +227,20 @@ class _ArrivalColumns:
     def ect(self, mask: np.ndarray | None) -> np.ndarray:
         need = self._pending(self._ect_done, mask)
         if need.any():
-            self._ect_rows(np.flatnonzero(need).tolist())
+            self._ect_rows(np.flatnonzero(need))
         return self._ect_flat
 
     def rho(self, mask: np.ndarray | None) -> np.ndarray:
         need = self._pending(self._rho_done, mask)
         if need.any():
             order = self._builder._node_order
-            self._rho_rows(order[need[order]].tolist())
+            self._rho_rows(order[need[order]])
         return self._rho_flat
 
     def rho_at(self, index: int) -> float:
         c = int(index) // self._builder._num_pstates
         if not self._rho_done[c]:
-            self._rho_rows([c])
+            self._rho_rows(np.array([c]))
         return float(self._rho_flat[index])
 
     # Rows ---------------------------------------------------------------
@@ -216,104 +254,72 @@ class _ArrivalColumns:
         need &= ~done
         return need
 
-    def _ready_pmf(self, c: int) -> PMF:
-        """Core ``c``'s ready pmf, computed at most once per arrival.
+    def _starts(self, cores: np.ndarray) -> np.ndarray:
+        """Ready-pmf starts of ``cores``, refreshing their stale rows first.
 
-        One degenerate pmf stands in for every idle core's ready time:
-        its values are exactly what CoreState.ready_pmf would build, and
-        sharing the object caches the mean and lets all idle cores of a
-        node share one probability row.
+        A stale row (see :class:`~repro.sim.state.ReadyRows`) is one
+        whose core would recompute in ``CoreState.ready_pmf``; that call
+        refreshes the core's cache and rewrites its row.  An idle core's
+        ready pmf is the degenerate one at ``t_now``.
         """
-        ready = self._ready[c]
-        if ready is None:
-            core = self._builder._cores[c]
-            if core.running is None:
-                ready = self._idle
-                if ready is None:
-                    ready = self._idle = PMF.delta(self._t_now, self._builder._dt)
-            else:
-                ready = core.ready_pmf(self._t_now)
-            self._ready[c] = ready
-        return ready
+        rows = self._rows
+        t_now = self._t_now
+        stale = rows.horizon[cores] < t_now - 1e-9
+        if stale.any():
+            every = self._builder._cores
+            for c in cores[stale].tolist():
+                every[c].ready_pmf(t_now)
+        starts = rows.start[cores]
+        np.copyto(starts, t_now, where=np.isnan(starts))
+        return starts
 
-    def _ect_rows(self, cores: list[int]) -> None:
-        means: list[float] = []
-        for c in cores:
-            ready = self._ready_pmf(c)
-            # Inline of PMF.mean's cached branch (same expression, minus
-            # the method dispatch).
-            m1 = ready._m1
-            means.append(float(ready.start + ready.dt * m1) if m1 is not None else ready.mean())
-        self._ect[cores] = np.array(means)[:, None] + self._eet[cores]
+    def _ect_rows(self, cores: np.ndarray) -> None:
+        starts = self._starts(cores)
+        rows = self._rows
+        m1 = rows.m1[cores]
+        missing = np.isnan(m1)
+        if missing.any():
+            # PMF.mean's first moment, computed once per refreshed pmf.
+            for c in cores[missing].tolist():
+                ready = rows.ready[c]
+                ready.mean()
+                rows.m1[c] = ready._m1
+            m1 = rows.m1[cores]
+        # ready.start + ready.dt * m1 (PMF.mean) per row, then + EET.
+        m1 *= self._builder._dt
+        m1 += starts
+        self._ect[cores] = m1[:, None] + self._eet[cores]
         self._ect_done[cores] = True
 
-    def _rho_rows(self, cores: list[int]) -> None:
+    def _rho_rows(self, cores: np.ndarray) -> None:
         """Fill the rho rows of ``cores`` (grouped by node, in node order).
 
-        One probability row per distinct (node, ready pmf) pair, batched
-        over the subset.  The reference's CDF index is evaluated once per
-        (row, P-state), at the first impulse; one gather from a flat
-        buffer of the rows' CDFs then yields the CDF value at every
-        impulse, and the per-P-state dot runs per node on its contiguous
-        (P, width) slice.  The values gathered, and the dot over them,
-        are those prob_on_time_all_pstates computes one core at a time:
-        a pair whose index rounding could differ between impulses (see
+        The reference's CDF index is evaluated once per (row, P-state),
+        at the first impulse; one gather from the arena's windows then
+        yields the CDF value at every impulse, and the per-P-state dot
+        runs per node on its contiguous (P, width) slice.  The values
+        gathered, and the dot over them, are those
+        prob_on_time_all_pstates computes one core at a time: a pair
+        whose index rounding could differ between impulses (see
         ``_INDEX_MARGIN_REL``) is recomputed with its per-impulse
-        expression.  Each row is an independent reduction, so a subset's
-        rows equal the same rows of the full computation.
+        expression.  Each row is an independent reduction, so a
+        subset's rows equal the same rows of the full computation.
         """
-        idle_rows = self._idle_rows
-        core_node = self._builder._core_node
-        rho = self._rho
-        starts_l: list[float] = []
-        sizes_l: list[int] = []
-        cdfs: list[np.ndarray] = []
-        row_nodes: list[int] = []
-        node_blocks: list[tuple[int, int, int]] = []  # (node, row lo, row hi)
-        dest: list[int] = []  # cores filled from this batch ...
-        slots: list[int] = []  # ... and their rows in it
-        fresh_idle: dict[int, int] = {}  # node -> row of its idle cores
-        node = -1
-        row_lo = 0
-        for c in cores:
-            n = core_node[c]
-            if n != node:
-                if len(starts_l) > row_lo:
-                    node_blocks.append((node, row_lo, len(starts_l)))
-                node, row_lo = n, len(starts_l)
-            ready = self._ready_pmf(c)
-            idle = ready is self._idle
-            if idle and n in idle_rows:
-                rho[c] = idle_rows[n]
-                continue
-            slot = fresh_idle.get(n, -1) if idle else -1
-            if slot < 0:
-                slot = len(starts_l)
-                starts_l.append(ready.start)
-                sizes_l.append(ready.probs.size)
-                cdfs.append(ready.cdf)
-                row_nodes.append(n)
-                if idle:
-                    fresh_idle[n] = slot
-            dest.append(c)
-            slots.append(slot)
-        if len(starts_l) > row_lo:
-            node_blocks.append((node, row_lo, len(starts_l)))
-        self._rho_done[cores] = True
-        if not starts_l:
-            return
-
+        starts = self._starts(cores)
+        rows = self._rows
+        sizes = rows.size[cores]
+        anchors = rows.anchor[cores]
+        row_nodes = self._builder._core_node[cores]
         deadline = self._deadline
         dt = self._builder._dt
         times = self._times
         W = times.shape[2]
-        sizes = np.array(sizes_l)
         # The reference's index chain at each P-state's first impulse, in
         # the same order, on a (rows, P) array only:
         # y0 = (deadline - time_0 - start) / dt + 1e-9.
-        y0 = times[:, :, 0][row_nodes]
+        y0 = self._time0[row_nodes]
         np.subtract(deadline, y0, out=y0)
-        np.subtract(y0, np.array(starts_l)[:, None], out=y0)
+        np.subtract(y0, starts[:, None], out=y0)
         np.divide(y0, dt, out=y0)
         np.add(y0, 1e-9, out=y0)
         k0 = np.floor(y0)
@@ -324,49 +330,34 @@ class _ArrivalColumns:
         np.subtract(y0, k0, out=y0)  # the fraction, in [0, 1)
         np.subtract(y0, 0.5, out=y0)
         np.abs(y0, out=y0)
-        # Times rows are nondecreasing: their largest magnitudes sit at
-        # the ends.
-        scale = (
-            abs(deadline)
-            + float(np.abs(times[:, :, [0, -1]]).max())
-            + max(map(abs, starts_l))
-        )
+        scale = abs(deadline) + self._time_scale + float(np.abs(starts).max())
         near = y0 >= 0.5 - max(_INDEX_MARGIN_FLOOR, _INDEX_MARGIN_REL * scale / dt)
-        # One flat buffer holds each row's CDF as W copies of F[m-1],
-        # then F reversed, then W zeros.  F[k] of a row sits at its
-        # anchor minus k, so the W entries from anchor - k0 hold
-        # F[k0 - l] at offset l: the reference's clamping (F[m-1] above
-        # the support, 0 below it) is built in once k0 is clamped to
-        # [-1, m + W - 2].  Past a P-state's own support the padded
-        # times repeat its last impulse and the window reads other CDF
-        # values than the reference does; their probability is exactly
-        # 0, so both add +0.0.
-        flat = np.zeros(sum(sizes_l) + 2 * W * len(cdfs))
-        bases_l: list[int] = []
-        pos = 0
-        for cdf in cdfs:
-            bases_l.append(pos)
-            flat[pos + W : pos + W + cdf.size] = cdf[::-1]
-            pos += cdf.size + 2 * W
-        # windows[j] is flat[j : j + W], sliding_window_view's layout
-        # built directly (this runs on every read).
-        step = flat.strides[0]
-        windows = np.ndarray((flat.size - W + 1, W), flat.dtype, flat, 0, (step, step))
-        bases = np.array(bases_l)
-        windows[bases] = flat[bases + W][:, None]  # the copies of F[m-1]
+        # The W entries from anchor - k0 hold F[k0 - l] at offset l, with
+        # the reference's clamping (F[m-1] above the support, 0 below
+        # it) built into the arena once k0 is clamped to [-1, m + W - 2]
+        # (W is at most the arena's pad).  Past a P-state's own support
+        # the padded times repeat its last impulse and the window reads
+        # other CDF values than the reference does; their probability is
+        # exactly 0, so both add +0.0.
+        data = rows.data
+        step = data.strides[0]
+        # windows[j] is data[j : j + W], sliding_window_view's layout
+        # built directly (the arena may have grown since the last read).
+        windows = np.ndarray((data.size - W + 1, W), data.dtype, data, 0, (step, step))
         np.minimum(k0, (sizes + (W - 2))[:, None], out=k0)
         np.maximum(k0, -1.0, out=k0)
-        anchors = bases + (W - 1) + sizes
         fr_all = windows[anchors[:, None] - k0.astype(np.int64)]  # (rows, P, W)
         if near.any():
             for i, p in zip(*np.nonzero(near)):
                 # The reference's per-impulse expression, for this pair only.
+                m = int(sizes[i])
                 ks = np.floor(
-                    (deadline - times[row_nodes[i], p] - starts_l[i]) / dt + 1e-9
+                    (deadline - times[row_nodes[i], p] - starts[i]) / dt + 1e-9
                 ).astype(np.int64)
-                np.minimum(ks, sizes_l[i] - 1, out=ks)
+                np.minimum(ks, m - 1, out=ks)
                 np.maximum(ks, -1, out=ks)
-                cdf = cdfs[i]
+                top = int(anchors[i]) + 1
+                cdf = data[top - m : top][::-1]
                 fr_all[i, p] = np.where(ks >= 0, cdf[np.maximum(ks, 0)], 0.0)
         # One sum-of-products per node over its contiguous row block:
         # einsum's u axis is an outer loop over independent (p, l)
@@ -377,15 +368,12 @@ class _ArrivalColumns:
         # terms, because extra zero-probability columns — while
         # value-neutral term by term — change the inner loop's
         # accumulator blocking and therefore rounding.
-        rows = np.empty((len(starts_l), times.shape[1]))
-        for n, lo, hi in node_blocks:
-            w = self._widths[n]
-            np.einsum(
-                "pl,upl->up",
-                self._probs[n, :, :w],
-                fr_all[lo:hi, :, :w],
-                out=rows[lo:hi],
-            )
-        rho[dest] = rows[slots]
-        for n, slot in fresh_idle.items():
-            idle_rows[n] = rows[slot]
+        out = np.empty((cores.size, times.shape[1]))
+        bounds = row_nodes.searchsorted(self._builder._node_edges).tolist()
+        for n, probs in enumerate(self._node_probs):
+            lo, hi = bounds[n], bounds[n + 1]
+            if lo < hi:
+                w = probs.shape[1]
+                _einsum("pl,upl->up", probs, fr_all[lo:hi, :, :w], out=out[lo:hi])
+        self._rho[cores] = out
+        self._rho_done[cores] = True

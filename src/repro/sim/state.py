@@ -2,35 +2,51 @@
 
 The dominant cost of a mapping event is computing, for every core, the
 *ready-time* pmf — the completion distribution of everything already on
-the core (Section IV-B).  :class:`CoreState` caches both pieces:
+the core (Section IV-B).  :class:`CoreState` caches it, and its pieces:
 
 * the convolution of queued tasks' execution pmfs, maintained
   *incrementally* on enqueue whenever that is exact (appending a pmf at
   least as long as every queued one convolves last in the sorted fold of
   :func:`~repro.stoch.ops.convolve_many`, so one incremental convolution
   reproduces the full recomputation bit for bit) and invalidated
-  otherwise, and
-* the running task's truncated completion pmf.  Its untruncated form,
-  the execution pmf shifted to the start time, is built once when the
-  task starts rather than on every recompute.  Truncation at a later
-  time ``t`` changes nothing as long as the cached distribution has no
-  impulse before ``t``, so the cache records its first-impulse time and
-  stays valid across most events — typically only cores whose predicted
-  completion is overdue recompute.  Those truncations go through the
-  engine's :class:`~repro.perf.KernelCache`, handed to every core.
+  otherwise;
+* the running task's execution pmf shifted to its start time, built
+  once when the task starts rather than on every refresh;
+* the ready pmf itself.  Truncation at a later time ``t`` changes
+  nothing as long as the truncated distribution has no impulse before
+  ``t``, so the cache records that first-impulse time (its *horizon*)
+  and stays valid across most events.
+
+A stale ready pmf is refreshed in one step.  A core with queued work
+runs :func:`~repro.stoch.ops.truncate_convolve` (slice, renormalize,
+convolve with the queue, trim; its truncated tail is never cached).  A
+core with only a running task truncates through the engine's
+:class:`~repro.perf.KernelCache`, handed to every core, since that
+truncation *is* the ready pmf and repeats across cores and specs.
+
+:class:`ReadyRows` keeps the result resident for the candidate builder:
+each core of a builder's core list owns a slot in one arena holding its
+ready CDF laid out for windowed reads, plus its start, size, first
+moment, horizon and queue length as arrays.  A mutation marks the row
+stale (its horizon drops to ``-inf``); a refresh rewrites it, so a read
+runs Python only over stale cores.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from repro.perf.kernel_cache import KernelCache
-from repro.stoch.ops import convolve, convolve_many, shift, truncate_below
+from repro.stoch.ops import convolve, convolve_many, shift, truncate_below, truncate_convolve
 from repro.stoch.pmf import PMF
 from repro.workload.task import Task
 
-__all__ = ["RunningTask", "QueuedTask", "CoreState", "RollingEnergyBudget"]
+__all__ = ["RunningTask", "QueuedTask", "CoreState", "ReadyRows", "RollingEnergyBudget"]
 
 
 @dataclass(frozen=True)
@@ -63,7 +79,9 @@ class CoreState:
 
     ``cache`` memoizes the running task's truncations (the engine passes
     its kernel cache to every core); ``None`` computes each one fresh.
-    Results are bitwise identical either way.
+    Results are bitwise identical either way.  A core bound to a
+    :class:`ReadyRows` (by the candidate builder) also keeps its ready
+    CDF resident there.
     """
 
     __slots__ = (
@@ -81,6 +99,8 @@ class CoreState:
         "_ready_version",
         "_ready_pmf",
         "_ready_trunc_start",
+        "_rows",
+        "_slot",
     )
 
     def __init__(
@@ -100,6 +120,8 @@ class CoreState:
         self._ready_version = -1
         self._ready_pmf: PMF | None = None
         self._ready_trunc_start = 0.0
+        self._rows: ReadyRows | None = None
+        self._slot = 0
 
     # ------------------------------------------------------------------
     # Occupancy
@@ -118,6 +140,15 @@ class CoreState:
     # ------------------------------------------------------------------
     # Mutations (each bumps the cache version)
     # ------------------------------------------------------------------
+
+    def _changed(self) -> None:
+        """Bump the cache version and mark the resident row stale."""
+        self._version += 1
+        rows = self._rows
+        if rows is not None:
+            slot = self._slot
+            rows.horizon[slot] = -math.inf
+            rows.qlen[slot] = len(self.queue) + (self.running is not None)
 
     def enqueue(self, entry: QueuedTask) -> None:
         """Append a task to the core's FIFO queue.
@@ -143,7 +174,7 @@ class CoreState:
         else:
             self._queue_conv = None
         self.queue.append(entry)
-        self._version += 1
+        self._changed()
 
     def set_running(self, running: RunningTask) -> None:
         """Begin executing a task (the core must not be busy)."""
@@ -151,7 +182,7 @@ class CoreState:
             raise RuntimeError("core already running a task")
         self.running = running
         self._running_pmf = shift(running.exec_pmf, running.start_time)
-        self._version += 1
+        self._changed()
 
     def clear_running(self) -> None:
         """Mark the running task finished."""
@@ -159,7 +190,7 @@ class CoreState:
             raise RuntimeError("no running task to clear")
         self.running = None
         self._running_pmf = None
-        self._version += 1
+        self._changed()
 
     def interrupt(self) -> RunningTask:
         """Forcibly remove the running task (fault injection only).
@@ -175,7 +206,7 @@ class CoreState:
         self.running = None
         self._running_pmf = None
         self.epoch += 1
-        self._version += 1
+        self._changed()
         return running
 
     def drain_queue(self) -> list[QueuedTask]:
@@ -184,7 +215,7 @@ class CoreState:
             return []
         entries = list(self.queue)
         self.queue.clear()
-        self._version += 1
+        self._changed()
         self._queue_conv = None
         return entries
 
@@ -193,7 +224,7 @@ class CoreState:
         if not self.queue:
             return None
         entry = self.queue.popleft()
-        self._version += 1
+        self._changed()
         self._queue_conv = None
         return entry
 
@@ -202,7 +233,7 @@ class CoreState:
         for entry in self.queue:
             if entry.task.task_id == task_id:
                 self.queue.remove(entry)
-                self._version += 1
+                self._changed()
                 self._queue_conv = None
                 return entry
         return None
@@ -221,8 +252,20 @@ class CoreState:
         return self._queue_conv
 
     def ready_pmf(self, t_now: float) -> PMF:
-        """Distribution of when this core can start a newly-mapped task."""
+        """Distribution of when this core can start a newly-mapped task.
+
+        An idle core is ready at ``t_now``; its resident row is the
+        degenerate one, written once per idle spell.  A busy core's
+        cached pmf is returned until a mutation or a ``t_now`` past its
+        horizon; then it is refreshed in one step and its row rewritten.
+        """
+        rows = self._rows
         if self.running is None:
+            if self._ready_version != self._version:
+                self._ready_version = self._version
+                self._ready_pmf = None
+                if rows is not None:
+                    rows.write(self._slot, None, math.inf)
             return PMF.delta(t_now, self.dt)
         if (
             self._ready_version == self._version
@@ -230,13 +273,157 @@ class CoreState:
             and self._ready_trunc_start >= t_now - 1e-9
         ):
             return self._ready_pmf
-        running_c = truncate_below(self._running_pmf, t_now, cache=self._cache)
-        qconv = self._queue_convolution()
-        ready = running_c if qconv is None else convolve(running_c, qconv)
+        qconv = self._queue_conv
+        if qconv is None and self.queue:
+            qconv = self._queue_convolution()
+        if qconv is None:
+            ready = truncate_below(self._running_pmf, t_now, cache=self._cache)
+            horizon = ready.start
+        else:
+            ready, horizon = truncate_convolve(self._running_pmf, t_now, qconv)
         self._ready_version = self._version
         self._ready_pmf = ready
-        self._ready_trunc_start = running_c.start
+        self._ready_trunc_start = horizon
+        if rows is not None:
+            rows.write(self._slot, ready, horizon)
         return ready
+
+
+class ReadyRows:
+    """The resident ready-time rows of one core list.
+
+    Core ``c`` of the list owns a slot of one flat arena ``data``: its
+    ready CDF ``F`` of ``m`` bins sits reversed, ``F[k]`` at
+    ``anchor[c] - k``, preceded by ``pad`` copies of ``F[m-1]`` and
+    followed by ``pad`` zeros.  A window of up to ``pad`` entries read
+    forward from ``anchor[c] - k`` therefore holds ``F[k], F[k-1], ...``
+    clamped the way a CDF lookup clamps (``F[m-1]`` above the support, 0
+    below it) for any ``k`` in ``[-1, m + pad - 2]``.  ``pad`` is the
+    longest execution pmf the rows are weighed against.
+
+    Slots are right-aligned on a fixed anchor, so the zeros are written
+    once and a refresh writes only the copies and ``F``.  A CDF longer
+    than its slot moves the core to a new slot at least twice as large
+    at the end of the arena (the old one is abandoned); the arena grows
+    by doubling.
+
+    Per core, one record of ``meta`` (column views ``start``,
+    ``horizon``, ``m1``, ``size``) describes the row: the ready pmf's
+    start (``nan`` for an idle core, whose start is the reader's
+    ``t_now``), the core cache's validity bound (``inf`` for an idle
+    core; ``-inf`` once a mutation made the row stale), the first moment
+    in grid steps (``nan`` until a reader needs it) and ``m``.  A row is
+    stale for a reader at ``t_now`` when ``horizon < t_now - 1e-9``,
+    exactly when :meth:`CoreState.ready_pmf` would refresh.  ``qlen``
+    (tasks queued or running) is kept by every mutation.
+    """
+
+    __slots__ = (
+        "pad",
+        "data",
+        "anchor",
+        "meta",
+        "start",
+        "horizon",
+        "m1",
+        "size",
+        "qlen",
+        "ready",
+        "_cap",
+        "_top",
+        "_used",
+    )
+
+    #: Bins per slot before a first move: above a typical ready pmf.
+    SLOT = 256
+
+    def __init__(self, cores: Sequence[CoreState], pad: int) -> None:
+        C = len(cores)
+        span = self.SLOT + 2 * pad
+        self.pad = pad
+        self.data = np.zeros(C * span)
+        self.anchor = np.arange(C, dtype=np.int64) * span + (pad + self.SLOT - 1)
+        self.meta = np.empty((C, 4))
+        self.start, self.horizon, self.m1, self.size = self.meta.T
+        self.horizon[:] = -math.inf
+        self.qlen = np.array([core.assigned_count for core in cores], dtype=np.int64)
+        self.ready: list[PMF | None] = [None] * C
+        self._cap = [self.SLOT] * C
+        self._top = (self.anchor + 1).tolist()  # anchor + 1, for writes
+        self._used = C * span
+        for slot, core in enumerate(cores):
+            core._rows = self
+            core._slot = slot
+            core._ready_version = -1  # the next read refreshes into this arena
+
+    @classmethod
+    def bind(cls, cores: Sequence[CoreState], pad: int) -> "ReadyRows":
+        """The arena of ``cores``: the one they share, or a new one.
+
+        Builders over the same core list share its arena.  A core keeps
+        one row, so a core already bound to another list's arena (or to
+        one padded for shorter pmfs) is refused.
+        """
+        rows = cores[0]._rows if cores else None
+        # The arena keeps no reference back to its cores (that cycle
+        # would hold every finished trial's cores, pmfs and arena until
+        # a full garbage collection); each core knows its slot instead.
+        if (
+            rows is not None
+            and rows.pad >= pad
+            and rows.qlen.size == len(cores)
+            and all(core._rows is rows and core._slot == i for i, core in enumerate(cores))
+        ):
+            return rows
+        if any(core._rows is not None for core in cores):
+            raise ValueError("a core's ready row belongs to another core list")
+        return cls(cores, pad)
+
+    def write(self, slot: int, ready: PMF | None, horizon: float) -> None:
+        """Make ``ready`` (``None``: the idle core's) the slot's row.
+
+        The CDF is accumulated straight into the slot (``PMF.cdf``'s
+        cumulative sum, written reversed), so a refresh computes it once
+        and keeps no second copy.
+        """
+        if ready is None:
+            probs = _IDLE_PROBS
+            start = math.nan
+            m1 = 0.0
+        else:
+            probs = ready.probs
+            start = ready.start
+            m1 = ready._m1
+            if m1 is None:
+                m1 = math.nan
+        m = probs.size
+        if m > self._cap[slot]:
+            self._move(slot, m)
+        top = self._top[slot]
+        low = top - m
+        data = self.data
+        probs.cumsum(out=data[low:top][::-1])
+        data[low - self.pad : low] = data[low]
+        self.meta[slot] = (start, horizon, m1, m)
+        self.ready[slot] = ready
+
+    def _move(self, slot: int, m: int) -> None:
+        cap = max(m, 2 * self._cap[slot])
+        base = self._used
+        used = base + cap + 2 * self.pad
+        if used > self.data.size:
+            grown = np.zeros(max(used, 2 * self.data.size))
+            grown[:base] = self.data[:base]
+            self.data = grown
+        self.anchor[slot] = base + self.pad + cap - 1
+        self._top[slot] = base + self.pad + cap
+        self._cap[slot] = cap
+        self._used = used
+
+
+#: The probabilities of a degenerate (idle core's) ready pmf.
+_IDLE_PROBS = np.ones(1)
+_IDLE_PROBS.setflags(write=False)
 
 
 class RollingEnergyBudget:

@@ -12,6 +12,10 @@ predicting stochastic completion times:
     Drop impulses in the past and renormalize — the paper's treatment of a
     currently-executing task whose predicted completion mass partially
     lies before the current time-step.
+``truncate_convolve``
+    ``convolve(truncate_below(R, t), Q)`` fused, bitwise: a busy core's
+    ready-time refresh, a running task's remaining completion time plus
+    its queue's.
 ``prob_sum_at_most``
     ``P[R + X <= d]`` *without* materializing the convolution; used on the
     hot path when scoring hundreds of candidate assignments per arrival.
@@ -24,13 +28,21 @@ from typing import Callable, Iterable, Protocol, Sequence
 
 import numpy as np
 
-from repro.stoch.pmf import _RTOL, PMF, InternedKernel
+from repro.stoch.pmf import _RTOL, _TRIM_EPS, PMF, InternedKernel
+
+# The kernel behind numpy.convolve; calling it directly skips the
+# wrapper's argument coercion on the ready-pmf refresh.
+try:  # numpy >= 2
+    from numpy._core.multiarray import correlate as _correlate
+except ImportError:  # pragma: no cover - numpy 1.x
+    from numpy.core.multiarray import correlate as _correlate
 
 __all__ = [
     "convolve",
     "convolve_many",
     "shift",
     "truncate_below",
+    "truncate_convolve",
     "prob_sum_at_most",
     "expectation_of_sum",
     "set_op_observer",
@@ -71,6 +83,17 @@ class TruncationCache(Protocol):
 
     def put(self, key: tuple, kernel: InternedKernel) -> int:
         """Store a result; returns how many entries were evicted."""
+
+
+#: ``mode="full"`` of the numpy.convolve kernel ``_correlate``.
+_FULL = 2
+#: ``ndarray.sum`` / ``ndarray.max`` of a 1-D array without their Python
+#: wrapper (the same reductions: ``numpy/_core/_methods.py``).
+_add = np.add.reduce
+_max = np.maximum.reduce
+#: The probability array of a degenerate pmf.
+_UNIT = np.ones(1)
+_UNIT.setflags(write=False)
 
 
 def _check_same_grid(a: PMF, b: PMF) -> None:
@@ -206,6 +229,74 @@ def _truncate_tail(pmf: PMF, k: int) -> PMF | None:
     arr = tail / total if abs(total - 1.0) > _RTOL else tail.copy()
     arr.setflags(write=False)
     return PMF._intern(pmf.start + k * pmf.dt, pmf.dt, arr)
+
+
+def truncate_convolve(pmf: PMF, t: float, other: PMF) -> tuple[PMF, float]:
+    """``convolve(truncate_below(pmf, t), other)`` in one step, bitwise.
+
+    Returns the result and the start of the truncated ``pmf`` (the cut
+    a later ``t`` has to pass before the result changes).  The truncated
+    tail is an intermediate nothing else reads, so it is sliced and
+    renormalized in place of a :class:`TruncationCache` round trip; the
+    convolution runs numpy's kernel with :func:`numpy.convolve`'s
+    operand order (the longer operand first, the first one on a tie)
+    and the result is finished by :meth:`PMF._from_raw`'s normalize and
+    trim branches.  Both operations are reported to the op observer as
+    their own functions report them.
+    """
+    dt = pmf.dt
+    if abs(dt - other.dt) > _RTOL * dt:
+        raise ValueError(f"grid mismatch: dt={dt} vs dt={other.dt}")
+    probs = pmf.probs
+    start = pmf.start
+    head = probs
+    if t > start:
+        # truncate_below's branches, without materializing the tail pmf.
+        k = math.ceil((t - start) / dt - 1e-9)
+        if k > 0:
+            if _op_observer is not None:
+                _op_observer("truncate_below", probs.size)
+            head = None
+            if k < probs.size:
+                tail = probs[k:]
+                total = float(_add(tail))
+                if total > 0.0:
+                    head = tail / total if abs(total - 1.0) > _RTOL else tail
+                    start = start + k * dt
+            if head is None:
+                head = _UNIT
+                start = t
+    q = other.probs
+    if head.size == 1 or q.size == 1:
+        # convolve's delta shortcuts: a shift, no convolution.
+        if head is not probs:
+            head.setflags(write=False)
+        running = pmf if head is probs else PMF._intern(start, dt, head)
+        return convolve(running, other), start
+    a, v = (q, head) if q.size > head.size else (head, q)
+    raw = _correlate(a, v[::-1], _FULL)
+    if _op_observer is not None:
+        _op_observer("convolve", raw.size)
+    # PMF._from_raw, branch for branch.
+    begin = start + other.start
+    total = float(_add(raw))
+    arr = raw / total if abs(total - 1.0) > _RTOL else raw
+    thresh = float(_max(arr)) * _TRIM_EPS
+    # The max itself is above the threshold, so some bin survives.  (No
+    # end-bin pre-check: a ready pmf's ends nearly always trim.)
+    kept = (arr > thresh).nonzero()[0]
+    lo = int(kept[0])
+    hi = int(kept[-1])
+    if lo != 0 or hi != arr.size - 1:
+        sl = arr[lo : hi + 1]
+        t2 = float(_add(sl))
+        # _from_raw copies an unscaled slice to free ``raw``; a ready
+        # pmf lives until the core's next refresh, so the view (same
+        # values) stays.
+        arr = sl / t2 if abs(t2 - 1.0) > _RTOL else sl
+        begin = begin + lo * dt
+    arr.setflags(write=False)
+    return PMF._intern(begin, dt, arr), start
 
 
 def prob_sum_at_most(ready: PMF, exec_pmf: PMF, deadline: float) -> float:

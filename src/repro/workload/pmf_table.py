@@ -101,6 +101,7 @@ class ExecutionTimeTable:
         eet = np.array([pmf.mean() for pmf in flat]).reshape(T, N, P)
 
         self._pmfs = pmfs
+        self._max_width = max(pmf.probs.size for pmf in flat)
         # Padded matrices are built lazily per (type, node) on first
         # padded() access; most task types of a finite trial never
         # arrive, so eager padding is pure waste.
@@ -137,6 +138,11 @@ class ExecutionTimeTable:
     def exec_cv(self) -> float:
         """Coefficient of variation of each execution-time pmf."""
         return self._exec_cv
+
+    @property
+    def max_width(self) -> int:
+        """Support length of the longest execution pmf: the widest padding."""
+        return self._max_width
 
     def pmf(self, type_id: int, node: int, pstate: int) -> PMF:
         """Execution-time pmf of a (type, node, P-state) combination."""

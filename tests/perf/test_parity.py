@@ -89,6 +89,29 @@ class TestBuilderMatchesReference:
             ref = build_candidate_set(task, cores, system.table, task.arrival)
             self._assert_equal(got, ref)
 
+    def test_builders_over_one_core_list_share_its_rows(self, system):
+        """Every builder over a core list reads one arena, so a mutation
+        seen through one is seen through all; a core list that would take
+        a core from another list's arena is refused."""
+        table = system.table
+        tasks = system.workload.tasks
+        cores = _fresh_cores(system)
+        builders = [CandidateBuilder(cores, table), CandidateBuilder(list(cores), table)]
+        t0 = tasks[0].arrival
+        for i, core in enumerate(cores[::3]):
+            _busy(core, table, tasks[i], i % system.cluster.num_pstates, t0)
+        for step, task in enumerate(tasks[1:5]):
+            if step == 2:
+                pmf = table.pmf(task.type_id, cores[0].node_index, 0)
+                cores[0].enqueue(QueuedTask(task, 0, pmf))
+            for builder in builders:
+                self._assert_equal(
+                    builder.build(task, task.arrival),
+                    build_candidate_set(task, cores, table, task.arrival),
+                )
+        with pytest.raises(ValueError, match="another core list"):
+            CandidateBuilder([cores[0]] + _fresh_cores(system)[1:], table)
+
     def test_with_running_and_queued_work(self, system):
         cores = _fresh_cores(system)
         builder = CandidateBuilder(cores, system.table)

@@ -2,8 +2,14 @@
 
 :func:`build_candidate_set` assembles an arrival's candidate set with
 one plain pass over every core.  The engine never runs it; it is the
-ground truth that :class:`~repro.sim.mapper.CandidateBuilder`'s batched,
-deduplicated arrays must match bit for bit (``tests/perf/test_parity.py``).
+ground truth that :class:`~repro.sim.mapper.CandidateBuilder`'s batched
+arrays must match bit for bit (``tests/perf/test_parity.py``).
+
+Each core's ready pmf is composed from scratch out of the core's
+running task and queue with :mod:`repro.robustness.completion` — never
+read from the core's own cache or its resident row — so the oracle
+checks the engine's ready-pmf refresh too, not only the arithmetic
+after it.
 """
 
 from __future__ import annotations
@@ -13,12 +19,30 @@ from typing import Sequence
 import numpy as np
 
 from repro.heuristics.base import CandidateSet
-from repro.robustness.completion import prob_on_time_all_pstates
+from repro.robustness.completion import (
+    prob_on_time_all_pstates,
+    ready_pmf,
+    running_completion_pmf,
+)
 from repro.sim.state import CoreState
+from repro.stoch.pmf import PMF
 from repro.workload.pmf_table import ExecutionTimeTable
 from repro.workload.task import Task
 
-__all__ = ["build_candidate_set"]
+__all__ = ["build_candidate_set", "reference_ready_pmf"]
+
+
+def reference_ready_pmf(core: CoreState, t_now: float) -> PMF:
+    """``core``'s ready pmf at ``t_now``, composed from its tasks alone."""
+    running = core.running
+    if running is None:
+        return ready_pmf(None, [], t_now, core.dt)
+    return ready_pmf(
+        running_completion_pmf(running.exec_pmf, running.start_time, t_now),
+        [entry.exec_pmf for entry in core.queue],
+        t_now,
+        core.dt,
+    )
 
 
 def build_candidate_set(
@@ -47,7 +71,7 @@ def build_candidate_set(
     queue_len = np.empty(C, dtype=np.int64)
     for c in range(C):
         core = cores[c]
-        ready = core.ready_pmf(t_now)
+        ready = reference_ready_pmf(core, t_now)
         ready_means[c] = ready.mean()
         pad = table.padded(task.type_id, core.node_index)
         prob[c] = prob_on_time_all_pstates(ready, pad.times, pad.probs, task.deadline)

@@ -9,6 +9,7 @@ from repro.stoch.ops import (
     prob_sum_at_most,
     set_op_observer,
     truncate_below,
+    truncate_convolve,
 )
 from repro.stoch.pmf import PMF
 
@@ -63,6 +64,24 @@ class TestObservedOps:
     def test_prob_sum_at_most_counted(self, calls):
         prob_sum_at_most(coin(), coin(), 1.0)
         assert [op for op, _ in calls] == ["prob_sum_at_most"]
+
+    @pytest.mark.parametrize(
+        "t",
+        [
+            0.5,  # before the support: no truncation
+            1.5,  # a two-bin tail
+            2.5,  # a one-bin tail: the delta shortcut, no convolution
+            9.0,  # overdue: a delta at t
+        ],
+    )
+    def test_fused_refresh_reports_what_its_composition_does(self, calls, t):
+        running = PMF(1.0, 1.0, [0.25, 0.25, 0.5])
+        queued = PMF(0.0, 1.0, [0.2, 0.3, 0.5])
+        truncate_convolve(running, t, queued)
+        fused = list(calls)
+        calls.clear()
+        convolve(truncate_below(running, t), queued)
+        assert fused == calls
 
     def test_observer_does_not_change_results(self, calls):
         a, b = coin(), coin(3.0)
