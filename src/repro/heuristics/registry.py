@@ -53,7 +53,7 @@ def _make_mect(rng: np.random.Generator | None = None) -> Heuristic:
 
 
 @register_heuristic(
-    "LL", summary="Lightest Load: least expected queued work (the paper's heuristic)"
+    "LL", summary="Lightest Load: least EEC * (1 - rho), Eq. 5 (the paper's heuristic)"
 )
 def _make_ll(rng: np.random.Generator | None = None) -> Heuristic:
     return LightestLoad()

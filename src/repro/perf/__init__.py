@@ -11,8 +11,9 @@ results and manifest digests):
 * the **vectorized candidate builder**
   (:class:`~repro.sim.mapper.CandidateBuilder`), which assembles the
   whole per-arrival :class:`~repro.heuristics.base.CandidateSet` with
-  batched array ops and per-ready-pmf deduplication.  Its per-type
-  tables live on the execution-time table
+  batched array ops over the cores' resident ready-time rows
+  (:class:`~repro.sim.state.ReadyRows`).  Its per-type tables live on
+  the execution-time table
   (:meth:`~repro.workload.pmf_table.ExecutionTimeTable.candidate_arrays`),
   so every engine over one system shares them.
 """

@@ -23,16 +23,17 @@ queued behind the running task — that truncation *is* the ready pmf,
 and the same (execution pmf, cut) recurs across cores and specs.  The
 refresh of a core with queued work does not: its truncated tail is only
 an operand of the queue convolution, so
-:func:`~repro.stoch.ops.truncate_convolve` slices and renormalizes it
-in place.  The ``perf.cache_*`` metrics (hits, misses, evictions)
+:func:`~repro.stoch.ops.truncate_convolve` truncates it uncached.  The ``perf.cache_*`` metrics (hits, misses, evictions)
 therefore count the lookups of running-only refreshes alone, while the
 ``stoch.ops.truncate_below`` count still covers every truncation.
 
 Correctness contract — *bitwise identity*.  A cached kernel
 (:class:`~repro.stoch.pmf.InternedKernel`) stores the exact probability
 array the fresh computation produced (plus the integer grid offset of
-the result relative to its operand), and a hit reconstructs a
-:class:`~repro.stoch.pmf.PMF` from that array verbatim.  The
+the result relative to its operand, and the first moment once a hit
+computed it), and a hit reconstructs a :class:`~repro.stoch.pmf.PMF`
+from that array verbatim; its CDF is computed only if something reads
+it.  The
 truncation's probability contents are independent of the operand's
 absolute ``start`` time, which is what makes content addressing sound:
 the result array is the renormalized tail ``probs[k:]`` and the start

@@ -280,8 +280,9 @@ class _ArrivalColumns:
         missing = np.isnan(m1)
         if missing.any():
             # PMF.mean's first moment, computed once per refreshed pmf.
+            every = self._builder._cores
             for c in cores[missing].tolist():
-                ready = rows.ready[c]
+                ready = every[c]._ready_pmf
                 ready.mean()
                 rows.m1[c] = ready._m1
             m1 = rows.m1[cores]

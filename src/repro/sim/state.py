@@ -12,24 +12,26 @@ the core (Section IV-B).  :class:`CoreState` caches it, and its pieces:
   otherwise;
 * the running task's execution pmf shifted to its start time, built
   once when the task starts rather than on every refresh;
-* the ready pmf itself.  Truncation at a later time ``t`` changes
-  nothing as long as the truncated distribution has no impulse before
-  ``t``, so the cache records that first-impulse time (its *horizon*)
-  and stays valid across most events.
+* the ready pmf itself, with one validity bound, its *horizon*: the
+  pmf serves every ``t_now`` up to it.  Truncation at a later time
+  ``t`` changes nothing as long as the truncated distribution has no
+  impulse before ``t``, so a busy core's horizon is that first-impulse
+  time and stays valid across most events; an idle core's is ``+inf``
+  and a mutation drops it to ``-inf``.
 
 A stale ready pmf is refreshed in one step.  A core with queued work
-runs :func:`~repro.stoch.ops.truncate_convolve` (slice, renormalize,
-convolve with the queue, trim; its truncated tail is never cached).  A
-core with only a running task truncates through the engine's
+runs :func:`~repro.stoch.ops.truncate_convolve` (truncate, then convolve
+with the queue; its truncated tail is never cached).  A core with only
+a running task truncates through the engine's
 :class:`~repro.perf.KernelCache`, handed to every core, since that
 truncation *is* the ready pmf and repeats across cores and specs.
 
 :class:`ReadyRows` keeps the result resident for the candidate builder:
 each core of a builder's core list owns a slot in one arena holding its
 ready CDF laid out for windowed reads, plus its start, size, first
-moment, horizon and queue length as arrays.  A mutation marks the row
-stale (its horizon drops to ``-inf``); a refresh rewrites it, so a read
-runs Python only over stale cores.
+moment, horizon and queue length as arrays.  The row's horizon is the
+core's: a mutation drops both to ``-inf`` and a refresh rewrites the
+row, so a read runs Python only over stale cores.
 """
 
 from __future__ import annotations
@@ -93,12 +95,10 @@ class CoreState:
         "_running_pmf",
         "queue",
         "epoch",
-        "_version",
         "_queue_conv",
         "_queue_maxlen",
-        "_ready_version",
         "_ready_pmf",
-        "_ready_trunc_start",
+        "_horizon",
         "_rows",
         "_slot",
     )
@@ -114,12 +114,13 @@ class CoreState:
         self._running_pmf: PMF | None = None  # running task's pmf at its start
         self.queue: deque[QueuedTask] = deque()
         self.epoch = 0
-        self._version = 0
         self._queue_conv: PMF | None = None
         self._queue_maxlen = 0
-        self._ready_version = -1
+        # The cached ready pmf (None: the idle core's) is valid for every
+        # t_now with horizon >= t_now - 1e-9: -inf after a mutation, +inf
+        # for an idle core, the truncation's start for a busy one.
         self._ready_pmf: PMF | None = None
-        self._ready_trunc_start = 0.0
+        self._horizon = -math.inf
         self._rows: ReadyRows | None = None
         self._slot = 0
 
@@ -138,12 +139,12 @@ class CoreState:
         return self.running is None and not self.queue
 
     # ------------------------------------------------------------------
-    # Mutations (each bumps the cache version)
+    # Mutations (each marks the cached ready pmf stale)
     # ------------------------------------------------------------------
 
     def _changed(self) -> None:
-        """Bump the cache version and mark the resident row stale."""
-        self._version += 1
+        """Mark the cached ready pmf and the resident row stale."""
+        self._horizon = -math.inf
         rows = self._rows
         if rows is not None:
             slot = self._slot
@@ -158,8 +159,8 @@ class CoreState:
         with a stable sort, so a new pmf no shorter than every queued
         one would convolve last anyway, and
         ``convolve(cached, new)`` reproduces the full recomputation
-        bitwise.  Shorter pmfs fall back to invalidation (the kernel
-        cache makes the eventual recomputation cheap).
+        bitwise.  Shorter pmfs fall back to invalidation: the next
+        refresh folds the whole queue again.
         """
         if self.running is None:
             raise RuntimeError("enqueue on an idle core; start the task instead")
@@ -259,34 +260,23 @@ class CoreState:
         cached pmf is returned until a mutation or a ``t_now`` past its
         horizon; then it is refreshed in one step and its row rewritten.
         """
-        rows = self._rows
-        if self.running is None:
-            if self._ready_version != self._version:
-                self._ready_version = self._version
-                self._ready_pmf = None
-                if rows is not None:
-                    rows.write(self._slot, None, math.inf)
-            return PMF.delta(t_now, self.dt)
-        if (
-            self._ready_version == self._version
-            and self._ready_pmf is not None
-            and self._ready_trunc_start >= t_now - 1e-9
-        ):
-            return self._ready_pmf
-        qconv = self._queue_conv
-        if qconv is None and self.queue:
-            qconv = self._queue_convolution()
-        if qconv is None:
-            ready = truncate_below(self._running_pmf, t_now, cache=self._cache)
-            horizon = ready.start
-        else:
-            ready, horizon = truncate_convolve(self._running_pmf, t_now, qconv)
-        self._ready_version = self._version
-        self._ready_pmf = ready
-        self._ready_trunc_start = horizon
-        if rows is not None:
-            rows.write(self._slot, ready, horizon)
-        return ready
+        if self._horizon < t_now - 1e-9:
+            if self.running is None:
+                ready = None
+                horizon = math.inf
+            else:
+                qconv = self._queue_convolution()
+                if qconv is None:
+                    ready = truncate_below(self._running_pmf, t_now, cache=self._cache)
+                    horizon = ready.start
+                else:
+                    ready, horizon = truncate_convolve(self._running_pmf, t_now, qconv)
+            self._ready_pmf = ready
+            self._horizon = horizon
+            if self._rows is not None:
+                self._rows.write(self._slot, ready, horizon)
+        ready = self._ready_pmf
+        return PMF.delta(t_now, self.dt) if ready is None else ready
 
 
 class ReadyRows:
@@ -310,11 +300,11 @@ class ReadyRows:
     Per core, one record of ``meta`` (column views ``start``,
     ``horizon``, ``m1``, ``size``) describes the row: the ready pmf's
     start (``nan`` for an idle core, whose start is the reader's
-    ``t_now``), the core cache's validity bound (``inf`` for an idle
-    core; ``-inf`` once a mutation made the row stale), the first moment
-    in grid steps (``nan`` until a reader needs it) and ``m``.  A row is
-    stale for a reader at ``t_now`` when ``horizon < t_now - 1e-9``,
-    exactly when :meth:`CoreState.ready_pmf` would refresh.  ``qlen``
+    ``t_now``), the core's horizon (``inf`` for an idle core; ``-inf``
+    once a mutation made the row stale), the first moment in grid steps
+    (``nan`` until a reader needs it) and ``m``.  A row is stale for a
+    reader at ``t_now`` when ``horizon < t_now - 1e-9``, exactly when
+    :meth:`CoreState.ready_pmf` would refresh.  ``qlen``
     (tasks queued or running) is kept by every mutation.
     """
 
@@ -328,7 +318,6 @@ class ReadyRows:
         "m1",
         "size",
         "qlen",
-        "ready",
         "_cap",
         "_top",
         "_used",
@@ -347,14 +336,13 @@ class ReadyRows:
         self.start, self.horizon, self.m1, self.size = self.meta.T
         self.horizon[:] = -math.inf
         self.qlen = np.array([core.assigned_count for core in cores], dtype=np.int64)
-        self.ready: list[PMF | None] = [None] * C
         self._cap = [self.SLOT] * C
         self._top = (self.anchor + 1).tolist()  # anchor + 1, for writes
         self._used = C * span
         for slot, core in enumerate(cores):
             core._rows = self
             core._slot = slot
-            core._ready_version = -1  # the next read refreshes into this arena
+            core._horizon = -math.inf  # the next read refreshes into this arena
 
     @classmethod
     def bind(cls, cores: Sequence[CoreState], pad: int) -> "ReadyRows":
@@ -405,7 +393,6 @@ class ReadyRows:
         probs.cumsum(out=data[low:top][::-1])
         data[low - self.pad : low] = data[low]
         self.meta[slot] = (start, horizon, m1, m)
-        self.ready[slot] = ready
 
     def _move(self, slot: int, m: int) -> None:
         cap = max(m, 2 * self._cap[slot])

@@ -21,7 +21,7 @@ Public API
 :mod:`~repro.stoch.ops`
     Free functions (``convolve``, ``shift``, ``truncate_below``, ...).
 :mod:`~repro.stoch.distributions`
-    Discretizers for gamma / normal / uniform / exponential laws.
+    Discretizers for the gamma execution-time law.
 :mod:`~repro.stoch.samplers`
     Drawing actual realizations from pmfs.
 """
@@ -34,12 +34,7 @@ from repro.stoch.ops import (
     shift,
     truncate_below,
 )
-from repro.stoch.distributions import (
-    discretized_exponential,
-    discretized_gamma,
-    discretized_normal,
-    discretized_uniform,
-)
+from repro.stoch.distributions import discretized_gamma
 from repro.stoch.samplers import sample_pmf
 
 __all__ = [
@@ -49,9 +44,6 @@ __all__ = [
     "prob_sum_at_most",
     "shift",
     "truncate_below",
-    "discretized_exponential",
     "discretized_gamma",
-    "discretized_normal",
-    "discretized_uniform",
     "sample_pmf",
 ]

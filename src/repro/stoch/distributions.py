@@ -7,11 +7,11 @@ for execution times).  Each discretizer integrates the continuous density
 over grid-aligned bins so the pmf mass matches the law's probability of
 falling in each bin, then renormalizes the truncated tails away.
 
-The CDFs are the :mod:`scipy.special` ufuncs that ``scipy.stats`` itself
-evaluates (``gammainc`` for ``gamma.cdf``, ``ndtr`` for ``norm.cdf``),
-called directly on the standardized edges, so the masses are bitwise
-those of the ``scipy.stats`` forms.  ``scipy.special`` is imported inside
-the discretizers that need it: importing this module loads no scipy.
+The CDF is the :mod:`scipy.special` ufunc that ``scipy.stats`` itself
+evaluates (``gammainc`` for ``gamma.cdf``), called directly on the
+scaled edges, so the masses are bitwise those of the ``scipy.stats``
+form.  ``scipy.special`` is imported inside the discretizers: importing
+this module loads no scipy.
 """
 
 from __future__ import annotations
@@ -22,13 +22,7 @@ import numpy as np
 
 from repro.stoch.pmf import PMF
 
-__all__ = [
-    "discretized_gamma",
-    "discretized_gamma_batch",
-    "discretized_normal",
-    "discretized_uniform",
-    "discretized_exponential",
-]
+__all__ = ["discretized_gamma", "discretized_gamma_batch"]
 
 
 def _check_dt(dt: float) -> None:
@@ -145,43 +139,3 @@ def discretized_gamma_batch(
         n = int(counts[i])
         out.append(_from_masses(masses[o : o + n - 1].copy(), float(edges[o]), dt))
     return out
-
-
-def discretized_normal(mean: float, std: float, dt: float, *, tail_sigmas: float = 4.0) -> PMF:
-    """Normal law truncated at ``mean ± tail_sigmas * std`` (and at zero).
-
-    Raises ``ValueError`` when that support lies entirely at or below
-    zero: an execution time cannot be non-positive.
-    """
-    if std <= 0.0:
-        raise ValueError("std must be positive")
-    lo = max(0.0, mean - tail_sigmas * std)
-    hi = mean + tail_sigmas * std
-    if hi <= 0.0:
-        raise ValueError(
-            f"truncated support mean + tail_sigmas * std = {hi} is not positive"
-        )
-    from scipy.special import ndtr
-
-    edges = _bin_edges(lo, hi, dt)
-    cdf_vals = ndtr((edges - mean) / std)
-    return _from_cdf(cdf_vals, edges, dt)
-
-
-def discretized_uniform(lo: float, hi: float, dt: float) -> PMF:
-    """Uniform law on ``[lo, hi]``."""
-    if hi <= lo:
-        raise ValueError("need lo < hi")
-    edges = _bin_edges(lo, hi, dt)
-    cdf_vals = np.clip((edges - lo) / (hi - lo), 0.0, 1.0)
-    return _from_cdf(cdf_vals, edges, dt)
-
-
-def discretized_exponential(mean: float, dt: float, *, tail_mass: float = 1e-4) -> PMF:
-    """Exponential law with the given mean, truncated at the ``1 - tail_mass`` quantile."""
-    if mean <= 0.0:
-        raise ValueError("mean must be positive")
-    hi = -mean * math.log(tail_mass)
-    edges = _bin_edges(0.0, hi, dt)
-    cdf_vals = 1.0 - np.exp(-edges / mean)
-    return _from_cdf(cdf_vals, edges, dt)

@@ -13,12 +13,13 @@ predicting stochastic completion times:
     currently-executing task whose predicted completion mass partially
     lies before the current time-step.
 ``truncate_convolve``
-    ``convolve(truncate_below(R, t), Q)`` fused, bitwise: a busy core's
-    ready-time refresh, a running task's remaining completion time plus
-    its queue's.
+    ``convolve(truncate_below(R, t), Q)`` plus the cut's start: a busy
+    core's ready-time refresh, a running task's remaining completion
+    time plus its queue's.
 ``prob_sum_at_most``
-    ``P[R + X <= d]`` *without* materializing the convolution; used on the
-    hot path when scoring hundreds of candidate assignments per arrival.
+    ``P[R + X <= d]`` *without* materializing the convolution, for
+    callers holding one ready pmf and one execution pmf (the candidate
+    builder weighs resident CDF rows instead).
 """
 
 from __future__ import annotations
@@ -28,10 +29,10 @@ from typing import Callable, Iterable, Protocol, Sequence
 
 import numpy as np
 
-from repro.stoch.pmf import _RTOL, _TRIM_EPS, PMF, InternedKernel
+from repro.stoch.pmf import _RTOL, PMF, InternedKernel, _add
 
 # The kernel behind numpy.convolve; calling it directly skips the
-# wrapper's argument coercion on the ready-pmf refresh.
+# wrapper's argument coercion on every convolution.
 try:  # numpy >= 2
     from numpy._core.multiarray import correlate as _correlate
 except ImportError:  # pragma: no cover - numpy 1.x
@@ -87,18 +88,21 @@ class TruncationCache(Protocol):
 
 #: ``mode="full"`` of the numpy.convolve kernel ``_correlate``.
 _FULL = 2
-#: ``ndarray.sum`` / ``ndarray.max`` of a 1-D array without their Python
-#: wrapper (the same reductions: ``numpy/_core/_methods.py``).
-_add = np.add.reduce
-_max = np.maximum.reduce
 #: The probability array of a degenerate pmf.
 _UNIT = np.ones(1)
 _UNIT.setflags(write=False)
 
 
-def _check_same_grid(a: PMF, b: PMF) -> None:
-    if not a.same_grid(b):
-        raise ValueError(f"grid mismatch: dt={a.dt} vs dt={b.dt}")
+def _convolve_raw(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``np.convolve(a, v)`` of two non-empty float64 arrays, bitwise.
+
+    numpy's kernel in :func:`numpy.convolve`'s operand order (the longer
+    operand first, the first one on a tie), minus the wrapper's
+    argument coercion.
+    """
+    if v.size > a.size:
+        a, v = v, a
+    return _correlate(a, v[::-1], _FULL)
 
 
 def convolve(a: PMF, b: PMF) -> PMF:
@@ -116,7 +120,7 @@ def convolve(a: PMF, b: PMF) -> PMF:
         return shift(b, a.start)
     if len(b) == 1:
         return shift(a, b.start)
-    probs = np.convolve(a.probs, b.probs)
+    probs = _convolve_raw(a.probs, b.probs)
     if _op_observer is not None:
         # Count only materialized convolutions (delta shortcuts above are
         # free); the grid size is the produced support length.
@@ -150,17 +154,16 @@ def shift(pmf: PMF, offset: float) -> PMF:
     # The result reuses the operand's (already validated, read-only)
     # probability array, so rerunning the constructor's O(n) finiteness
     # and mass scans — and its defensive copy of a mutable input —
-    # would be pure overhead.  The content digest, first moment and
-    # cumulative sum are functions of ``probs`` alone and carry over;
-    # the digest is forced on the source, so the cached truncation that
-    # follows on the hot path keys itself without rehashing.
+    # would be pure overhead.  The content digest and first moment are
+    # functions of ``probs`` alone and carry over; the digest is forced
+    # on the source, so the cached truncation that follows on the hot
+    # path keys itself without rehashing.
     return PMF._intern(
         pmf.start + offset,
         pmf.dt,
         pmf.probs,
         key=pmf.content_key(),
         m1=object.__getattribute__(pmf, "_m1"),
-        cdf=object.__getattribute__(pmf, "_cdf"),
     )
 
 
@@ -179,16 +182,9 @@ def truncate_below(pmf: PMF, t: float, *, cache: TruncationCache | None = None) 
     :class:`~repro.perf.KernelCache`); results are bitwise identical with
     or without it.
     """
-    if t <= pmf.start:
+    k = _cut(pmf, t)
+    if k == 0:
         return pmf
-    # First index with time >= t (times equal to t survive).
-    # math.ceil on a float equals int(np.ceil(...)) exactly, without
-    # the numpy scalar round-trip.
-    k = math.ceil((t - pmf.start) / pmf.dt - 1e-9)
-    if k <= 0:
-        return pmf
-    if _op_observer is not None:
-        _op_observer("truncate_below", pmf.probs.size)
     if k >= pmf.probs.size:
         return PMF.delta(t, pmf.dt)
     if cache is not None:
@@ -200,10 +196,11 @@ def truncate_below(pmf: PMF, t: float, *, cache: TruncationCache | None = None) 
             if _op_observer is not None:
                 _op_observer("cache_hit", kernel.probs.size)
             return kernel.rebuild(pmf.start, pmf.dt)
-    out = _truncate_tail(pmf, k)
-    if out is None:
+    tail = _tail(pmf.probs, k)
+    if tail is None:
         # All-zero tail: degenerate results are cheap, never interned.
         return PMF.delta(t, pmf.dt)
+    out = PMF._intern(pmf.start + k * pmf.dt, pmf.dt, tail)
     if cache is not None:
         evicted = cache.put(key, InternedKernel.from_result(out, pmf.start))
         if _op_observer is not None:
@@ -213,90 +210,72 @@ def truncate_below(pmf: PMF, t: float, *, cache: TruncationCache | None = None) 
     return out
 
 
-def _truncate_tail(pmf: PMF, k: int) -> PMF | None:
-    """The materializing branch of :func:`truncate_below` (``0 < k < n``).
+def _cut(pmf: PMF, t: float) -> int:
+    """How many leading bins of ``pmf`` lie before ``t`` (0: none).
 
-    Returns ``None`` when the surviving tail carries no mass (the caller
-    substitutes the degenerate "completes now" pmf).  Replicates
-    ``PMF.__init__``'s normalization branch on a slice of an
-    already-valid pmf, skipping only its re-validation: the tail is
-    finite, non-negative, and its sum is checked here.
+    Times equal to ``t`` survive.  A cut is reported to the op observer
+    as a ``truncate_below``.
     """
-    tail = pmf.probs[k:]
-    total = float(tail.sum())
+    if t <= pmf.start:
+        return 0
+    # math.ceil on a float equals int(np.ceil(...)) exactly, without
+    # the numpy scalar round-trip.
+    k = math.ceil((t - pmf.start) / pmf.dt - 1e-9)
+    if k <= 0:
+        return 0
+    if _op_observer is not None:
+        _op_observer("truncate_below", pmf.probs.size)
+    return k
+
+
+def _tail(probs: np.ndarray, k: int) -> np.ndarray | None:
+    """``probs[k:]`` renormalized (``0 < k < probs.size``), read-only.
+
+    ``None`` when the tail has no mass.  A tail that already sums to
+    one is a view of ``probs`` (read-only, as every pmf's array is).
+    """
+    tail = probs[k:]
+    total = float(_add(tail))
     if total <= 0.0:
         return None
-    arr = tail / total if abs(total - 1.0) > _RTOL else tail.copy()
-    arr.setflags(write=False)
-    return PMF._intern(pmf.start + k * pmf.dt, pmf.dt, arr)
+    if abs(total - 1.0) > _RTOL:
+        tail = tail / total
+        tail.setflags(write=False)
+    return tail
 
 
 def truncate_convolve(pmf: PMF, t: float, other: PMF) -> tuple[PMF, float]:
-    """``convolve(truncate_below(pmf, t), other)`` in one step, bitwise.
+    """``convolve(truncate_below(pmf, t), other)`` and the truncation's start.
 
-    Returns the result and the start of the truncated ``pmf`` (the cut
-    a later ``t`` has to pass before the result changes).  The truncated
-    tail is an intermediate nothing else reads, so it is sliced and
-    renormalized in place of a :class:`TruncationCache` round trip; the
-    convolution runs numpy's kernel with :func:`numpy.convolve`'s
-    operand order (the longer operand first, the first one on a tie)
-    and the result is finished by :meth:`PMF._from_raw`'s normalize and
-    trim branches.  Both operations are reported to the op observer as
-    their own functions report them.
+    The start is the cut a later ``t`` has to pass before the result
+    changes.  The truncated tail is an intermediate nothing else reads,
+    so it skips the kernel cache and no pmf wraps it: the cut and tail
+    steps of :func:`truncate_below` feed :func:`convolve`'s raw
+    convolution and finish directly.  Both operations are reported to
+    the op observer as their own functions report them.
     """
     dt = pmf.dt
     if abs(dt - other.dt) > _RTOL * dt:
         raise ValueError(f"grid mismatch: dt={dt} vs dt={other.dt}")
-    probs = pmf.probs
+    k = _cut(pmf, t)
+    head = pmf.probs
     start = pmf.start
-    head = probs
-    if t > start:
-        # truncate_below's branches, without materializing the tail pmf.
-        k = math.ceil((t - start) / dt - 1e-9)
-        if k > 0:
-            if _op_observer is not None:
-                _op_observer("truncate_below", probs.size)
-            head = None
-            if k < probs.size:
-                tail = probs[k:]
-                total = float(_add(tail))
-                if total > 0.0:
-                    head = tail / total if abs(total - 1.0) > _RTOL else tail
-                    start = start + k * dt
-            if head is None:
-                head = _UNIT
-                start = t
-    q = other.probs
-    if head.size == 1 or q.size == 1:
+    if k:
+        head = _tail(head, k) if k < head.size else None
+        if head is None:
+            # truncate_below's "completes now" delta.
+            head = _UNIT
+            start = t
+        else:
+            start = start + k * dt
+    if head.size == 1 or other.probs.size == 1:
         # convolve's delta shortcuts: a shift, no convolution.
-        if head is not probs:
-            head.setflags(write=False)
-        running = pmf if head is probs else PMF._intern(start, dt, head)
+        running = PMF._intern(start, dt, head) if k else pmf
         return convolve(running, other), start
-    a, v = (q, head) if q.size > head.size else (head, q)
-    raw = _correlate(a, v[::-1], _FULL)
+    raw = _convolve_raw(head, other.probs)
     if _op_observer is not None:
         _op_observer("convolve", raw.size)
-    # PMF._from_raw, branch for branch.
-    begin = start + other.start
-    total = float(_add(raw))
-    arr = raw / total if abs(total - 1.0) > _RTOL else raw
-    thresh = float(_max(arr)) * _TRIM_EPS
-    # The max itself is above the threshold, so some bin survives.  (No
-    # end-bin pre-check: a ready pmf's ends nearly always trim.)
-    kept = (arr > thresh).nonzero()[0]
-    lo = int(kept[0])
-    hi = int(kept[-1])
-    if lo != 0 or hi != arr.size - 1:
-        sl = arr[lo : hi + 1]
-        t2 = float(_add(sl))
-        # _from_raw copies an unscaled slice to free ``raw``; a ready
-        # pmf lives until the core's next refresh, so the view (same
-        # values) stays.
-        arr = sl / t2 if abs(t2 - 1.0) > _RTOL else sl
-        begin = begin + lo * dt
-    arr.setflags(write=False)
-    return PMF._intern(begin, dt, arr), start
+    return PMF._from_raw(start + other.start, dt, raw), start
 
 
 def prob_sum_at_most(ready: PMF, exec_pmf: PMF, deadline: float) -> float:

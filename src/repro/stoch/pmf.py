@@ -27,6 +27,10 @@ _RTOL = 1e-9
 #: Probabilities smaller than this (relative to the max) may be trimmed
 #: from pmf tails by :meth:`PMF.compact`.
 _TRIM_EPS = 1e-12
+#: ``ndarray.sum`` / ``ndarray.max`` of a 1-D array without their Python
+#: wrapper (the same reductions: ``numpy/_core/_methods.py``).
+_add = np.add.reduce
+_max = np.maximum.reduce
 
 
 class PMF:
@@ -113,24 +117,23 @@ class PMF:
         *,
         key: bytes | None = None,
         m1: "np.floating | None" = None,
-        cdf: "np.ndarray | None" = None,
     ) -> "PMF":
         """Wrap an *already-validated, read-only* probability array.
 
         Fast path for the kernel cache (:mod:`repro.perf`): the array
         came out of a regular :class:`PMF` earlier, so re-running the
         constructor's validation and normalization would only burn time
-        (and a renormalization could perturb the stored bits).  ``key``,
-        ``m1`` and ``cdf`` optionally pre-seed the content digest, the
-        first moment and the cumulative sum so interned siblings share
-        them — all three are functions of ``probs`` alone, so carrying
-        them over is exact.  Not part of the public surface.
+        (and a renormalization could perturb the stored bits).  ``key``
+        and ``m1`` optionally pre-seed the content digest and the first
+        moment so interned siblings share them — both are functions of
+        ``probs`` alone, so carrying them over is exact.  Not part of
+        the public surface.
         """
         self = object.__new__(cls)
         object.__setattr__(self, "start", float(start))
         object.__setattr__(self, "dt", float(dt))
         object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "_cdf", cdf)
+        object.__setattr__(self, "_cdf", None)
         object.__setattr__(self, "_m1", m1)
         object.__setattr__(self, "_key", key)
         return self
@@ -149,9 +152,9 @@ class PMF:
         becomes the pmf's (read-only) array.  Not part of the public
         surface.
         """
-        total = float(raw.sum())
+        total = float(_add(raw))
         arr = raw / total if abs(total - 1.0) > _RTOL else raw
-        thresh = float(arr.max()) * _TRIM_EPS
+        thresh = float(_max(arr)) * _TRIM_EPS
         # First/last index above threshold without materializing the
         # index array flatnonzero builds.  When both end bins survive
         # (checked on scalars first) nothing trims; otherwise the mask is
@@ -168,7 +171,7 @@ class PMF:
             out = arr
         else:
             sl = arr[lo : hi + 1]
-            t2 = float(sl.sum())
+            t2 = float(_add(sl))
             out = sl / t2 if abs(t2 - 1.0) > _RTOL else sl.copy()
             start = start + lo * dt
         out.setflags(write=False)
@@ -345,60 +348,38 @@ class InternedKernel:
     operand's start, for a truncation) and the result's first impulse.
     :meth:`rebuild` re-materializes the pmf for any operand start using
     the same arithmetic expression the fresh computation evaluates, so
-    the reconstructed pmf is bitwise identical to it.
+    the reconstructed pmf is bitwise identical to it.  ``m1``, the
+    start-independent first moment, is shared by every rebuilt sibling;
+    each computes its own CDF, lazily, only if it is read.
     """
 
-    __slots__ = ("probs", "lo", "key", "m1", "cdf")
+    __slots__ = ("probs", "lo", "m1")
 
-    def __init__(
-        self,
-        probs: np.ndarray,
-        lo: int,
-        key: bytes | None,
-        m1: "np.floating | None",
-        cdf: np.ndarray | None,
-    ) -> None:
+    def __init__(self, probs: np.ndarray, lo: int, m1: "np.floating | None") -> None:
         self.probs = probs
         self.lo = lo
-        self.key = key
         self.m1 = m1
-        self.cdf = cdf
 
     @classmethod
     def from_result(cls, result: PMF, base_start: float) -> "InternedKernel":
         """Intern a finished pmf produced from operands with ``base_start``.
 
-        The derived values (digest, first moment, cumulative sum) are
-        *not* forced here: a kernel that never gets a hit would pay for
-        quantities nobody reads.  Whatever the result instance has
-        already computed is carried over (all three depend on the probs
-        alone, so sharing is exact); the rest is backfilled lazily on
-        the first rebuild.
+        The first moment is not forced here (a kernel that never gets a
+        hit would pay for it): the result's own is carried over if it
+        was computed, and otherwise the first rebuild computes it.
         """
         lo = int(round((result.start - base_start) / result.dt))
-        key = object.__getattribute__(result, "_key")
-        m1 = object.__getattribute__(result, "_m1")
-        cdf = object.__getattribute__(result, "_cdf")
-        return cls(result.probs, lo, key, m1, cdf)
+        return cls(result.probs, lo, object.__getattribute__(result, "_m1"))
 
     def rebuild(self, base_start: float, dt: float) -> PMF:
         """Reconstruct the result pmf for operands starting at ``base_start``."""
         m1 = self.m1
         if m1 is None:
-            # First hit: materialize the start-independent moment once
-            # and share it with every future sibling — the same
-            # expression as PMF.mean's cache-miss branch, so the value
-            # is bitwise identical.
+            # First hit: materialize the moment once and share it with
+            # every future sibling — the same expression as PMF.mean's
+            # cache-miss branch, so the value is bitwise identical.
             m1 = np.dot(np.arange(self.probs.size), self.probs)
             self.m1 = m1
-        cdf = self.cdf
-        if cdf is None:
-            # Likewise the cumulative sum (PMF.cdf's lazy expression).
-            cdf = self.probs.cumsum()
-            cdf.setflags(write=False)
-            self.cdf = cdf
         # ``base + lo * dt`` is the exact expression the uncached path
-        # evaluates (``PMF.compact`` / ``truncate_below``); ``lo == 0``
-        # keeps the base bit-for-bit, matching compact's return-self.
-        start = base_start if self.lo == 0 else base_start + self.lo * dt
-        return PMF._intern(start, dt, self.probs, key=self.key, m1=m1, cdf=cdf)
+        # evaluates (``truncate_below``).
+        return PMF._intern(base_start + self.lo * dt, dt, self.probs, m1=m1)

@@ -21,7 +21,7 @@ def _kernel(value: float = 1.0) -> InternedKernel:
     probs = np.array([value])
     probs /= probs.sum()
     probs.setflags(write=False)
-    return InternedKernel(probs, 0, None, None, None)
+    return InternedKernel(probs, 0, None)
 
 
 class TestKernelCache:
@@ -69,11 +69,11 @@ class TestInternedKernel:
         result = PMF(30.0, 15.0, np.array([0.2, 0.3, 0.5]))
         kernel = InternedKernel.from_result(result, 0.0)
         assert kernel.lo == 2
-        # Derivations are not forced at intern time...
-        assert kernel.m1 is None and kernel.cdf is None
+        # The moment is not forced at intern time...
+        assert kernel.m1 is None
         rebuilt = kernel.rebuild(0.0, 15.0)
-        # ...but are materialized (and shared) by the first rebuild.
-        assert kernel.m1 is not None and kernel.cdf is not None
+        # ...but is materialized (and shared) by the first rebuild.
+        assert kernel.m1 is not None
         assert rebuilt.start == result.start
         assert rebuilt.probs.tobytes() == result.probs.tobytes()
         assert rebuilt.mean() == result.mean()
@@ -82,10 +82,22 @@ class TestInternedKernel:
     def test_from_result_carries_computed_derivations(self):
         result = PMF(0.0, 1.0, np.array([0.5, 0.5]))
         result.mean()
-        result.content_key()
         kernel = InternedKernel.from_result(result, 0.0)
         assert kernel.m1 is not None
-        assert kernel.key is not None
+
+    def test_cache_hit_computes_no_cdf_until_read(self):
+        # A hit's pmf gets its CDF only when something reads it (resident
+        # rows accumulate their own), and the lazy CDF is the fresh one.
+        pmf = PMF(3.0, 1.0, np.array([0.1, 0.2, 0.3, 0.4]))
+        cache = KernelCache()
+        fresh = truncate_below(pmf, 4.5, cache=cache)
+        fresh_cdf = fresh.cdf
+        hit = truncate_below(pmf, 4.5, cache=cache)
+        assert cache.hits == 1 and hit is not fresh
+        assert object.__getattribute__(hit, "_cdf") is None
+        assert hit.start == fresh.start
+        assert hit.probs.tobytes() == fresh.probs.tobytes()
+        assert hit.cdf.tobytes() == fresh_cdf.tobytes()
 
 
 class TestEngineKernelCache:

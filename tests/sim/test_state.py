@@ -320,6 +320,30 @@ _ops = st.lists(
 )
 
 
+def _apply(core: CoreState, op: tuple, t: float, task_id: int) -> None:
+    """One op of ``_ops`` other than a time advance, on ``core`` at ``t``."""
+    kind = op[0]
+    if kind == "enqueue":
+        if core.running is None:
+            _run(core, op[1], t)
+        else:
+            _queue(core, op[1], task_id)
+    elif kind == "complete" and core.running is not None:
+        # The engine's completion: the next queued task starts now.
+        core.clear_running()
+        nxt = core.pop_next()
+        if nxt is not None:
+            _run(core, nxt.exec_pmf, t)
+    elif kind == "pop" and core.running is not None:
+        core.pop_next()
+    elif kind == "drain":
+        core.drain_queue()
+    elif kind == "interrupt" and core.running is not None:
+        # An outage: the running task and the queue leave the core.
+        core.interrupt()
+        core.drain_queue()
+
+
 @settings(max_examples=300, deadline=None)
 @given(ops=_ops)
 def test_refresh_is_bitwise_the_composition(ops):
@@ -329,29 +353,38 @@ def test_refresh_is_bitwise_the_composition(ops):
     move as ready pmfs grow)."""
     core, rows = _bound_core(_SmallSlots)
     t = 0.0
-    next_id = 1
-    for op in ops:
-        kind = op[0]
-        if kind == "enqueue":
-            if core.running is None:
-                _run(core, op[1], t)
-            else:
-                _queue(core, op[1], next_id)
-                next_id += 1
-        elif kind == "advance":
+    for i, op in enumerate(ops):
+        if op[0] == "advance":
             t += op[1]
-        elif kind == "complete" and core.running is not None:
-            # The engine's completion: the next queued task starts now.
-            core.clear_running()
-            nxt = core.pop_next()
-            if nxt is not None:
-                _run(core, nxt.exec_pmf, t)
-        elif kind == "pop" and core.running is not None:
-            core.pop_next()
-        elif kind == "drain":
-            core.drain_queue()
-        elif kind == "interrupt" and core.running is not None:
-            # An outage: the running task and the queue leave the core.
-            core.interrupt()
-            core.drain_queue()
+        else:
+            _apply(core, op, t, i + 1)
         _assert_refresh_exact(core, rows, t)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=_ops)
+def test_bound_and_unbound_cores_refresh_alike(ops):
+    """A core bound to a ``ReadyRows`` arena and its unbound twin run one
+    op sequence: both refresh at the same reads (one validity bound,
+    the row's horizon, decides for both) and give bitwise-equal ready
+    pmfs."""
+    bound, rows = _bound_core(_SmallSlots)
+    twin = CoreState(1, 0, dt=1.0)
+    t = 0.0
+    last = (None, None)
+    for i, op in enumerate(ops):
+        if op[0] == "advance":
+            t += op[1]
+        else:
+            _apply(bound, op, t, i + 1)
+            _apply(twin, op, t, i + 1)
+        stale = rows.horizon[0] < t - 1e-9
+        assert (twin._horizon < t - 1e-9) == stale
+        a, b = bound.ready_pmf(t), twin.ready_pmf(t)
+        assert a.start == b.start
+        assert np.array_equal(a.probs, b.probs)
+        assert rows.horizon[0] == bound._horizon == twin._horizon
+        if bound.running is not None and not stale:
+            # No refresh on either core: each returns its cached pmf.
+            assert a is last[0] and b is last[1]
+        last = (a, b)

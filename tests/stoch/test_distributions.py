@@ -10,13 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from repro.stoch.distributions import (
-    discretized_exponential,
-    discretized_gamma,
-    discretized_gamma_batch,
-    discretized_normal,
-    discretized_uniform,
-)
+from repro.stoch.distributions import discretized_gamma, discretized_gamma_batch
 from repro.stoch.pmf import PMF
 
 
@@ -59,84 +53,19 @@ class TestGamma:
         assert pmf.mean() > pmf.quantile(0.5)
 
 
-class TestNormal:
-    def test_moments(self):
-        pmf = discretized_normal(mean=40.0, std=4.0, dt=0.5)
-        assert pmf.mean() == pytest.approx(40.0, rel=0.01)
-        assert pmf.std() == pytest.approx(4.0, rel=0.05)
-
-    def test_clipped_at_zero(self):
-        pmf = discretized_normal(mean=1.0, std=5.0, dt=0.5)
-        assert pmf.start >= 0.0
-
-    def test_rejects_bad_std(self):
-        with pytest.raises(ValueError):
-            discretized_normal(10.0, 0.0, 1.0)
-
-    @pytest.mark.parametrize(
-        ("mean", "std", "tail_sigmas"), [(-50.0, 5.0, 4.0), (-20.0, 5.0, 4.0), (-1.0, 1.0, 0.5)]
-    )
-    def test_rejects_support_at_or_below_zero(self, mean, std, tail_sigmas):
-        # mean + tail_sigmas * std <= 0: no positive time to put mass on.
-        with pytest.raises(ValueError, match="not positive"):
-            discretized_normal(mean, std, 1.0, tail_sigmas=tail_sigmas)
-
-    def test_symmetry(self):
-        pmf = discretized_normal(mean=100.0, std=5.0, dt=0.25)
-        med = pmf.quantile(0.5)
-        assert med == pytest.approx(100.0, abs=0.5)
-
-
-class TestUniform:
-    def test_moments(self):
-        pmf = discretized_uniform(10.0, 20.0, dt=0.25)
-        assert pmf.mean() == pytest.approx(15.0, rel=0.01)
-        assert pmf.var() == pytest.approx(100.0 / 12.0, rel=0.05)
-
-    def test_support(self):
-        pmf = discretized_uniform(10.0, 20.0, dt=1.0)
-        assert pmf.start >= 9.0 and pmf.stop <= 21.0
-
-    def test_rejects_inverted(self):
-        with pytest.raises(ValueError):
-            discretized_uniform(5.0, 5.0, 1.0)
-
-
-class TestExponential:
-    def test_mean(self):
-        pmf = discretized_exponential(mean=30.0, dt=0.25)
-        assert pmf.mean() == pytest.approx(30.0, rel=0.02)
-
-    def test_tail_mass_controls_support(self):
-        short = discretized_exponential(mean=10.0, dt=0.5, tail_mass=1e-2)
-        long = discretized_exponential(mean=10.0, dt=0.5, tail_mass=1e-6)
-        assert long.stop > short.stop
-
-    def test_rejects_bad_mean(self):
-        with pytest.raises(ValueError):
-            discretized_exponential(-1.0, 1.0)
-
-    def test_memoryless_head(self):
-        # P[X <= mean] for an exponential is 1 - e^-1 ~ 0.632.
-        pmf = discretized_exponential(mean=20.0, dt=0.1)
-        assert pmf.prob_at_most(20.0) == pytest.approx(1 - np.exp(-1), abs=0.01)
-
-
 class TestGridAlignment:
     def test_all_laws_share_grid_step(self):
         dt = 2.5
         laws = [
             discretized_gamma(100.0, 0.2, dt),
-            discretized_normal(100.0, 10.0, dt),
-            discretized_uniform(50.0, 150.0, dt),
-            discretized_exponential(100.0, dt),
+            *discretized_gamma_batch(np.array([50.0, 100.0, 400.0]), 0.5, dt),
         ]
         for pmf in laws:
             assert pmf.dt == pytest.approx(dt)
 
     def test_bin_centers_half_offset(self):
         # Edges at multiples of dt put centers at (k + 0.5) * dt.
-        pmf = discretized_uniform(0.0, 10.0, dt=1.0)
+        pmf = discretized_gamma(10.0, 0.3, dt=1.0)
         frac = (pmf.start / pmf.dt) % 1.0
         assert frac == pytest.approx(0.5)
 
@@ -147,16 +76,13 @@ class TestRejectsBadGrid:
         for call in (
             lambda: discretized_gamma(100.0, 0.2, dt),
             lambda: discretized_gamma_batch(np.array([100.0]), 0.2, dt),
-            lambda: discretized_normal(100.0, 10.0, dt),
-            lambda: discretized_uniform(50.0, 150.0, dt),
-            lambda: discretized_exponential(100.0, dt),
         ):
             with pytest.raises(ValueError, match="dt"):
                 call()
 
 
 # ----------------------------------------------------------------------
-# Bitwise oracle: the scipy.stats CDFs finished by PMF(...).compact()
+# Bitwise oracle: the scipy.stats CDF finished by PMF(...).compact()
 # ----------------------------------------------------------------------
 
 
@@ -179,11 +105,6 @@ def _ref_gamma(mean: float, cv: float, dt: float, tail_sigmas: float) -> PMF:
     edges = _ref_edges(max(0.0, mean - tail_sigmas * std), mean + tail_sigmas * std, dt)
     cdf_vals = stats.gamma.cdf(edges, a=1.0 / (cv * cv), scale=mean * cv * cv)
     return _ref_pmf(cdf_vals, edges, dt)
-
-
-def _ref_normal(mean: float, std: float, dt: float, tail_sigmas: float) -> PMF:
-    edges = _ref_edges(max(0.0, mean - tail_sigmas * std), mean + tail_sigmas * std, dt)
-    return _ref_pmf(stats.norm.cdf(edges, loc=mean, scale=std), edges, dt)
 
 
 def _assert_bitwise(got: PMF, want: PMF) -> None:
@@ -214,26 +135,6 @@ class TestBitwiseOracle:
             _assert_bitwise(pmf, want)
             # Each law owns its array: none keeps the batch buffer alive.
             assert pmf.probs.base is None
-
-    @settings(max_examples=150, deadline=None)
-    @given(
-        m=st.floats(-100.0, 1000.0), s=st.floats(0.01, 300.0), dt=_dts, tail=_tails
-    )
-    def test_normal(self, m, s, dt, tail):
-        mean, std = m * dt, s * dt
-        if mean + tail * std <= 0.0:
-            with pytest.raises(ValueError):
-                discretized_normal(mean, std, dt, tail_sigmas=tail)
-            return
-        got = discretized_normal(mean, std, dt, tail_sigmas=tail)
-        _assert_bitwise(got, _ref_normal(mean, std, dt, tail))
-
-    def test_normal_narrower_than_one_bin_fallback(self):
-        # The support straddles zero, but every CDF value above zero
-        # rounds to 1.0, so every bin mass is zero.
-        want = _ref_normal(-50.0, 5.0, 1.0, 12.0)
-        assert len(want) == 1 and want.probs[0] == 1.0
-        _assert_bitwise(discretized_normal(-50.0, 5.0, 1.0, tail_sigmas=12.0), want)
 
     def test_gamma_narrower_than_one_bin_fallback(self):
         # Negative tail_sigmas invert the range; the one bin left lies
