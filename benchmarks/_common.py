@@ -24,7 +24,7 @@ import pathlib
 from dataclasses import replace
 
 from repro import SimulationConfig
-from repro.experiments.figures import full_grid_specs
+from repro.experiments.figures import figure_specs
 from repro.experiments.runner import EnsembleResult, run_ensemble
 
 RESULTS_DIR = pathlib.Path(__file__).resolve().parents[1] / "results"
@@ -62,7 +62,7 @@ def bench_config(**section_updates) -> SimulationConfig:
 def grid_ensemble() -> EnsembleResult:
     """The full 16-variant ensemble at benchmark scale (computed once)."""
     return run_ensemble(
-        full_grid_specs(), bench_config(), bench_trials(), base_seed=bench_seed()
+        figure_specs("fig6"), bench_config(), bench_trials(), base_seed=bench_seed()
     )
 
 

@@ -11,22 +11,22 @@ late burst.
 Run:  python examples/energy_budget_sweep.py
 """
 
-from dataclasses import replace
-
-from repro import SimulationConfig
-from repro.experiments.runner import VariantSpec
-from repro.experiments.sweep import budget_sweep
+from repro import api
 
 BUDGET_MULTS = (0.7, 0.85, 1.0, 1.15, 1.3, 1.6)
 TRIALS = 3
 TASKS = 400
-SPECS = (VariantSpec("MECT", "none"), VariantSpec("LL", "en+rob"))
+SCENARIO = api.Scenario(
+    seed=1000,
+    num_tasks=TASKS,
+    ensemble=api.EnsembleSettings(
+        num_trials=TRIALS, base_seed=0, specs=("MECT/none", "LL/en+rob")
+    ),
+)
 
 
 def main() -> None:
-    config = SimulationConfig(seed=1000)
-    config = replace(config, workload=config.workload.with_num_tasks(TASKS))
-    sweep = budget_sweep(BUDGET_MULTS, SPECS, config, num_trials=TRIALS)
+    sweep = api.budget_sweep(SCENARIO, BUDGET_MULTS)
     print(sweep.table(num_tasks=TASKS))
     print(
         f"\nMedians over {TRIALS} paired trials. The gap between columns is "

@@ -29,12 +29,13 @@ The facade groups five things:
   fanned out over processes), :func:`run_service` (continuous-service
   mode) and :func:`budget_sweep` (the energy-tightness sweep).  The
   scenario alone states a run's faults, shedding and service shape.
-  :func:`run_trial` and :func:`run_ensemble` accept the observability
-  collectors (:class:`MetricsRegistry`, :class:`SpanProfile` or
-  :class:`SpanRecorder`, :class:`TimelineSet` or
-  :class:`TimelineRecorder`, event sinks); :func:`run_service` takes
-  only a ``timeline`` and a live ``telemetry`` hub, and
-  :func:`budget_sweep` takes none.
+  :func:`run_ensemble` and :func:`budget_sweep` take one scenario whose
+  ``[ensemble]`` section gives trials, base seed and grid cells.
+  :func:`run_trial`, :func:`run_ensemble` and :func:`budget_sweep`
+  accept the observability collectors (:class:`MetricsRegistry`,
+  :class:`SpanProfile` or :class:`SpanRecorder`, :class:`TimelineSet`
+  or :class:`TimelineRecorder`, event sinks); :func:`run_service` takes
+  only a ``timeline`` and a live ``telemetry`` hub.
 * **Inspecting results** — :class:`TrialResult`,
   :class:`EnsembleResult` and :class:`PartialEnsembleResult`.
 * **The value types underneath** — :class:`PMF` and
@@ -49,7 +50,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.config import SimulationConfig
 from repro.experiments.runner import (
@@ -289,9 +290,8 @@ def run_scenario(
 
     * ``"trial"`` — one :func:`run_trial` call, returning a
       :class:`TrialResult`.
-    * ``"ensemble"`` — paired trials per the scenario's ``[ensemble]``
-      settings, returning an :class:`EnsembleResult`; bitwise identical
-      to :func:`run_ensemble` with the same arguments.
+    * ``"ensemble"`` — one :func:`run_ensemble` call, returning an
+      :class:`EnsembleResult`.
     * ``"service"`` — one :func:`run_service` call, returning a
       :class:`ServiceResult`.
 
@@ -304,70 +304,25 @@ def run_scenario(
     if scenario.mode == "trial":
         return run_trial(scenario, **options)  # type: ignore[arg-type]
     if scenario.mode == "ensemble":
-        settings = scenario.resolved_ensemble()
-        options.setdefault("n_jobs", settings.n_jobs)
-        return run_ensemble(
-            scenario,
-            settings.num_trials,
-            base_seed=settings.base_seed,
-            **options,  # type: ignore[arg-type]
-        )
+        return run_ensemble(scenario, **options)  # type: ignore[arg-type]
     return run_service(scenario, **options)  # type: ignore[arg-type]
 
 
-def _ensemble_inputs(
-    scenarios: Scenario | Sequence[Scenario], num_trials: int, base_seed: int | None
-) -> tuple[list[VariantSpec], SimulationConfig, int]:
-    """The specs, shared config and base seed of a paired ensemble.
-
-    Every scenario must be fault-free and resolve to one workload
-    configuration.  A scenario's own ``[ensemble]`` section is binding:
-    a ``num_trials`` or ``base_seed`` that contradicts it raises
-    ``ValueError`` (``n_jobs`` is the caller's core budget and changes
-    no result).  ``base_seed`` defaults to the section's, then to the
-    configuration's seed.
-    """
-    scens = (scenarios,) if isinstance(scenarios, Scenario) else tuple(scenarios)
-    if not scens:
-        raise ValueError("need at least one scenario")
-    for scenario in scens:
-        scenario.require_fault_free()
-    config = scens[0].resolved_config()
-    for other in scens[1:]:
-        if other.resolved_config() != config:
-            raise ValueError(
-                "ensemble scenarios must share one workload configuration "
-                f"({other.label} differs from {scens[0].label}); vary only "
-                "the heuristic/filters, or run separate ensembles"
-            )
-    for scenario in scens:
-        settings = scenario.ensemble
-        if settings is None:
-            continue
-        own_seed = config.seed if settings.base_seed is None else settings.base_seed
-        if num_trials != settings.num_trials:
-            raise ValueError(
-                f"num_trials={num_trials} contradicts the [ensemble] section of "
-                f"{scenario.label} (num_trials = {settings.num_trials})"
-            )
-        if base_seed is None:
-            base_seed = own_seed
-        elif base_seed != own_seed:
-            raise ValueError(
-                f"base_seed={base_seed} contradicts the [ensemble] section of "
-                f"{scenario.label} (base seed {own_seed})"
-            )
-    if base_seed is None:
-        base_seed = config.seed
-    return [s.spec for s in scens], config, base_seed
+def _ensemble_args(scenario: Scenario, n_jobs: int | None) -> tuple[tuple[Any, ...], int]:
+    """``(specs, config, num_trials, base_seed)`` and the worker count of
+    a scenario's ensemble, all from its ``[ensemble]`` section."""
+    scenario.require_fault_free()
+    settings = scenario.resolved_ensemble()
+    config = scenario.resolved_config()
+    base_seed = config.seed if settings.base_seed is None else settings.base_seed
+    args = (scenario.ensemble_specs, config, settings.num_trials, base_seed)
+    return args, settings.n_jobs if n_jobs is None else n_jobs
 
 
 def run_ensemble(
-    scenarios: Scenario | Sequence[Scenario],
-    num_trials: int,
+    scenario: Scenario,
     *,
-    base_seed: int | None = None,
-    n_jobs: int = 1,
+    n_jobs: int | None = None,
     keep_outcomes: bool = False,
     metrics: MetricsRegistry | None = None,
     sinks: Sequence[EventSink] = (),
@@ -378,58 +333,53 @@ def run_ensemble(
     trial_timeout: float | None = None,
     max_retries: int = 2,
 ) -> EnsembleResult:
-    """Run ``num_trials`` paired trials of one or more scenarios.
+    """Run the paired ensemble a scenario describes.
 
-    All scenarios must resolve to the same workload configuration (the
-    pairing discipline: within a trial every policy sees the identical
-    task stream).  ``base_seed`` defaults to the scenarios' shared seed
-    override, falling back to the configured master seed; trial ``i``
-    derives its own seed from it.  A scenario's own ``[ensemble]``
-    section fixes ``num_trials`` and the base seed: a call that
-    contradicts it raises ``ValueError`` rather than overriding it.
-    The resilience options
+    The scenario's ``[ensemble]`` section (:class:`EnsembleSettings`,
+    its defaults when omitted) alone gives the trial count and the base
+    seed (``None``: the scenario's resolved seed); trial ``i`` derives
+    its own seed from it.  Its ``specs`` name the grid cells, the
+    ``[policy]`` cell without them; within a trial every cell sees the
+    identical task stream.  ``n_jobs`` defaults to the section's and
+    changes no result.  The resilience options
     (``checkpoint``/``resume``/``trial_timeout``/``max_retries``) and
     collectors forward to :func:`repro.experiments.runner.run_ensemble`.
     Ensembles inject no faults: a scenario with active ``faults`` or any
     ``shedding`` raises ``ValueError``.
     """
-    specs, config, base_seed = _ensemble_inputs(scenarios, num_trials, base_seed)
+    args, n_jobs = _ensemble_args(scenario, n_jobs)
     return _run_ensemble(
-        specs,
-        config,
-        num_trials,
-        base_seed,
-        n_jobs=n_jobs,
-        keep_outcomes=keep_outcomes,
-        metrics=metrics,
-        sinks=sinks,
-        profile=profile,
-        timeline=timeline,
-        checkpoint=checkpoint,
-        resume=resume,
-        trial_timeout=trial_timeout,
-        max_retries=max_retries,
+        *args, n_jobs=n_jobs, keep_outcomes=keep_outcomes,
+        metrics=metrics, sinks=sinks, profile=profile, timeline=timeline,
+        checkpoint=checkpoint, resume=resume,
+        trial_timeout=trial_timeout, max_retries=max_retries,
     )
 
 
 def budget_sweep(
-    scenarios: Scenario | Sequence[Scenario],
+    scenario: Scenario,
     multipliers: Sequence[float],
-    num_trials: int,
     *,
-    base_seed: int | None = None,
-    n_jobs: int = 1,
+    n_jobs: int | None = None,
+    metrics: MetricsRegistry | None = None,
+    sinks: Sequence[EventSink] = (),
+    profile: SpanProfile | None = None,
+    timeline: TimelineSet | None = None,
+    checkpoint: str | Path | None = None,
+    resume: bool = False,
+    trial_timeout: float | None = None,
+    max_retries: int = 2,
 ) -> SweepResult:
-    """Sweep the energy-budget multiplier over one or more scenarios.
+    """Run a scenario's ensemble at every energy-budget multiplier.
 
-    The scenarios obey the same rules as in :func:`run_ensemble`.
+    Each point is :func:`run_ensemble` of the scenario with its budget
+    scaled, under the same rules and options; ``checkpoint`` fans out to
+    one shard per point (``name.pointN.jsonl``).
     """
-    specs, config, base_seed = _ensemble_inputs(scenarios, num_trials, base_seed)
+    args, n_jobs = _ensemble_args(scenario, n_jobs)
     return _budget_sweep(
-        multipliers,
-        specs,
-        config,
-        num_trials,
-        base_seed,
-        n_jobs=n_jobs,
+        multipliers, *args, n_jobs=n_jobs,
+        metrics=metrics, sinks=sinks, profile=profile, timeline=timeline,
+        checkpoint=checkpoint, resume=resume,
+        trial_timeout=trial_timeout, max_retries=max_retries,
     )

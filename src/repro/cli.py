@@ -13,6 +13,7 @@ Installed as the ``repro`` console script::
     repro monitor windows.jsonl --follow    # terminal dashboard
     repro figure fig5 --trials 10       # one of the paper's figures
     repro grid --trials 50 --out grid.json  # the full 16-variant evaluation
+    repro run --scenario examples/paper_grid.toml  # the same grid as a file
     repro sweep --multipliers 0.7 1.0 1.3  # budget-tightness sweep
     repro report grid.json --svg-dir figs/   # re-render saved results
     repro compare grid.json LL/none LL/en+rob # paired significance test
@@ -24,7 +25,10 @@ Installed as the ``repro`` console script::
 
 All simulation subcommands accept ``--tasks`` and ``--seed``; results
 are deterministic for a given seed, with tracing and profiling on or
-off.  ``--profile-out`` files are Chrome trace-event JSON — drag one
+off.  ``trial``/``serve`` build a :class:`~repro.scenario.Scenario` from
+their flags and ``figure``/``grid``/``sweep`` an ensemble one (with
+``[ensemble] specs``); each runs it through :mod:`repro.api`, as ``run
+--scenario`` does with a file.  ``--profile-out`` files are Chrome trace-event JSON — drag one
 into https://ui.perfetto.dev to browse the spans interactively.
 """
 
@@ -44,15 +48,10 @@ from repro.analysis.svg import save_boxplot_svg, save_timeline_svg
 from repro.analysis.trace_summary import trace_summary_table
 from repro.experiments.calibrate import calibration_summary
 from repro.experiments.compare import compare_variants
-from repro.experiments.figures import FIGURES, figure_specs, full_grid_specs
+from repro.experiments.figures import FIGURES, expand_specs
 from repro.experiments.report import best_variant_table, figure_table, summary_table
-from repro.experiments.runner import (
-    EnsembleResult,
-    PartialEnsembleResult,
-    VariantSpec,
-    run_ensemble,
-)
-from repro.api import run_scenario
+from repro.experiments.runner import EnsembleResult, PartialEnsembleResult, VariantSpec
+from repro.api import budget_sweep, run_scenario
 from repro.faults import FaultSchedule, SheddingConfig
 from repro.filters.chain import VARIANTS, canonical_variant
 from repro.heuristics.registry import HEURISTICS
@@ -63,7 +62,7 @@ from repro.registry import (
     describe_plugins,
     plugin_table,
 )
-from repro.scenario import FaultSettings, Scenario, ScenarioError
+from repro.scenario import EnsembleSettings, FaultSettings, Scenario, ScenarioError
 from repro.io.faults_io import load_faults, save_faults
 from repro.io.profile_io import (
     load_profile_events,
@@ -371,8 +370,10 @@ class _Outputs:
     Ensemble commands hand ``profile`` / ``timelines`` to the runner,
     which merges one stream per trial into them.  A single run
     (``label`` given: ``trial``, ``serve``) records into ``recorder`` /
-    ``timeline`` instead, folded in by :meth:`write`.  Used as a context
-    manager, it closes the trace sink when the run ends, even on error.
+    ``timeline`` instead, folded in by :meth:`write`.  A flag the
+    command does not have (``serve`` has no ``--trace-out``, ``run``
+    none of them) reads as unset.  Used as a context manager, it closes
+    the trace sink when the run ends, even on error.
     """
 
     def __init__(
@@ -385,21 +386,23 @@ class _Outputs:
         self.args = args
         # Built before any output opens and whether or not --timeline-out
         # asks for it, so a bad --timeline-dt / --timeline-cap always fails.
+        dt = getattr(args, "timeline_dt", 60.0)
         timeline = TimelineRecorder(
-            args.timeline_dt, stream=0, label=label or "", capacity=timeline_cap
+            dt, stream=0, label=label or "", capacity=timeline_cap
         )
         trace_out = getattr(args, "trace_out", None)
         profile_out = getattr(args, "profile_out", None)
+        timeline_out = getattr(args, "timeline_out", None)
         self.trace = JsonlSink(trace_out) if trace_out else None
         self.sinks = (self.trace,) if self.trace is not None else ()
         self.metrics = MetricsRegistry() if getattr(args, "metrics_out", None) else None
         self.profile = SpanProfile() if profile_out else None
-        self.timelines = TimelineSet(args.timeline_dt) if args.timeline_out else None
+        self.timelines = TimelineSet(dt) if timeline_out else None
         self.recorder = self.timeline = None
         if label is not None:
             if profile_out:
                 self.recorder = SpanRecorder(stream=0, label=f"trial:{label}")
-            if args.timeline_out:
+            if timeline_out:
                 self.timeline = timeline
 
     def __enter__(self) -> "_Outputs":
@@ -433,21 +436,11 @@ class _Outputs:
 
 
 def _parse_spec(label: str) -> VariantSpec:
-    """``"LL/en+rob"`` -> a spec; ``ValueError`` on a malformed or unknown one.
-
-    Names are checked against the plugin registries here, so a typo
-    fails before any trial runs, but kept as given (the spec label
-    seeds the Random heuristic's stream).
-    """
-    heuristic, sep, variant = label.partition("/")
-    if not sep:
-        raise ValueError(f"spec must look like 'LL/en+rob', got {label!r}")
-    try:
-        HEURISTIC_PLUGINS.canonical(heuristic)
-        canonical_variant(variant)
-    except KeyError as exc:  # UnknownPluginError or a malformed variant
-        raise ValueError(exc.args[0]) from None
-    return VariantSpec(heuristic, variant)
+    """``"ll/EN+ROB"`` -> ``LL/en+rob``; ``ValueError`` unless one known cell."""
+    specs = expand_specs((label,))
+    if len(specs) != 1:
+        raise ValueError(f"give one spec, not the pattern {label!r}")
+    return specs[0]
 
 
 def _heuristic_name(value: str) -> str:
@@ -837,28 +830,42 @@ def _report_partial(ensemble: EnsembleResult) -> None:
         )
 
 
-def _run_ensemble_command(specs: list[VariantSpec], args: argparse.Namespace) -> int:
-    """Shared figure/grid body: run, render, save results + manifest + metrics."""
+def _ensemble_scenario(args: argparse.Namespace, specs: Sequence[str]) -> Scenario:
+    """The ensemble :class:`Scenario` of a figure/grid/sweep command line."""
     with _bad_input(args):
-        config = Scenario(seed=args.seed, num_tasks=args.tasks).resolved_config()
+        settings = EnsembleSettings(num_trials=args.trials, n_jobs=args.jobs, specs=specs)
+        scenario = Scenario(
+            seed=args.seed, num_tasks=args.tasks, mode="ensemble", ensemble=settings
+        )
+        scenario.resolved_config()  # a bad --tasks fails before any output opens
+    return scenario
+
+
+def _resilience(args: argparse.Namespace) -> dict[str, Any]:
+    """The resilience flags of an ensemble command (``run`` has none)."""
+    names = ("checkpoint", "resume", "trial_timeout", "max_retries")
+    return {name: getattr(args, name) for name in names if hasattr(args, name)}
+
+
+def _run_ensemble_command(scenario: Scenario, args: argparse.Namespace) -> int:
+    """The one ensemble body of figure, grid and ``run``: run the scenario,
+    render it, save results + manifest + the observability outputs."""
     # Ensemble-level traces carry the executor's recovery events
     # (retries, quarantines, checkpoints); per-task events stay in the
     # workers and are summarized by --metrics-out instead.
     with _bad_input(args), _Outputs(args) as out:
-        ensemble = run_ensemble(
-            specs, config, args.trials, base_seed=args.seed,
-            n_jobs=args.jobs, metrics=out.metrics,
-            checkpoint=args.checkpoint, resume=args.resume,
-            trial_timeout=args.trial_timeout, max_retries=args.max_retries,
-            profile=out.profile, timeline=out.timelines, sinks=out.sinks,
+        ensemble = run_scenario(
+            scenario, metrics=out.metrics, sinks=out.sinks,
+            profile=out.profile, timeline=out.timelines, **_resilience(args),
         )
     _report_partial(ensemble)
-    printed = _print_ensemble(ensemble, args.svg_dir)
-    if args.out:
-        save_json(ensemble_to_dict(ensemble), args.out)
-        print(f"wrote {args.out}")
-        manifest_path = pathlib.Path(args.out).with_suffix(".manifest.json")
-        save_manifest(build_manifest(ensemble, config), manifest_path)
+    printed = _print_ensemble(ensemble, getattr(args, "svg_dir", None))
+    out_path = getattr(args, "out", None)
+    if out_path:
+        save_json(ensemble_to_dict(ensemble), out_path)
+        print(f"wrote {out_path}")
+        manifest_path = pathlib.Path(out_path).with_suffix(".manifest.json")
+        save_manifest(build_manifest(ensemble, scenario.resolved_config()), manifest_path)
         print(f"wrote {manifest_path}")
     out.write()
     if not printed:
@@ -867,13 +874,9 @@ def _run_ensemble_command(specs: list[VariantSpec], args: argparse.Namespace) ->
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
-    """Rerun one of the paper's figures at the requested scale."""
-    return _run_ensemble_command(figure_specs(args.figure), args)
-
-
-def cmd_grid(args: argparse.Namespace) -> int:
-    """Run the full 16-variant evaluation grid."""
-    return _run_ensemble_command(full_grid_specs(), args)
+    """Rerun one of the paper's figures at the requested scale (``grid``
+    is fig6's full 16-variant grid)."""
+    return _run_ensemble_command(_ensemble_scenario(args, FIGURES[args.figure]), args)
 
 
 def _companion_path(manifest_path: str) -> pathlib.Path:
@@ -968,19 +971,11 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Sweep the energy-budget multiplier over given specs."""
-    from repro.experiments.sweep import budget_sweep
-
-    with _bad_input(args):
-        specs = tuple(_parse_spec(s) for s in args.specs)
-        config = Scenario(seed=args.seed, num_tasks=args.tasks).resolved_config()
+    scenario = _ensemble_scenario(args, args.specs)
     with _bad_input(args), _Outputs(args) as out:
         sweep = budget_sweep(
-            args.multipliers, specs, config, args.trials, base_seed=args.seed,
-            n_jobs=args.jobs,
-            checkpoint=args.checkpoint, resume=args.resume,
-            trial_timeout=args.trial_timeout, max_retries=args.max_retries,
-            metrics=out.metrics, profile=out.profile, timeline=out.timelines,
-            sinks=out.sinks,
+            scenario, args.multipliers, metrics=out.metrics, sinks=out.sinks,
+            profile=out.profile, timeline=out.timelines, **_resilience(args),
         )
     for point in sweep.points:
         _report_partial(point.ensemble)
@@ -1000,14 +995,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     shown = scenario.name or pathlib.Path(args.scenario).stem
     print(f"scenario {shown}: {scenario.label}, mode {scenario.mode} "
           f"(digest {scenario.digest()[:12]})")
+    if scenario.mode == "ensemble":
+        return _run_ensemble_command(scenario, args)
     with _bad_input(args):
         result = run_scenario(scenario)
     if scenario.mode == "trial":
         _print_trial_result(result)
-    elif scenario.mode == "ensemble":
-        _report_partial(result)
-        if not _print_ensemble(result, None):
-            raise _no_completed_trials(args)
     else:
         _print_service_summary(result)
     return 0
@@ -1083,6 +1076,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
         raise _no_completed_trials(args)
     with _bad_input(args):
         a, b = _parse_spec(args.a), _parse_spec(args.b)
+        for spec in (a, b):
+            if spec not in ensemble.results:
+                held = ", ".join(s.label for s in ensemble.specs)
+                raise ValueError(f"{spec.label} is not in {args.results} (it holds {held})")
     comparison = compare_variants(ensemble, a, b)
     print(comparison)
     verdict = "significant" if comparison.significant(args.alpha) else "not significant"
@@ -1323,7 +1320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="save the ensemble JSON here (plus its manifest)")
     p.add_argument("--svg-dir", help="also write SVG box plots here")
     _add_resilience(p)
-    p.set_defaults(func=cmd_grid)
+    p.set_defaults(func=cmd_figure, figure="fig6")
 
     p = sub.add_parser(
         "inspect-manifest", help="render a run manifest; verify results against it"
@@ -1370,7 +1367,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--specs",
         nargs="+",
         default=["MECT/none", "LL/en+rob"],
-        help="specs to compare, e.g. LL/en+rob",
+        help="specs to compare, e.g. LL/en+rob ('*' for the paper's four: LL/*)",
     )
     p.add_argument("--trials", type=int, default=5)
     p.add_argument("--jobs", type=int, default=1)

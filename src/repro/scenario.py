@@ -13,15 +13,12 @@ The same object round-trips through a single TOML or JSON file:
     name = "fig2-baseline"
     mode = "ensemble"
 
-    [policy]
-    heuristic = "MECT"
-    filters = "en+rob"
-
     [sim.workload]
     num_tasks = 1000
 
     [ensemble]
     num_trials = 50
+    specs = ["SQ/*"]
 
 ``Scenario.from_file`` loads it, ``to_file`` writes it back,
 :meth:`Scenario.digest` fingerprints it, and
@@ -59,6 +56,7 @@ from repro.config import (
     SimulationConfig,
     WorkloadConfig,
 )
+from repro.experiments.figures import canonical_pattern, expand_specs
 from repro.experiments.runner import VariantSpec
 from repro.faults import FaultEvent, FaultPolicy, FaultSchedule, SheddingConfig
 from repro.filters.chain import canonical_variant
@@ -191,20 +189,27 @@ def _sim_to_dict(config: SimulationConfig) -> dict[str, Any]:
 class EnsembleSettings:
     """The run shape of ``mode = "ensemble"``: paired trials of one config.
 
-    ``base_seed = None`` defers to the scenario's resolved seed exactly
-    as :func:`repro.api.run_ensemble` does, so a scenario-driven
-    ensemble reproduces the programmatic one bit for bit.
+    ``base_seed = None`` defers to the scenario's resolved seed.
+    ``specs`` are spec labels, stored canonically, in which ``*`` stands
+    for the paper's four heuristics or variants (``["LL/*"]`` is Figure
+    4; see :func:`repro.experiments.figures.expand_specs`); none runs
+    the scenario's ``[policy]`` cell.
     """
 
     num_trials: int = 10
     base_seed: int | None = None
     n_jobs: int = 1
+    specs: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         if self.num_trials < 1:
-            raise ValueError(f"num_trials must be >= 1, got {self.num_trials}")
+            raise ValueError(f"need at least one trial, got {self.num_trials}")
         if self.n_jobs < 1:
-            raise ValueError(f"n_jobs must be >= 1, got {self.n_jobs}")
+            raise ValueError(f"n_jobs must be a positive worker count, got {self.n_jobs}")
+        if isinstance(self.specs, str):
+            raise ValueError(f"specs must be a list of spec labels, got {self.specs!r}")
+        object.__setattr__(self, "specs", tuple(map(canonical_pattern, self.specs)))
+        expand_specs(self.specs)  # a cell named twice fails here, not mid-run
 
 
 #: Valid scopes for generated fault schedules (see FaultSchedule.generate).
@@ -356,8 +361,9 @@ class Scenario:
         ``"trial"`` (default), ``"ensemble"`` or ``"service"`` — what
         :func:`repro.api.run_scenario` executes.
     ensemble:
-        :class:`EnsembleSettings`; only meaningful in ensemble mode
-        (``None`` there means the defaults).
+        :class:`EnsembleSettings`: trials, base seed, workers and grid
+        cells of :func:`repro.api.run_ensemble` /
+        :func:`repro.api.budget_sweep` (``None`` means the defaults).
     service:
         :class:`~repro.service.ServiceConfig`; only meaningful in
         service mode (``None`` there means batch-equivalent replay).
@@ -425,8 +431,18 @@ class Scenario:
 
     @property
     def label(self) -> str:
-        """Display label, e.g. ``"LL/en+rob"``."""
+        """Display label, e.g. ``"LL/en+rob"`` (``"SQ/*"`` for an ensemble
+        over ``[ensemble] specs``)."""
+        if self.mode == "ensemble" and self.ensemble is not None and self.ensemble.specs:
+            return ", ".join(self.ensemble.specs)
         return self.spec.label
+
+    @property
+    def ensemble_specs(self) -> tuple[VariantSpec, ...]:
+        """The grid cells an ensemble of this scenario runs: the expanded
+        ``[ensemble] specs``, or the ``[policy]`` cell without them."""
+        patterns = self.resolved_ensemble().specs
+        return expand_specs(patterns) if patterns else (self.spec,)
 
     def resolved_config(self) -> SimulationConfig:
         """The full simulation configuration with overrides applied."""

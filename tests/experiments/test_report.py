@@ -7,13 +7,13 @@ import pytest
 from repro.experiments.report import best_variant_table, figure_table, summary_table
 from repro.experiments.executor import TrialFailure
 from repro.experiments.runner import PartialEnsembleResult, run_ensemble
-from repro.experiments.figures import full_grid_specs, figure_specs
+from repro.experiments.figures import figure_specs
 from tests.conftest import tiny_config
 
 
 @pytest.fixture(scope="module")
 def grid_ensemble():
-    return run_ensemble(full_grid_specs(), tiny_config(), num_trials=2, base_seed=3)
+    return run_ensemble(figure_specs("fig6"), tiny_config(), num_trials=2, base_seed=3)
 
 
 @pytest.fixture(scope="module")

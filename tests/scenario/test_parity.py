@@ -15,7 +15,8 @@ import pytest
 
 from repro import api
 from repro import rng as rng_mod
-from repro.experiments.runner import VariantSpec
+from repro.experiments.figures import figure_specs
+from repro.experiments.runner import VariantSpec, run_ensemble
 from repro.filters.chain import build_filter_chain
 from repro.heuristics.registry import build_heuristic
 from repro.obs.manifest import config_digest, trial_digest
@@ -69,17 +70,31 @@ class TestTrialParity:
 class TestEnsembleParity:
     def test_scenario_ensemble_matches_run_ensemble(self):
         config = tiny_config()
+        settings = EnsembleSettings(num_trials=2)
         scenario = Scenario(
-            "mect", "en+rob", config=config,
-            mode="ensemble", ensemble=EnsembleSettings(num_trials=2),
+            "mect", "en+rob", config=config, mode="ensemble", ensemble=settings
         )
         via_scenario = api.run_scenario(scenario)
         direct = api.run_ensemble(
-            Scenario("MECT", "EN+ROB", config=config), 2
+            Scenario("MECT", "EN+ROB", config=config, ensemble=settings)
         )
-        assert via_scenario.base_seed == direct.base_seed
+        reference = run_ensemble([SPEC], config, 2, config.seed)
+        assert via_scenario.base_seed == direct.base_seed == config.seed
         assert via_scenario.specs == direct.specs == (SPEC,)
         assert via_scenario.results[SPEC] == direct.results[SPEC]
+        assert direct.results[SPEC] == reference.results[SPEC]
+
+    def test_spec_patterns_match_the_runner_grid(self):
+        config = tiny_config()
+        scenario = Scenario(
+            config=config,
+            mode="ensemble",
+            ensemble=EnsembleSettings(num_trials=1, base_seed=4, specs=("ll/*",)),
+        )
+        via_scenario = api.run_scenario(scenario)
+        reference = run_ensemble(figure_specs("fig4"), config, 1, 4)
+        assert via_scenario.specs == reference.specs
+        assert via_scenario.results == reference.results
 
 
 class TestServiceParity:

@@ -76,6 +76,7 @@ ensembles = st.builds(
     num_trials=st.integers(min_value=1, max_value=50),
     base_seed=st.none() | st.integers(min_value=0, max_value=2**31),
     n_jobs=st.integers(min_value=1, max_value=8),
+    specs=st.sampled_from([(), ("*/*",), ("ll/*", "SQ/none"), ("Random/EN+ROB",)]),
 )
 
 

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import json
 import tomllib
+from pathlib import Path
 
 import pytest
 
 from repro.config import LambdaMode, SimulationConfig
 from repro.api import run_scenario
+from repro.experiments.figures import figure_specs
+from repro.experiments.runner import VariantSpec
 from repro.faults import FaultEvent, FaultSchedule, SheddingConfig
 from repro.scenario import (
     MODES,
@@ -20,6 +23,8 @@ from repro.scenario import (
 )
 from repro.service import ServiceConfig
 from tests.conftest import tiny_config
+
+EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
 
 
 class TestConstruction:
@@ -293,6 +298,57 @@ class TestRoundTrip:
         assert payload["format"] == SCENARIO_FORMAT
 
 
+class TestEnsembleSpecs:
+    """``[ensemble] specs``: the grid cells of an ensemble, with ``*``."""
+
+    def test_without_specs_the_policy_cell_runs(self):
+        scenario = Scenario("SQ", "rob", mode="ensemble")
+        assert scenario.ensemble_specs == (VariantSpec("SQ", "rob"),)
+        assert scenario.label == "SQ/rob"
+        # The key is sparse: a scenario without it keeps its old digest.
+        assert "specs" not in Scenario(ensemble=EnsembleSettings()).to_dict()["ensemble"]
+
+    def test_patterns_are_stored_canonical_and_expanded_in_order(self):
+        settings = EnsembleSettings(specs=["ll/*", "random/EN+ROB"])
+        assert settings.specs == ("LL/*", "Random/en+rob")
+        scenario = Scenario(mode="ensemble", ensemble=settings)
+        assert scenario.ensemble_specs == (
+            *figure_specs("fig4"),
+            VariantSpec("Random", "en+rob"),
+        )
+        assert scenario.label == "LL/*, Random/en+rob"
+        assert scenario.digest() == Scenario(
+            mode="ensemble", ensemble=EnsembleSettings(specs=("LL/*", "Random/en+rob"))
+        ).digest()
+
+    @pytest.mark.parametrize(
+        "specs, match",
+        [
+            (["LL/*", "ll/rob"], "LL/rob is named twice"),
+            (["MECTT/*"], "did you mean 'MECT'"),
+            (["*/en+robb"], "did you mean 'rob'"),
+            (["LL"], "spec must look like"),
+            ("LL/*", "must be a list of spec labels"),
+        ],
+        ids=["duplicate", "heuristic", "filter", "malformed", "bare-string"],
+    )
+    def test_bad_specs_are_a_scenario_error(self, specs, match):
+        with pytest.raises(ScenarioError, match=r"invalid \[ensemble\]: .*" + match):
+            Scenario.from_dict({"mode": "ensemble", "ensemble": {"specs": specs}})
+
+    @pytest.mark.parametrize("suffix", [".toml", ".json"])
+    def test_round_trip_keeps_the_digest(self, tmp_path, suffix):
+        scenario = Scenario(
+            seed=4,
+            mode="ensemble",
+            ensemble=EnsembleSettings(num_trials=3, base_seed=7, specs=("*/none", "LL/en")),
+        )
+        loaded = Scenario.from_file(scenario.to_file(tmp_path / f"grid{suffix}"))
+        assert loaded == scenario
+        assert loaded.ensemble.specs == ("*/none", "LL/en")
+        assert loaded.digest() == scenario.digest()
+
+
 class TestFromFile:
     def test_invalid_toml_names_the_file(self, tmp_path):
         path = tmp_path / "broken.toml"
@@ -323,9 +379,7 @@ class TestFromFile:
 
 class TestCommittedExamples:
     def test_examples_load_and_round_trip(self, tmp_path):
-        from pathlib import Path
-
-        root = Path(__file__).resolve().parents[2] / "examples" / "scenarios"
+        root = EXAMPLES / "scenarios"
         files = sorted(root.glob("*.toml"))
         assert len(files) >= 3
         for path in files:
@@ -333,3 +387,15 @@ class TestCommittedExamples:
             assert scenario.mode in MODES
             rewritten = scenario.to_file(tmp_path / path.name)
             assert Scenario.from_file(rewritten) == scenario
+
+    def test_fig2_baseline_is_figure_2(self):
+        path = EXAMPLES / "scenarios" / "fig2_baseline.toml"
+        assert Scenario.from_file(path).ensemble_specs == figure_specs("fig2")
+
+    def test_paper_grid_is_the_papers_evaluation(self):
+        scenario = Scenario.from_file(EXAMPLES / "paper_grid.toml")
+        assert scenario.mode == "ensemble"
+        assert scenario.ensemble_specs == figure_specs("fig6")
+        assert scenario.resolved_ensemble().num_trials == 50
+        assert scenario.resolved_config().workload.num_tasks == 1000
+        assert scenario.resolved_config().seed == 0

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
 from repro import api
@@ -95,25 +97,25 @@ class TestRunTrial:
 
 
 class TestRunEnsemble:
-    def test_scenarios_must_share_config(self):
-        with pytest.raises(ValueError, match="share"):
-            api.run_ensemble(
-                [
-                    api.Scenario("LL", seed=1, num_tasks=50),
-                    api.Scenario("SQ", seed=2, num_tasks=50),
-                ],
-                1,
-            )
+    def test_signature_takes_one_scenario(self):
+        for runner in (api.run_ensemble, api.budget_sweep):
+            params = inspect.signature(runner).parameters
+            assert next(iter(params)) == "scenario"
+            assert "num_trials" not in params and "base_seed" not in params
 
     def test_paired_trials_across_scenarios(self):
-        scenarios = [
-            api.Scenario("LL", "en+rob", seed=3, num_tasks=40),
-            api.Scenario("SQ", "none", seed=3, num_tasks=40),
-        ]
-        ensemble = api.run_ensemble(scenarios, 2)
+        scenario = api.Scenario(
+            seed=3,
+            num_tasks=40,
+            ensemble=api.EnsembleSettings(num_trials=2, specs=("LL/en+rob", "sq/NONE")),
+        )
+        ensemble = api.run_ensemble(scenario)
         assert ensemble.num_trials == 2
-        assert ensemble.base_seed == 3  # defaulted from the shared seed
-        assert set(ensemble.results) == {s.spec for s in scenarios}
+        assert ensemble.base_seed == 3  # defaulted from the scenario's seed
+        assert ensemble.specs == (
+            api.VariantSpec("LL", "en+rob"),
+            api.VariantSpec("SQ", "none"),
+        )
         for spec in ensemble.specs:
             assert len(ensemble.results[spec]) == 2
 
@@ -128,47 +130,44 @@ class TestRunEnsemble:
     )
     def test_refuses_fault_layer_instead_of_dropping_it(self, section):
         faulted = api.Scenario("LL", seed=3, num_tasks=40, **section)
-        plain = api.Scenario("SQ", seed=3, num_tasks=40)
         with pytest.raises(ValueError, match="not ensembles"):
-            api.run_ensemble([plain, faulted], 2)
+            api.run_ensemble(faulted)
         with pytest.raises(ValueError, match="not ensembles"):
-            api.budget_sweep(faulted, [1.0], 1)
+            api.budget_sweep(faulted, [1.0])
 
     def test_inactive_fault_section_is_accepted(self):
-        scenario = api.Scenario("LL", seed=3, num_tasks=40, faults=api.FaultSettings())
-        ensemble = api.run_ensemble(scenario, 1)
+        scenario = api.Scenario(
+            "LL", seed=3, num_tasks=40, faults=api.FaultSettings(),
+            ensemble=api.EnsembleSettings(num_trials=1),
+        )
+        ensemble = api.run_ensemble(scenario)
         assert ensemble.specs == (scenario.spec,)
 
     def test_single_scenario_accepted_bare(self):
-        ensemble = api.run_ensemble(api.Scenario("LL", seed=3, num_tasks=40), 1)
+        """Without ``specs`` the ensemble runs the ``[policy]`` cell."""
+        scenario = api.Scenario(
+            "LL", seed=3, num_tasks=40, ensemble=api.EnsembleSettings(num_trials=1)
+        )
+        ensemble = api.run_ensemble(scenario)
         assert ensemble.specs == (api.VariantSpec("LL", "en+rob"),)
 
     def test_ensemble_section_is_binding(self):
-        """A scenario's own ``[ensemble]`` section gives one ensemble
-        through ``run_scenario`` and ``run_ensemble``; a call that
-        contradicts it is refused instead of silently overriding it."""
+        """The scenario's ``[ensemble]`` section alone gives trials and
+        base seed: ``run_ensemble``, ``run_scenario`` and a
+        ``budget_sweep`` point at the default budget run one ensemble."""
         settings = api.EnsembleSettings(num_trials=3, base_seed=9, n_jobs=2)
         scenario = api.Scenario(
             "LL", seed=3, num_tasks=30, mode="ensemble", ensemble=settings
         )
-        with pytest.raises(ValueError, match="num_trials=1 contradicts"):
-            api.run_ensemble(scenario, 1)
-        with pytest.raises(ValueError, match="base_seed=3 contradicts"):
-            api.run_ensemble(scenario, 3, base_seed=3)
-        with pytest.raises(ValueError, match="contradicts"):
-            api.budget_sweep(scenario, [1.0], 1)
-        # An omitted base seed comes from the section; n_jobs is the
-        # caller's core budget and is not checked.
-        direct = api.run_ensemble(scenario, 3)
+        direct = api.run_ensemble(scenario, n_jobs=1)
         via_scenario = api.run_scenario(scenario, n_jobs=1)
+        (point,) = api.budget_sweep(scenario, [1.0], n_jobs=1).points
         assert direct.num_trials == via_scenario.num_trials == 3
         assert direct.base_seed == via_scenario.base_seed == 9
-        assert direct.results == via_scenario.results
+        assert direct.results == via_scenario.results == point.ensemble.results
 
     def test_section_without_base_seed_defers_to_the_scenario_seed(self):
         scenario = api.Scenario(
             "LL", seed=3, num_tasks=30, ensemble=api.EnsembleSettings(num_trials=1)
         )
-        assert api.run_ensemble(scenario, 1, base_seed=3).base_seed == 3
-        with pytest.raises(ValueError, match="contradicts"):
-            api.run_ensemble(scenario, 1, base_seed=4)
+        assert api.run_ensemble(scenario).base_seed == 3

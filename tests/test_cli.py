@@ -9,9 +9,11 @@ import socket
 
 import pytest
 
+from repro import api
 from repro.cli import build_parser, main
 from repro.experiments.runner import VariantSpec, run_ensemble
 from repro.io.results_io import ensemble_to_dict, save_json
+from repro.obs.manifest import build_manifest
 from tests.conftest import tiny_config
 
 TINY = ["--tasks", "60", "--seed", "123"]
@@ -158,6 +160,108 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "budget_mult" in out
         assert "MECT/none" in out
+
+
+def _json(document):
+    """A document as its saved JSON reads back (tuples become lists)."""
+    return json.loads(json.dumps(document))
+
+
+def _ensemble_file(tmp_path, name, specs, *, trials, tasks, seed):
+    """A scenario file naming one ensemble; returns its path."""
+    path = tmp_path / f"{name}.toml"
+    path.write_text(
+        f'mode = "ensemble"\nseed = {seed}\nnum_tasks = {tasks}\n\n'
+        f"[ensemble]\nnum_trials = {trials}\nspecs = {json.dumps(specs)}\n"
+    )
+    return path
+
+
+class TestOneSpelling:
+    """``figure``/``grid``/``sweep`` build a Scenario from their flags and
+    run it through the api: the flag form and a scenario file give the
+    same ensemble, manifest and sweep table, and a spec name has one
+    spelling in every subcommand."""
+
+    @pytest.fixture(scope="class")
+    def fig4(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("fig4") / "fig4.json"
+        argv = ["figure", "fig4", "--trials", "2", "--tasks", "60", "--seed", "3",
+                "--out", str(out)]
+        assert main(argv) == 0
+        return out
+
+    @pytest.mark.parametrize(
+        "argv, specs, trials",
+        [
+            (["figure", "fig4", "--trials", "2"], ["LL/*"], 2),
+            (["grid", "--trials", "1"], ["*/*"], 1),
+        ],
+        ids=["figure", "grid"],
+    )
+    def test_flag_form_matches_file_form(self, tmp_path, capsys, argv, specs, trials):
+        out = tmp_path / "flags.json"
+        assert main([*argv, "--tasks", "60", "--seed", "3", "--out", str(out)]) == 0
+        capsys.readouterr()
+        path = _ensemble_file(tmp_path, "file", specs, trials=trials, tasks=60, seed=3)
+        scenario = api.Scenario.from_file(path)
+        ensemble = api.run_scenario(path)
+        assert json.loads(out.read_text()) == _json(ensemble_to_dict(ensemble))
+        manifest = json.loads(out.with_suffix(".manifest.json").read_text())
+        assert manifest == _json(
+            build_manifest(ensemble, scenario.resolved_config()).to_dict()
+        )
+
+    def test_sweep_flag_form_matches_budget_sweep(self, tmp_path, capsys):
+        argv = ["sweep", "--trials", "2", "--tasks", "60", "--seed", "3",
+                "--multipliers", "0.85", "1.0", "--specs", "MECT/none", "ll/*"]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        path = _ensemble_file(
+            tmp_path, "sweep", ["MECT/none", "LL/*"], trials=2, tasks=60, seed=3
+        )
+        sweep = api.budget_sweep(api.Scenario.from_file(path), [0.85, 1.0])
+        assert printed == sweep.table(num_tasks=60) + "\n"
+        assert [s.label for s in sweep.specs][:2] == ["MECT/none", "LL/none"]
+
+    def test_sweep_spec_case_does_not_change_the_random_stream(self, capsys):
+        tables = []
+        for label in ("random/none", "Random/none", "RANDOM/NONE"):
+            argv = ["sweep", "--trials", "2", "--tasks", "60", "--multipliers",
+                    "1.0", "--specs", label]
+            assert main(argv) == 0
+            tables.append(capsys.readouterr().out)
+        assert tables[0] == tables[1] == tables[2]
+        assert "Random/none" in tables[0]
+
+    def test_run_prints_what_figure_prints(self, tmp_path, capsys):
+        assert main(["figure", "fig2", *TINY, "--trials", "2"]) == 0
+        flags = capsys.readouterr().out
+        path = _ensemble_file(tmp_path, "fig2", ["sq/*"], trials=2, tasks=60, seed=123)
+        assert main(["run", "--scenario", str(path)]) == 0
+        header, _, body = capsys.readouterr().out.partition("\n")
+        assert header.startswith("scenario fig2: SQ/*, mode ensemble")
+        assert body == flags
+
+    def test_compare_folds_spec_case(self, capsys, fig4):
+        assert main(["compare", str(fig4), "ll/none", "LL/EN+ROB"]) == 0
+        assert "LL/en+rob vs LL/none" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "spec, reason",
+        [
+            ("SQ/none", "SQ/none is not in "),
+            ("LL/*", "give one spec, not the pattern 'LL/*'"),
+        ],
+        ids=["absent", "pattern"],
+    )
+    def test_compare_of_a_spec_not_in_the_file_exits_1(self, capsys, fig4, spec, reason):
+        with pytest.raises(SystemExit) as info:
+            main(["compare", str(fig4), "LL/none", spec])
+        message = info.value.code
+        assert isinstance(message, str) and "\n" not in message
+        assert message.startswith(f"repro compare: {reason}")
+        assert capsys.readouterr().out == ""
 
 
 class TestManifests:
