@@ -18,7 +18,7 @@ The facade groups five things:
   through one TOML or JSON file (:meth:`Scenario.from_file` /
   :meth:`Scenario.to_file`, :mod:`repro.scenario`).
 * **Extending it** — every policy-shaped family (heuristics, filters,
-  traffic models, admission policies) is a plugin registry
+  traffic models) is a plugin registry
   (:mod:`repro.registry`): ``@register_heuristic("mine")`` — or an
   ``entry_points(group="repro.plugins")`` hook in a third-party
   package — makes a name constructible from the CLI and from scenario
@@ -73,7 +73,6 @@ from repro.filters.chain import VARIANTS as FILTER_VARIANTS
 from repro.filters.chain import FilterChain, build_filter_chain, canonical_variant
 from repro.heuristics.registry import HEURISTICS, build_heuristic
 from repro.registry import (
-    ADMISSION_PLUGINS,
     FILTER_PLUGINS,
     HEURISTIC_PLUGINS,
     TRAFFIC_PLUGINS,
@@ -81,7 +80,6 @@ from repro.registry import (
     UnknownPluginError,
     describe_plugins,
     load_entry_point_plugins,
-    register_admission,
     register_filter,
     register_heuristic,
     register_traffic,
@@ -137,11 +135,9 @@ __all__ = [
     "HEURISTIC_PLUGINS",
     "FILTER_PLUGINS",
     "TRAFFIC_PLUGINS",
-    "ADMISSION_PLUGINS",
     "register_heuristic",
     "register_filter",
     "register_traffic",
-    "register_admission",
     "describe_plugins",
     "load_entry_point_plugins",
     # running it

@@ -57,6 +57,7 @@ from repro.filters.chain import VARIANTS, canonical_variant
 from repro.heuristics.registry import HEURISTICS
 from repro.registry import (
     HEURISTIC_PLUGINS,
+    PLUGIN_KINDS,
     TRAFFIC_PLUGINS,
     UnknownPluginError,
     describe_plugins,
@@ -351,17 +352,22 @@ def _obs_parent() -> argparse.ArgumentParser:
         "--profile-out",
         help="write a Chrome trace-event span profile here (Perfetto-loadable)",
     )
-    group.add_argument(
+    _add_timeline(group)
+    return parent
+
+
+def _add_timeline(parser: argparse.ArgumentParser | argparse._ArgumentGroup) -> None:
+    """The ``--timeline-out`` / ``--timeline-dt`` pair (obs parent and serve)."""
+    parser.add_argument(
         "--timeline-out",
         help="write sampled system-state timelines (repro.timeline/1 JSON) here",
     )
-    group.add_argument(
+    parser.add_argument(
         "--timeline-dt",
         type=float,
         default=60.0,
         help="simulated seconds between timeline samples (default: 60)",
     )
-    return parent
 
 
 class _Outputs:
@@ -1185,16 +1191,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="energy filter fair-share divisor (default: one window of arrivals)",
     )
     p.add_argument("--windows-out", help="write one JSON line per window here")
-    p.add_argument(
-        "--timeline-out",
-        help="write sampled system-state timelines (repro.timeline/1 JSON) here",
-    )
-    p.add_argument(
-        "--timeline-dt",
-        type=float,
-        default=60.0,
-        help="simulated seconds between timeline samples (default: 60)",
-    )
+    _add_timeline(p)
     p.add_argument(
         "--timeline-cap",
         type=int,
@@ -1259,7 +1256,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--kind",
         default=None,
-        choices=("heuristic", "filter", "traffic", "admission"),
+        choices=PLUGIN_KINDS,
         help="restrict the catalog to one plugin family",
     )
     p.set_defaults(func=cmd_scenarios)

@@ -37,7 +37,6 @@ from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Any
 
 from repro import rng as rng_mod
-from repro.registry import ADMISSION_PLUGINS, register_admission
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.cluster.cluster import ClusterSpec
@@ -51,7 +50,6 @@ __all__ = [
     "FaultPolicy",
     "SheddingConfig",
     "AdmissionController",
-    "make_admission",
     "FaultStats",
 ]
 
@@ -345,11 +343,8 @@ class SheddingConfig:
     min_prob: float | None = None
     defer: float | None = None
     max_defers: int = 3
-    policy: str = "threshold"
 
     def __post_init__(self) -> None:
-        if not self.policy or not isinstance(self.policy, str):
-            raise ValueError(f"policy must be an admission-plugin name, got {self.policy!r}")
         if self.queue_depth is not None and not (self.queue_depth >= 0.0):
             raise ValueError(f"queue_depth must be >= 0, got {self.queue_depth}")
         if self.budget_frac is not None and not (0.0 <= self.budget_frac <= 1.0):
@@ -420,28 +415,6 @@ class AdmissionController:
     def settle(self, task_id: int) -> None:
         """Forget deferral state after a terminal disposition."""
         self._defers.pop(task_id, None)
-
-
-@register_admission(
-    "threshold",
-    summary="Queue-depth / budget-fraction / rho-floor thresholds with deferral",
-)
-def _make_threshold(config: SheddingConfig) -> AdmissionController:
-    return AdmissionController(config)
-
-
-def make_admission(config: SheddingConfig) -> AdmissionController:
-    """Build the admission controller named by ``config.policy``.
-
-    The engine calls this (instead of hard-wiring
-    :class:`AdmissionController`) so a registered third-party policy —
-    say a probabilistic-pruning variant — slots into the same shedding
-    pipeline.  A plugin must satisfy
-    :class:`repro.registry.AdmissionPlugin`: ``admit`` pre-mapping,
-    ``below_prob_floor`` post-selection, ``settle`` on terminal
-    disposition.
-    """
-    return ADMISSION_PLUGINS.create(config.policy, config)
 
 
 @dataclass

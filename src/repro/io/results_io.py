@@ -9,12 +9,12 @@ re-simulating.
 from __future__ import annotations
 
 import json
-import math
 import pathlib
 from typing import Any
 
 from repro.experiments.executor import TrialFailure
 from repro.experiments.runner import EnsembleResult, PartialEnsembleResult, VariantSpec
+from repro.obs.sinks import _encode_float
 from repro.sim.results import TaskOutcome, TrialResult
 
 __all__ = [
@@ -44,21 +44,6 @@ _SCALAR_FIELDS = (
     "budget",
     "makespan",
 )
-
-
-def _encode_float(x: float) -> float | str:
-    """JSON has no inf/nan; encode them as strings."""
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    if math.isnan(x):
-        return "nan"
-    return x
-
-
-def _decode_float(x: float | str) -> float:
-    if isinstance(x, str):
-        return float(x)
-    return float(x)
 
 
 def trial_result_to_dict(result: TrialResult, *, keep_outcomes: bool = False) -> dict[str, Any]:
@@ -99,15 +84,15 @@ def trial_result_from_dict(data: dict[str, Any]) -> TrialResult:
                 deadline=float(o["deadline"]),
                 core_id=int(o["core_id"]),
                 pstate=int(o["pstate"]),
-                start=_decode_float(o["start"]),
-                completion=_decode_float(o["completion"]),
+                start=float(o["start"]),
+                completion=float(o["completion"]),
                 discarded=bool(o["discarded"]),
             )
             for o in data["outcomes"]
         )
     kwargs = {field: data[field] for field in _SCALAR_FIELDS}
     return TrialResult(
-        exhaustion_time=_decode_float(data["exhaustion_time"]),
+        exhaustion_time=float(data["exhaustion_time"]),
         outcomes=outcomes,
         **kwargs,
     )

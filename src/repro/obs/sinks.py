@@ -121,7 +121,7 @@ class RingBufferSink:
 # ----------------------------------------------------------------------
 
 def _encode_float(x: float) -> float | str:
-    """JSON has no inf/nan; encode them as strings (see results_io)."""
+    """JSON has no inf/nan; encode them as strings (``float()`` reads them back)."""
     if math.isinf(x):
         return "inf" if x > 0 else "-inf"
     if math.isnan(x):

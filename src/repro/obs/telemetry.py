@@ -22,9 +22,9 @@ state:
 * **SLO rules** — :class:`AlertRule` thresholds over the derived
   window-metric namespace (:func:`repro.sim.metrics.derived_window_metrics`;
   ``burn_rate`` gives budget burn-rate alerting), held for N consecutive
-  windows; transitions emit typed :class:`~repro.obs.events.AlertFired`
-  / :class:`~repro.obs.events.AlertResolved` events to any attached
-  sinks and roll up into :meth:`Telemetry.health`.
+  windows; transitions append typed :class:`~repro.obs.events.AlertFired`
+  / :class:`~repro.obs.events.AlertResolved` events to
+  :attr:`Telemetry.alerts` and roll up into :meth:`Telemetry.health`.
 
 Telemetry is strictly opt-in and results-neutral: it only reads engine
 state, and a service run without a hub (``telemetry=None``) does not
@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
 
 from repro.obs.events import AlertFired, AlertResolved, Event
@@ -67,6 +67,7 @@ __all__ = [
     "Telemetry",
     "DEFAULT_QUANTILES",
     "STEADY_METRICS",
+    "HISTORY_CAP",
 ]
 
 #: Quantiles each :class:`QuantileSet` tracks by default.
@@ -74,6 +75,13 @@ DEFAULT_QUANTILES: tuple[float, ...] = (0.5, 0.9, 0.99)
 
 #: Per-window metrics the hub keeps live steady-state estimates for.
 STEADY_METRICS: tuple[str, ...] = ("on_time_prob", "throughput", "power")
+
+#: Per-window metric rows the hub retains (the steady-state estimate and
+#: ``repro monitor``'s source).  The cap bounds memory on unbounded runs;
+#: warm-up detection needs the front of the series, so runs longer than
+#: the cap freeze the warm-up estimate rather than silently sliding the
+#: origin.
+HISTORY_CAP = 4096
 
 
 class Counter:
@@ -444,46 +452,20 @@ class Telemetry(EngineHooks):
     does both.  Every settled arrival — mapped, discarded or shed —
     feeds the arrival rate; a deferral is not settled and does not.
 
-    Parameters
-    ----------
-    quantiles:
-        Quantiles tracked for completion latency, queue depth and
-        per-window energy.
-    rules:
-        SLO :class:`AlertRule` instances (or rule spec strings, parsed
-        with :func:`parse_rule`) evaluated at every window close.
-    sinks:
-        Event sinks receiving :class:`~repro.obs.events.AlertFired` /
-        :class:`AlertResolved` transitions (any ``emit(event)`` object).
-    ewma_tau:
-        Decay constant (simulated seconds) of the rate/mean EWMAs.
-        ``None`` defers to :meth:`configure` — the service layer binds
-        it to three windows.
-    history_cap:
-        Retained per-window metric rows (the steady-state estimate and
-        ``repro monitor``'s source).  The cap bounds memory on unbounded
-        runs; warm-up detection needs the front of the series, so runs
-        longer than the cap freeze the warm-up estimate rather than
-        silently sliding the origin.
-    steady_metrics:
-        Per-window metrics to keep live steady-state estimates for.
+    ``rules`` are SLO :class:`AlertRule` instances (or rule spec
+    strings, parsed with :func:`parse_rule`) evaluated at every window
+    close; their transitions collect in :attr:`alerts`.  Completion
+    latency, queue depth and per-window energy track
+    :data:`DEFAULT_QUANTILES`; the first :data:`HISTORY_CAP` window rows
+    feed steady-state estimates of :data:`STEADY_METRICS`.  The
+    rate/mean EWMAs decay over three windows (:meth:`configure`), or
+    60 simulated seconds when the window is never configured.
     """
 
-    def __init__(
-        self,
-        *,
-        quantiles: Sequence[float] = DEFAULT_QUANTILES,
-        rules: Iterable[AlertRule | str] = (),
-        sinks: Sequence[Any] = (),
-        ewma_tau: float | None = None,
-        history_cap: int = 4096,
-        steady_metrics: Sequence[str] = STEADY_METRICS,
-    ) -> None:
-        if history_cap < 8:
-            raise ValueError(f"history_cap must be >= 8, got {history_cap}")
-        self.latency = QuantileSet(quantiles)
-        self.queue_depth = QuantileSet(quantiles)
-        self.window_energy = QuantileSet(quantiles)
+    def __init__(self, rules: Iterable[AlertRule | str] = ()) -> None:
+        self.latency = QuantileSet()
+        self.queue_depth = QuantileSet()
+        self.window_energy = QuantileSet()
         self.counters: dict[str, Counter] = {
             name: Counter()
             for name in (
@@ -507,22 +489,19 @@ class Telemetry(EngineHooks):
                 "burn_rate",
             )
         }
-        self._tau = float(ewma_tau) if ewma_tau is not None else None
+        self._tau: float | None = None
         self._arrival_rate: EwmaRate | None = None
         self._completion_rate: EwmaRate | None = None
         self._on_time_ewma: Ewma | None = None
         self.history: list[dict[str, float]] = []
-        self.history_cap = int(history_cap)
         self.history_dropped = 0
         self.rules = tuple(
             parse_rule(r) if isinstance(r, str) else r for r in rules
         )
         self.rule_states = tuple(RuleState(rule) for rule in self.rules)
-        self.sinks = tuple(sinks)
         self.alerts: list[Event] = []
         self.budget_rate: float | None = None
         self.window: float | None = None
-        self._steady_metrics = tuple(steady_metrics)
         self._steady: dict[str, "SteadyStateSummary"] = {}
         self._lock = threading.Lock()
         self._now = 0.0
@@ -538,14 +517,13 @@ class Telemetry(EngineHooks):
         """Late-bind run parameters the constructor cannot know.
 
         The service layer calls this before the run starts: ``window``
-        sets the default EWMA time constant (three windows) when the
-        constructor left it unresolved, and ``budget_rate`` (allowance
-        joules/second) enables the ``burn_rate`` metric.
+        sets the EWMA time constant (three windows), and
+        ``budget_rate`` (allowance joules/second) enables the
+        ``burn_rate`` metric.
         """
         if window is not None:
             self.window = float(window)
-            if self._tau is None:
-                self._tau = 3.0 * float(window)
+            self._tau = 3.0 * float(window)
         if budget_rate is not None:
             self.budget_rate = float(budget_rate)
 
@@ -602,7 +580,7 @@ class Telemetry(EngineHooks):
             self.gauges["window_on_time_prob"].set(metrics["on_time_prob"])
             self.gauges["window_energy_joules"].set(metrics["energy"])
             self.gauges["burn_rate"].set(metrics["burn_rate"])
-            if len(self.history) < self.history_cap:
+            if len(self.history) < HISTORY_CAP:
                 self.history.append(metrics)
             else:
                 self.history_dropped += 1
@@ -621,7 +599,7 @@ class Telemetry(EngineHooks):
             rule = state.rule
             transition = state.update(metrics)
             if transition == "fired":
-                self._emit(
+                self.alerts.append(
                     AlertFired(
                         t=t,
                         rule=rule.spec,
@@ -632,7 +610,7 @@ class Telemetry(EngineHooks):
                     )
                 )
             elif transition == "resolved":
-                self._emit(
+                self.alerts.append(
                     AlertResolved(
                         t=t,
                         rule=rule.spec,
@@ -641,17 +619,12 @@ class Telemetry(EngineHooks):
                     )
                 )
 
-    def _emit(self, event: Event) -> None:
-        self.alerts.append(event)
-        for sink in self.sinks:
-            sink.emit(event)
-
     def _refresh_steady_state(self) -> None:
         from repro.analysis.steady_state import analyze_series
 
         if len(self.history) < 2:
             return
-        for metric in self._steady_metrics:
+        for metric in STEADY_METRICS:
             series = [row.get(metric, math.nan) for row in self.history]
             self._steady[metric] = analyze_series(series, metric=metric)
 
@@ -698,7 +671,7 @@ class Telemetry(EngineHooks):
             # scrapers and scripts/telemetry_check.py rely on a stable
             # set of families regardless of when they sample.
             steady = self._steady or {
-                m: analyze_series([], metric=m) for m in self._steady_metrics
+                m: analyze_series([], metric=m) for m in STEADY_METRICS
             }
             return {
                 "counters": {k: c.value for k, c in self.counters.items()},

@@ -2,11 +2,11 @@
 
 The paper's contribution is a *policy grid*: allocation heuristics
 (SQ/MECT/LL/Random) crossed with assignment filters (energy,
-robustness).  The service layer added two more pluggable families —
-traffic models and admission (load-shedding) policies.  Before this
-module each family had its own hand-wired ``make_*`` constructor, so
-adding a policy meant editing ``config.py``, ``cli.py`` and ``api.py``
-in lockstep.  Now every family is a :class:`PluginRegistry`:
+robustness).  The service layer added one more pluggable family,
+traffic models.  Before this module each family had its own
+hand-wired ``make_*`` constructor, so adding a policy meant editing
+``config.py``, ``cli.py`` and ``api.py`` in lockstep.  Now every family
+is a :class:`PluginRegistry`:
 
 * registration is declarative — ``@register_heuristic("MECT")`` on a
   factory (or class) makes the name constructible everywhere: the CLI,
@@ -23,9 +23,9 @@ in lockstep.  Now every family is a :class:`PluginRegistry`:
 
 Builtin plugins live next to the code they construct
 (:mod:`repro.heuristics.registry`, :mod:`repro.filters.chain`,
-:mod:`repro.workload.traffic`, :mod:`repro.faults`); this module stays a
-leaf import so any of them can depend on it.  Registration is
-results-neutral by construction: a registry factory builds exactly the
+:mod:`repro.workload.traffic`); this module stays a leaf import so any
+of them can depend on it.  Registration is results-neutral by
+construction: a registry factory builds exactly the
 object the old constructor built, so registry-constructed runs are
 bitwise identical to directly-constructed ones (pinned by
 ``tests/scenario/test_parity.py``).
@@ -36,8 +36,8 @@ from __future__ import annotations
 import difflib
 import importlib
 import importlib.metadata
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Protocol, runtime_checkable
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     import numpy as np
@@ -50,19 +50,14 @@ __all__ = [
     "PluginInfo",
     "PluginRegistry",
     "UnknownPluginError",
-    "HeuristicPlugin",
-    "FilterPlugin",
-    "AdmissionPlugin",
     "TrafficContext",
     "HEURISTIC_PLUGINS",
     "FILTER_PLUGINS",
     "TRAFFIC_PLUGINS",
-    "ADMISSION_PLUGINS",
     "registry_for",
     "register_heuristic",
     "register_filter",
     "register_traffic",
-    "register_admission",
     "load_entry_point_plugins",
     "describe_plugins",
 ]
@@ -71,7 +66,7 @@ __all__ = [
 ENTRY_POINT_GROUP = "repro.plugins"
 
 #: The plugin families, in catalog order.
-PLUGIN_KINDS = ("heuristic", "filter", "traffic", "admission")
+PLUGIN_KINDS = ("heuristic", "filter", "traffic")
 
 #: Module registering each family's builtin plugins, imported on demand
 #: so this module stays a leaf (the domain modules import *us*).
@@ -79,55 +74,7 @@ _BUILTIN_MODULES = {
     "heuristic": "repro.heuristics.registry",
     "filter": "repro.filters.chain",
     "traffic": "repro.workload.traffic",
-    "admission": "repro.faults",
 }
-
-
-# ----------------------------------------------------------------------
-# Per-kind protocols (slim, structural — the registry never imports the
-# domain classes that satisfy them)
-# ----------------------------------------------------------------------
-
-
-@runtime_checkable
-class HeuristicPlugin(Protocol):
-    """What a registered heuristic factory must build.
-
-    The factory signature is ``factory(rng: np.random.Generator | None)
-    -> HeuristicPlugin``; deterministic heuristics ignore ``rng``.
-    """
-
-    name: str
-
-    def select(self, cands: Any, ctx: Any) -> Any: ...
-
-
-@runtime_checkable
-class FilterPlugin(Protocol):
-    """What a registered filter factory must build.
-
-    The factory signature is ``factory(config: FilterConfig) ->
-    FilterPlugin``; filters clear entries of the candidate mask and
-    never set them.
-    """
-
-    label: str
-
-    def apply(self, cands: Any, ctx: Any) -> None: ...
-
-
-@runtime_checkable
-class AdmissionPlugin(Protocol):
-    """What a registered admission-policy factory must build.
-
-    The factory signature is ``factory(config: SheddingConfig) ->
-    AdmissionPlugin``.  ``admit`` returns ``("admit"|"defer"|"shed",
-    cause)`` for one arrival, pre-mapping.
-    """
-
-    def admit(
-        self, task_id: int, queue_depth: float, budget_frac: float | None
-    ) -> tuple[str, str]: ...
 
 
 @dataclass(frozen=True)
@@ -205,16 +152,15 @@ class PluginInfo:
 class PluginRegistry:
     """A named, case-insensitive mapping of plugin names to factories.
 
-    One instance per plugin *kind* (heuristic / filter / traffic /
-    admission).  Names are stored under their lower-cased key but keep
-    the canonical spelling they were registered with, so ``get("mect")``
-    and ``get("MECT")`` resolve identically and catalogs display the
+    One instance per plugin *kind* (heuristic / filter / traffic).
+    Names are stored under their lower-cased key but keep the canonical
+    spelling they were registered with, so ``get("mect")`` and
+    ``get("MECT")`` resolve identically and catalogs display the
     paper's names.
     """
 
-    def __init__(self, kind: str, protocol: type | None = None) -> None:
+    def __init__(self, kind: str) -> None:
         self.kind = kind
-        self.protocol = protocol
         self._plugins: dict[str, PluginInfo] = {}
 
     # -- registration ---------------------------------------------------
@@ -337,19 +283,17 @@ class PluginRegistry:
 
 
 # ----------------------------------------------------------------------
-# The four registries and their decorators
+# The three registries and their decorators
 # ----------------------------------------------------------------------
 
-HEURISTIC_PLUGINS = PluginRegistry("heuristic", HeuristicPlugin)
-FILTER_PLUGINS = PluginRegistry("filter", FilterPlugin)
+HEURISTIC_PLUGINS = PluginRegistry("heuristic")
+FILTER_PLUGINS = PluginRegistry("filter")
 TRAFFIC_PLUGINS = PluginRegistry("traffic")
-ADMISSION_PLUGINS = PluginRegistry("admission", AdmissionPlugin)
 
 _REGISTRIES: dict[str, PluginRegistry] = {
     "heuristic": HEURISTIC_PLUGINS,
     "filter": FILTER_PLUGINS,
     "traffic": TRAFFIC_PLUGINS,
-    "admission": ADMISSION_PLUGINS,
 }
 
 
@@ -374,11 +318,6 @@ def register_filter(name: str, *, summary: str = "", replace: bool = False):
 def register_traffic(name: str, *, summary: str = "", replace: bool = False):
     """Register a traffic-stream factory ``(TrafficContext) -> Iterator[float]``."""
     return TRAFFIC_PLUGINS.register(name, summary=summary, replace=replace)
-
-
-def register_admission(name: str, *, summary: str = "", replace: bool = False):
-    """Register an admission-policy factory ``(SheddingConfig) -> controller``."""
-    return ADMISSION_PLUGINS.register(name, summary=summary, replace=replace)
 
 
 # ----------------------------------------------------------------------

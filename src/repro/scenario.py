@@ -79,6 +79,9 @@ SCENARIO_FORMAT = "repro.scenario/1"
 #: The run shapes a scenario can describe.
 MODES = ("trial", "ensemble", "service")
 
+#: The ``[policy]`` cell a scenario without one names.
+_DEFAULT_SPEC = VariantSpec("LL", "en+rob")
+
 
 class ScenarioError(ValueError):
     """A malformed scenario: unknown key, bad value, or unloadable file."""
@@ -364,6 +367,9 @@ class Scenario:
         :class:`EnsembleSettings`: trials, base seed, workers and grid
         cells of :func:`repro.api.run_ensemble` /
         :func:`repro.api.budget_sweep` (``None`` means the defaults).
+        With ``specs`` set the cells come from there, so ``heuristic``
+        and ``filters`` must keep their defaults and the file form
+        carries no ``[policy]`` table.
     service:
         :class:`~repro.service.ServiceConfig`; only meaningful in
         service mode (``None`` there means batch-equivalent replay).
@@ -377,8 +383,8 @@ class Scenario:
         controller, likewise shared across modes.
     """
 
-    heuristic: str = "LL"
-    filters: str = "en+rob"
+    heuristic: str = _DEFAULT_SPEC.heuristic
+    filters: str = _DEFAULT_SPEC.variant
     seed: int | None = None
     num_tasks: int | None = None
     config: SimulationConfig | None = None
@@ -410,6 +416,11 @@ class Scenario:
                 f"unknown scenario mode {self.mode!r}{hint} known: {', '.join(MODES)}"
             )
         object.__setattr__(self, "mode", mode)
+        if self._has_specs and self.spec != _DEFAULT_SPEC:
+            raise ValueError(
+                f"[ensemble] specs name the cells to run; drop the [policy] "
+                f"cell {self.spec.label} (it would never run)"
+            )
         if self.service is not None and (
             self.service.faults is not None
             or self.service.fault_policy is not None
@@ -421,6 +432,10 @@ class Scenario:
             )
         if self.mode == "ensemble":
             self.require_fault_free()
+
+    @property
+    def _has_specs(self) -> bool:
+        return self.ensemble is not None and bool(self.ensemble.specs)
 
     # -- the pre-scenario api.Scenario surface --------------------------
 
@@ -524,8 +539,8 @@ class Scenario:
                 raise _unknown_key(key, ("heuristic", "filters"), "[policy]")
         sim = data.get("sim")
         kwargs: dict[str, Any] = {
-            "heuristic": policy.get("heuristic", "LL"),
-            "filters": policy.get("filters", "en+rob"),
+            "heuristic": policy.get("heuristic", _DEFAULT_SPEC.heuristic),
+            "filters": policy.get("filters", _DEFAULT_SPEC.variant),
             "seed": data.get("seed"),
             "num_tasks": data.get("num_tasks"),
             "config": _sim_from_dict(sim) if sim is not None else None,
@@ -559,7 +574,8 @@ class Scenario:
         if self.name:
             out["name"] = self.name
         out["mode"] = self.mode
-        out["policy"] = {"heuristic": self.heuristic, "filters": self.filters}
+        if not self._has_specs:
+            out["policy"] = {"heuristic": self.heuristic, "filters": self.filters}
         if self.seed is not None:
             out["seed"] = self.seed
         if self.num_tasks is not None:

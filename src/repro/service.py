@@ -407,7 +407,6 @@ def serve_system(
         rolling_budget=budget,
         tasks_left=planning,
         luck=luck,
-        track_outcomes=replay,
         faults=service.faults,
         fault_policy=service.fault_policy,
         shedding=service.shedding,

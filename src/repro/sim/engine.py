@@ -43,12 +43,12 @@ from repro.cluster.availability import AvailabilityState
 from repro.cluster.energy import IDLE_PSTATE, EnergyLedger, StreamingEnergyMeter
 from repro.faults import (
     SHED_MIN_PROB,
+    AdmissionController,
     FaultPolicy,
     FaultSchedule,
     FaultStats,
     FaultTransition,
     SheddingConfig,
-    make_admission,
 )
 from repro.filters.chain import FilterChain
 from repro.heuristics.base import Assignment, Heuristic, MappingContext
@@ -181,10 +181,14 @@ class Engine:
         start).  Strictly results-neutral — see :mod:`repro.perf`.
     ledger:
         Energy accountant to record P-state transitions into; ``None``
-        (the default) builds the full :class:`EnergyLedger`.  Service
-        mode passes a bounded-memory
-        :class:`~repro.cluster.energy.StreamingEnergyMeter` (which
-        cannot be scored via :meth:`run` — use :meth:`serve`).
+        (the default) builds the full :class:`EnergyLedger`.  The engine
+        keeps the per-task outcome table :meth:`score` needs exactly
+        when its ledger is an :class:`EnergyLedger`, the only one that
+        can be scored.  Service mode passes a bounded-memory
+        :class:`~repro.cluster.energy.StreamingEnergyMeter`, so no
+        per-task state is kept and hooks classify lateness at
+        completion time (such a run cannot be scored — use
+        :meth:`serve`).
     rolling_budget:
         Optional :class:`~repro.sim.state.RollingEnergyBudget`.  When
         given, the heuristic's energy estimate ``zeta`` is the bucket's
@@ -199,11 +203,6 @@ class Engine:
         Override for per-task execution luck: maps a task id to the
         uniform quantile of its sampled execution time.  ``None`` reads
         ``system.exec_luck`` (batch).
-    track_outcomes:
-        Keep the per-task outcome table needed by :meth:`run` scoring.
-        Service mode turns it off so memory stays bounded; lateness is
-        then classified at completion time by hooks.
-
     faults:
         Optional :class:`~repro.faults.FaultSchedule` of in-simulation
         node/core outages and slowdowns.  Fault transitions become heap
@@ -219,7 +218,7 @@ class Engine:
         Optional :class:`~repro.faults.SheddingConfig`; arrivals are
         deferred or shed when its thresholds trip (overload protection).
 
-    The five service parameters default to batch semantics; any engine
+    The four service parameters default to batch semantics; any engine
     constructed without them behaves bit-for-bit as before.  The same
     holds for the fault layer: ``faults=None`` (or an empty schedule)
     and ``shedding=None`` (or one with every check disabled) leave the
@@ -240,7 +239,6 @@ class Engine:
         rolling_budget: RollingEnergyBudget | None = None,
         tasks_left: int | None = None,
         luck: Callable[[int], float] | None = None,
-        track_outcomes: bool = True,
         faults: FaultSchedule | None = None,
         fault_policy: FaultPolicy | None = None,
         shedding: SheddingConfig | None = None,
@@ -271,7 +269,7 @@ class Engine:
         )
         self._tasks_left_override = tasks_left
         self._luck = luck
-        self._track_outcomes = track_outcomes
+        self._track_outcomes = isinstance(self.ledger, EnergyLedger)
         self._in_system = 0
 
         self.fault_stats = FaultStats()
@@ -288,7 +286,7 @@ class Engine:
             self._availability = None
         self._fault_next = 0
         self._shedder = (
-            make_admission(shedding)
+            AdmissionController(shedding)
             if shedding is not None and shedding.enabled
             else None
         )

@@ -340,7 +340,7 @@ class WindowAccumulator(EngineHooks):
     engine's ``now`` (a completion's ``t_now``), and each window records
     the engine's ``in_system`` after its last event.
 
-    Windows are ``[k*window, (k+1)*window)`` from ``start``; a window
+    Windows are ``[k*window, (k+1)*window)`` from time 0; a window
     closes when the first event at or past its end arrives (there is no
     wall clock — simulated time only advances with events), and
     :meth:`flush` closes the trailing partial window at the run's end
@@ -360,7 +360,6 @@ class WindowAccumulator(EngineHooks):
         self,
         window: float,
         *,
-        start: float = 0.0,
         energy_at: Callable[[float], float] | None = None,
         budget: Any | None = None,
         on_close: Callable[[WindowStats], None] | None = None,
@@ -370,11 +369,11 @@ class WindowAccumulator(EngineHooks):
         self.window = float(window)
         self.closed: list[WindowStats] = []
         self._on_close = on_close
-        self._start = float(start)
-        self._end = self._start + self.window
+        self._start = 0.0
+        self._end = self.window
         self._energy_at = energy_at
         self._budget = budget
-        self._energy_base = energy_at(self._start) if energy_at is not None else 0.0
+        self._energy_base = energy_at(0.0) if energy_at is not None else 0.0
         self._mapped = 0
         self._discarded = 0
         self._completed = 0

@@ -4,12 +4,9 @@ The dominant cost of a mapping event is computing, for every core, the
 *ready-time* pmf — the completion distribution of everything already on
 the core (Section IV-B).  :class:`CoreState` caches it, and its pieces:
 
-* the convolution of queued tasks' execution pmfs, maintained
-  *incrementally* on enqueue whenever that is exact (appending a pmf at
-  least as long as every queued one convolves last in the sorted fold of
-  :func:`~repro.stoch.ops.convolve_many`, so one incremental convolution
-  reproduces the full recomputation bit for bit) and invalidated
-  otherwise;
+* the convolution of queued tasks' execution pmfs, folded once by
+  :func:`~repro.stoch.ops.convolve_many` on the first read after a queue
+  change (every queue mutation invalidates it);
 * the running task's execution pmf shifted to its start time, built
   once when the task starts rather than on every refresh;
 * the ready pmf itself, with one validity bound, its *horizon*: the
@@ -44,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.perf.kernel_cache import KernelCache
-from repro.stoch.ops import convolve, convolve_many, shift, truncate_below, truncate_convolve
+from repro.stoch.ops import convolve_many, shift, truncate_below, truncate_convolve
 from repro.stoch.pmf import PMF
 from repro.workload.task import Task
 
@@ -96,7 +93,6 @@ class CoreState:
         "queue",
         "epoch",
         "_queue_conv",
-        "_queue_maxlen",
         "_ready_pmf",
         "_horizon",
         "_rows",
@@ -115,7 +111,6 @@ class CoreState:
         self.queue: deque[QueuedTask] = deque()
         self.epoch = 0
         self._queue_conv: PMF | None = None
-        self._queue_maxlen = 0
         # The cached ready pmf (None: the idle core's) is valid for every
         # t_now with horizon >= t_now - 1e-9: -inf after a mutation, +inf
         # for an idle core, the truncation's start for a busy one.
@@ -152,30 +147,12 @@ class CoreState:
             rows.qlen[slot] = len(self.queue) + (self.running is not None)
 
     def enqueue(self, entry: QueuedTask) -> None:
-        """Append a task to the core's FIFO queue.
-
-        The cached queue convolution is extended *incrementally* when
-        that is provably exact: ``convolve_many`` folds smallest-first
-        with a stable sort, so a new pmf no shorter than every queued
-        one would convolve last anyway, and
-        ``convolve(cached, new)`` reproduces the full recomputation
-        bitwise.  Shorter pmfs fall back to invalidation: the next
-        refresh folds the whole queue again.
-        """
+        """Append a task to the core's FIFO queue."""
         if self.running is None:
             raise RuntimeError("enqueue on an idle core; start the task instead")
-        n = len(entry.exec_pmf)
-        if not self.queue:
-            # convolve_many([x]) is x itself.
-            self._queue_conv = entry.exec_pmf
-            self._queue_maxlen = n
-        elif self._queue_conv is not None and n >= self._queue_maxlen:
-            self._queue_conv = convolve(self._queue_conv, entry.exec_pmf)
-            self._queue_maxlen = n
-        else:
-            self._queue_conv = None
         self.queue.append(entry)
         self._changed()
+        self._queue_conv = None
 
     def set_running(self, running: RunningTask) -> None:
         """Begin executing a task (the core must not be busy)."""
@@ -249,7 +226,6 @@ class CoreState:
             return None
         if self._queue_conv is None:
             self._queue_conv = convolve_many([e.exec_pmf for e in self.queue])
-            self._queue_maxlen = max(len(e.exec_pmf) for e in self.queue)
         return self._queue_conv
 
     def ready_pmf(self, t_now: float) -> PMF:

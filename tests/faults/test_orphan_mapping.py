@@ -25,14 +25,13 @@ from repro.faults import (
 )
 from repro.filters.chain import build_filter_chain
 from repro.heuristics.registry import build_heuristic
-from repro.registry import ADMISSION_PLUGINS, register_admission
+from repro.sim import engine as engine_mod
 from repro.sim.engine import Engine, EngineHooks
 from tests.conftest import tiny_config
 
 OUTAGE_AT = 600.0
 FLOOR = 0.7
 SHEDDING = dict(min_prob=FLOOR, queue_depth=1.2, defer=50.0, max_defers=1)
-SPY_POLICY = "orphan-test-spy"
 
 
 class _SpyHeuristic:
@@ -85,23 +84,17 @@ class _Recorder(EngineHooks):
 
 @pytest.fixture(scope="module")
 def run():
-    controllers: list[_SpyAdmission] = []
-
-    @register_admission(SPY_POLICY, summary="test spy")
-    def _factory(config):
-        controllers.append(_SpyAdmission(config))
-        return controllers[-1]
-
-    try:
-        # Tight deadlines and a sharp burst: queues build, some arrivals
-        # can only be placed below the floor, and the outage's orphans
-        # have little slack left.
-        config = tiny_config(seed=123).with_updates(
-            workload={"load_factor_mult": 0.2, "fast_ratio": 10.0}
-        )
-        system = build_trial_system(config)
-        heuristic = _SpyHeuristic()
-        hooks = _Recorder()
+    # Tight deadlines and a sharp burst: queues build, some arrivals can
+    # only be placed below the floor, and the outage's orphans have
+    # little slack left.
+    config = tiny_config(seed=123).with_updates(
+        workload={"load_factor_mult": 0.2, "fast_ratio": 10.0}
+    )
+    system = build_trial_system(config)
+    heuristic = _SpyHeuristic()
+    hooks = _Recorder()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine_mod, "AdmissionController", _SpyAdmission)
         engine = Engine(
             system,
             heuristic,
@@ -109,13 +102,12 @@ def run():
             hooks=(hooks,),
             faults=FaultSchedule((FaultEvent("node_outage", 0, OUTAGE_AT, 3000.0),)),
             fault_policy=FaultPolicy(running="resume", remap=True),
-            shedding=SheddingConfig(policy=SPY_POLICY, **SHEDDING),
+            shedding=SheddingConfig(**SHEDDING),
         )
-        (admission,) = controllers
-        admission.engine = engine
-        engine.run()
-    finally:
-        ADMISSION_PLUGINS.unregister(SPY_POLICY)
+    admission = engine._shedder
+    assert isinstance(admission, _SpyAdmission)
+    admission.engine = engine
+    engine.run()
     return engine, heuristic, hooks, admission
 
 

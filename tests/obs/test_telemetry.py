@@ -22,6 +22,7 @@ from repro.obs.export import (
     TelemetryServer,
     to_prometheus,
 )
+from repro.obs import telemetry as telemetry_mod
 from repro.obs.telemetry import (
     AlertRule,
     Counter,
@@ -226,14 +227,6 @@ class TestRuleGrammar:
         assert not rule.breached({})
 
 
-class ListSink:
-    def __init__(self):
-        self.events = []
-
-    def emit(self, event):
-        self.events.append(event)
-
-
 class TestTelemetryHub:
     def test_feeds_update_counters_and_streams(self):
         tele = Telemetry()
@@ -266,14 +259,19 @@ class TestTelemetryHub:
     def test_arrival_rate_counts_every_settled_arrival(self):
         # Mapped, discarded and shed arrivals are settled; a deferral is
         # a retry still pending and counts when it settles.
-        tau = 10.0
-        tele = Telemetry(ewma_tau=tau)
+        tele = Telemetry()
+        tele.configure(window=10.0)
+        tau = 30.0  # three windows
         engine = StubEngine(tele)
         engine.mapped(5.0)
         engine.discarded(5.0)
         engine.shed(5.0, deferred=False)
         engine.shed(5.0, deferred=True)
         assert tele.snapshot()["arrival_rate"] == pytest.approx(3.0 / tau)
+        # A hub whose window is never configured decays over 60 s.
+        unconfigured = Telemetry()
+        StubEngine(unconfigured).mapped(5.0)
+        assert unconfigured.snapshot()["arrival_rate"] == pytest.approx(1.0 / 60.0)
 
     def test_window_close_sets_gauges_and_history(self):
         tele = Telemetry()
@@ -288,8 +286,9 @@ class TestTelemetryHub:
         assert len(tele.history) == 1
         assert tele.history[0]["on_time_prob"] == pytest.approx(0.8)
 
-    def test_history_cap_drops_and_counts(self):
-        tele = Telemetry(history_cap=8)
+    def test_history_cap_drops_and_counts(self, monkeypatch):
+        monkeypatch.setattr(telemetry_mod, "HISTORY_CAP", 8)
+        tele = Telemetry()
         tele.configure(window=10.0)
         for i in range(11):
             tele.on_window(window(i))
@@ -297,13 +296,8 @@ class TestTelemetryHub:
         assert tele.history_dropped == 3
         assert tele.snapshot()["history_dropped"] == 3
 
-    def test_history_cap_too_small_rejected(self):
-        with pytest.raises(ValueError, match="history_cap"):
-            Telemetry(history_cap=2)
-
     def test_rule_fires_after_streak_and_resolves(self):
-        sink = ListSink()
-        tele = Telemetry(rules=["on_time_prob<0.75:2"], sinks=[sink])
+        tele = Telemetry(rules=["on_time_prob<0.75:2"])
         tele.configure(window=10.0)
         tele.on_window(window(0, on_time=5, late=5))  # breach 1: not firing yet
         assert not tele.firing
@@ -313,13 +307,14 @@ class TestTelemetryHub:
         tele.on_window(window(2, on_time=10, late=0))  # recovery resolves
         assert not tele.firing
         assert tele.health()["healthy"]
-        kinds = [type(e) for e in sink.events]
+        kinds = [type(e) for e in tele.alerts]
         assert kinds == [AlertFired, AlertResolved]
-        fired = sink.events[0]
+        fired = tele.alerts[0]
         assert fired.rule == "on_time_prob<0.75:2"
         assert fired.window_index == 1
         assert fired.value == pytest.approx(0.5)
-        assert sink.events[1].window_index == 2
+        assert tele.alerts[1].window_index == 2
+        assert tele.health()["alerts"] == 2
 
     def test_nan_metric_never_breaches(self):
         tele = Telemetry(rules=["on_time_prob<0.9"])

@@ -12,7 +12,6 @@ from repro.experiments.runner import VariantSpec, policy_for
 from repro.filters.chain import build_filter_chain, canonical_variant
 from repro.heuristics.registry import HEURISTICS, build_heuristic
 from repro.registry import (
-    ADMISSION_PLUGINS,
     FILTER_PLUGINS,
     HEURISTIC_PLUGINS,
     PLUGIN_KINDS,
@@ -38,7 +37,7 @@ class TestLookup:
         assert set(TRAFFIC_PLUGINS.names()) == {
             "poisson", "diurnal", "mmpp", "burst", "replay",
         }
-        assert ADMISSION_PLUGINS.names() == ("threshold",)
+        assert PLUGIN_KINDS == ("heuristic", "filter", "traffic")
 
     def test_case_insensitive_mect(self):
         """Regression: 'mect' and 'MECT' must resolve to the same plugin."""
@@ -207,7 +206,7 @@ class TestDiscovery:
         assert [r["name"] for r in heuristic_rows] == list(HEURISTIC_PLUGINS.names())
         assert [r["name"] for r in heuristic_rows][: len(HEURISTICS)] == list(HEURISTICS)
         text = plugin_table(rows)
-        assert "MECT" in text and "threshold" in text
+        assert "MECT" in text and "poisson" in text
         assert plugin_table([]) == "(no plugins registered)"
 
 

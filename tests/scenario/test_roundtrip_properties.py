@@ -94,6 +94,9 @@ def scenarios(draw) -> Scenario:
     }
     if mode == "ensemble":
         kwargs["ensemble"] = draw(st.none() | ensembles)
+        if kwargs["ensemble"] is not None and kwargs["ensemble"].specs:
+            # The specs name the cells; a [policy] cell next to them is refused.
+            del kwargs["heuristic"], kwargs["filters"]
     else:
         if draw(st.booleans()):
             kwargs["faults"] = draw(fault_settings)

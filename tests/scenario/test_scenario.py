@@ -206,6 +206,13 @@ class TestFromDict:
         with pytest.raises(ScenarioError, match="did you mean 'num_tasks'"):
             Scenario.from_dict({"sim": {"workload": {"num_taks": 100}}})
 
+    def test_shedding_has_no_policy_key(self):
+        # One admission controller: the old plugin selector is an unknown key.
+        with pytest.raises(
+            ScenarioError, match=r"unknown key 'policy' in \[shedding\]"
+        ):
+            Scenario.from_dict({"shedding": {"queue_depth": 2.0, "policy": "threshold"}})
+
     def test_unknown_format_rejected(self):
         with pytest.raises(ScenarioError, match="unsupported scenario format"):
             Scenario.from_dict({"format": "repro.scenario/999"})
@@ -335,6 +342,29 @@ class TestEnsembleSpecs:
     def test_bad_specs_are_a_scenario_error(self, specs, match):
         with pytest.raises(ScenarioError, match=r"invalid \[ensemble\]: .*" + match):
             Scenario.from_dict({"mode": "ensemble", "ensemble": {"specs": specs}})
+
+    def test_specs_scenario_writes_no_policy_table(self):
+        scenario = Scenario(mode="ensemble", ensemble=EnsembleSettings(specs=("SQ/*",)))
+        assert "policy" not in scenario.to_dict()
+        assert "[policy]" not in scenario.to_toml()
+        assert Scenario.from_dict(scenario.to_dict()) == scenario
+        # Without specs the [policy] cell runs, so it is written.
+        assert Scenario(mode="ensemble").to_dict()["policy"] == {
+            "heuristic": "LL", "filters": "en+rob",
+        }
+
+    @pytest.mark.parametrize(
+        "policy", [{"heuristic": "SQ"}, {"filters": "rob"}], ids=["heuristic", "filters"]
+    )
+    def test_non_default_policy_next_to_specs_is_refused(self, policy):
+        with pytest.raises(ScenarioError, match=r"specs name the cells to run"):
+            Scenario.from_dict(
+                {"mode": "ensemble", "policy": policy, "ensemble": {"specs": ["LL/*"]}}
+            )
+        with pytest.raises(ValueError, match=r"specs name the cells to run"):
+            Scenario(
+                **policy, mode="ensemble", ensemble=EnsembleSettings(specs=("LL/*",))
+            )
 
     @pytest.mark.parametrize("suffix", [".toml", ".json"])
     def test_round_trip_keeps_the_digest(self, tmp_path, suffix):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cluster.energy import IDLE_PSTATE
+from repro.cluster.energy import IDLE_PSTATE, StreamingEnergyMeter
 from repro.config import IdlePowerMode
 from repro.filters.chain import build_filter_chain
 from repro.heuristics.lightest_load import LightestLoad
@@ -162,6 +162,23 @@ class TestDeterminism:
         engine.run()
         with pytest.raises(RuntimeError):
             engine.run()
+
+
+class TestOutcomeTracking:
+    """Per-task outcomes are kept exactly when the ledger can be scored
+    (the default ``EnergyLedger`` case is ``TestAccounting``)."""
+
+    def test_streaming_meter_keeps_no_outcomes(self, tiny_system):
+        meter = StreamingEnergyMeter(
+            tiny_system.cluster, tiny_system.config.energy.idle_power_mode
+        )
+        engine = Engine(
+            tiny_system, LightestLoad(), build_filter_chain("en+rob"), ledger=meter
+        )
+        end = engine.serve(tiny_system.workload.tasks)
+        assert engine._outcomes == {}
+        with pytest.raises(RuntimeError, match=r"score\(\) needs outcome tracking"):
+            engine.score(end)
 
 
 class TestCollector:

@@ -1,16 +1,14 @@
-"""Property test: CoreState's incremental queue convolution is exact.
+"""Property test: CoreState's cached queue convolution is exact.
 
-``CoreState.enqueue`` extends the cached queue convolution in place when
-the appended pmf is at least as long as every queued one (it would fold
-last in ``convolve_many``'s smallest-first order anyway) and invalidates
-the cache otherwise; ``pop_next`` / ``remove_queued`` always invalidate.
-The property pinned here: under *any* interleaving of those mutations,
-``ready_pmf`` is bitwise equal to the from-scratch recomputation —
+Every queue mutation (``enqueue``, ``pop_next``, ``remove_queued``)
+invalidates the cached queue convolution, and the next read folds the
+whole queue once with ``convolve_many``.  The property pinned here:
+under *any* interleaving of those mutations, ``ready_pmf`` is bitwise
+equal to the from-scratch recomputation —
 ``truncate_below(shift(running, start), t)`` convolved with
-``convolve_many`` over the current queue — so the incremental fast path
-can never drift from the reference fold.
+``convolve_many`` over the current queue — so the cache can never
+drift from the reference fold.
 """
-
 from __future__ import annotations
 
 from hypothesis import given
@@ -25,8 +23,7 @@ DT = 25.0
 T_NOW = 130.0
 
 #: Execution-pmf means spanning short and long supports, so random
-#: enqueue orders hit both the incremental branch (appending the longest
-#: pmf so far) and the invalidation branch (appending a shorter one).
+#: enqueue orders fold queues of mixed pmf lengths.
 MEANS = (120.0, 300.0, 700.0, 1500.0)
 
 
