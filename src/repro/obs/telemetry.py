@@ -43,7 +43,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping
 
 from repro.obs.events import AlertFired, AlertResolved, Event
 from repro.sim.engine import Engine, EngineHooks
@@ -272,14 +272,13 @@ class P2Quantile:
 
 
 class QuantileSet:
-    """Several :class:`P2Quantile` markers over one sample stream."""
+    """:class:`P2Quantile` markers at :data:`DEFAULT_QUANTILES` over one
+    sample stream."""
 
     __slots__ = ("estimators", "count", "_min", "_max", "total")
 
-    def __init__(self, quantiles: Sequence[float] = DEFAULT_QUANTILES) -> None:
-        if not quantiles:
-            raise ValueError("need at least one quantile")
-        self.estimators = {float(q): P2Quantile(q) for q in quantiles}
+    def __init__(self) -> None:
+        self.estimators = {q: P2Quantile(q) for q in DEFAULT_QUANTILES}
         self.count = 0
         self.total = 0.0
         self._min = math.inf

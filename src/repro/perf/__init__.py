@@ -12,8 +12,9 @@ results and manifest digests):
   (:class:`~repro.sim.mapper.CandidateBuilder`), which assembles the
   whole per-arrival :class:`~repro.heuristics.base.CandidateSet` with
   batched array ops over the cores' resident ready-time rows
-  (:class:`~repro.sim.state.ReadyRows`).  Its per-type tables live on
-  the execution-time table
+  (:class:`~repro.sim.state.ReadyRows`).  Its per-type arrays (EET/EEC
+  gathers, first impulse times and one probability matrix per node, no
+  padded copies of the pmfs) live on the execution-time table
   (:meth:`~repro.workload.pmf_table.ExecutionTimeTable.candidate_arrays`),
   so every engine over one system shares them.
 """

@@ -91,9 +91,9 @@ def prob_on_time_all_pstates(
 ) -> np.ndarray:
     """On-time probabilities for every P-state of one core in one pass.
 
-    ``times_matrix``/``probs_matrix`` are the padded per-(type, node)
-    matrices from :class:`~repro.workload.pmf_table.ExecutionTimeTable`
-    (rows = P-states; padded entries have zero probability).  Row ``pi``
+    ``times_matrix``/``probs_matrix`` are one (type, node)'s P-state
+    pmfs padded to a common width (rows = P-states; padded entries have
+    zero probability and repeat the row's last impulse time).  Row ``pi``
     of the result equals ``prob_on_time(ready, pmf[pi], deadline)``.
     """
     # Index of F_ready at (deadline - x) for each impulse time x:

@@ -95,7 +95,6 @@ class CandidateBuilder:
         "_core_node",
         "_node_order",
         "_node_edges",
-        "_type_rows",
         "_rows",
     )
 
@@ -122,45 +121,22 @@ class CandidateBuilder:
         # can run on array slices without gather copies.
         self._node_order = np.argsort(self._core_node, kind="stable")
         self._node_edges = np.arange(cluster.num_nodes + 1)
-        self._type_rows: dict[int, tuple] = {}  # type -> _type_row_arrays(...)
         self._rows = ReadyRows.bind(self._cores, table.max_width)
 
     def build(self, task: Task, t_now: float) -> CandidateSet:
         """Assemble the candidate set for one arrival at ``t_now``."""
-        # Per-type gathers memoized on the table: identical values to the
+        # Per-type arrays memoized on the table: identical values to the
         # per-arrival lookups of the reference loop, shared read-only
         # across arrivals and across every builder over the table.
-        eet, eet_flat, eec_flat, times_stack, probs_stack, widths = (
-            self._table.candidate_arrays(task.type_id)
-        )
-        type_rows = self._type_rows.get(task.type_id)
-        if type_rows is None:
-            type_rows = _type_row_arrays(times_stack, probs_stack, widths)
-            self._type_rows[task.type_id] = type_rows
+        eet, eet_flat, eec_flat, *rho_arrays = self._table.candidate_arrays(task.type_id)
         return CandidateSet(
             core_ids=self._core_ids,
             pstates=self._pstates,
             queue_len=np.repeat(self._rows.qlen, self._num_pstates),
             eet=eet_flat,
             eec=eec_flat,
-            columns=_ArrivalColumns(self, task.deadline, t_now, eet, times_stack, *type_rows),
+            columns=_ArrivalColumns(self, task, t_now, eet, *rho_arrays),
         )
-
-
-def _type_row_arrays(
-    times_stack: np.ndarray, probs_stack: np.ndarray, widths: tuple[int, ...]
-) -> tuple[np.ndarray, float, list[np.ndarray]]:
-    """What every rho read of one task type needs of its padded tables.
-
-    Each (node, P-state)'s first impulse time, the largest impulse-time
-    magnitude (the index margin's scale; times rows are nondecreasing,
-    so it sits at an end) and each node's probability matrix at its
-    native width.
-    """
-    time0 = np.ascontiguousarray(times_stack[:, :, 0])
-    time_scale = float(np.abs(times_stack[:, :, [0, -1]]).max())
-    node_probs = [probs_stack[n, :, :w] for n, w in enumerate(widths)]
-    return time0, time_scale, node_probs
 
 
 class _ArrivalColumns:
@@ -168,23 +144,26 @@ class _ArrivalColumns:
 
     A read names the cores it needs (every core, the cores with a
     candidate in a mask, or one candidate's core); the rows of those
-    cores not built yet are computed then.  Each read first refreshes
-    the needed cores whose resident row is stale — the only per-core
-    Python — and then works on the arena's arrays.  The engine reads
-    every column before it commits the arrival's assignment, so the
-    cores' state is the one the arrival saw.
+    cores not built yet are computed then, and a column is allocated
+    on its first read (SQ and Random read one rho, only MECT reads
+    ECT).  Each read first refreshes the needed cores whose resident
+    row is stale — the only per-core Python — and then works on the
+    arena's arrays.  The engine reads every column before it commits
+    the arrival's assignment, so the cores' state is the one the
+    arrival saw.
     """
 
     __slots__ = (
         "_builder",
         "_rows",
+        "_type_id",
         "_deadline",
         "_t_now",
         "_eet",
-        "_times",
         "_time0",
         "_time_scale",
         "_node_probs",
+        "_width",
         "_ect",
         "_ect_flat",
         "_ect_done",
@@ -196,41 +175,49 @@ class _ArrivalColumns:
     def __init__(
         self,
         builder: CandidateBuilder,
-        deadline: float,
+        task: Task,
         t_now: float,
         eet: np.ndarray,
-        times_stack: np.ndarray,
         time0: np.ndarray,
         time_scale: float,
-        node_probs: list[np.ndarray],
+        node_probs: tuple[np.ndarray, ...],
+        width: int,
     ) -> None:
-        C, P = builder._num_cores, builder._num_pstates
         self._builder = builder
         self._rows = builder._rows
-        self._deadline = deadline
+        self._type_id = task.type_id
+        self._deadline = task.deadline
         self._t_now = t_now
         self._eet = eet  # (C, P)
-        self._times = times_stack  # (N, P, width)
         self._time0 = time0  # (N, P)
         self._time_scale = time_scale
         self._node_probs = node_probs  # N x (P, native width)
-        # Entries of cores not built yet are NaN, never stale numbers.
-        self._ect_flat = np.full(C * P, np.nan)
-        self._ect = self._ect_flat.reshape(C, P)
-        self._ect_done = np.zeros(C, dtype=bool)
-        self._rho_flat = np.full(C * P, np.nan)
-        self._rho = self._rho_flat.reshape(C, P)
-        self._rho_done = np.zeros(C, dtype=bool)
+        self._width = width  # the widest native width
+        self._ect_done: np.ndarray | None = None
+        self._rho_done: np.ndarray | None = None
+
+    def _column(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A new column (flat and (C, P)) and its per-core done-mask.
+
+        Entries of cores not built yet are NaN, never stale numbers.
+        """
+        C, P = self._builder._num_cores, self._builder._num_pstates
+        flat = np.full(C * P, np.nan)
+        return flat, flat.reshape(C, P), np.zeros(C, dtype=bool)
 
     # ColumnSource -------------------------------------------------------
 
     def ect(self, mask: np.ndarray | None) -> np.ndarray:
+        if self._ect_done is None:
+            self._ect_flat, self._ect, self._ect_done = self._column()
         need = self._pending(self._ect_done, mask)
         if need.any():
             self._ect_rows(np.flatnonzero(need))
         return self._ect_flat
 
     def rho(self, mask: np.ndarray | None) -> np.ndarray:
+        if self._rho_done is None:
+            self._rho_flat, self._rho, self._rho_done = self._column()
         need = self._pending(self._rho_done, mask)
         if need.any():
             order = self._builder._node_order
@@ -238,6 +225,8 @@ class _ArrivalColumns:
         return self._rho_flat
 
     def rho_at(self, index: int) -> float:
+        if self._rho_done is None:
+            self._rho_flat, self._rho, self._rho_done = self._column()
         c = int(index) // self._builder._num_pstates
         if not self._rho_done[c]:
             self._rho_rows(np.array([c]))
@@ -313,8 +302,7 @@ class _ArrivalColumns:
         row_nodes = self._builder._core_node[cores]
         deadline = self._deadline
         dt = self._builder._dt
-        times = self._times
-        W = times.shape[2]
+        W = self._width
         # The reference's index chain at each P-state's first impulse, in
         # the same order, on a (rows, P) array only:
         # y0 = (deadline - time_0 - start) / dt + 1e-9.
@@ -337,9 +325,9 @@ class _ArrivalColumns:
         # the reference's clamping (F[m-1] above the support, 0 below
         # it) built into the arena once k0 is clamped to [-1, m + W - 2]
         # (W is at most the arena's pad).  Past a P-state's own support
-        # the padded times repeat its last impulse and the window reads
-        # other CDF values than the reference does; their probability is
-        # exactly 0, so both add +0.0.
+        # the window reads other CDF values than the reference (whose
+        # padded times repeat the last impulse) does; their probability
+        # is exactly 0, so both add +0.0.
         data = rows.data
         step = data.strides[0]
         # windows[j] is data[j : j + W], sliding_window_view's layout
@@ -349,17 +337,18 @@ class _ArrivalColumns:
         np.maximum(k0, -1.0, out=k0)
         fr_all = windows[anchors[:, None] - k0.astype(np.int64)]  # (rows, P, W)
         if near.any():
+            table = self._builder._table
             for i, p in zip(*np.nonzero(near)):
-                # The reference's per-impulse expression, for this pair only.
+                # The reference's per-impulse expression, for this pair's
+                # own support only (past it the probability is 0).
                 m = int(sizes[i])
-                ks = np.floor(
-                    (deadline - times[row_nodes[i], p] - starts[i]) / dt + 1e-9
-                ).astype(np.int64)
+                times = table.pmf(self._type_id, int(row_nodes[i]), int(p)).times
+                ks = np.floor((deadline - times - starts[i]) / dt + 1e-9).astype(np.int64)
                 np.minimum(ks, m - 1, out=ks)
                 np.maximum(ks, -1, out=ks)
                 top = int(anchors[i]) + 1
                 cdf = data[top - m : top][::-1]
-                fr_all[i, p] = np.where(ks >= 0, cdf[np.maximum(ks, 0)], 0.0)
+                fr_all[i, p, : times.size] = np.where(ks >= 0, cdf[np.maximum(ks, 0)], 0.0)
         # One sum-of-products per node over its contiguous row block:
         # einsum's u axis is an outer loop over independent (p, l)
         # reductions, so each row is bitwise the per-slice two-operand
@@ -369,7 +358,7 @@ class _ArrivalColumns:
         # terms, because extra zero-probability columns — while
         # value-neutral term by term — change the inner loop's
         # accumulator blocking and therefore rounding.
-        out = np.empty((cores.size, times.shape[1]))
+        out = np.empty((cores.size, self._builder._num_pstates))
         bounds = row_nodes.searchsorted(self._builder._node_edges).tolist()
         for n, probs in enumerate(self._node_probs):
             lo, hi = bounds[n], bounds[n + 1]

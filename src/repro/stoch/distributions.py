@@ -24,6 +24,11 @@ from repro.stoch.pmf import PMF
 
 __all__ = ["discretized_gamma", "discretized_gamma_batch"]
 
+#: Bin edges per ``gammainc`` call of :func:`discretized_gamma_batch`
+#: (128 KB per float64 array).  Blocking bounds the batch's transient
+#: memory; the pmfs are bitwise the same at any block size.
+_BLOCK_EDGES = 16384
+
 
 def _check_dt(dt: float) -> None:
     # PMF._from_raw skips PMF's validation: the masses are finite and
@@ -93,13 +98,15 @@ def discretized_gamma_batch(
 
     All laws share ``cv`` (hence the gamma shape) and the grid, which is
     exactly the situation of the execution-time table — so the gamma CDF
-    is evaluated over the concatenation of every law's bin edges in a
-    *single* ``gammainc`` call instead of one round trip per law.
+    is evaluated over the concatenated bin edges of a block of
+    consecutive laws (up to ``_BLOCK_EDGES`` edges, or one longer law)
+    in one ``gammainc`` call instead of one round trip per law, and the
+    transient arrays stay block-sized however many laws there are.
     Every arithmetic step (support bounds, edge indices, CDF, bin-mass
     differences, clipping, normalization) is the same elementwise
     expression the scalar path evaluates, so each returned pmf is
-    bitwise identical to ``discretized_gamma(means[i], ...)``; enforced
-    by ``tests/stoch/test_distributions.py``.
+    bitwise identical to ``discretized_gamma(means[i], ...)`` whatever
+    the blocking; enforced by ``tests/stoch/test_distributions.py``.
     """
     means = np.asarray(means, dtype=np.float64).ravel()
     if means.size == 0:
@@ -120,22 +127,29 @@ def discretized_gamma_batch(
     counts = lasts - firsts + 1  # bin edges per law
     offsets = np.zeros(means.size + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
-    # Concatenated per-law edge indices: law i occupies
-    # ``[offsets[i], offsets[i+1])`` and edge j of law i is
-    # ``dt * (firsts[i] + j)`` — the scalar path's ``dt * arange`` term
-    # by term.
-    idx = np.arange(int(offsets[-1]), dtype=np.int64)
-    idx -= np.repeat(offsets[:-1] - firsts, counts)
-    edges = dt * idx
-    cdf_vals = gammainc(shape, edges / np.repeat(scales, counts))
-    # Bin masses batched: within law i the first ``counts[i] - 1``
-    # entries after its offset are exactly ``np.diff`` of its CDF slice
-    # (the entry straddling two laws is never read).  Each law gets a
-    # copy of its slice, so no pmf keeps the batch array alive.
-    masses = np.clip(cdf_vals[1:] - cdf_vals[:-1], 0.0, None)
     out: list[PMF] = []
-    for i in range(means.size):
-        o = int(offsets[i])
-        n = int(counts[i])
-        out.append(_from_masses(masses[o : o + n - 1].copy(), float(edges[o]), dt))
+    lo = 0
+    while lo < means.size:
+        # Laws [lo, hi): as many as fit the block, and at least one.
+        limit = offsets[lo] + _BLOCK_EDGES
+        hi = max(lo + 1, int(offsets.searchsorted(limit, side="right")) - 1)
+        block = offsets[lo : hi + 1] - offsets[lo]
+        # Concatenated per-law edge indices: law i of the block occupies
+        # ``[block[i], block[i+1])`` and its edge j is
+        # ``dt * (firsts[i] + j)`` — the scalar path's ``dt * arange``
+        # term by term.
+        idx = np.arange(int(block[-1]), dtype=np.int64)
+        idx -= np.repeat(block[:-1] - firsts[lo:hi], counts[lo:hi])
+        edges = dt * idx
+        cdf_vals = gammainc(shape, edges / np.repeat(scales[lo:hi], counts[lo:hi]))
+        # Bin masses batched: within law i the first ``counts[i] - 1``
+        # entries after its offset are exactly ``np.diff`` of its CDF
+        # slice (the entry straddling two laws is never read).  Each law
+        # gets a copy of its slice, so no pmf keeps a block array alive.
+        masses = np.clip(cdf_vals[1:] - cdf_vals[:-1], 0.0, None)
+        for i in range(hi - lo):
+            o = int(block[i])
+            n = int(block[i + 1]) - o
+            out.append(_from_masses(masses[o : o + n - 1].copy(), float(edges[o]), dt))
+        lo = hi
     return out

@@ -13,27 +13,26 @@ needs:
 * ``eet[t, n, pi]``  — expected execution times (pmf means);
 * ``eec[t, n, pi]``  — expected energy consumption
   (``eet * mu(n, pi) / epsilon(n)``, Section V-A);
-* per ``(t, n)`` padded ``(num_pstates, L)`` impulse time/probability
-  matrices, letting one NumPy pass score all P-states of a core;
-* per type, the candidate builder's core-major gathers and node-stacked
-  padded matrices (:meth:`ExecutionTimeTable.candidate_arrays`), shared by
-  every engine over the table.
+* per type, what the candidate builder's rho rows read
+  (:meth:`ExecutionTimeTable.candidate_arrays`): core-major gathers,
+  each pmf's first impulse time, and each node's ``(num_pstates, L)``
+  probability matrix — the table's only copy of the probabilities
+  besides the pmfs themselves — shared by every engine over the table.
 
 Construction cost matters: the table is rebuilt per trial per worker,
-and at paper scale it holds T*N*P = 4,000 discretized gammas.  Every
-cell is evaluated through one vectorized
-:func:`~repro.stoch.distributions.discretized_gamma_batch` call (a
-single ``gammainc`` evaluation instead of 4,000), bitwise identical per
-cell to :func:`~repro.stoch.distributions.discretized_gamma`, and the
-padded matrices and candidate arrays are deferred to first access — the
-mapper only ever asks for the task types that actually arrive.  Both are
-pure functions of the table whenever they run, so laziness is
+and at paper scale it holds T*N*P = 4,000 discretized gammas.  The
+cells are evaluated through
+:func:`~repro.stoch.distributions.discretized_gamma_batch` (one
+``gammainc`` call per block of laws instead of 4,000, in bounded
+transient memory), bitwise identical per cell to
+:func:`~repro.stoch.distributions.discretized_gamma`, and the
+candidate arrays are deferred to first access — the mapper only ever
+asks for the task types that actually arrive.  They are a pure
+function of the table whenever they run, so laziness is
 results-neutral.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,26 +42,15 @@ from repro.stoch.distributions import discretized_gamma_batch
 from repro.stoch.pmf import PMF
 from repro.workload.etc_matrix import ETCMatrix
 
-__all__ = ["ExecutionTimeTable", "PaddedPMFMatrix", "CandidateArrays"]
+__all__ = ["ExecutionTimeTable", "CandidateArrays"]
 
 #: Per-type arrays of :meth:`ExecutionTimeTable.candidate_arrays`:
-#: ``eet`` (C, P), ``eet_flat``, ``eec_flat``, node-stacked padded
-#: ``times`` and ``probs`` (N, P, L), and each node's native padded width.
+#: ``eet`` (C, P), ``eet_flat``, ``eec_flat``, each (node, P-state)'s
+#: first impulse time (N, P), the largest impulse-time magnitude, each
+#: node's (P, native width) probability matrix, and the widest of them.
 CandidateArrays = tuple[
-    np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]
+    np.ndarray, np.ndarray, np.ndarray, np.ndarray, float, tuple[np.ndarray, ...], int
 ]
-
-
-@dataclass(frozen=True)
-class PaddedPMFMatrix:
-    """All P-state pmfs of one (type, node) pair as padded 2-D arrays.
-
-    Rows are P-states; padding entries carry zero probability (their time
-    values repeat the row's last impulse so array math stays finite).
-    """
-
-    times: np.ndarray  # (num_pstates, L)
-    probs: np.ndarray  # (num_pstates, L)
 
 
 class ExecutionTimeTable:
@@ -102,12 +90,8 @@ class ExecutionTimeTable:
 
         self._pmfs = pmfs
         self._max_width = max(pmf.probs.size for pmf in flat)
-        # Padded matrices are built lazily per (type, node) on first
-        # padded() access; most task types of a finite trial never
-        # arrive, so eager padding is pure waste.
-        self._padded: list[list[PaddedPMFMatrix | None]] = [
-            [None] * N for _ in range(T)
-        ]
+        # Built per type on first use: most task types of a finite trial
+        # never arrive.
         self._candidate_arrays: dict[int, CandidateArrays] = {}
         self._eet = eet
         self._eet.setflags(write=False)
@@ -148,31 +132,20 @@ class ExecutionTimeTable:
         """Execution-time pmf of a (type, node, P-state) combination."""
         return self._pmfs[type_id][node][pstate]
 
-    def padded(self, type_id: int, node: int) -> PaddedPMFMatrix:
-        """Padded per-P-state impulse matrices of a (type, node) pair.
-
-        Built on first access and memoized; ``_pad`` is deterministic in
-        the cell's pmfs, so lazy construction is results-neutral.
-        """
-        pad = self._padded[type_id][node]
-        if pad is None:
-            pad = _pad(self._pmfs[type_id][node])
-            self._padded[type_id][node] = pad
-        return pad
-
     def candidate_arrays(self, type_id: int) -> CandidateArrays:
         """The candidate builder's per-type arrays, memoized on first use.
 
-        Core-major ``eet``/``eec`` gathers over the cluster's cores plus
-        every node's padded (P, L) matrices stacked to a common width so
-        one batched pass covers all nodes.  The extra columns extend the
-        :meth:`padded` scheme — zero probability, times repeating the
-        row's last impulse — so the index/gather passes can run
-        rectangularly; each node's *native* width is kept so row
-        reductions run over exactly the reference's term count (an
-        appended ``+0.0`` term is value-neutral but can change the
-        reduction's accumulator blocking, which is a bitwise
-        difference).  All arrays are read-only.
+        Core-major ``eet``/``eec`` gathers over the cluster's cores; per
+        (node, P-state) the pmf's first impulse time (``pmf.start``);
+        the largest ``|start|``/``|stop|`` (the rho index margin's
+        scale); and per node its P-states' probabilities as one (P, L)
+        matrix, zero past each row's own support, at the node's
+        *native* width ``L`` (its longest pmf), so row reductions run
+        over exactly the reference's term count (an appended ``+0.0``
+        term is value-neutral but can change the reduction's
+        accumulator blocking, which is a bitwise difference).  The last
+        entry is the widest node's ``L``, the width of the builder's CDF
+        gathers.  All arrays are read-only.
         """
         cached = self._candidate_arrays.get(type_id)
         if cached is None:
@@ -180,20 +153,16 @@ class ExecutionTimeTable:
             eet = self._eet[type_id][core_node]  # (C, P)
             eec_flat = self._eec[type_id][core_node].ravel()
             eet_flat = eet.ravel()
-            N, P = self._cluster.num_nodes, self._cluster.num_pstates
-            pads = [self.padded(type_id, n) for n in range(N)]
-            widths = tuple(pad.times.shape[1] for pad in pads)
-            width = max(widths)
-            times_stack = np.empty((N, P, width))
-            probs_stack = np.zeros((N, P, width))
-            for n, pad in enumerate(pads):
-                length = widths[n]
-                times_stack[n, :, :length] = pad.times
-                times_stack[n, :, length:] = pad.times[:, -1:]
-                probs_stack[n, :, :length] = pad.probs
-            for arr in (eet, eet_flat, eec_flat, times_stack, probs_stack):
+            cells = self._pmfs[type_id]
+            time0 = np.array([[pmf.start for pmf in cell] for cell in cells])
+            time_scale = max(
+                max(abs(pmf.start), abs(pmf.stop)) for cell in cells for pmf in cell
+            )
+            node_probs = tuple(_probs_matrix(cell) for cell in cells)
+            width = max(probs.shape[1] for probs in node_probs)
+            for arr in (eet, eet_flat, eec_flat, time0, *node_probs):
                 arr.setflags(write=False)
-            cached = (eet, eet_flat, eec_flat, times_stack, probs_stack, widths)
+            cached = (eet, eet_flat, eec_flat, time0, time_scale, node_probs, width)
             self._candidate_arrays[type_id] = cached
         return cached
 
@@ -224,17 +193,9 @@ class ExecutionTimeTable:
         return self._eet.mean(axis=(1, 2))
 
 
-def _pad(cell: list[PMF]) -> PaddedPMFMatrix:
-    """Pad a list of pmfs into rectangular (P, L) time/prob matrices."""
-    length = max(len(p) for p in cell)
-    P = len(cell)
-    times = np.empty((P, length))
-    probs = np.zeros((P, length))
+def _probs_matrix(cell: list[PMF]) -> np.ndarray:
+    """One (type, node)'s P-state pmfs as a (P, L) matrix, zero-padded."""
+    probs = np.zeros((len(cell), max(len(pmf) for pmf in cell)))
     for pi, pmf in enumerate(cell):
-        n = len(pmf)
-        times[pi, :n] = pmf.times
-        times[pi, n:] = pmf.stop
-        probs[pi, :n] = pmf.probs
-    times.setflags(write=False)
-    probs.setflags(write=False)
-    return PaddedPMFMatrix(times=times, probs=probs)
+        probs[pi, : len(pmf)] = pmf.probs
+    return probs

@@ -21,23 +21,34 @@ class TestPolicyValidation:
         assert AbandonHopelessPolicy(0.0).min_prob == 0.0
 
 
+def _runs(system):
+    """MECT on ``system`` without and with cancellation, and the policy."""
+    baseline = Engine(
+        system, MinimumExpectedCompletionTime(), build_filter_chain("none")
+    ).run()
+    policy = AbandonHopelessPolicy(min_prob=0.25)
+    cancelled = Engine(
+        system,
+        MinimumExpectedCompletionTime(),
+        build_filter_chain("none"),
+        hooks=(policy,),
+    ).run()
+    return baseline, cancelled, policy
+
+
 class TestCancellationBehavior:
     @pytest.fixture(scope="class")
     def runs(self):
-        # A congested system (tight budget creates filtering pressure and
-        # bursts create queues) where cancellation has something to do.
-        system = build_trial_system(small_config(seed=17))
-        baseline = Engine(
-            system, MinimumExpectedCompletionTime(), build_filter_chain("none")
-        ).run()
-        policy = AbandonHopelessPolicy(min_prob=0.25)
-        cancelled = Engine(
-            system,
-            MinimumExpectedCompletionTime(),
-            build_filter_chain("none"),
-            hooks=(policy,),
-        ).run()
-        return baseline, cancelled, policy
+        return _runs(build_trial_system(small_config(seed=17)))
+
+    @pytest.fixture(scope="class")
+    def congested(self):
+        # Two nodes under bursts at 10x the equilibrium rate: queues build
+        # up and queued tasks fall below the threshold.
+        config = small_config(seed=17).with_updates(
+            cluster={"num_nodes": 2}, workload={"fast_ratio": 10.0}
+        )
+        return _runs(build_trial_system(config))
 
     def test_cancelled_tasks_become_discards(self, runs):
         baseline, cancelled, policy = runs
@@ -50,10 +61,9 @@ class TestCancellationBehavior:
             == cancelled.discarded + cancelled.late + cancelled.energy_cutoff
         )
 
-    def test_cancellation_never_helps_hopeless_tasks(self, runs):
-        baseline, cancelled, policy = runs
-        if not policy.cancelled:
-            pytest.skip("no congestion in this draw; nothing cancelled")
+    def test_cancellation_never_helps_hopeless_tasks(self, congested):
+        baseline, cancelled, policy = congested
+        assert policy.cancelled, "the congested system cancelled nothing"
         # Cancelled ids must be absent from the completions.
         completed_ids = {
             o.task_id for o in cancelled.outcomes if not o.discarded

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from repro import api
+from repro import api, build_trial_system
 from repro.experiments.executor import TrialFailure
 from repro.experiments.runner import (
     PartialEnsembleResult,
@@ -31,6 +31,13 @@ def trial(tiny_system):
     return api.run_trial(
         api.Scenario("MECT", "en+rob"), system=tiny_system, keep_outcomes=True
     )
+
+
+@pytest.fixture(scope="module")
+def tight_trial():
+    """``trial`` on half the energy budget, which discards tasks."""
+    system = build_trial_system(tiny_config().with_updates(energy={"budget_mult": 0.5}))
+    return api.run_trial(api.Scenario("MECT", "en+rob"), system=system, keep_outcomes=True)
 
 
 @pytest.fixture(scope="module")
@@ -77,11 +84,10 @@ class TestTrialRoundTrip:
         else:
             assert rebuilt.exhaustion_time == pytest.approx(trial.exhaustion_time)
 
-    def test_nan_outcome_fields_survive(self, trial):
-        data = trial_result_to_dict(trial, keep_outcomes=True)
+    def test_nan_outcome_fields_survive(self, tight_trial):
+        data = trial_result_to_dict(tight_trial, keep_outcomes=True)
         discarded = [o for o in data["outcomes"] if o["discarded"]]
-        if not discarded:
-            pytest.skip("no discarded tasks in this trial")
+        assert discarded, "the tight budget discarded no task"
         rebuilt = trial_result_from_dict(json.loads(json.dumps(data)))
         d = [o for o in rebuilt.outcomes if o.discarded][0]
         assert math.isnan(d.start)

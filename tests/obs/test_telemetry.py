@@ -24,6 +24,7 @@ from repro.obs.export import (
 )
 from repro.obs import telemetry as telemetry_mod
 from repro.obs.telemetry import (
+    DEFAULT_QUANTILES,
     AlertRule,
     Counter,
     Ewma,
@@ -158,10 +159,6 @@ class TestP2Quantile:
 
 
 class TestQuantileSet:
-    def test_needs_at_least_one_quantile(self):
-        with pytest.raises(ValueError, match="at least one"):
-            QuantileSet(())
-
     def test_empty_reads_are_nan(self):
         qs = QuantileSet()
         assert math.isnan(qs.mean)
@@ -170,14 +167,15 @@ class TestQuantileSet:
         assert all(math.isnan(v) for v in qs.values().values())
 
     def test_tracks_count_sum_extremes(self):
-        qs = QuantileSet((0.5,))
+        qs = QuantileSet()
         for x in (3.0, 1.0, 2.0):
             qs.observe(x)
         assert qs.count == 3
         assert qs.total == 6.0
         assert qs.mean == 2.0
         assert (qs.min, qs.max) == (1.0, 3.0)
-        assert qs.values() == {0.5: 2.0}
+        assert tuple(qs.values()) == DEFAULT_QUANTILES
+        assert qs.values()[0.5] == 2.0
 
 
 class TestRuleGrammar:

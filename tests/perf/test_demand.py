@@ -16,6 +16,7 @@ from repro import build_trial_system
 from repro.experiments.runner import VariantSpec, policy_for
 from repro.heuristics.base import Heuristic
 from repro.sim.engine import Engine
+from repro.sim.mapper import CandidateBuilder
 from repro.sim.state import CoreState
 from tests.conftest import micro_config
 
@@ -94,3 +95,26 @@ def test_mect_computes_only_energy_feasible_cores(system, monkeypatch):
         assert len(called) == len(set(called))  # at most once per arrival
         assert set(called) <= feasible
     assert sum(len(called) for called, *_ in steps) > 0
+
+
+@pytest.mark.parametrize(
+    "heuristic,variant,reads_ect",
+    [("SQ", "none", False), ("Random", "en", False), ("MECT", "en", True)],
+)
+def test_a_column_is_allocated_only_when_read(system, heuristic, variant, reads_ect, monkeypatch):
+    columns = []
+    build = CandidateBuilder.build
+
+    def recorded(self, task, t_now):
+        cands = build(self, task, t_now)
+        columns.append(cands._columns)
+        return cands
+
+    monkeypatch.setattr(CandidateBuilder, "build", recorded)
+    h, chain = policy_for(system, VariantSpec(heuristic, variant))
+    Engine(system, h, chain).run()
+    assert columns
+    # Only MECT reads ECT; a mapping's decision reads one rho (an arrival
+    # whose candidates were all filtered out reads none).
+    assert any(c._ect_done is not None for c in columns) is reads_ect
+    assert any(c._rho_done is not None for c in columns)

@@ -30,7 +30,7 @@ from repro.sim.engine import Engine
 from repro.sim.mapper import CandidateBuilder
 from repro.sim.state import CoreState, QueuedTask, RunningTask
 from tests.conftest import NeverHitCache, micro_config
-from tests.reference_mapper import build_candidate_set
+from tests.reference_mapper import build_candidate_set, padded
 
 HEURISTICS = ("SQ", "MECT", "LL", "Random")
 VARIANTS = ("none", "en+rob")
@@ -287,7 +287,7 @@ class TestRhoExactness:
             # y0 = k (+ the reference's 1e-9 nudge), then a few ulps off.
             core = cores[data.draw(st.integers(0, len(cores) - 1))]
             ready = core.ready_pmf(t_now)
-            time_0 = table.padded(task.type_id, core.node_index).times[
+            time_0 = padded(table, task.type_id, core.node_index).times[
                 data.draw(st.integers(0, P - 1)), 0
             ]
             deadline = time_0 + ready.start + data.draw(st.integers(-3, 80)) * dt
@@ -321,7 +321,7 @@ class TestRhoExactness:
             # Off-grid starts, so the ready pmfs do not share the times' grid.
             _busy(core, table, probe, i % system.cluster.num_pstates, t_now - 0.37 * dt * i)
         arrival = system.workload.tasks[1]
-        pad = table.padded(arrival.type_id, cores[0].node_index)
+        pad = padded(table, arrival.type_id, cores[0].node_index)
         ready = cores[0].ready_pmf(t_now)
 
         cdf = ready.cdf

@@ -9,11 +9,14 @@ Each core's ready pmf is composed from scratch out of the core's
 running task and queue with :mod:`repro.robustness.completion` — never
 read from the core's own cache or its resident row — so the oracle
 checks the engine's ready-pmf refresh too, not only the arithmetic
-after it.
+after it.  Its per-(type, node) impulse matrices are padded here
+(:func:`padded`), from the table's pmfs alone, not read from the
+builder's per-type arrays.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -29,7 +32,35 @@ from repro.stoch.pmf import PMF
 from repro.workload.pmf_table import ExecutionTimeTable
 from repro.workload.task import Task
 
-__all__ = ["build_candidate_set", "reference_ready_pmf"]
+__all__ = ["PaddedPMFMatrix", "build_candidate_set", "padded", "reference_ready_pmf"]
+
+
+@dataclass(frozen=True)
+class PaddedPMFMatrix:
+    """All P-state pmfs of one (type, node) pair as padded 2-D arrays.
+
+    Rows are P-states; padding entries carry zero probability (their time
+    values repeat the row's last impulse so array math stays finite).
+    """
+
+    times: np.ndarray  # (num_pstates, L)
+    probs: np.ndarray  # (num_pstates, L)
+
+
+def padded(table: ExecutionTimeTable, type_id: int, node: int) -> PaddedPMFMatrix:
+    """Padded per-P-state impulse matrices of a (type, node) pair."""
+    cell = [table.pmf(type_id, node, pi) for pi in range(table.cluster.num_pstates)]
+    length = max(len(p) for p in cell)
+    times = np.empty((len(cell), length))
+    probs = np.zeros((len(cell), length))
+    for pi, pmf in enumerate(cell):
+        n = len(pmf)
+        times[pi, :n] = pmf.times
+        times[pi, n:] = pmf.stop
+        probs[pi, :n] = pmf.probs
+    times.setflags(write=False)
+    probs.setflags(write=False)
+    return PaddedPMFMatrix(times=times, probs=probs)
 
 
 def reference_ready_pmf(core: CoreState, t_now: float) -> PMF:
@@ -73,7 +104,7 @@ def build_candidate_set(
         core = cores[c]
         ready = reference_ready_pmf(core, t_now)
         ready_means[c] = ready.mean()
-        pad = table.padded(task.type_id, core.node_index)
+        pad = padded(table, task.type_id, core.node_index)
         prob[c] = prob_on_time_all_pstates(ready, pad.times, pad.probs, task.deadline)
         queue_len[c] = core.assigned_count
 

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from repro.stoch import distributions
 from repro.stoch.distributions import discretized_gamma, discretized_gamma_batch
 from repro.stoch.pmf import PMF
 
@@ -144,3 +145,45 @@ class TestBitwiseOracle:
         _assert_bitwise(discretized_gamma(100.0, 0.01, 1.0, tail_sigmas=-20.0), want)
         (batch,) = discretized_gamma_batch(np.array([100.0]), 0.01, 1.0, tail_sigmas=-20.0)
         _assert_bitwise(batch, want)
+
+
+class TestBlockedBatch:
+    """``discretized_gamma_batch`` evaluates the CDF a block of laws at a
+    time; a small block forces every blocking case, and each pmf stays
+    bitwise the scalar one."""
+
+    # cv 0.5 and 4 sigmas on dt 1: law m spans [0, 3m], 3m + 1 edges.
+    CV, DT, TAIL, BLOCK = 0.5, 1.0, 4.0, 32
+
+    def _check(self, monkeypatch, means, calls):
+        import scipy.special
+
+        seen = []
+        real = scipy.special.gammainc
+
+        def counting(a, x):
+            seen.append(x.size)
+            return real(a, x)
+
+        monkeypatch.setattr(distributions, "_BLOCK_EDGES", self.BLOCK)
+        monkeypatch.setattr(scipy.special, "gammainc", counting)
+        batch = discretized_gamma_batch(np.array(means), self.CV, self.DT, tail_sigmas=self.TAIL)
+        monkeypatch.undo()
+        assert len(batch) == len(means)
+        for mean, pmf in zip(means, batch):
+            _assert_bitwise(pmf, discretized_gamma(mean, self.CV, self.DT, tail_sigmas=self.TAIL))
+            assert pmf.probs.base is None
+        assert len(seen) == calls
+        return seen
+
+    def test_law_straddling_a_block_edge(self, monkeypatch):
+        # 10 + 13 edges fit one block; the third law's 16 would cross
+        # edge 32, so it opens the next block whole.
+        assert self._check(monkeypatch, [3.0, 4.0, 5.0], calls=2) == [23, 16]
+
+    def test_law_longer_than_a_block(self, monkeypatch):
+        # 61 edges: a block of its own, between two short laws' blocks.
+        assert self._check(monkeypatch, [3.0, 20.0, 4.0], calls=3) == [10, 61, 13]
+
+    def test_batch_of_one_law(self, monkeypatch):
+        assert self._check(monkeypatch, [5.0], calls=1) == [16]

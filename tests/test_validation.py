@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro import build_trial_system
 from repro.extensions.cancellation import AbandonHopelessPolicy
 from repro.extensions.rescheduling import WorkStealingPolicy
 from repro.filters.chain import build_filter_chain
@@ -14,12 +15,22 @@ from repro.heuristics.mect import MinimumExpectedCompletionTime
 from repro.sim.engine import Engine
 from repro.sim.results import TaskOutcome
 from repro.validation import ValidationError, validate_trial
+from tests.conftest import tiny_config
 
 
 @pytest.fixture(scope="module")
 def clean_run(tiny_system):
     engine = Engine(tiny_system, LightestLoad(), build_filter_chain("en+rob"))
     return engine, engine.run()
+
+
+@pytest.fixture(scope="module")
+def tight_run():
+    """``clean_run`` on half the energy budget: it discards tasks and
+    finishes some late, the cases a recount or discard check needs."""
+    system = build_trial_system(tiny_config().with_updates(energy={"budget_mult": 0.5}))
+    engine = Engine(system, LightestLoad(), build_filter_chain("en+rob"))
+    return system, engine.run()
 
 
 class TestCleanTrialsValidate:
@@ -116,19 +127,19 @@ class TestCorruptionDetected:
         with pytest.raises(ValidationError):
             validate_trial(tiny_system, bad)
 
-    def test_inconsistent_recount(self, tiny_system, clean_run):
-        _, result = clean_run
+    def test_inconsistent_recount(self, tight_run):
+        system, result = tight_run
         # Claim one fewer late / one more within than reality (keeps the
         # dataclass-level checks satisfied, so only validate_trial sees it).
-        if result.late == 0:
-            pytest.skip("no late tasks to misattribute in this draw")
+        assert result.late > 0, "the tight budget left no late task to misattribute"
         bad = replace(
             result,
+            missed=result.missed - 1,
             late=result.late - 1,
             completed_within=result.completed_within + 1,
         )
         with pytest.raises(ValidationError, match="recount"):
-            validate_trial(tiny_system, bad)
+            validate_trial(system, bad)
 
     def test_energy_mismatch_with_engine(self, tiny_system, clean_run):
         engine, result = clean_run
@@ -136,13 +147,12 @@ class TestCorruptionDetected:
         with pytest.raises(ValidationError, match="energy mismatch"):
             validate_trial(tiny_system, bad, engine)
 
-    def test_discarded_with_assignment(self, tiny_system, clean_run):
-        _, result = clean_run
+    def test_discarded_with_assignment(self, tight_run):
+        system, result = tight_run
         idx = next(
             (i for i, o in enumerate(result.outcomes) if o.discarded), None
         )
-        if idx is None:
-            pytest.skip("no discarded tasks in this draw")
+        assert idx is not None, "the tight budget discarded no task"
         bad = _corrupt_outcome(result, idx, core_id=0)
         with pytest.raises(ValidationError, match="carries an assignment"):
-            validate_trial(tiny_system, bad)
+            validate_trial(system, bad)

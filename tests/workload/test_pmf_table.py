@@ -11,6 +11,7 @@ from repro.sim.system import build_trial_system
 from repro.stoch.distributions import discretized_gamma
 from repro.workload.etc_matrix import ETCMatrix
 from repro.workload.pmf_table import ExecutionTimeTable
+from tests.reference_mapper import padded
 
 
 @pytest.fixture(scope="module")
@@ -147,11 +148,11 @@ class TestAggregates:
 
 class TestPaddedMatrices:
     def test_padding_preserves_mass(self, table):
-        pad = table.padded(0, 1)
+        pad = padded(table, 0, 1)
         assert np.allclose(pad.probs.sum(axis=1), 1.0)
 
     def test_rows_match_pmfs(self, table):
-        pad = table.padded(2, 0)
+        pad = padded(table, 2, 0)
         for pi in range(table.cluster.num_pstates):
             pmf = table.pmf(2, 0, pi)
             n = len(pmf)
@@ -160,6 +161,75 @@ class TestPaddedMatrices:
             assert np.all(pad.probs[pi, n:] == 0.0)
 
     def test_matrices_readonly(self, table):
-        pad = table.padded(0, 0)
+        pad = padded(table, 0, 0)
         with pytest.raises(ValueError):
             pad.probs[0, 0] = 1.0
+
+
+class TestCandidateArrays:
+    def test_rows_are_the_pmfs(self, table):
+        eet, eet_flat, eec_flat, time0, time_scale, node_probs, width = (
+            table.candidate_arrays(2)
+        )
+        core_node = table.cluster.core_node_index
+        assert np.array_equal(eet, table.eet[2][core_node])
+        assert np.array_equal(eec_flat, table.eec[2][core_node].ravel())
+        assert len(node_probs) == table.cluster.num_nodes
+        stops = []
+        for n, probs in enumerate(node_probs):
+            cell = [table.pmf(2, n, pi) for pi in range(table.cluster.num_pstates)]
+            assert probs.shape == (len(cell), max(len(pmf) for pmf in cell))
+            for pi, pmf in enumerate(cell):
+                assert time0[n, pi] == pmf.start
+                assert probs[pi, : len(pmf)].tobytes() == pmf.probs.tobytes()
+                assert not probs[pi, len(pmf) :].any()
+                stops.append(pmf.stop)
+        assert time_scale == max(np.abs(time0).max(), max(stops))
+        assert width == max(probs.shape[1] for probs in node_probs)
+
+    def test_memoized_and_readonly(self, table):
+        arrays = table.candidate_arrays(1)
+        assert table.candidate_arrays(1) is arrays
+        for arr in (*arrays[:4], *arrays[5]):
+            with pytest.raises(ValueError):
+                arr.flat[0] = 1.0
+
+
+class TestMemory:
+    """The table keeps one copy of each pmf plus what the builder reads,
+    and builds in bounded memory (tracemalloc counts numpy's buffers)."""
+
+    @pytest.fixture(scope="class")
+    def traced(self):
+        import tracemalloc
+
+        config = SimulationConfig()
+        build_trial_system(config)  # loads every module the build imports
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            system = build_trial_system(config)
+            live, peak = tracemalloc.get_traced_memory()
+            table = system.table
+            before = tracemalloc.get_traced_memory()[0]
+            for type_id in range(table.etc.num_task_types):
+                table.candidate_arrays(type_id)
+            arrays = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        return table, live - base, peak - base, arrays
+
+    def test_build_peaks_near_what_it_keeps(self, traced):
+        _, live, peak, _ = traced
+        assert peak - live <= 2_000_000, (live, peak)
+
+    def test_candidate_arrays_hold_at_most_twice_the_pmfs(self, traced):
+        table, _, _, arrays = traced
+        T, N, P = table.eet.shape
+        pmf_bytes = sum(
+            table.pmf(t, n, pi).probs.nbytes
+            for t in range(T)
+            for n in range(N)
+            for pi in range(P)
+        )
+        assert arrays <= 2 * pmf_bytes, (arrays, pmf_bytes)
