@@ -7,7 +7,8 @@ Stamps the workload with priority levels (1x / 2x / 4x) and compares:
 * priority-shaped LL (load = EEC * (1 - rho)^priority) behind a
   priority-scaled energy filter (important tasks get a bigger fair share
   of the remaining budget);
-* the same, plus the abandon-hopeless cancellation policy.
+* the same, plus the engine's dispatch floor: a freed core drops each
+  queued task whose on-time probability if started now is below 5%.
 
 Everything is scored by priority-weighted missed work: a 4x task counts
 as four 1x tasks.
@@ -20,12 +21,12 @@ from dataclasses import replace
 from repro import SimulationConfig, build_trial_system
 from repro import rng as rng_mod
 from repro.extensions import (
-    AbandonHopelessPolicy,
     PriorityEnergyFilter,
     PriorityLightestLoad,
     weighted_missed,
     with_priorities,
 )
+from repro.faults import SheddingConfig
 from repro.filters import FilterChain, RobustnessFilter, build_filter_chain
 from repro.heuristics import LightestLoad
 from repro.sim.engine import Engine
@@ -49,19 +50,20 @@ def main() -> None:
         ]
     )
     runs = {
-        "LL (priority-blind)": (LightestLoad(), build_filter_chain("en+rob"), ()),
-        "LL-prio": (PriorityLightestLoad(), prio_chain, ()),
+        "LL (priority-blind)": (LightestLoad(), build_filter_chain("en+rob"), None),
+        "LL-prio": (PriorityLightestLoad(), prio_chain, None),
         "LL-prio + cancel": (
             PriorityLightestLoad(),
             prio_chain,
-            (AbandonHopelessPolicy(0.05),),
+            SheddingConfig(dispatch_prob=0.05),
         ),
     }
     print(f"{'policy':>22} {'missed':>7} {'weighted miss':>14} {'cancelled':>10}")
-    for label, (heuristic, chain, hooks) in runs.items():
-        result = Engine(system, heuristic, chain, hooks=hooks).run()
+    for label, (heuristic, chain, shedding) in runs.items():
+        engine = Engine(system, heuristic, chain, shedding=shedding)
+        result = engine.run()
         wm = weighted_missed(result, system.workload)
-        cancelled = sum(len(policy.cancelled) for policy in hooks)
+        cancelled = engine.fault_stats.lost
         print(f"{label:>22} {result.missed:7d} {100 * wm:13.1f}% {cancelled:10d}")
     print(
         "\nPriority-weighted missed work counts a 4x task as four 1x tasks; "

@@ -273,6 +273,12 @@ def _flag_scenario(
     serve = args.command == "serve"
     thresholds = (args.shed_queue_depth, args.shed_budget_frac, args.shed_min_prob)
     with _bad_input(args):
+        if args.shed_defer is not None and (
+            args.shed_queue_depth is None and args.shed_budget_frac is None
+        ):
+            # Only queue-depth and budget trips defer; anything else
+            # would silently run without the deferral asked for.
+            raise ValueError("--shed-defer needs --shed-queue-depth or --shed-budget-frac")
         shedding = None
         if any(value is not None for value in thresholds):
             shedding = SheddingConfig(

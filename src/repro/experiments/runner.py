@@ -23,8 +23,8 @@ so long sweeps survive interruption.
 
 Observability rides along without perturbing that determinism: pass a
 :class:`~repro.obs.sinks.MetricsRegistry` and each worker process fills
-its own registry (counters, discard causes, decision-latency and
-queue-depth histograms), which the parent merges after the fan-in;
+its own registry (counters, discard causes, queue-depth histograms),
+which the parent merges after the fan-in;
 recovery actions emit ``TrialRetried`` / ``TrialQuarantined`` /
 ``CheckpointWritten`` events to ``sinks`` and ``executor.*`` counters.
 Metrics describe the run; they never steer it.

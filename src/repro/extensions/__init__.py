@@ -5,11 +5,12 @@ The paper closes with four directions:
 * **varying task priorities** — :mod:`repro.extensions.priorities`
   (priority assignment, a priority-weighted LL variant, weighted
   scoring);
-* **cancelling and/or rescheduling tasks** —
-  :mod:`repro.extensions.cancellation` (an engine hook that abandons
-  queued tasks which have become hopeless, freeing their slot) and
-  :mod:`repro.extensions.rescheduling` (work stealing between cores
-  when rescheduling is permitted);
+* **cancelling and/or rescheduling tasks** — not a module here:
+  cancellation is the engine's dispatch floor, ``[shedding]
+  dispatch_prob`` (:class:`repro.faults.SheddingConfig`), which drops a
+  queued task whose on-time probability has fallen below it when its
+  core frees up.  Work stealing between cores was measured and removed
+  (it missed more tasks, not fewer; EXPERIMENTS.md);
 * **a variety of arrival rates and patterns** — not a module here: the
   registered traffic models of :mod:`repro.workload.traffic`
   (``poisson``, ``diurnal``, ``mmpp``, ``burst``, ``replay``) are the
@@ -32,17 +33,13 @@ from repro.extensions.priorities import (
     weighted_missed,
     with_priorities,
 )
-from repro.extensions.cancellation import AbandonHopelessPolicy
-from repro.extensions.rescheduling import WorkStealingPolicy
 from repro.extensions.batch_mode import BatchEngine, run_batch_trial
 
 __all__ = [
     "BatchEngine",
     "run_batch_trial",
     "PriorityEnergyFilter",
-    "WorkStealingPolicy",
     "PriorityLightestLoad",
     "weighted_missed",
     "with_priorities",
-    "AbandonHopelessPolicy",
 ]

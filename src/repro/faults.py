@@ -19,7 +19,8 @@ The pieces:
 * :class:`SheddingConfig` / :class:`AdmissionController` — overload
   protection for continuous service: arrivals are deferred or dropped
   when queue depth or the rolling energy budget cross thresholds, or
-  when the chosen assignment's ``prob_on_time`` falls below a floor
+  when the chosen assignment's ``prob_on_time`` falls below a floor;
+  queued tasks are dropped at dispatch below a second floor
   (probabilistic task pruning, Gentry et al., arXiv:1901.09312).
 * :class:`FaultStats` — the engine's running counters over all of the
   above, surfaced per window in service mode.
@@ -330,6 +331,11 @@ class SheddingConfig:
         assignment's ``prob_on_time`` is below this floor — admitting
         work that will almost surely be late wastes energy that
         on-time-capable tasks need (probabilistic task pruning).
+    dispatch_prob:
+        When a core frees up, drop each queued task whose probability
+        of finishing by its deadline if started now is below this floor
+        before starting the next one.  A drop counts as lost, like a
+        mapped task killed by an outage.
     defer:
         When a threshold trips, re-try the arrival this many simulated
         seconds later instead of dropping it immediately (``None``
@@ -341,6 +347,7 @@ class SheddingConfig:
     queue_depth: float | None = None
     budget_frac: float | None = None
     min_prob: float | None = None
+    dispatch_prob: float | None = None
     defer: float | None = None
     max_defers: int = 3
 
@@ -351,6 +358,8 @@ class SheddingConfig:
             raise ValueError(f"budget_frac must be in [0, 1], got {self.budget_frac}")
         if self.min_prob is not None and not (0.0 <= self.min_prob <= 1.0):
             raise ValueError(f"min_prob must be in [0, 1], got {self.min_prob}")
+        if self.dispatch_prob is not None and not (0.0 <= self.dispatch_prob <= 1.0):
+            raise ValueError(f"dispatch_prob must be in [0, 1], got {self.dispatch_prob}")
         if self.defer is not None and not (self.defer > 0.0):
             raise ValueError(f"defer must be positive, got {self.defer}")
         if self.max_defers < 0:
@@ -363,6 +372,7 @@ class SheddingConfig:
             self.queue_depth is not None
             or self.budget_frac is not None
             or self.min_prob is not None
+            or self.dispatch_prob is not None
         )
 
 

@@ -41,8 +41,6 @@ __all__ = [
 
 #: Discard cause recorded when filtering leaves no feasible assignment.
 CAUSE_EMPTY_FEASIBLE = "empty_feasible_set"
-#: Discard cause recorded when a hook cancels a queued task.
-CAUSE_CANCELLED = "cancelled"
 
 
 @dataclass(frozen=True, slots=True)
@@ -79,7 +77,7 @@ class TaskMapped:
 
 @dataclass(frozen=True, slots=True)
 class TaskDiscarded:
-    """Filtering left no feasible assignment (or a hook cancelled)."""
+    """Filtering left no feasible assignment."""
 
     kind: ClassVar[str] = "task_discarded"
 
@@ -198,11 +196,13 @@ class FaultInjected:
 
 @dataclass(frozen=True, slots=True)
 class TaskOrphaned:
-    """An outage hit a task on ``core_id``.
+    """A mapped task left ``core_id`` without completing there.
 
-    ``disposition`` is ``"remapped"`` (displaced, re-placed on a
-    surviving core), ``"lost"`` (displaced, nowhere to go) or
-    ``"killed"`` (running task terminated under the ``"lost"`` policy).
+    ``disposition`` is ``"remapped"`` (displaced by an outage, re-placed
+    on a surviving core), ``"lost"`` (displaced, nowhere to go),
+    ``"killed"`` (running task terminated under the ``"lost"`` policy)
+    or ``"dropped"`` (queued task below the ``dispatch_prob`` floor when
+    its core freed up).
     """
 
     kind: ClassVar[str] = "task_orphaned"

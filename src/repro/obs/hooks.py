@@ -7,13 +7,16 @@ the engine hot path stays allocation-free when observability is off.
 
 :func:`observe_trial` wraps one :class:`repro.sim.engine.Engine` run
 with the trial-lifecycle events (``TrialStarted``, ``EnergyExhausted``,
-``TrialFinished``) that the per-event subscriber callbacks cannot see, and
-optionally times every heuristic decision via :class:`TimedHeuristic`,
-every filter evaluation via :class:`TimedFilterChain`, every pmf
-operation via the :mod:`repro.stoch.ops` observer, and the engine's own
-event handlers via the ``tracer`` hook — all strictly opt-in.  It holds
-the engine instance so the kernel cache's final counters can be folded
-into the metrics registry after the run.
+``TrialFinished``) that the per-event subscriber callbacks cannot see.
+With a span profile it times every heuristic decision via
+:class:`TimedHeuristic`, every filter evaluation via
+:class:`TimedFilterChain` and the engine's own event handlers via the
+``tracer`` hook; with a metrics registry it counts every pmf operation
+via the :mod:`repro.stoch.ops` observer — all strictly opt-in.  Wall
+time goes to the profile only, so a metrics file is a deterministic
+function of the run.  It holds the engine instance so the kernel
+cache's final counters can be folded into the metrics registry after
+the run.
 """
 
 from __future__ import annotations
@@ -37,13 +40,7 @@ from repro.obs.events import (
     TrialFinished,
     TrialStarted,
 )
-from repro.obs.sinks import (
-    DEPTH_EDGES,
-    GRID_EDGES,
-    LATENCY_EDGES,
-    EventSink,
-    MetricsRegistry,
-)
+from repro.obs.sinks import DEPTH_EDGES, GRID_EDGES, EventSink, MetricsRegistry
 from repro.obs.spans import SpanRecorder
 from repro.obs.timeline import TimelineRecorder
 from repro.perf.kernel_cache import KernelCache
@@ -199,25 +196,15 @@ class ObservingHooks(EngineHooks):
 
 
 class TimedHeuristic(Heuristic):
-    """Decorator: time every ``select`` call into a latency histogram.
+    """Decorator: time every ``select`` call as a ``heuristic.<name>`` span.
 
     Timing wraps the heuristic *outside* the engine, so the engine stays
     oblivious to observability and the measured span is exactly the
-    decision (mask argmin etc.), not candidate construction.  With a
-    ``recorder``, the already-measured duration is also fed to the span
-    profile as a ``heuristic.<name>`` span — one measurement, two
-    consumers.
+    decision (mask argmin etc.), not candidate construction.
     """
 
-    def __init__(
-        self,
-        inner: Heuristic,
-        metrics: MetricsRegistry | None = None,
-        *,
-        recorder: SpanRecorder | None = None,
-    ) -> None:
+    def __init__(self, inner: Heuristic, recorder: SpanRecorder) -> None:
         self.inner = inner
-        self.metrics = metrics
         self.recorder = recorder
         self.name = inner.name
         self._span_name = f"heuristic.{inner.name}"
@@ -225,11 +212,7 @@ class TimedHeuristic(Heuristic):
     def select(self, cands: CandidateSet, ctx: MappingContext) -> int | None:
         t0 = time.perf_counter()
         index = self.inner.select(cands, ctx)
-        dur = time.perf_counter() - t0
-        if self.metrics is not None:
-            self.metrics.observe(f"decision_latency_s.{self.name}", dur, LATENCY_EDGES)
-        if self.recorder is not None:
-            self.recorder.add(self._span_name, t0, dur)
+        self.recorder.add(self._span_name, t0, time.perf_counter() - t0)
         return index
 
     def __repr__(self) -> str:
@@ -323,10 +306,9 @@ def observe_trial(
     adapter = ObservingHooks(sinks, metrics=metrics) if sinks or metrics is not None else None
     hooks = tuple(hook for hook in (adapter, timeline) if hook is not None)
     engine_heuristic: Heuristic = heuristic
-    if metrics is not None or profile is not None:
-        engine_heuristic = TimedHeuristic(heuristic, metrics, recorder=profile)
     engine_chain = filter_chain
     if profile is not None:
+        engine_heuristic = TimedHeuristic(heuristic, profile)
         engine_chain = TimedFilterChain(filter_chain, profile)
     previous_observer = None
     if metrics is not None:

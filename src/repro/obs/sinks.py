@@ -25,7 +25,6 @@ __all__ = [
     "RingBufferSink",
     "Histogram",
     "MetricsRegistry",
-    "LATENCY_EDGES",
     "DEPTH_EDGES",
     "GRID_EDGES",
 ]
@@ -129,10 +128,6 @@ def _encode_float(x: float) -> float | str:
     return x
 
 
-#: Default bucket upper bounds (seconds) for decision-latency histograms:
-#: ten powers of four from 1 µs up, the last bucket catching everything.
-LATENCY_EDGES: tuple[float, ...] = tuple(1e-6 * 4.0**k for k in range(10))
-
 #: Default bucket upper bounds for cluster-average queue depth.
 DEPTH_EDGES: tuple[float, ...] = (0.25, 0.5, 0.8, 1.2, 2.0, 4.0, 8.0, 16.0)
 
@@ -230,8 +225,6 @@ class MetricsRegistry:
 
     * ``tasks_mapped``, ``tasks_completed`` — counters;
     * ``tasks_discarded.<cause>`` — one counter per discard cause;
-    * ``decision_latency_s.<heuristic>`` — histogram of
-      ``Heuristic.select`` wall time (:data:`LATENCY_EDGES`);
     * ``queue_depth`` — histogram of cluster-average queue depth at
       each mapping event (:data:`DEPTH_EDGES`).
 

@@ -15,7 +15,6 @@ Eqs. 3 and 4.
 from repro.robustness.completion import (
     completion_pmf,
     prob_on_time,
-    prob_on_time_all_pstates,
     ready_pmf,
     running_completion_pmf,
 )
@@ -29,7 +28,6 @@ from repro.robustness.robustness import (
 __all__ = [
     "completion_pmf",
     "prob_on_time",
-    "prob_on_time_all_pstates",
     "ready_pmf",
     "running_completion_pmf",
     "QueueEntry",

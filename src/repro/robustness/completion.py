@@ -22,8 +22,6 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
 from repro.stoch.ops import convolve, convolve_many, prob_sum_at_most, shift, truncate_below
 from repro.stoch.pmf import PMF
 
@@ -32,7 +30,6 @@ __all__ = [
     "ready_pmf",
     "completion_pmf",
     "prob_on_time",
-    "prob_on_time_all_pstates",
 ]
 
 
@@ -81,28 +78,3 @@ def prob_on_time(ready: PMF, exec_pmf: PMF, deadline: float) -> float:
     Computed without convolution as ``sum_x P[X=x] * F_ready(d - x)``.
     """
     return prob_sum_at_most(ready, exec_pmf, deadline)
-
-
-def prob_on_time_all_pstates(
-    ready: PMF,
-    times_matrix: np.ndarray,
-    probs_matrix: np.ndarray,
-    deadline: float,
-) -> np.ndarray:
-    """On-time probabilities for every P-state of one core in one pass.
-
-    ``times_matrix``/``probs_matrix`` are one (type, node)'s P-state
-    pmfs padded to a common width (rows = P-states; padded entries have
-    zero probability and repeat the row's last impulse time).  Row ``pi``
-    of the result equals ``prob_on_time(ready, pmf[pi], deadline)``.
-    """
-    # Index of F_ready at (deadline - x) for each impulse time x:
-    # k = floor((deadline - x - ready.start) / dt); k < 0 contributes 0.
-    ks = np.floor((deadline - times_matrix - ready.start) / ready.dt + 1e-9).astype(np.int64)
-    # minimum+maximum instead of np.clip: exact on integers and cheaper
-    # to dispatch, which matters on this per-arrival-per-core path.
-    np.minimum(ks, ready.probs.size - 1, out=ks)
-    np.maximum(ks, -1, out=ks)
-    cdf = ready.cdf
-    fr = np.where(ks >= 0, cdf[np.maximum(ks, 0)], 0.0)
-    return np.einsum("pl,pl->p", probs_matrix, fr)

@@ -7,10 +7,11 @@ the system value (Eq. 4) is the sum over cores of per-core values
 (Eq. 3), each of which sums each queued/running task's probability of
 finishing on time.
 
-These functions serve validation, metrics and the robustness-aware
-extensions; the mapping hot path only ever needs the marginal
-``rho(i, j, k, pi, t_l, z)`` of the task being placed, which
-:mod:`repro.robustness.completion` provides directly.
+No program calls these functions: they are the scalar reference for
+Eqs. 3 and 4 that the tests hold the model to.  The mapping hot path
+only ever needs the marginal ``rho(i, j, k, pi, t_l, z)`` of the task
+being placed, which :mod:`repro.robustness.completion` provides
+directly.
 """
 
 from __future__ import annotations

@@ -81,11 +81,8 @@ class EngineHooks:
     override only the callbacks they need.  While a callback runs, the
     engine's ``now``, ``energy_estimate`` and the latest mapping
     decision (``decision_queue_depth``, ``decision_feasible``,
-    ``decision_rho``, ``decision``) are readable on it.
-
-    Implementations may mutate queues through the engine's public
-    cancellation API; they must not touch running tasks (the model
-    executes committed tasks to completion, Section III-B).
+    ``decision_rho``, ``decision``) are readable on it.  Subscribers
+    observe; queue policy is the engine's (``shedding``).
     """
 
     __slots__ = ()
@@ -107,7 +104,9 @@ class EngineHooks:
 
         ``disposition`` is ``"remapped"`` (displaced, re-placed),
         ``"lost"`` (displaced, no surviving placement) or ``"killed"``
-        (running task terminated under the ``"lost"`` policy).
+        (running task terminated under the ``"lost"`` policy).  The
+        ``dispatch_prob`` floor reports a queued task it drops from a
+        freed core as ``"dropped"``.
         """
 
     def on_shed(self, engine: "Engine", task: Task, cause: str, deferred: bool) -> None:
@@ -165,8 +164,8 @@ class Engine:
     hooks:
         :class:`EngineHooks` subscribers, called in order on every
         mapping, discard, completion, fault, orphan and shed.  Mapping
-        traces, observability adapters, timelines and the Section VIII
-        extensions all attach here.
+        traces, observability adapters, timelines and window accounting
+        all attach here.
     tracer:
         Optional :class:`Tracer` timing each event handler as a span
         (``engine.arrival``, ``engine.completion``, ``engine.fault``,
@@ -216,7 +215,9 @@ class Engine:
         (default: running tasks lost, orphans re-mapped).
     shedding:
         Optional :class:`~repro.faults.SheddingConfig`; arrivals are
-        deferred or shed when its thresholds trip (overload protection).
+        deferred or shed when its thresholds trip (overload protection),
+        and queued tasks below its ``dispatch_prob`` floor are dropped
+        when their core frees up.
 
     The four service parameters default to batch semantics; any engine
     constructed without them behaves bit-for-bit as before.  The same
@@ -290,6 +291,7 @@ class Engine:
             if shedding is not None and shedding.enabled
             else None
         )
+        self._dispatch_prob = None if shedding is None else shedding.dispatch_prob
         # The latest mapping decision, set by _map (rho 0.0 when nothing
         # was chosen, decision None when nothing was committed).
         self.decision_queue_depth = 0.0
@@ -307,7 +309,7 @@ class Engine:
         self._ran = False
 
     # ------------------------------------------------------------------
-    # Introspection used by hooks / extensions
+    # Introspection used by hooks
     # ------------------------------------------------------------------
 
     @property
@@ -335,58 +337,6 @@ class Engine:
         totals are its own ``stats()``.
         """
         return self._kernel_cache.stats().since(self._cache_base)
-
-    def cancel_queued(self, core_id: int, task_id: int) -> bool:
-        """Cancellation extension: drop a *queued* (not running) task.
-
-        The task becomes a discard (it will never complete).  Returns
-        whether the task was found and removed.
-        """
-        entry = self.cores[core_id].remove_queued(task_id)
-        if entry is None:
-            return False
-        self._in_system -= 1
-        if self._track_outcomes:
-            self._outcomes[task_id] = None  # rebranded as discarded
-        return True
-
-    def move_queued(
-        self, from_core_id: int, task_id: int, to_core_id: int, pstate: int
-    ) -> bool:
-        """Rescheduling extension: relocate a *queued* task to another core.
-
-        The baseline model forbids reassignment (Section III-B); this
-        method exists for the Section VIII "reschedule tasks" extension
-        and is only ever invoked by hooks that opt in.  The task keeps
-        its identity; its pmf is re-resolved for the destination node and
-        the heuristic's energy estimate is adjusted by the EEC delta.
-        Starts immediately if the destination core is idle.  Returns
-        whether the task was found and moved.
-        """
-        if from_core_id == to_core_id:
-            return False
-        entry = self.cores[from_core_id].remove_queued(task_id)
-        if entry is None:
-            return False
-        task = entry.task
-        to_core = self.cores[to_core_id]
-        exec_pmf = self.system.table.pmf(task.type_id, to_core.node_index, pstate)
-        new_entry = QueuedTask(task=task, pstate=pstate, exec_pmf=exec_pmf)
-        eec = self.system.table.eec
-        from_node = self.cores[from_core_id].node_index
-        old_cost = float(eec[task.type_id, from_node, entry.pstate])
-        new_cost = float(eec[task.type_id, to_core.node_index, pstate])
-        self.energy_estimate -= new_cost - old_cost
-        if self._track_outcomes:
-            pending = self._outcomes[task_id]
-            assert pending is not None
-            pending.core_id = to_core_id
-            pending.pstate = pstate
-        if to_core.running is None:
-            self._start_task(to_core, new_entry, self._now)
-        else:
-            to_core.enqueue(new_entry)
-        return True
 
     # ------------------------------------------------------------------
     # Event helpers
@@ -560,14 +510,29 @@ class Engine:
         self._in_system -= 1
         for hook in self.hooks:
             hook.on_completion(self, core_id, running.task, t_now)
-        if core.running is not None:
-            return True  # a hook (e.g. work stealing) already started new work
         nxt = core.pop_next()
+        floor = self._dispatch_prob
+        if floor is not None:
+            while (
+                nxt is not None
+                and nxt.exec_pmf.prob_at_most(nxt.task.deadline - t_now) < floor
+            ):
+                self._drop(nxt.task, core_id)
+                nxt = core.pop_next()
         if nxt is not None:
             self._start_task(core, nxt, t_now)
         else:
             self.ledger.record(core_id, t_now, IDLE_PSTATE)
         return True
+
+    def _drop(self, task: Task, core_id: int) -> None:
+        """The dispatch floor drops a queued task: it never completes."""
+        self._in_system -= 1
+        self.fault_stats.lost += 1
+        if self._track_outcomes:
+            self._outcomes[task.task_id] = None
+        for hook in self.hooks:
+            hook.on_orphaned(self, task, core_id, "dropped")
 
     def _handle_fault(self, transition: FaultTransition, t_now: float) -> None:
         """Fold one fail/recover edge into cluster state and recover work."""

@@ -57,7 +57,7 @@ __all__ = ["CandidateBuilder"]
 
 # Rho rows index each row's ready CDF at ``floor(y)``, where
 # ``y = (deadline - time - start) / dt + 1e-9`` is evaluated per impulse
-# (``prob_on_time_all_pstates``).  Impulse ``l`` of a P-state sits at
+# (``tests/reference_mapper.py::prob_on_time_all_pstates``).  Impulse ``l`` of a P-state sits at
 # ``time_0 + l*dt``, so ``y_l = y_0 - l`` up to rounding: four operations
 # on magnitudes up to ``scale = |deadline| + |time| + |start|`` plus the
 # time grid's own two, about ``6 * eps * scale / dt`` index units between
@@ -288,8 +288,8 @@ class _ArrivalColumns:
         at the first impulse; one gather from the arena's windows then
         yields the CDF value at every impulse, and the per-P-state dot
         runs per node on its contiguous (P, width) slice.  The values
-        gathered, and the dot over them, are those
-        prob_on_time_all_pstates computes one core at a time: a pair
+        gathered, and the dot over them, are those the reference
+        oracle's prob_on_time_all_pstates computes one core at a time: a pair
         whose index rounding could differ between impulses (see
         ``_INDEX_MARGIN_REL``) is recomputed with its per-impulse
         expression.  Each row is an independent reduction, so a

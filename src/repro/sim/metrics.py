@@ -151,8 +151,8 @@ class WindowStats:
     admission controller, ``deferred`` counts retry pushes (not
     terminal), ``orphaned`` tasks were displaced by an outage,
     ``remapped`` is the subset successfully re-placed, and ``lost``
-    covers killed running tasks plus orphans no surviving core could
-    take.
+    covers killed running tasks, orphans no surviving core could take
+    and queued tasks dropped below the ``dispatch_prob`` floor.
     """
 
     start: float
@@ -417,11 +417,12 @@ class WindowAccumulator(EngineHooks):
         self._in_system = engine.in_system
 
     def on_orphaned(self, engine: Engine, task: Task, core_id: int, disposition: str) -> None:
-        """An outage hit a task: ``remapped``, ``lost``, or ``killed``.
+        """A mapped task left its core: ``remapped``, ``lost``, ``killed`` or ``dropped``.
 
-        ``remapped``/``lost`` tasks were displaced (and count as
-        orphaned); ``killed`` running tasks were terminated outright
-        under the ``"lost"`` policy and count only as lost.
+        ``remapped``/``lost`` tasks were displaced by an outage (and
+        count as orphaned); ``killed`` running tasks were terminated
+        outright under the ``"lost"`` policy, and ``dropped`` queued
+        tasks fell below the dispatch floor — both count only as lost.
         """
         self._roll(engine.now)
         if disposition == "remapped":
@@ -430,7 +431,7 @@ class WindowAccumulator(EngineHooks):
         elif disposition == "lost":
             self._orphaned += 1
             self._lost += 1
-        elif disposition == "killed":
+        elif disposition in ("killed", "dropped"):
             self._lost += 1
         else:
             raise ValueError(f"unknown orphan disposition {disposition!r}")

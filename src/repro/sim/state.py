@@ -206,16 +206,6 @@ class CoreState:
         self._queue_conv = None
         return entry
 
-    def remove_queued(self, task_id: int) -> QueuedTask | None:
-        """Remove a specific queued task (cancellation extension)."""
-        for entry in self.queue:
-            if entry.task.task_id == task_id:
-                self.queue.remove(entry)
-                self._changed()
-                self._queue_conv = None
-                return entry
-        return None
-
     # ------------------------------------------------------------------
     # Ready-time distribution
     # ------------------------------------------------------------------

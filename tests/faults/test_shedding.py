@@ -1,10 +1,11 @@
-"""Admission-controller behavior: defer, shed, and the min-prob floor."""
+"""Admission-controller behavior: defer, shed, the min-prob floor, and
+the dispatch floor that drops hopeless queued tasks."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro import api
+from repro import api, build_trial_system
 from repro.faults import (
     SHED_BUDGET,
     SHED_QUEUE_DEPTH,
@@ -14,8 +15,13 @@ from repro.faults import (
     FaultSchedule,
     SheddingConfig,
 )
+from repro.filters.chain import build_filter_chain
+from repro.heuristics.mect import MinimumExpectedCompletionTime
+from repro.obs.manifest import trial_digest
 from repro.service import ServiceConfig, serve_system
-from tests.conftest import tiny_config
+from repro.sim.engine import Engine, EngineHooks
+from repro.validation import validate_trial
+from tests.conftest import small_config, tiny_config
 
 
 @pytest.fixture(scope="module")
@@ -40,6 +46,8 @@ class TestSheddingConfig:
             dict(min_prob=-0.1),
             dict(queue_depth=1.0, defer=0.0),
             dict(queue_depth=1.0, max_defers=-1),
+            dict(dispatch_prob=1.5),
+            dict(dispatch_prob=-0.1),
         ],
     )
     def test_invalid_thresholds_rejected(self, kwargs):
@@ -50,6 +58,7 @@ class TestSheddingConfig:
         assert SheddingConfig(queue_depth=2.0).enabled
         assert SheddingConfig(budget_frac=0.1).enabled
         assert SheddingConfig(min_prob=0.5).enabled
+        assert SheddingConfig(dispatch_prob=0.5).enabled
 
 
 class TestAdmissionController:
@@ -147,3 +156,116 @@ class TestEngineShedding:
             w.to_dict() for w in second.windows
         ]
         assert first.fault_totals == second.fault_totals
+
+
+class _Drops(EngineHooks):
+    """Records the ids the dispatch floor drops and the ids that complete."""
+
+    def __init__(self) -> None:
+        self.dropped: list[int] = []
+        self.completed: set[int] = set()
+
+    def on_completion(self, engine, core_id, task, t_now) -> None:
+        self.completed.add(task.task_id)
+
+    def on_orphaned(self, engine, task, core_id, disposition) -> None:
+        assert disposition == "dropped"
+        self.dropped.append(task.task_id)
+
+
+class TestDispatchFloor:
+    """``dispatch_prob``: a freed core drops queued tasks below the floor."""
+
+    @pytest.fixture(scope="class")
+    def congested(self):
+        # Two nodes under bursts at 10x the equilibrium rate: queues build
+        # up and queued tasks fall below the floor before they start.
+        system = build_trial_system(
+            small_config(seed=17).with_updates(
+                cluster={"num_nodes": 2}, workload={"fast_ratio": 10.0}
+            )
+        )
+        baseline = Engine(
+            system, MinimumExpectedCompletionTime(), build_filter_chain("none")
+        ).run()
+        drops = _Drops()
+        engine = Engine(
+            system,
+            MinimumExpectedCompletionTime(),
+            build_filter_chain("none"),
+            hooks=(drops,),
+            shedding=SheddingConfig(dispatch_prob=0.25),
+        )
+        return system, baseline, engine, engine.run(), drops
+
+    def test_dropped_tasks_never_complete(self, congested):
+        _, _, _, result, drops = congested
+        assert drops.dropped, "the congested system dropped nothing"
+        assert len(set(drops.dropped)) == len(drops.dropped)
+        assert not set(drops.dropped) & drops.completed
+        completed_ids = {o.task_id for o in result.outcomes if not o.discarded}
+        assert not set(drops.dropped) & completed_ids
+
+    def test_drops_become_discards(self, congested):
+        _, baseline, engine, result, drops = congested
+        assert engine.fault_stats.lost == len(drops.dropped)
+        # MECT/none discards nothing on its own: every drop is a discard.
+        assert result.discarded - baseline.discarded == engine.fault_stats.lost
+
+    def test_accounting_still_consistent(self, congested):
+        _, _, engine, result, _ = congested
+        assert engine.in_system == 0
+        assert result.missed == result.discarded + result.late + result.energy_cutoff
+
+    def test_floor_does_not_raise_misses(self, congested):
+        _, baseline, _, result, drops = congested
+        # Dropping sub-25% tasks frees their core time for the rest.
+        assert result.missed <= baseline.missed
+
+    def test_floored_run_validates(self, congested):
+        system, _, engine, result, _ = congested
+        validate_trial(system, result, engine)
+
+    def test_zero_floor_is_inert(self, system):
+        # A floor of 0 never drops (no probability is below it), and an
+        # unset floor is no check at all: both replay the plain run.
+        def digest(shedding):
+            engine = Engine(
+                system,
+                MinimumExpectedCompletionTime(),
+                build_filter_chain("none"),
+                shedding=shedding,
+            )
+            return trial_digest(engine.run())
+
+        plain = digest(SheddingConfig(queue_depth=1.5))
+        assert digest(SheddingConfig(queue_depth=1.5, dispatch_prob=None)) == plain
+        assert digest(SheddingConfig(queue_depth=1.5, dispatch_prob=0.0)) == plain
+
+    def test_serve_keeps_window_identities(self, scenario, system):
+        def serve(shedding):
+            return serve_system(
+                system,
+                scenario.spec,
+                ServiceConfig(
+                    **TestEngineShedding.BASE,
+                    faults=TestEngineShedding.OUTAGE,
+                    shedding=shedding,
+                ),
+            )
+
+        unfloored = serve(SheddingConfig(queue_depth=2.0))
+        floored = serve(SheddingConfig(queue_depth=2.0, dispatch_prob=0.5))
+        assert floored.fault_totals["lost"] > unfloored.fault_totals["lost"]
+        in_system = 0
+        for w in floored.windows:
+            assert w.arrivals == w.mapped + w.discarded + w.shed
+            assert w.completed == w.on_time + w.late
+            in_system += w.mapped - w.completed - w.lost
+            assert w.in_system_end == in_system
+        totals = floored.totals
+        assert totals.arrivals == TestEngineShedding.BASE["task_limit"]
+        assert totals.arrivals == totals.mapped + totals.discarded + totals.shed
+        assert totals.mapped == totals.completed + totals.lost
+        assert totals.in_system_end == 0
+        assert floored.fault_totals["lost"] == totals.lost

@@ -10,7 +10,7 @@ import pytest
 from repro.obs.events import TaskCompleted, TaskMapped, event_from_dict
 from repro.obs.sinks import (
     DEPTH_EDGES,
-    LATENCY_EDGES,
+    GRID_EDGES,
     Histogram,
     JsonlSink,
     MetricsRegistry,
@@ -162,7 +162,7 @@ class TestHistogram:
             Histogram(edges=(2.0, 1.0))
 
     def test_default_edges_strictly_increasing(self):
-        for edges in (LATENCY_EDGES, DEPTH_EDGES):
+        for edges in (DEPTH_EDGES, GRID_EDGES):
             assert all(b > a for a, b in zip(edges, edges[1:]))
 
 

@@ -22,17 +22,19 @@ from typing import Sequence
 import numpy as np
 
 from repro.heuristics.base import CandidateSet
-from repro.robustness.completion import (
-    prob_on_time_all_pstates,
-    ready_pmf,
-    running_completion_pmf,
-)
+from repro.robustness.completion import ready_pmf, running_completion_pmf
 from repro.sim.state import CoreState
 from repro.stoch.pmf import PMF
 from repro.workload.pmf_table import ExecutionTimeTable
 from repro.workload.task import Task
 
-__all__ = ["PaddedPMFMatrix", "build_candidate_set", "padded", "reference_ready_pmf"]
+__all__ = [
+    "PaddedPMFMatrix",
+    "build_candidate_set",
+    "padded",
+    "prob_on_time_all_pstates",
+    "reference_ready_pmf",
+]
 
 
 @dataclass(frozen=True)
@@ -74,6 +76,29 @@ def reference_ready_pmf(core: CoreState, t_now: float) -> PMF:
         t_now,
         core.dt,
     )
+
+
+def prob_on_time_all_pstates(
+    ready: PMF,
+    times_matrix: np.ndarray,
+    probs_matrix: np.ndarray,
+    deadline: float,
+) -> np.ndarray:
+    """On-time probabilities for every P-state of one core in one pass.
+
+    ``times_matrix``/``probs_matrix`` are one (type, node)'s P-state
+    pmfs padded to a common width (rows = P-states; padded entries have
+    zero probability and repeat the row's last impulse time).  Row ``pi``
+    of the result equals ``prob_on_time(ready, pmf[pi], deadline)``.
+    """
+    # Index of F_ready at (deadline - x) for each impulse time x:
+    # k = floor((deadline - x - ready.start) / dt); k < 0 contributes 0.
+    ks = np.floor((deadline - times_matrix - ready.start) / ready.dt + 1e-9).astype(np.int64)
+    np.minimum(ks, ready.probs.size - 1, out=ks)
+    np.maximum(ks, -1, out=ks)
+    cdf = ready.cdf
+    fr = np.where(ks >= 0, cdf[np.maximum(ks, 0)], 0.0)
+    return np.einsum("pl,pl->p", probs_matrix, fr)
 
 
 def build_candidate_set(

@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.robustness.completion import (
     completion_pmf,
     prob_on_time,
-    prob_on_time_all_pstates,
     ready_pmf,
     running_completion_pmf,
 )
@@ -87,34 +85,3 @@ class TestCompletionAndProb:
         ready = PMF.delta(0.0, 1.0)
         assert prob_on_time(ready, exec_pmf(), 5.0) == 0.0
         assert prob_on_time(ready, exec_pmf(), 100.0) == pytest.approx(1.0)
-
-
-class TestAllPStatesMatrix:
-    def test_matches_per_pstate_calls(self):
-        rng = np.random.default_rng(0)
-        ready = PMF(3.0, 1.0, rng.random(12))
-        pmfs = [
-            PMF(5.0 + pi, 1.0, rng.random(4 + pi))
-            for pi in range(4)
-        ]
-        L = max(len(p) for p in pmfs)
-        times = np.zeros((4, L))
-        probs = np.zeros((4, L))
-        for pi, p in enumerate(pmfs):
-            times[pi, : len(p)] = p.times
-            times[pi, len(p) :] = p.stop
-            probs[pi, : len(p)] = p.probs
-        deadline = 14.0
-        out = prob_on_time_all_pstates(ready, times, probs, deadline)
-        expected = np.array([prob_on_time(ready, p, deadline) for p in pmfs])
-        assert np.allclose(out, expected, atol=1e-12)
-
-    def test_monotone_in_deadline(self):
-        rng = np.random.default_rng(1)
-        ready = PMF(0.0, 1.0, rng.random(10))
-        times = np.tile(np.arange(5.0, 11.0), (2, 1))
-        probs = np.tile(np.full(6, 1 / 6), (2, 1))
-        vals = [
-            prob_on_time_all_pstates(ready, times, probs, d)[0] for d in np.linspace(0, 30, 15)
-        ]
-        assert all(a <= b + 1e-12 for a, b in zip(vals, vals[1:]))

@@ -67,6 +67,7 @@ fault_settings = st.one_of(
 shedding_configs = st.builds(
     SheddingConfig,
     queue_depth=st.none() | st.floats(min_value=0.5, max_value=50.0, allow_nan=False, width=32),
+    dispatch_prob=st.none() | st.floats(min_value=0.0, max_value=1.0, allow_nan=False, width=32),
     defer=st.none() | st.floats(min_value=1.0, max_value=600.0, allow_nan=False, width=32),
     max_defers=st.integers(min_value=0, max_value=5),
 )

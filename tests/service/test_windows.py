@@ -162,9 +162,10 @@ class TestWindowAccumulator:
         engine.orphaned(3.0, "remapped")
         engine.orphaned(4.0, "lost")
         engine.orphaned(5.0, "killed")
+        engine.orphaned(5.0, "dropped")
         (w,) = acc.flush(5.0)
         assert (w.shed, w.deferred, w.arrivals) == (1, 1, 1)
-        assert (w.orphaned, w.remapped, w.lost) == (2, 1, 2)
+        assert (w.orphaned, w.remapped, w.lost) == (2, 1, 3)
         with pytest.raises(ValueError, match="disposition"):
             engine.orphaned(6.0, "vanished")
 

@@ -81,16 +81,6 @@ class TestMutationRules:
         assert core.pop_next().task.task_id == 2
         assert core.pop_next() is None
 
-    def test_remove_queued(self):
-        core = CoreState(0, 0, dt=1.0)
-        core.set_running(running())
-        core.enqueue(queued(1))
-        core.enqueue(queued(2))
-        removed = core.remove_queued(1)
-        assert removed is not None and removed.task.task_id == 1
-        assert core.assigned_count == 2
-        assert core.remove_queued(99) is None
-
 
 class TestReadyPMF:
     def test_idle_ready_now(self):

@@ -1,8 +1,8 @@
 """Property test: CoreState's cached queue convolution is exact.
 
-Every queue mutation (``enqueue``, ``pop_next``, ``remove_queued``)
-invalidates the cached queue convolution, and the next read folds the
-whole queue once with ``convolve_many``.  The property pinned here:
+Every queue mutation (``enqueue``, ``pop_next``) invalidates the
+cached queue convolution, and the next read folds the whole queue once
+with ``convolve_many``.  The property pinned here:
 under *any* interleaving of those mutations, ``ready_pmf`` is bitwise
 equal to the from-scratch recomputation —
 ``truncate_below(shift(running, start), t)`` convolved with
@@ -37,12 +37,11 @@ def _queued(task_id: int, mean: float) -> QueuedTask:
     )
 
 
-#: An op is ("enqueue", mean) | ("pop",) | ("remove", position-draw).
+#: An op is ("enqueue", mean) | ("pop",).
 ops = st.lists(
     st.one_of(
         st.tuples(st.just("enqueue"), st.sampled_from(MEANS)),
         st.tuples(st.just("pop")),
-        st.tuples(st.just("remove"), st.integers(min_value=0, max_value=7)),
     ),
     min_size=1,
     max_size=12,
@@ -76,12 +75,8 @@ def test_ready_pmf_matches_from_scratch_fold(op_list):
         if op[0] == "enqueue":
             state.enqueue(_queued(next_id, op[1]))
             next_id += 1
-        elif op[0] == "pop":
-            state.pop_next()
         else:
-            if state.queue:
-                victim = list(state.queue)[op[1] % len(state.queue)]
-                state.remove_queued(victim.task.task_id)
+            state.pop_next()
         got = state.ready_pmf(T_NOW)
         ref = _reference_ready(state)
         assert got.start == ref.start

@@ -142,6 +142,14 @@ class TestCommands:
         assert data["format"] == "repro.metrics/1"
         assert data["counters"]["trials_run"] == 1
 
+    def test_metrics_out_is_byte_identical_across_runs(self, capsys, tmp_path):
+        # Wall time goes to --profile-out only: two identical runs write
+        # the same metrics file byte for byte.
+        paths = [tmp_path / "m1.json", tmp_path / "m2.json"]
+        for path in paths:
+            assert main(["trial", "--tasks", "60", "--metrics-out", str(path)]) == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
     def test_sweep(self, capsys):
         code = main(
             [
@@ -890,6 +898,22 @@ class TestFaultFileErrors:
         message = info.value.code
         assert isinstance(message, str) and "\n" not in message
         assert message.startswith(f"repro {command}: ")
+
+
+class TestShedDeferErrors:
+    """``--shed-defer`` without a threshold that defers is refused."""
+
+    @pytest.mark.parametrize("extra", [[], ["--shed-min-prob", "0.1"]], ids=["alone", "min-prob"])
+    @pytest.mark.parametrize("command", ["trial", "serve"])
+    def test_shed_defer_needs_a_deferring_threshold(self, command, extra):
+        argv = [command, *TINY, "--shed-defer", "5", *extra]
+        if command == "serve":
+            argv += ["--traffic", "replay"]
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == (
+            f"repro {command}: --shed-defer needs --shed-queue-depth or --shed-budget-frac"
+        )
 
 
 class TestInputFileErrors:

@@ -7,15 +7,14 @@ from dataclasses import replace
 import pytest
 
 from repro import build_trial_system
-from repro.extensions.cancellation import AbandonHopelessPolicy
-from repro.extensions.rescheduling import WorkStealingPolicy
+from repro.faults import SheddingConfig
 from repro.filters.chain import build_filter_chain
 from repro.heuristics.lightest_load import LightestLoad
 from repro.heuristics.mect import MinimumExpectedCompletionTime
 from repro.sim.engine import Engine
 from repro.sim.results import TaskOutcome
 from repro.validation import ValidationError, validate_trial
-from tests.conftest import tiny_config
+from tests.conftest import small_config, tiny_config
 
 
 @pytest.fixture(scope="module")
@@ -38,27 +37,23 @@ class TestCleanTrialsValidate:
         engine, result = clean_run
         validate_trial(tiny_system, result, engine)
 
-    def test_with_cancellation_hooks(self, tiny_system):
-        hooks = AbandonHopelessPolicy(0.25)
+    def test_with_dispatch_floor(self):
+        # Two nodes under bursts at 10x the equilibrium rate: queues
+        # build up and the floor drops tasks at dispatch.
+        system = build_trial_system(
+            small_config(seed=17).with_updates(
+                cluster={"num_nodes": 2}, workload={"fast_ratio": 10.0}
+            )
+        )
         engine = Engine(
-            tiny_system,
+            system,
             MinimumExpectedCompletionTime(),
             build_filter_chain("none"),
-            hooks=(hooks,),
+            shedding=SheddingConfig(dispatch_prob=0.25),
         )
         result = engine.run()
-        validate_trial(tiny_system, result, engine)
-
-    def test_with_work_stealing_hooks(self, tiny_system):
-        hooks = WorkStealingPolicy()
-        engine = Engine(
-            tiny_system,
-            MinimumExpectedCompletionTime(),
-            build_filter_chain("rob"),
-            hooks=(hooks,),
-        )
-        result = engine.run()
-        validate_trial(tiny_system, result, engine)
+        assert engine.fault_stats.lost > 0, "the floor dropped nothing"
+        validate_trial(system, result, engine)
 
     def test_batch_engine_output_validates(self, tiny_system):
         from repro.extensions.batch_mode import run_batch_trial
