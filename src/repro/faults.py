@@ -337,9 +337,10 @@ class SheddingConfig:
         before starting the next one.  A drop counts as lost, like a
         mapped task killed by an outage.
     defer:
-        When a threshold trips, re-try the arrival this many simulated
-        seconds later instead of dropping it immediately (``None``
-        drops at once).
+        When the queue-depth or budget threshold trips, re-try the
+        arrival this many simulated seconds later instead of dropping it
+        immediately (``None`` drops at once).  Requires ``queue_depth``
+        or ``budget_frac``: no other check defers.
     max_defers:
         Deferrals per task before it is shed for good.
     """
@@ -362,18 +363,26 @@ class SheddingConfig:
             raise ValueError(f"dispatch_prob must be in [0, 1], got {self.dispatch_prob}")
         if self.defer is not None and not (self.defer > 0.0):
             raise ValueError(f"defer must be positive, got {self.defer}")
+        if self.defer is not None and self.queue_depth is None and self.budget_frac is None:
+            # Only queue-depth and budget trips defer; anything else
+            # would silently run without the deferral asked for.
+            raise ValueError("defer needs queue_depth or budget_frac")
         if self.max_defers < 0:
             raise ValueError(f"max_defers must be >= 0, got {self.max_defers}")
 
     @property
-    def enabled(self) -> bool:
-        """Whether any check is active."""
+    def screens_arrivals(self) -> bool:
+        """Whether an admission check (queue depth, budget, rho floor) is set."""
         return (
             self.queue_depth is not None
             or self.budget_frac is not None
             or self.min_prob is not None
-            or self.dispatch_prob is not None
         )
+
+    @property
+    def enabled(self) -> bool:
+        """Whether any check is active."""
+        return self.screens_arrivals or self.dispatch_prob is not None
 
 
 class AdmissionController:

@@ -34,7 +34,8 @@ inspectable without touching the engine's hot path:
   subscriber, attached only when a service run asks for one;
 * :mod:`repro.obs.export` — telemetry export surfaces: Prometheus text
   rendering, an atomic file exporter, and a stdlib HTTP scrape
-  endpoint (:class:`TelemetryServer`);
+  endpoint (:class:`TelemetryServer`), whose handler
+  (:mod:`repro.obs.scrape`) loads only when a server starts;
 * :mod:`repro.obs.monitor` — the ``repro monitor`` dashboard: tail
   window JSONL (or scrape a live endpoint) into a terminal view.
 

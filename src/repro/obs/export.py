@@ -13,7 +13,9 @@ Three ways out for a :class:`~repro.obs.telemetry.Telemetry` snapshot:
   on a daemon thread serving ``GET /metrics`` (Prometheus text) and
   ``GET /health`` (JSON roll-up; 503 while any SLO rule fires, so a
   load balancer can act on it).  ``port=0`` binds an ephemeral port;
-  :meth:`TelemetryServer.start` returns the bound port.
+  :meth:`TelemetryServer.start` returns the bound port.  The HTTP
+  handler lives in :mod:`repro.obs.scrape`, which ``start`` imports:
+  the HTTP/TLS stack loads only when a server starts.
 
 Everything here is stdlib + the telemetry snapshot: no engine imports,
 no third-party servers, nothing on the simulation hot path.
@@ -21,15 +23,14 @@ no third-party servers, nothing on the simulation hot path.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping
 
 if TYPE_CHECKING:  # pragma: no cover - hints only
+    from repro.obs.scrape import ScrapeServer
     from repro.obs.telemetry import Telemetry
 
 __all__ = [
@@ -246,36 +247,6 @@ class FileExporter:
         self.exports += 1
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """Serves /metrics (Prometheus text) and /health (JSON)."""
-
-    server: "TelemetryServer._Server"  # type: ignore[assignment]
-
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        telemetry = self.server.telemetry
-        path = self.path.split("?", 1)[0]
-        if path in ("/metrics", "/"):
-            body = telemetry.render_prometheus().encode("utf-8")
-            self._reply(200, CONTENT_TYPE, body)
-        elif path == "/health":
-            health = telemetry.health()
-            body = json.dumps(health, indent=2).encode("utf-8")
-            status = 200 if health["healthy"] else 503
-            self._reply(status, "application/json", body)
-        else:
-            self._reply(404, "text/plain; charset=utf-8", b"not found\n")
-
-    def _reply(self, status: int, content_type: str, body: bytes) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, fmt: str, *args: Any) -> None:  # noqa: D102
-        pass  # scrapes should not spam the service's stderr
-
-
 class TelemetryServer:
     """Background scrape endpoint over one :class:`Telemetry` hub.
 
@@ -285,25 +256,22 @@ class TelemetryServer:
     the actual bound port either way.
     """
 
-    class _Server(ThreadingHTTPServer):
-        daemon_threads = True
-        telemetry: "Telemetry"
-
     def __init__(
         self, telemetry: "Telemetry", *, port: int = 9464, host: str = "127.0.0.1"
     ) -> None:
         self.telemetry = telemetry
         self.host = host
         self.port = port
-        self._server: TelemetryServer._Server | None = None
+        self._server: ScrapeServer | None = None
         self._thread: threading.Thread | None = None
 
     def start(self) -> int:
         """Bind and serve in the background; returns the bound port."""
         if self._server is not None:
             raise RuntimeError("telemetry server already started")
-        server = self._Server((self.host, self.port), _Handler)
-        server.telemetry = self.telemetry
+        from repro.obs.scrape import ScrapeServer
+
+        server = ScrapeServer((self.host, self.port), self.telemetry)
         self._server = server
         self.port = server.server_address[1]
         self._thread = threading.Thread(

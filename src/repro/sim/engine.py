@@ -286,9 +286,11 @@ class Engine:
             self._fault_transitions = ()
             self._availability = None
         self._fault_next = 0
+        # The dispatch floor is the engine's own check: a config with no
+        # admission threshold builds no controller.
         self._shedder = (
             AdmissionController(shedding)
-            if shedding is not None and shedding.enabled
+            if shedding is not None and shedding.screens_arrivals
             else None
         )
         self._dispatch_prob = None if shedding is None else shedding.dispatch_prob

@@ -17,14 +17,15 @@ this module loads no scipy.
 from __future__ import annotations
 
 import math
+from typing import Iterator
 
 import numpy as np
 
 from repro.stoch.pmf import PMF
 
-__all__ = ["discretized_gamma", "discretized_gamma_batch"]
+__all__ = ["discretized_gamma", "iter_discretized_gamma"]
 
-#: Bin edges per ``gammainc`` call of :func:`discretized_gamma_batch`
+#: Bin edges per ``gammainc`` call of :func:`iter_discretized_gamma`
 #: (128 KB per float64 array).  Blocking bounds the batch's transient
 #: memory; the pmfs are bitwise the same at any block size.
 _BLOCK_EDGES = 16384
@@ -91,9 +92,9 @@ def discretized_gamma(mean: float, cv: float, dt: float, *, tail_sigmas: float =
     return _from_cdf(cdf_vals, edges, dt)
 
 
-def discretized_gamma_batch(
+def iter_discretized_gamma(
     means: np.ndarray, cv: float, dt: float, *, tail_sigmas: float = 4.0
-) -> list[PMF]:
+) -> Iterator[PMF]:
     """Batch form of :func:`discretized_gamma`: one pmf per entry of ``means``.
 
     All laws share ``cv`` (hence the gamma shape) and the grid, which is
@@ -104,13 +105,16 @@ def discretized_gamma_batch(
     transient arrays stay block-sized however many laws there are.
     Every arithmetic step (support bounds, edge indices, CDF, bin-mass
     differences, clipping, normalization) is the same elementwise
-    expression the scalar path evaluates, so each returned pmf is
+    expression the scalar path evaluates, so each yielded pmf is
     bitwise identical to ``discretized_gamma(means[i], ...)`` whatever
     the blocking; enforced by ``tests/stoch/test_distributions.py``.
+    The pmfs are yielded as each block produces them, so a consumer that
+    copies them elsewhere never holds more than a block's worth.  The
+    arguments are validated on the first ``next``.
     """
     means = np.asarray(means, dtype=np.float64).ravel()
     if means.size == 0:
-        return []
+        return
     if cv <= 0.0 or not np.all(means > 0.0):
         raise ValueError("mean and cv must be positive")
     _check_dt(dt)
@@ -127,7 +131,6 @@ def discretized_gamma_batch(
     counts = lasts - firsts + 1  # bin edges per law
     offsets = np.zeros(means.size + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
-    out: list[PMF] = []
     lo = 0
     while lo < means.size:
         # Laws [lo, hi): as many as fit the block, and at least one.
@@ -150,6 +153,5 @@ def discretized_gamma_batch(
         for i in range(hi - lo):
             o = int(block[i])
             n = int(block[i + 1]) - o
-            out.append(_from_masses(masses[o : o + n - 1].copy(), float(edges[o]), dt))
+            yield _from_masses(masses[o : o + n - 1].copy(), float(edges[o]), dt)
         lo = hi
-    return out

@@ -7,8 +7,10 @@ dense and contiguous, so all algebra reduces to NumPy vector primitives.
 times); only ``dt`` must agree between operands of a convolution, because
 offsets add while the grid step is preserved.
 
-Instances are *logically immutable*: no public method mutates ``probs``.
-The cumulative sum used by CDF queries is computed lazily and cached.
+Instances are *logically immutable*: no public method mutates ``probs``,
+which is always a read-only array (for an execution-time table pmf, a
+view of a row of its cell's matrix).  The cumulative sum used by CDF
+queries is not kept: :attr:`PMF.cdf` computes it afresh on each read.
 :class:`InternedKernel` is a start-independent snapshot of a finished pmf,
 the entry type of the kernel cache.
 """
@@ -55,7 +57,7 @@ class PMF:
     tails do this internally).
     """
 
-    __slots__ = ("start", "dt", "probs", "_cdf", "_m1", "_key")
+    __slots__ = ("start", "dt", "probs", "_m1", "_key")
 
     start: float
     dt: float
@@ -92,7 +94,6 @@ class PMF:
         object.__setattr__(self, "start", float(start))
         object.__setattr__(self, "dt", float(dt))
         object.__setattr__(self, "probs", arr)
-        object.__setattr__(self, "_cdf", None)
         object.__setattr__(self, "_m1", None)
         object.__setattr__(self, "_key", None)
 
@@ -120,10 +121,11 @@ class PMF:
     ) -> "PMF":
         """Wrap an *already-validated, read-only* probability array.
 
-        Fast path for the kernel cache (:mod:`repro.perf`): the array
-        came out of a regular :class:`PMF` earlier, so re-running the
-        constructor's validation and normalization would only burn time
-        (and a renormalization could perturb the stored bits).  ``key``
+        Fast path for the kernel cache (:mod:`repro.perf`) and the
+        execution-time table's row views: the array came out of a
+        regular :class:`PMF` earlier, so re-running the constructor's
+        validation and normalization would only burn time (and a
+        renormalization could perturb the stored bits).  ``key``
         and ``m1`` optionally pre-seed the content digest and the first
         moment so interned siblings share them — both are functions of
         ``probs`` alone, so carrying them over is exact.  Not part of
@@ -133,10 +135,21 @@ class PMF:
         object.__setattr__(self, "start", float(start))
         object.__setattr__(self, "dt", float(dt))
         object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "_cdf", None)
         object.__setattr__(self, "_m1", m1)
         object.__setattr__(self, "_key", key)
         return self
+
+    def _moved_to(self, probs: np.ndarray) -> "PMF":
+        """This pmf with its probabilities stored in ``probs``.
+
+        ``probs`` must be a read-only array bitwise equal to
+        ``self.probs`` (the execution-time table passes a row view of
+        its cell matrix).  The first moment is computed here, on the
+        original array, and carried over, so the moved pmf's ``mean()``
+        is bitwise this one's.  Not part of the public surface.
+        """
+        self.mean()
+        return PMF._intern(self.start, self.dt, probs, m1=self._m1)
 
     @classmethod
     def _from_raw(cls, start: float, dt: float, raw: np.ndarray) -> "PMF":
@@ -217,13 +230,14 @@ class PMF:
 
     @property
     def cdf(self) -> np.ndarray:
-        """Cached cumulative sum of ``probs`` (read-only view)."""
-        cached = object.__getattribute__(self, "_cdf")
-        if cached is None:
-            cached = self.probs.cumsum()
-            cached.setflags(write=False)
-            object.__setattr__(self, "_cdf", cached)
-        return cached
+        """Cumulative sum of ``probs``, computed on each read (read-only).
+
+        Not cached: a cached CDF would double every long-lived pmf's
+        footprint, and the hot path reads it about once per task start.
+        """
+        cdf = self.probs.cumsum()
+        cdf.setflags(write=False)
+        return cdf
 
     def mean(self) -> float:
         """Expectation ``E[X]`` (the start-independent moment is cached)."""
@@ -350,7 +364,7 @@ class InternedKernel:
     the same arithmetic expression the fresh computation evaluates, so
     the reconstructed pmf is bitwise identical to it.  ``m1``, the
     start-independent first moment, is shared by every rebuilt sibling;
-    each computes its own CDF, lazily, only if it is read.
+    a rebuilt pmf's CDF is computed only when something reads it.
     """
 
     __slots__ = ("probs", "lo", "m1")

@@ -7,6 +7,11 @@ pmf of type ``t`` on node ``n`` in state ``pi`` is a discretized gamma
 with mean ``etc[t, n] * exec_multiplier[n, pi]`` and a configurable
 coefficient of variation.
 
+Each probability is stored once.  A (type, node) cell keeps its
+P-state pmfs as the rows of one read-only ``(num_pstates, L)`` matrix,
+zero past each row's own support (``L`` is the cell's longest pmf), and
+``table.pmf(t, n, pi).probs`` is the view ``matrix[pi, :len]`` of it.
+
 The table also precomputes everything the vectorized mapping hot path
 needs:
 
@@ -15,21 +20,21 @@ needs:
   (``eet * mu(n, pi) / epsilon(n)``, Section V-A);
 * per type, what the candidate builder's rho rows read
   (:meth:`ExecutionTimeTable.candidate_arrays`): core-major gathers,
-  each pmf's first impulse time, and each node's ``(num_pstates, L)``
-  probability matrix — the table's only copy of the probabilities
-  besides the pmfs themselves — shared by every engine over the table.
+  each pmf's first impulse time, and the type's cell matrices
+  themselves, shared by every engine over the table.
 
 Construction cost matters: the table is rebuilt per trial per worker,
 and at paper scale it holds T*N*P = 4,000 discretized gammas.  The
 cells are evaluated through
-:func:`~repro.stoch.distributions.discretized_gamma_batch` (one
+:func:`~repro.stoch.distributions.iter_discretized_gamma` (one
 ``gammainc`` call per block of laws instead of 4,000, in bounded
 transient memory), bitwise identical per cell to
-:func:`~repro.stoch.distributions.discretized_gamma`, and the
-candidate arrays are deferred to first access — the mapper only ever
-asks for the task types that actually arrive.  They are a pure
-function of the table whenever they run, so laziness is
-results-neutral.
+:func:`~repro.stoch.distributions.discretized_gamma`, and each cell's
+laws are copied into its matrix as they are produced, so the build
+never holds a second copy of the table.  The candidate gathers are
+deferred to first access — the mapper only ever asks for the task
+types that actually arrive.  They are a pure function of the table
+whenever they run, so laziness is results-neutral.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ import numpy as np
 
 from repro.cluster.cluster import ClusterSpec
 from repro.config import GridConfig
-from repro.stoch.distributions import discretized_gamma_batch
+from repro.stoch.distributions import iter_discretized_gamma
 from repro.stoch.pmf import PMF
 from repro.workload.etc_matrix import ETCMatrix
 
@@ -47,7 +52,7 @@ __all__ = ["ExecutionTimeTable", "CandidateArrays"]
 #: Per-type arrays of :meth:`ExecutionTimeTable.candidate_arrays`:
 #: ``eet`` (C, P), ``eet_flat``, ``eec_flat``, each (node, P-state)'s
 #: first impulse time (N, P), the largest impulse-time magnitude, each
-#: node's (P, native width) probability matrix, and the widest of them.
+#: node's (P, native width) cell matrix, and the widest of them.
 CandidateArrays = tuple[
     np.ndarray, np.ndarray, np.ndarray, np.ndarray, float, tuple[np.ndarray, ...], int
 ]
@@ -79,17 +84,18 @@ class ExecutionTimeTable:
 
         # One vectorized discretization pass over all T*N*P cells.  The
         # broadcast product's element (t, n, pi) is the same two-scalar
-        # multiply a per-cell loop would evaluate.
+        # multiply a per-cell loop would evaluate.  The laws arrive in
+        # (t, n, pi) order, one cell's P-states consecutive.
         means = (etc.means[:, :, None] * mult[None, :, :]).ravel()
-        flat = discretized_gamma_batch(means, exec_cv, grid.dt, tail_sigmas=grid.tail_sigmas)
-        pmfs = [
-            [flat[(t * N + n) * P : (t * N + n) * P + P] for n in range(N)]
-            for t in range(T)
-        ]
-        eet = np.array([pmf.mean() for pmf in flat]).reshape(T, N, P)
+        laws = iter_discretized_gamma(means, exec_cv, grid.dt, tail_sigmas=grid.tail_sigmas)
+        cells = [_cell(cell_laws) for cell_laws in zip(*[laws] * P)]
+        eet = np.array([pmf.mean() for _, pmfs in cells for pmf in pmfs]).reshape(T, N, P)
 
-        self._pmfs = pmfs
-        self._max_width = max(pmf.probs.size for pmf in flat)
+        self._pmfs = [[pmfs for _, pmfs in cells[t * N : t * N + N]] for t in range(T)]
+        self._matrices = [
+            tuple(matrix for matrix, _ in cells[t * N : t * N + N]) for t in range(T)
+        ]
+        self._max_width = max(matrix.shape[1] for matrix, _ in cells)
         # Built per type on first use: most task types of a finite trial
         # never arrive.
         self._candidate_arrays: dict[int, CandidateArrays] = {}
@@ -138,8 +144,8 @@ class ExecutionTimeTable:
         Core-major ``eet``/``eec`` gathers over the cluster's cores; per
         (node, P-state) the pmf's first impulse time (``pmf.start``);
         the largest ``|start|``/``|stop|`` (the rho index margin's
-        scale); and per node its P-states' probabilities as one (P, L)
-        matrix, zero past each row's own support, at the node's
+        scale); and per node the cell matrix whose rows are the
+        P-states' pmfs, zero past each row's own support, at the cell's
         *native* width ``L`` (its longest pmf), so row reductions run
         over exactly the reference's term count (an appended ``+0.0``
         term is value-neutral but can change the reduction's
@@ -158,9 +164,9 @@ class ExecutionTimeTable:
             time_scale = max(
                 max(abs(pmf.start), abs(pmf.stop)) for cell in cells for pmf in cell
             )
-            node_probs = tuple(_probs_matrix(cell) for cell in cells)
+            node_probs = self._matrices[type_id]
             width = max(probs.shape[1] for probs in node_probs)
-            for arr in (eet, eet_flat, eec_flat, time0, *node_probs):
+            for arr in (eet, eet_flat, eec_flat, time0):
                 arr.setflags(write=False)
             cached = (eet, eet_flat, eec_flat, time0, time_scale, node_probs, width)
             self._candidate_arrays[type_id] = cached
@@ -193,9 +199,18 @@ class ExecutionTimeTable:
         return self._eet.mean(axis=(1, 2))
 
 
-def _probs_matrix(cell: list[PMF]) -> np.ndarray:
-    """One (type, node)'s P-state pmfs as a (P, L) matrix, zero-padded."""
-    probs = np.zeros((len(cell), max(len(pmf) for pmf in cell)))
-    for pi, pmf in enumerate(cell):
-        probs[pi, : len(pmf)] = pmf.probs
-    return probs
+def _cell(laws: tuple[PMF, ...]) -> tuple[np.ndarray, tuple[PMF, ...]]:
+    """One (type, node)'s P-state laws as the rows of a (P, L) matrix.
+
+    Returns the read-only matrix, zero-padded past each row's support,
+    and one pmf per row whose ``probs`` is a view of it: each law moved
+    into its row, nothing about it changed but where its probabilities
+    live.
+    """
+    sizes = [law.probs.size for law in laws]
+    matrix = np.zeros((len(laws), max(sizes)))
+    for pi, law in enumerate(laws):
+        matrix[pi, : sizes[pi]] = law.probs
+    matrix.setflags(write=False)
+    pmfs = tuple(law._moved_to(matrix[pi, : sizes[pi]]) for pi, law in enumerate(laws))
+    return matrix, pmfs

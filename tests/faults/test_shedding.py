@@ -17,6 +17,7 @@ from repro.faults import (
 )
 from repro.filters.chain import build_filter_chain
 from repro.heuristics.mect import MinimumExpectedCompletionTime
+from repro.heuristics.registry import build_heuristic
 from repro.obs.manifest import trial_digest
 from repro.service import ServiceConfig, serve_system
 from repro.sim.engine import Engine, EngineHooks
@@ -53,6 +54,24 @@ class TestSheddingConfig:
     def test_invalid_thresholds_rejected(self, kwargs):
         with pytest.raises(ValueError):
             SheddingConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(defer=5.0),
+            dict(defer=5.0, min_prob=0.1),
+            dict(defer=5.0, dispatch_prob=0.2),
+        ],
+    )
+    def test_defer_needs_a_deferring_threshold(self, kwargs):
+        # Only queue-depth and budget trips defer: a defer next to
+        # neither would load and then never apply.
+        with pytest.raises(ValueError, match="defer needs"):
+            SheddingConfig(**kwargs)
+        with pytest.raises(ValueError, match="defer needs"):
+            api.Scenario.from_dict({"shedding": kwargs})
+        SheddingConfig(**kwargs, queue_depth=1.0)
+        SheddingConfig(**kwargs, budget_frac=0.1)
 
     def test_any_threshold_enables(self):
         assert SheddingConfig(queue_depth=2.0).enabled
@@ -225,6 +244,31 @@ class TestDispatchFloor:
     def test_floored_run_validates(self, congested):
         system, _, engine, result, _ = congested
         validate_trial(system, result, engine)
+
+    def test_floor_alone_runs_no_admission(self, system, monkeypatch):
+        # A config whose only threshold is the dispatch floor builds no
+        # admission controller: no arrival is screened, and the trial is
+        # the one the screened engine ran.
+        calls = []
+        admit = AdmissionController.admit
+
+        def counting(ctl, *args):
+            calls.append(args)
+            return admit(ctl, *args)
+
+        monkeypatch.setattr(AdmissionController, "admit", counting)
+        engine = Engine(
+            system,
+            build_heuristic("LL"),
+            build_filter_chain("en+rob"),
+            shedding=SheddingConfig(dispatch_prob=0.25),
+        )
+        result = engine.run()
+        assert len(result.outcomes) == 60
+        assert calls == []
+        assert trial_digest(result) == (
+            "0ce67bf188b2fdbce3be53dd350de6278043c854cebb094661ff7a5f78aad5c4"
+        )
 
     def test_zero_floor_is_inert(self, system):
         # A floor of 0 never drops (no probability is below it), and an

@@ -64,13 +64,24 @@ fault_settings = st.one_of(
     ),
 )
 
-shedding_configs = st.builds(
-    SheddingConfig,
-    queue_depth=st.none() | st.floats(min_value=0.5, max_value=50.0, allow_nan=False, width=32),
-    dispatch_prob=st.none() | st.floats(min_value=0.0, max_value=1.0, allow_nan=False, width=32),
-    defer=st.none() | st.floats(min_value=1.0, max_value=600.0, allow_nan=False, width=32),
-    max_defers=st.integers(min_value=0, max_value=5),
-)
+@st.composite
+def shedding_configs(draw) -> SheddingConfig:
+    # ``defer`` only together with ``queue_depth``: a defer with no
+    # threshold that defers is refused.
+    queue_depth = draw(
+        st.none() | st.floats(min_value=0.5, max_value=50.0, allow_nan=False, width=32)
+    )
+    defer = None
+    if queue_depth is not None:
+        defer = draw(st.none() | st.floats(min_value=1.0, max_value=600.0, allow_nan=False, width=32))
+    return SheddingConfig(
+        queue_depth=queue_depth,
+        dispatch_prob=draw(
+            st.none() | st.floats(min_value=0.0, max_value=1.0, allow_nan=False, width=32)
+        ),
+        defer=defer,
+        max_defers=draw(st.integers(min_value=0, max_value=5)),
+    )
 
 ensembles = st.builds(
     EnsembleSettings,
@@ -101,7 +112,7 @@ def scenarios(draw) -> Scenario:
     else:
         if draw(st.booleans()):
             kwargs["faults"] = draw(fault_settings)
-        kwargs["shedding"] = draw(st.none() | shedding_configs)
+        kwargs["shedding"] = draw(st.none() | shedding_configs())
     return Scenario(**kwargs)
 
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from repro.stoch import distributions
-from repro.stoch.distributions import discretized_gamma, discretized_gamma_batch
+from repro.stoch.distributions import discretized_gamma, iter_discretized_gamma
 from repro.stoch.pmf import PMF
 
 
@@ -59,7 +59,7 @@ class TestGridAlignment:
         dt = 2.5
         laws = [
             discretized_gamma(100.0, 0.2, dt),
-            *discretized_gamma_batch(np.array([50.0, 100.0, 400.0]), 0.5, dt),
+            *iter_discretized_gamma(np.array([50.0, 100.0, 400.0]), 0.5, dt),
         ]
         for pmf in laws:
             assert pmf.dt == pytest.approx(dt)
@@ -76,7 +76,7 @@ class TestRejectsBadGrid:
     def test_every_discretizer(self, dt):
         for call in (
             lambda: discretized_gamma(100.0, 0.2, dt),
-            lambda: discretized_gamma_batch(np.array([100.0]), 0.2, dt),
+            lambda: list(iter_discretized_gamma(np.array([100.0]), 0.2, dt)),
         ):
             with pytest.raises(ValueError, match="dt"):
                 call()
@@ -128,7 +128,7 @@ class TestBitwiseOracle:
     @given(ratios=st.lists(_ratios, min_size=1, max_size=6), cv=_cvs, dt=_dts, tail=_tails)
     def test_gamma_scalar_and_batch(self, ratios, cv, dt, tail):
         means = [r * dt for r in ratios]
-        batch = discretized_gamma_batch(np.array(means), cv, dt, tail_sigmas=tail)
+        batch = list(iter_discretized_gamma(np.array(means), cv, dt, tail_sigmas=tail))
         assert len(batch) == len(means)
         for mean, pmf in zip(means, batch):
             want = _ref_gamma(mean, cv, dt, tail)
@@ -143,12 +143,12 @@ class TestBitwiseOracle:
         want = _ref_gamma(100.0, 0.01, 1.0, -20.0)
         assert len(want) == 1 and want.probs[0] == 1.0
         _assert_bitwise(discretized_gamma(100.0, 0.01, 1.0, tail_sigmas=-20.0), want)
-        (batch,) = discretized_gamma_batch(np.array([100.0]), 0.01, 1.0, tail_sigmas=-20.0)
+        (batch,) = iter_discretized_gamma(np.array([100.0]), 0.01, 1.0, tail_sigmas=-20.0)
         _assert_bitwise(batch, want)
 
 
 class TestBlockedBatch:
-    """``discretized_gamma_batch`` evaluates the CDF a block of laws at a
+    """``iter_discretized_gamma`` evaluates the CDF a block of laws at a
     time; a small block forces every blocking case, and each pmf stays
     bitwise the scalar one."""
 
@@ -167,7 +167,7 @@ class TestBlockedBatch:
 
         monkeypatch.setattr(distributions, "_BLOCK_EDGES", self.BLOCK)
         monkeypatch.setattr(scipy.special, "gammainc", counting)
-        batch = discretized_gamma_batch(np.array(means), self.CV, self.DT, tail_sigmas=self.TAIL)
+        batch = list(iter_discretized_gamma(np.array(means), self.CV, self.DT, tail_sigmas=self.TAIL))
         monkeypatch.undo()
         assert len(batch) == len(means)
         for mean, pmf in zip(means, batch):
@@ -187,3 +187,30 @@ class TestBlockedBatch:
 
     def test_batch_of_one_law(self, monkeypatch):
         assert self._check(monkeypatch, [5.0], calls=1) == [16]
+
+    def test_iter_yields_each_block_before_the_next(self, monkeypatch):
+        # The execution-time table copies each law out as it arrives, so
+        # the iterator must not evaluate a block before it is reached.
+        import scipy.special
+
+        seen = []
+        real = scipy.special.gammainc
+
+        def counting(a, x):
+            seen.append(x.size)
+            return real(a, x)
+
+        monkeypatch.setattr(distributions, "_BLOCK_EDGES", self.BLOCK)
+        monkeypatch.setattr(scipy.special, "gammainc", counting)
+        means = [3.0, 4.0, 5.0]
+        laws = iter_discretized_gamma(
+            np.array(means), self.CV, self.DT, tail_sigmas=self.TAIL
+        )
+        assert seen == []
+        first, second = next(laws), next(laws)
+        assert seen == [23]
+        third = next(laws)
+        assert seen == [23, 16]
+        monkeypatch.undo()
+        for mean, pmf in zip(means, (first, second, third)):
+            _assert_bitwise(pmf, discretized_gamma(mean, self.CV, self.DT, tail_sigmas=self.TAIL))

@@ -106,10 +106,10 @@ class TestMoments:
 
 
 class TestCDF:
-    def test_cdf_cached_and_monotone(self):
+    def test_cdf_read_only_and_monotone(self):
         pmf = PMF(0.0, 1.0, [0.1, 0.2, 0.3, 0.4])
         cdf = pmf.cdf
-        assert cdf is pmf.cdf  # cached object
+        assert not cdf.flags.writeable
         assert np.all(np.diff(cdf) >= 0)
         assert cdf[-1] == pytest.approx(1.0)
 

@@ -1,4 +1,5 @@
-"""Import-graph guards: start-up loads no scipy, and the layers stay put.
+"""Import-graph guards: start-up loads no scipy or HTTP stack, and the
+layers stay put.
 
 ``scipy.stats`` alone costs most of a second to import, and every CLI
 command and benchmark process pays whatever ``import repro`` pulls in.
@@ -26,6 +27,10 @@ import sys
 REPO = pathlib.Path(__file__).resolve().parents[1]
 SRC = REPO / "src"
 
+#: The HTTP/TLS stack a telemetry server needs; it loads only when a
+#: server starts.
+_HTTP_STACK = ("http.server", "http.client", "ssl", "socketserver")
+
 _PROBE = """
 import json, sys
 import repro, repro.cli, repro.api
@@ -34,8 +39,9 @@ from repro.config import SimulationConfig
 from repro.sim.system import build_trial_system
 build_trial_system(SimulationConfig())
 after_build = sorted(m for m in sys.modules if m.startswith("scipy.stats"))
-print(json.dumps({"after_import": after_import, "after_build": after_build}))
-"""
+http = sorted(m for m in %r if m in sys.modules)
+print(json.dumps({"after_import": after_import, "after_build": after_build, "http": http}))
+""" % (_HTTP_STACK,)
 
 
 def test_import_and_system_build_skip_scipy_stats():
@@ -50,6 +56,7 @@ def test_import_and_system_build_skip_scipy_stats():
     loaded = json.loads(proc.stdout.strip().splitlines()[-1])
     assert loaded["after_import"] == []
     assert loaded["after_build"] == []
+    assert loaded["http"] == []
 
 
 def _module_level_imports(tree: ast.Module):

@@ -586,3 +586,20 @@ class TestTelemetryCheck:
         assert proc.returncode == 0, proc.stderr
         check = self.run_check(out)
         assert check.returncode == 0, check.stdout
+
+
+class TestRssProfile:
+    def test_three_non_decreasing_stages(self):
+        proc = subprocess.run(
+            [sys.executable, str(REPO / "scripts" / "rss_profile.py")],
+            capture_output=True,
+            text=True,
+            timeout=600,
+            env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+        )
+        assert proc.returncode == 0, proc.stderr
+        rows = [line.split() for line in proc.stdout.splitlines()]
+        assert [row[0] for row in rows] == ["import", "build", "candidates"]
+        peaks = [float(row[1]) for row in rows]
+        assert all(row[2] == "MB" for row in rows)
+        assert 0.0 < peaks[0] <= peaks[1] <= peaks[2]

@@ -196,8 +196,8 @@ class TestCandidateArrays:
 
 
 class TestMemory:
-    """The table keeps one copy of each pmf plus what the builder reads,
-    and builds in bounded memory (tracemalloc counts numpy's buffers)."""
+    """The table keeps one copy of each pmf, its cell matrix row, and
+    builds in bounded memory (tracemalloc counts numpy's buffers)."""
 
     @pytest.fixture(scope="class")
     def traced(self):
@@ -233,3 +233,23 @@ class TestMemory:
             for pi in range(P)
         )
         assert arrays <= 2 * pmf_bytes, (arrays, pmf_bytes)
+
+    def test_candidate_arrays_copy_no_pmf(self, traced):
+        # Every type's candidate arrays are gathers of eet/eec and pmf
+        # starts: the probabilities are the cell matrices already built.
+        _, _, _, arrays = traced
+        assert arrays <= 1_000_000, arrays
+
+    def test_pmfs_are_rows_of_their_cell_matrix(self, traced):
+        table = traced[0]
+        T, N, P = table.eet.shape
+        for t in range(T):
+            node_probs = table.candidate_arrays(t)[5]
+            for n in range(N):
+                matrix = node_probs[n]
+                assert not matrix.flags.writeable
+                for pi in range(P):
+                    probs = table.pmf(t, n, pi).probs
+                    assert np.shares_memory(probs, matrix[pi]), (t, n, pi)
+                    assert not probs.flags.writeable
+                    assert not matrix[pi, probs.size :].any(), (t, n, pi)
